@@ -7,58 +7,22 @@ all triangulations up to a vertex budget both by the decomposition pipeline
 (discs, genus-surfaces, gluings) and by an independent brute-force oracle.
 """
 
-from .canon import (
-    CanonicalForm,
-    canonical_form,
-    canonical_witness,
-    is_isomorphic,
-    minimal_code,
-    mixed_lex_compare,
-)
-from .core import (
-    KLEIN_BOTTLE,
-    PROJECTIVE_PLANE,
-    SPHERE,
-    TORUS,
-    SurfaceClass,
-    SurfaceKind,
-    Triangulation,
-    ValidationReport,
-    boundary_components,
-    cap_boundary,
-    classify,
-    euler_characteristic,
-    heawood_min_vertices,
-    validate,
-    vertex_stats,
-)
-from .listing import (
-    CountsTable,
-    Decomposition,
-    Disc,
-    GenusSurface,
-    GluingTally,
-    SearchConfig,
-    enumerate_all,
-    enumerate_discs,
-    enumerate_genus_surfaces,
-    enumerate_nonroots,
-    enumerate_roots,
-    enumerate_spheres,
-    genus_surface_admissible,
-    glue_disc,
-    grow_main_disc_step,
-    main_disc_boundary_lower_bound,
-    validate_decomposition,
-)
-from .moves import (
-    compute_root,
-    edge_expand_4valent,
-    inverse_t_move,
-    is_root,
-    t_move,
-)
+from .canon import canonical_form
+from .core import SurfaceClass, Triangulation, classify, validate
+from .listing import SearchConfig, enumerate_all
+from .moves import compute_root
 from .oracle import brute_force_enumerate, cross_validate
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "SearchConfig",
+    "SurfaceClass",
+    "Triangulation",
+    "brute_force_enumerate",
+    "canonical_form",
+    "classify",
+    "compute_root",
+    "cross_validate",
+    "enumerate_all",
+    "validate",
+]
 __version__ = "0.1.0"

@@ -19,17 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Triangle, Triangulation, normalize_triangles
+from .core import Triangle, Triangulation, normalize_triangles, valences
 
 Code = tuple[Triangle, ...]
-
-
-def _valences(tris: Sequence[Triangle]) -> dict[int, int]:
-    val: dict[int, int] = {}
-    for t in tris:
-        for v in t:
-            val[v] = val.get(v, 0) + 1
-    return val
 
 
 def _search(
@@ -120,7 +112,7 @@ def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
     """Mixed-lex minimal relabeled triangle list of a raw triangle
     collection; optionally also every labeling achieving it."""
     tris = normalize_triangles(tris)
-    val = _valences(tris)
+    val = valences(tris)
     max_val = max(val.values())
     best: list = [None]
     witnesses: list | None = [] if with_witnesses else None

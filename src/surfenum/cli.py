@@ -17,9 +17,9 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .canon import Code, canonical_form, minimal_code
+from .canon import Code, canonical_form
 from .core import (
     SurfaceClass,
     SurfaceKind,
@@ -204,7 +204,6 @@ def _parse_surface(name: str | None) -> SurfaceClass | None:
 def _cmd_enum(args) -> int:
     cfg = SearchConfig(
         max_vertices=args.max_vertices,
-        specialized=True if args.specialized else None,
         surface=_parse_surface(args.surface),
         workers=_default_workers(args),
     )
@@ -266,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum")
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--surface", help="restrict to one surface (S2, T2, RP2, K2, S+g, S-g)")
-    p.add_argument("--specialized", action="store_true",
-                   help="force the at-most-11-vertices specialization")
     p.add_argument("--out", help="directory for per-(V, surface) result shards")
     p.add_argument("--workers", type=int, default=0)
     p.set_defaults(fn=_cmd_enum)

@@ -97,6 +97,58 @@ def vertex_triangles(tris: Iterable[Triangle]) -> dict[int, list[Triangle]]:
     return out
 
 
+def valences(tris: Iterable[Triangle]) -> dict[int, int]:
+    """Vertex -> number of incident triangles."""
+    val: dict[int, int] = {}
+    for t in tris:
+        for v in t:
+            val[v] = val.get(v, 0) + 1
+    return val
+
+
+def degrees(tris: Iterable[Triangle]) -> dict[int, int]:
+    """Vertex -> number of neighbours."""
+    nbrs: dict[int, set[int]] = {}
+    for a, b, c in tris:
+        nbrs.setdefault(a, set()).update((b, c))
+        nbrs.setdefault(b, set()).update((a, c))
+        nbrs.setdefault(c, set()).update((a, b))
+    return {v: len(s) for v, s in nbrs.items()}
+
+
+def closed_cycles(edges: Iterable[Edge]) -> list[list[int]] | None:
+    """Closed cycles of a graph of maximum degree 2, each walked from its
+    smallest vertex towards its first neighbour in sorted edge order.
+    Path components are skipped; None when some vertex has degree above 2.
+    """
+    adj: dict[int, list[int]] = {}
+    for a, b in sorted(edges):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if any(len(nbrs) > 2 for nbrs in adj.values()):
+        return None
+    cycles: list[list[int]] = []
+    seen: set[int] = set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        walk = [start]
+        seen.add(start)
+        prev, cur = None, start
+        while True:
+            nxt = [x for x in adj[cur] if x != prev]
+            if nxt and nxt[0] == start:
+                cycles.append(walk)
+                break
+            # a path end, or the rest of a path walked from an earlier start
+            if not nxt or nxt[0] in seen:
+                break
+            prev, cur = cur, nxt[0]
+            walk.append(cur)
+            seen.add(cur)
+    return cycles
+
+
 def link_graph(tris_at_v: Iterable[Triangle], v: int) -> dict[int, list[int]]:
     """Adjacency of the link of ``v``: one link edge per triangle at ``v``."""
     adj: dict[int, list[int]] = {}
@@ -343,29 +395,10 @@ def boundary_components(t: Triangulation) -> list[list[int]]:
     return boundary_cycles(t.triangles)
 
 
-def boundary_cycles(tris: Iterable[Triangle]) -> list[list[int]]:
-    """Boundary cycles of a raw triangle collection (no validity check)."""
-    adj: dict[int, list[int]] = {}
-    for a, b in boundary_edges(tris):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    cycles: list[list[int]] = []
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = next(x for x in adj[cur] if x != prev)
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            seen.add(nxt)
-            prev, cur = cur, nxt
-        cycles.append(cycle)
-    return cycles
+def boundary_cycles(tris: Iterable[Triangle]) -> list[list[int]] | None:
+    """Boundary cycles of a raw triangle collection (no validity check);
+    None when some vertex has more than two boundary edges."""
+    return closed_cycles(boundary_edges(tris))
 
 
 def cap_boundary(t: Triangulation) -> Triangulation:
@@ -408,12 +441,9 @@ def vertex_stats(t: Triangulation) -> VertexStats:
     if not report.is_surface:
         raise ValueError("vertex_stats needs a surface")
     boundary_verts = {v for e in boundary_edges(t.triangles) for v in e}
-    info: dict[int, VertexInfo] = {}
-    for v, ts in vertex_triangles(t.triangles).items():
-        neighbours = {x for tri in ts for x in tri if x != v}
-        info[v] = VertexInfo(
-            valence=len(ts), degree=len(neighbours), interior=v not in boundary_verts
-        )
+    degs = degrees(t.triangles)
+    info = {v: VertexInfo(valence=k, degree=degs[v], interior=v not in boundary_verts)
+            for v, k in valences(t.triangles).items()}
     return VertexStats(
         per_vertex=info,
         max_valence=max(i.valence for i in info.values()),

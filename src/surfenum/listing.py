@@ -13,7 +13,8 @@ root, and repeated vertex-adding moves recover the non-roots.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .canon import Code, minimal_code, state_key
@@ -28,8 +29,13 @@ from .core import (
     boundary_edges,
     cap_boundary,
     classify,
+    closed_cycles,
+    degrees,
     edge_triangles,
+    euler_characteristic,
     link_shape,
+    normalize_triangles,
+    valences,
     validate,
     vertex_triangles,
 )
@@ -98,15 +104,12 @@ class Disc:
     @classmethod
     def from_triangles(cls, triangles: Iterable[Triangle],
                        tally: GluingTally | None = None) -> "Disc":
-        tris = tuple(sorted(tuple(sorted(t)) for t in triangles))
+        tris = normalize_triangles(triangles)
         cycles = boundary_cycles(tris)
-        if len(cycles) != 1:
+        if cycles is None or len(cycles) != 1:
             raise ValueError("a disc has exactly one boundary component")
         bverts = set(cycles[0])
-        vals: dict[int, int] = {}
-        for t in tris:
-            for v in t:
-                vals[v] = vals.get(v, 0) + 1
+        vals = valences(tris)
         interior = [v for v in vals if v not in bverts]
         return cls(
             triangles=tris,
@@ -133,7 +136,7 @@ class GenusSurface:
 
     @classmethod
     def from_triangles(cls, triangles: Iterable[Triangle]) -> "GenusSurface":
-        tris = tuple(sorted(tuple(sorted(t)) for t in triangles))
+        tris = normalize_triangles(triangles)
         cycles = tuple(tuple(c) for c in boundary_cycles(tris))
         t = Triangulation(tris)
         if len(tris) == 1:
@@ -208,14 +211,6 @@ class CountsTable:
         return f"CountsTable({self.rows()!r})"
 
 
-def _valences(tris: Iterable[Triangle]) -> dict[int, int]:
-    vals: dict[int, int] = {}
-    for t in tris:
-        for v in t:
-            vals[v] = vals.get(v, 0) + 1
-    return vals
-
-
 # --------------------------------------------------------------------------
 # Step 1: triangulated discs
 # --------------------------------------------------------------------------
@@ -273,7 +268,7 @@ def grow_main_disc_step(
         i = (i - 1) % n
     else:
         raise GluingError(f"edge {edge} not on the boundary")
-    vals = _valences(d.triangles)
+    vals = valences(d.triangles)
 
     if third is None:
         w = d.vertex_count + 1
@@ -311,26 +306,42 @@ def grow_main_disc_step(
     return PartialDisc(frozenset(tris), boundary, tally)
 
 
-def _main_disc_children(d: PartialDisc, max_interior_valence: int,
-                        max_vertices: int) -> list[PartialDisc]:
-    m = max_interior_valence
-    vals = _valences(d.triangles)
+def _disc_children(d: PartialDisc, m: float, max_vertices: int) -> list[PartialDisc]:
+    """One-triangle extensions of ``d`` that keep boundary valences at most
+    m-1 and make no interior vertex of valence outside [4, m]."""
+    vals = valences(d.triangles)
+    room = d.vertex_count < max_vertices
     bnd = d.boundary
     n = len(bnd)
     out = []
     for i in range(n):
-        a, b = bnd[i], bnd[(i + 1) % n]
+        a, b, c = bnd[i], bnd[(i + 1) % n], bnd[(i + 2) % n]
         # type I: both endpoints stay on the boundary
-        if vals[a] + 1 <= m - 1 and vals[b] + 1 <= m - 1 and d.vertex_count < max_vertices:
+        if room and vals[a] + 1 <= m - 1 and vals[b] + 1 <= m - 1:
             out.append(grow_main_disc_step(d, (a, b), None))
-        # type II closing the corner at b
-        c = bnd[(i + 2) % n]
-        if n > 3 and 4 <= vals[b] + 1 <= m and vals[a] + 1 <= m - 1 and vals[c] + 1 <= m - 1:
+        # type II closing the corner at b (valence >= 4 is checked by the step)
+        if n > 3 and vals[b] + 1 <= m and vals[a] + 1 <= m - 1 and vals[c] + 1 <= m - 1:
             try:
                 out.append(grow_main_disc_step(d, (a, b), c))
             except GluingError:
                 pass
     return out
+
+
+def _grow_discs(start: PartialDisc, m: float,
+                max_vertices: int) -> dict[Code, GluingTally]:
+    """Canonical codes of every disc grown from ``start``, in discovery
+    order, with the tally of the first growth reaching each."""
+    found: dict[Code, GluingTally] = {}
+    stack = [start]
+    while stack:
+        d = stack.pop()
+        code = minimal_code(d.triangles)
+        if code in found:
+            continue
+        found[code] = d.tally
+        stack.extend(_disc_children(d, m, max_vertices))
+    return found
 
 
 def enumerate_main_discs(max_interior_valence: int,
@@ -344,68 +355,35 @@ def enumerate_main_discs(max_interior_valence: int,
         # the bare star: the only disc whose interior vertex is 3-valent
         # ever needed (it closes up to the boundary of the tetrahedron)
         return [Disc.from_triangles(start.triangles, start.tally)]
-    out = []
-    seen = set()
-    stack = [start]
-    while stack:
-        d = stack.pop()
-        code = minimal_code(d.triangles)
-        if code in seen:
-            continue
-        seen.add(code)
-        out.append(Disc.from_triangles(code, d.tally))
-        if d.vertex_count <= max_vertices:
-            stack.extend(_main_disc_children(d, m, max_vertices))
-    return out
-
-
-def _disc_children(d: PartialDisc, max_vertices: int) -> list[PartialDisc]:
-    # like main-disc growth but without valence caps (still no 3-valent
-    # interior vertex)
-    bnd = d.boundary
-    n = len(bnd)
-    out = []
-    for i in range(n):
-        a, b = bnd[i], bnd[(i + 1) % n]
-        if d.vertex_count < max_vertices:
-            out.append(grow_main_disc_step(d, (a, b), None))
-        if n > 3:
-            try:
-                out.append(grow_main_disc_step(d, (a, b), bnd[(i + 2) % n]))
-            except GluingError:
-                pass
-    return out
+    return [Disc.from_triangles(code, tally)
+            for code, tally in _grow_discs(start, m, max_vertices).items()]
 
 
 def enumerate_discs(cfg: SearchConfig) -> set[Disc]:
     """All triangulated discs with at most the configured number of
     vertices and no 3-valent interior vertex, up to isomorphism."""
     start = PartialDisc(frozenset({(1, 2, 3)}), (1, 2, 3), GluingTally(0, 0))
-    out: dict[Code, Disc] = {}
-    stack = [start]
-    while stack:
-        d = stack.pop()
-        code = minimal_code(d.triangles)
-        if code in out:
-            continue
-        out[code] = Disc.from_triangles(code)
-        stack.extend(_disc_children(d, cfg.max_vertices))
-    return set(out.values())
+    return {Disc.from_triangles(code)
+            for code in _grow_discs(start, math.inf, cfg.max_vertices)}
 
 
 # --------------------------------------------------------------------------
 # Step 2: spheres
 # --------------------------------------------------------------------------
 
-def enumerate_spheres(cfg: SearchConfig) -> set[Triangulation]:
-    """All sphere roots with at most the configured vertex count: the
-    boundary of the tetrahedron plus, for each main disc with a 3-cycle
-    boundary, the disc with the missing triangle glued in."""
+def _main_discs_by_valence(cfg: SearchConfig) -> dict[int, list[Disc]]:
+    """Main discs for every interior valence m = 4 .. V-1, shared by the
+    sphere step and the gluing index."""
+    return {m: enumerate_main_discs(m, cfg.max_vertices)
+            for m in range(4, cfg.max_vertices)}
+
+
+def _sphere_codes(cfg: SearchConfig, main_discs: dict[int, list[Disc]]) -> set[Code]:
     found: set[Code] = set()
     if cfg.max_vertices >= 4 and (cfg.surface is None or cfg.surface == SPHERE):
         found.add(TETRAHEDRON)
-        for m in range(4, cfg.max_vertices):
-            for disc in enumerate_main_discs(m, cfg.max_vertices):
+        for m, discs in main_discs.items():
+            for disc in discs:
                 if len(disc.boundary) != 3:
                     continue
                 tris = set(disc.triangles)
@@ -416,11 +394,19 @@ def enumerate_spheres(cfg: SearchConfig) -> set[Triangulation]:
                 t = Triangulation(tris)
                 if validate(t).kind is not SurfaceKind.CLOSED_SURFACE:
                     continue
-                vals = _valences(tris)
+                vals = valences(tris)
                 if min(vals.values()) < 4 or max(vals.values()) > m:
                     continue
                 found.add(minimal_code(tris))
-    return {Triangulation(code) for code in found}
+    return found
+
+
+def enumerate_spheres(cfg: SearchConfig) -> set[Triangulation]:
+    """All sphere roots with at most the configured vertex count: the
+    boundary of the tetrahedron plus, for each main disc with a 3-cycle
+    boundary, the disc with the missing triangle glued in."""
+    return {Triangulation(code)
+            for code in _sphere_codes(cfg, _main_discs_by_valence(cfg))}
 
 
 # --------------------------------------------------------------------------
@@ -436,26 +422,11 @@ def main_disc_boundary_lower_bound(
     cond_b: the maximal degree in the genus-surface is achieved on the
     boundary circle shared with the main disc.
     """
-    vals_deg: dict[int, set[int]] = {}
-    for t in g.triangles:
-        for v in t:
-            vals_deg.setdefault(v, set()).update(x for x in t if x != v)
-    md = max(len(nbrs) for nbrs in vals_deg.values())
+    md = max(degrees(g.triangles).values())
     slack = g.vertex_count - total_vertices
     if cond_a:
         return md + 1 if cond_b else md
     return md + 3 + slack if cond_b else md + 2 + slack
-
-
-def _max_degree(tris: Iterable[Triangle]) -> tuple[dict[int, int], int]:
-    nbrs: dict[int, set[int]] = {}
-    for t in tris:
-        a, b, c = t
-        nbrs.setdefault(a, set()).update((b, c))
-        nbrs.setdefault(b, set()).update((a, c))
-        nbrs.setdefault(c, set()).update((a, b))
-    degs = {v: len(s) for v, s in nbrs.items()}
-    return degs, max(degs.values())
 
 
 def genus_surface_admissible(g: GenusSurface | Triangulation,
@@ -473,7 +444,7 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
         # the only planar genus-surface of a minimal decomposition
         return len(tris) == 1
     bverts = {v for c in comps for v in c}
-    vals = _valences(tris)
+    vals = valences(tris)
     # vertex budget (the root needs at least one more vertex)
     if g.vertex_count > n_budget - 1:
         return False
@@ -524,7 +495,7 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
             return False
     # some component must be able to host a main disc of the required
     # minimum boundary length (checked with the weakest of the four cases)
-    _degs, md = _max_degree(tris)
+    md = max(degrees(tris).values())
     bound = md + min(0, 2 + g.vertex_count - n_budget)
     if cfg.specialized and len(comps) == 2:
         hosts = [c for c, o in ((comps[0], comps[1]), (comps[1], comps[0]))
@@ -534,52 +505,6 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
     if not any(len(c) >= bound for c in hosts):
         return False
     return True
-
-
-def _mult1_edges(tris: Iterable[Triangle]) -> set[Edge]:
-    counts: dict[Edge, int] = {}
-    for t in tris:
-        a, b, c = t
-        for e in ((a, b), (a, c), (b, c)):
-            counts[e] = counts.get(e, 0) + 1
-    return {e for e, k in counts.items() if k == 1}
-
-
-def _frozen_cycles(frozen: frozenset) -> list[int] | None:
-    """Lengths of complete cycles in the frozen-edge graph; None when some
-    vertex already has three frozen edges (never completable)."""
-    adj: dict[int, list[int]] = {}
-    for a, b in frozen:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if any(len(nbrs) > 2 for nbrs in adj.values()):
-        return None
-    lengths = []
-    seen: set[int] = set()
-    for start in adj:
-        if start in seen or len(adj[start]) != 2:
-            continue
-        cycle = [start]
-        seen.add(start)
-        prev, cur = None, start
-        closed = False
-        while True:
-            nxts = [x for x in adj[cur] if x != prev]
-            if not nxts:
-                break
-            nxt = nxts[0]
-            if nxt == start:
-                closed = True
-                break
-            if len(adj[nxt]) != 2:
-                seen.add(nxt)
-                break
-            cycle.append(nxt)
-            seen.add(nxt)
-            prev, cur = cur, nxt
-        if closed:
-            lengths.append(len(cycle))
-    return lengths
 
 
 class _GenusSurfaceSearch:
@@ -616,7 +541,7 @@ class _GenusSurfaceSearch:
         return self
 
     def children(self, tris: frozenset, frozen: frozenset):
-        open_edges = sorted(_mult1_edges(tris) - frozen)
+        open_edges = [e for e in boundary_edges(tris) if e not in frozen]
         if not open_edges:
             return None
         e = open_edges[0]
@@ -625,7 +550,7 @@ class _GenusSurfaceSearch:
         for x, y in frozen:
             frozen_degree[x] = frozen_degree.get(x, 0) + 1
             frozen_degree[y] = frozen_degree.get(y, 0) + 1
-        vals = _valences(tris)
+        vals = valences(tris)
         a, b = e
         if self._freeze_ok(tris, frozen, e, vals, frozen_degree):
             out.append((tris, frozen | {e}))
@@ -704,15 +629,15 @@ class _GenusSurfaceSearch:
         if not frozen_degree.get(w) and link_shape(by_vertex[w], w) == "circle":
             return False
         if self.cfg.specialized:
-            cycles = _frozen_cycles(frozen | {e})
+            cycles = closed_cycles(frozen | {e})
             if cycles is None or len(cycles) > 2:
                 return False
-            if len(cycles) == 2 and not any(L in (3, 4) for L in cycles):
+            if len(cycles) == 2 and not any(len(c) in (3, 4) for c in cycles):
                 return False
         return True
 
     def emit(self, tris: frozenset) -> None:
-        if not _mult1_edges(tris):
+        if not boundary_edges(tris):
             return  # closed up: not a genus-surface
         t = Triangulation(tris)
         if validate(t).kind is not SurfaceKind.SURFACE_WITH_BOUNDARY:
@@ -833,7 +758,8 @@ def _roots_from_genus_surface(
     n_budget = cfg.max_vertices
     found: set[tuple[int, SurfaceClass, Code]] = set()
     comps = g.boundary
-    degs, md = _max_degree(g.triangles)
+    degs = degrees(g.triangles)
+    md = max(degs.values())
     for main_idx, main_cycle in enumerate(comps):
         others = [c for k, c in enumerate(comps) if k != main_idx]
         if cfg.specialized:
@@ -876,7 +802,7 @@ def _roots_from_genus_surface(
                             t = Triangulation(glued)
                             if validate(t).kind is not SurfaceKind.CLOSED_SURFACE:
                                 continue
-                            vals = _valences(glued)
+                            vals = valences(glued)
                             if min(vals.values()) < 4 or max(vals.values()) > m:
                                 continue
                             cls = classify(t)
@@ -887,13 +813,14 @@ def _roots_from_genus_surface(
     return found
 
 
-def _index_main_discs(cfg: SearchConfig) -> dict[tuple, list[Disc]]:
+def _index_main_discs(cfg: SearchConfig,
+                      main_discs: dict[int, list[Disc]]) -> dict[tuple, list[Disc]]:
     """Main discs indexed by (interior max valence, boundary length,
     interior vertex count); in the general mode also all discs by
     ('any', boundary length) for the extra-disc role."""
     index: dict[tuple, list[Disc]] = {}
-    for m in range(5, cfg.max_vertices):
-        for disc in enumerate_main_discs(m, cfg.max_vertices):
+    for m, discs in main_discs.items():
+        for disc in discs:
             key = (m, len(disc.boundary), disc.interior_count)
             index.setdefault(key, []).append(disc)
     if not cfg.specialized:
@@ -909,12 +836,13 @@ def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Cod
     def add(v: int, cls: SurfaceClass, code: Code) -> None:
         roots.setdefault((v, cls), set()).add(code)
 
-    for t in enumerate_spheres(cfg):
-        add(t.vertex_count, SPHERE, t.triangles)
+    main_discs = _main_discs_by_valence(cfg)
+    for code in _sphere_codes(cfg, main_discs):
+        add(max(v for t in code for v in t), SPHERE, code)
     genus_surfaces = [g for g in enumerate_genus_surfaces(cfg)
                       if g.capped_class != SPHERE]
     if genus_surfaces:
-        discs_by_key = _index_main_discs(cfg)
+        discs_by_key = _index_main_discs(cfg, main_discs)
         results = _map_maybe_parallel(
             _roots_from_genus_surface_task,
             [(g, cfg, discs_by_key) for g in genus_surfaces],
@@ -1032,9 +960,7 @@ def _is_disc(tris: tuple[Triangle, ...]) -> bool:
         return False
     if validate(t).kind is not SurfaceKind.SURFACE_WITH_BOUNDARY:
         return False
-    verts = {v for tri in t.triangles for v in tri}
-    chi = len(verts) - len(edge_triangles(t.triangles)) + len(t.triangles)
-    return chi == 1 and len(boundary_cycles(t.triangles)) == 1
+    return euler_characteristic(t) == 1 and len(boundary_cycles(t.triangles)) == 1
 
 
 def _relabel_contiguous(tris: Iterable[Triangle]) -> list[Triangle]:
@@ -1045,7 +971,7 @@ def _relabel_contiguous(tris: Iterable[Triangle]) -> list[Triangle]:
 
 def validate_decomposition(t: Triangulation, dec: Decomposition) -> DecompositionCheck:
     """Check every clause of the decomposition definition against ``t``."""
-    pieces = [tuple(sorted(tuple(sorted(x)) for x in p))
+    pieces = [normalize_triangles(p)
               for p in (dec.genus_surface, dec.main_disc, *dec.extra_discs)]
     all_tris = set(t.triangles)
     for p in pieces:
@@ -1066,24 +992,15 @@ def validate_decomposition(t: Triangulation, dec: Decomposition) -> Decompositio
             if not common_v and not common_e:
                 continue
             # the intersection must be a triangulated circle
-            adj: dict[int, list[int]] = {v: [] for v in common_v}
-            for a, b in common_e:
-                if a not in common_v or b not in common_v:
-                    return DecompositionCheck(False, "dangling shared edge")
-                adj[a].append(b)
-                adj[b].append(a)
-            if any(len(nbrs) != 2 for nbrs in adj.values()):
+            cycles = closed_cycles(common_e)
+            if cycles is None:
                 return DecompositionCheck(False, "shared part is not a circle")
-            start = next(iter(common_v))
-            seen = {start}
-            prev, cur = None, start
-            while True:
-                nxt = next(x for x in adj[cur] if x != prev)
-                if nxt == start:
-                    break
-                seen.add(nxt)
-                prev, cur = cur, nxt
-            if seen != common_v:
+            on_cycle = {v for c in cycles for v in c}
+            if any(a not in on_cycle for a, _b in common_e):
+                return DecompositionCheck(False, "dangling shared edge")
+            if on_cycle != common_v:
+                return DecompositionCheck(False, "shared part is not a circle")
+            if len(cycles) != 1:
                 return DecompositionCheck(False, "shared part is not one circle")
     for p, name in [(pieces[1], "main disc")] + [
         (p, "extra disc") for p in pieces[2:]
@@ -1091,7 +1008,7 @@ def validate_decomposition(t: Triangulation, dec: Decomposition) -> Decompositio
         if not _is_disc(p):
             return DecompositionCheck(False, f"{name} is not a disc")
     # the main disc holds a maximal-valence vertex in its interior
-    vals = _valences(t.triangles)
+    vals = valences(t.triangles)
     mv = max(vals.values())
     main = pieces[1]
     interior = {v for tri in main for v in tri} - {

@@ -12,7 +12,6 @@ pipeline, so agreement of the two results is meaningful evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from .canon import Code, minimal_code
 from .core import (
@@ -20,9 +19,11 @@ from .core import (
     SurfaceKind,
     Triangle,
     Triangulation,
+    boundary_edges,
     classify,
     edge_triangles,
     link_shape,
+    valences,
     validate,
     vertex_triangles,
 )
@@ -36,27 +37,15 @@ def _m_fan(m: int) -> frozenset:
     )
 
 
-def _open_edges(tris: Iterable[Triangle]) -> list[tuple[int, int]]:
-    counts: dict[tuple[int, int], int] = {}
-    for t in tris:
-        a, b, c = t
-        for e in ((a, b), (a, c), (b, c)):
-            counts[e] = counts.get(e, 0) + 1
-    return sorted(e for e, k in counts.items() if k == 1)
-
-
 def _children(tris: frozenset, m: int, max_vertices: int,
               max_triangles: int) -> list[frozenset] | None:
-    open_edges = _open_edges(tris)
+    open_edges = boundary_edges(tris)
     if not open_edges:
         return None  # closed: a leaf
     if len(tris) >= max_triangles:
         return []
     a, b = open_edges[0]
-    vals: dict[int, int] = {}
-    for t in tris:
-        for v in t:
-            vals[v] = vals.get(v, 0) + 1
+    vals = valences(tris)
     n_v = len(vals)
     cands = [x for x in sorted(vals) if x not in (a, b)]
     if n_v < max_vertices:

@@ -140,6 +140,17 @@ def test_criterion_05_oracle_equivalence_eight_vertices():
           f"triangulations ({elapsed:.1f}s < 120s)")
 
 
+def test_general_mode_oracle_equivalence_eight_vertices(corpus8):
+    # the general mode (no at-most-11 specialization) is the only mode
+    # for V >= 12; its extra discs come from enumerate_discs
+    start = time.monotonic()
+    result = enumerate_all(SearchConfig(max_vertices=8, specialized=False))
+    elapsed = time.monotonic() - start
+    assert result.all_codes() == corpus8.codes
+    print(f"general mode: PASS — canonical sets equal the oracle's at V<=8 "
+          f"({elapsed:.1f}s)")
+
+
 def test_criterion_06_root_uniqueness_under_random_orders():
     rng = random.Random(20260823)
     from surfenum.moves import is_root

@@ -15,8 +15,11 @@ from surfenum.core import (
     boundary_components,
     cap_boundary,
     classify,
+    closed_cycles,
+    degrees,
     euler_characteristic,
     heawood_min_vertices,
+    valences,
     validate,
     vertex_stats,
 )
@@ -153,3 +156,28 @@ class TestVertexStats:
             v = t.vertex_count
             assert len(t.edges()) == 3 * v - 3 * chi
             assert t.triangle_count == 2 * v - 2 * chi
+
+
+class TestAdjacency:
+    def test_valences_and_degrees_on_octahedron(self, octa):
+        assert valences(octa.triangles) == {v: 4 for v in range(1, 7)}
+        assert degrees(octa.triangles) == {v: 4 for v in range(1, 7)}
+
+    def test_valences_and_degrees_differ_on_a_fan(self):
+        fan = [(1, 2, 3), (1, 2, 4), (1, 3, 5)]
+        assert valences(fan) == {1: 3, 2: 2, 3: 2, 4: 1, 5: 1}
+        assert degrees(fan) == {1: 4, 2: 3, 3: 3, 4: 2, 5: 2}
+
+    def test_cycles_walked_from_smallest_vertex(self):
+        edges = {(5, 7), (3, 7), (3, 5), (4, 9), (2, 9), (1, 4), (1, 2)}
+        assert closed_cycles(edges) == [[1, 2, 9, 4], [3, 5, 7]]
+
+    def test_path_components_are_skipped(self):
+        # the path 5-1-7-9 is first reached from its middle vertex 1
+        edges = [(1, 5), (1, 7), (7, 9), (2, 3), (3, 4), (2, 4)]
+        assert closed_cycles(edges) == [[2, 3, 4]]
+        assert closed_cycles([(1, 2), (2, 3)]) == []
+
+    def test_degree_three_gives_none(self):
+        assert closed_cycles([(1, 2), (1, 3), (1, 4)]) is None
+        assert closed_cycles([(1, 2), (2, 3), (1, 3), (1, 4)]) is None

@@ -291,3 +291,41 @@ class TestValidateDecomposition:
         check = validate_decomposition(octa, dec)
         assert not check
         assert "sub-triangulation" in check.reason
+
+
+class TestSharedPartOfDecomposition:
+    # octahedron: 1-6, 2-5 and 3-4 are the opposite vertex pairs
+    @pytest.mark.parametrize("pieces, reason", [
+        # the two pieces meet in the path 2-1-3
+        ([((1, 2, 3),), ((1, 2, 4), (1, 3, 5), (1, 4, 5)),
+          ((2, 3, 6), (2, 4, 6), (3, 5, 6), (4, 5, 6))], "dangling shared edge"),
+        # the two pieces meet in the single vertex 1
+        ([((1, 2, 3),), ((1, 4, 5),),
+          ((1, 2, 4), (1, 3, 5), (2, 3, 6), (2, 4, 6), (3, 5, 6), (4, 5, 6))],
+         "shared part is not a circle"),
+        # two opposite faces meet the rest in two triangles' boundaries
+        ([((1, 2, 3), (4, 5, 6)),
+          ((1, 2, 4), (1, 3, 5), (1, 4, 5), (2, 3, 6), (2, 4, 6), (3, 5, 6))],
+         "shared part is not one circle"),
+    ])
+    def test_reasons(self, octa, pieces, reason):
+        dec = Decomposition(pieces[0], pieces[1], tuple(pieces[2:]))
+        check = validate_decomposition(octa, dec)
+        assert not check
+        assert check.reason == reason
+
+
+class TestMainDiscsOnce:
+    def test_each_valence_enumerated_once(self, monkeypatch):
+        from surfenum import listing
+
+        calls = Counter()
+        real = listing.enumerate_main_discs
+
+        def counting(m, max_vertices):
+            calls[m] += 1
+            return real(m, max_vertices)
+
+        monkeypatch.setattr(listing, "enumerate_main_discs", counting)
+        listing.enumerate_all(SearchConfig(max_vertices=7))
+        assert calls == {4: 1, 5: 1, 6: 1}
