@@ -1,25 +1,37 @@
-"""Mixed-lexicographic canonical labeling and isomorphism testing.
+"""Canonical labeling, isomorphism testing and duplicate-check keys.
 
-A triangle list is compared "mixed-lexicographically": smaller means the
-first vertex has greater valence, with ties broken by plain lexicographic
-comparison of the sorted triple lists.  The canonical form of a complex is
-the minimal relabeled triangle list under this order; two complexes are
-isomorphic exactly when their canonical forms coincide.
+Two keys are computed here.
 
-The minimum is found by a backtracking search that emits triangles in
-ascending order: label 1 ranges over the maximal-valence vertices, and each
-further label is created the first time the next smallest triangle needs an
-unlabeled vertex.  Ties (several triangles, or several vertex assignments,
-realizing the same next triple) are branched on and pruned against the best
-list found so far.
+The *mixed-lex minimal code* is the output and the reference.  A triangle
+list is compared "mixed-lexicographically": smaller means the first vertex
+has greater valence, with ties broken by plain lexicographic comparison of
+the sorted triple lists.  The canonical form of a complex is the minimal
+relabeled triangle list under this order; two complexes are isomorphic
+exactly when their canonical forms coincide.  The minimum is found by a
+backtracking search that emits triangles in ascending order: label 1 ranges
+over the maximal-valence vertices, and each further label is created the
+first time the next smallest triangle needs an unlabeled vertex.  Ties
+(several triangles, or several vertex assignments, realizing the same next
+triple) are branched on and pruned against the best list found so far.
+
+The *flag key* (:func:`flag_key`) is the internal duplicate-check key of
+the listing pipeline, after plantri and surftri (Brinkmann & McKay,
+"Fast generation of planar graphs", MATCH 58 (2007); Sulanke & Lutz,
+arXiv:math/0610022).  It is valid only for edge-connected complexes with
+every edge in at most two triangles: there a start flag (an ordered
+triangle) fixes the whole relabeling by a breadth-first walk across
+edges, so the key is the smallest walk code over the start flags.  It
+decides isomorphism like the minimal code but is not mixed-lex minimal,
+so it is never stored or returned as a canonical form.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Triangle, Triangulation, normalize_triangles, valences
+from .core import Edge, Triangle, Triangulation, normalize_triangles, valences
 
 Code = tuple[Triangle, ...]
 
@@ -173,3 +185,97 @@ def state_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]])
         if best_marked is None or image < best_marked:
             best_marked = image
     return code, best_marked
+
+
+def _flag_walk(sides: dict[Edge, list[tuple[int, int]]], n: int,
+               start: Triangle, start_index: int, best: Code | None):
+    """Breadth-first relabeling of ``n`` triangles from the start flag
+    ``start`` (triangle number ``start_index``): the walk code and the
+    labels, or None as soon as the code exceeds ``best``."""
+    v0, v1, v2 = start
+    label = {v0: 1, v1: 2, v2: 3}
+    fresh = 4
+    reached = [False] * n
+    reached[start_index] = True
+    queue = [(v0, v1, v2, 1, 2, 3)]  # vertices of a triangle in label order
+    code = [(1, 2, 3)]
+    smaller = best is None
+    for p, q, r, lp, lq, lr in queue:
+        # leave through the edges in order of their label pairs
+        for x, y, z, lx, ly in ((p, q, r, lp, lq), (p, r, q, lp, lr),
+                                (q, r, p, lq, lr)):
+            pair = sides[(x, y) if x < y else (y, x)]
+            if len(pair) == 1:
+                continue
+            w, i = pair[1] if pair[0][0] == z else pair[0]
+            if reached[i]:
+                continue
+            reached[i] = True
+            lw = label.get(w)
+            if lw is None:
+                lw = label[w] = fresh
+                fresh += 1
+            if lw < lx:
+                queue.append((w, x, y, lw, lx, ly))
+                tri = (lw, lx, ly)
+            elif lw < ly:
+                queue.append((x, w, y, lx, lw, ly))
+                tri = (lx, lw, ly)
+            else:
+                queue.append((x, y, w, lx, ly, lw))
+                tri = (lx, ly, lw)
+            if not smaller:
+                ref = best[len(code)]
+                if tri > ref:
+                    return None
+                smaller = tri < ref
+            code.append(tri)
+    return tuple(code), label
+
+
+def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] = ()):
+    """Relabeling-invariant key of a complex with a set of marked edges,
+    equal for two inputs exactly when an isomorphism maps one complex and
+    its marking onto the other.
+
+    The start flags are the ordered triangles (v0, v1, v2) with the
+    lexicographically largest valence signature (val v0, val v1, val v2).
+    From each, v0, v1, v2 get labels 1, 2, 3 and the triangles are walked
+    breadth-first, leaving each through its edges in order of their label
+    pairs into the other triangle on that edge, whose third vertex takes
+    the next free label when first reached.  The key is the smallest
+    (walk-ordered relabeled triangles, sorted relabeled marked edges).
+
+    Raises ValueError unless every edge lies in at most two triangles and
+    the triangles are edge-connected; only then is the walk complete.
+    """
+    tris = [tuple(sorted(t)) for t in tris]
+    # edge -> (third vertex, triangle number) of each triangle on it
+    sides: dict[Edge, list[tuple[int, int]]] = {}
+    for i, (a, b, c) in enumerate(tris):
+        for e, w in (((a, b), c), ((a, c), b), ((b, c), a)):
+            pair = sides.setdefault(e, [])
+            pair.append((w, i))
+            if len(pair) > 2:
+                raise ValueError(f"edge {e} lies in more than two triangles")
+    val = valences(tris)
+    sigs = [sorted((val[a], val[b], val[c]), reverse=True) for a, b, c in tris]
+    top = max(sigs)
+    starts = [(f, i) for i, t in enumerate(tris) if sigs[i] == top
+              for f in itertools.permutations(t)
+              if [val[f[0]], val[f[1]], val[f[2]]] == top]
+    marked = list(marked_edges)
+    best = best_marks = None
+    for start, i in starts:
+        walk = _flag_walk(sides, len(tris), start, i, best)
+        if walk is None:
+            continue
+        code, label = walk
+        if len(code) != len(tris):
+            # the first walk is never pruned, so a disconnected input stops here
+            raise ValueError("triangles are not edge-connected")
+        marks = tuple(sorted((label[a], label[b]) if label[a] < label[b]
+                             else (label[b], label[a]) for a, b in marked))
+        if code != best or marks < best_marks:
+            best, best_marks = code, marks
+    return best, best_marks

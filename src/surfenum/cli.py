@@ -192,9 +192,19 @@ def _cmd_root(args) -> int:
 
 
 def _default_workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    return int(os.environ.get("SURFENUM_WORKERS", "1"))
+    """The worker count from ``--workers``, else ``SURFENUM_WORKERS``, else
+    1; checked before any work starts."""
+    if args.workers is not None:
+        source, text = "--workers", args.workers
+    else:
+        source, text = "SURFENUM_WORKERS", os.environ.get("SURFENUM_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise ValueError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def _parse_surface(name: str | None) -> SurfaceClass | None:
@@ -266,17 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--surface", help="restrict to one surface (S2, T2, RP2, K2, S+g, S-g)")
     p.add_argument("--out", help="directory for per-(V, surface) result shards")
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", help="worker processes (default: SURFENUM_WORKERS, else 1)")
     p.set_defaults(fn=_cmd_enum)
 
     p = sub.add_parser("oracle")
     p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", help="worker processes (default: SURFENUM_WORKERS, else 1)")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("crosscheck")
     p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", help="worker processes (default: SURFENUM_WORKERS, else 1)")
     p.set_defaults(fn=_cmd_crosscheck)
 
     p = sub.add_parser("counts")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .canon import Code, minimal_code, state_key
+from .canon import Code, flag_key, minimal_code
 from .core import (
     SPHERE,
     Edge,
@@ -332,14 +332,16 @@ def _grow_discs(start: PartialDisc, m: float,
                 max_vertices: int) -> dict[Code, GluingTally]:
     """Canonical codes of every disc grown from ``start``, in discovery
     order, with the tally of the first growth reaching each."""
+    seen = set()
     found: dict[Code, GluingTally] = {}
     stack = [start]
     while stack:
         d = stack.pop()
-        code = minimal_code(d.triangles)
-        if code in found:
+        key = flag_key(d.triangles)
+        if key in seen:
             continue
-        found[code] = d.tally
+        seen.add(key)
+        found[minimal_code(d.triangles)] = d.tally
         stack.extend(_disc_children(d, m, max_vertices))
     return found
 
@@ -529,7 +531,7 @@ class _GenusSurfaceSearch:
         ]
         while stack:
             tris, frozen = stack.pop()
-            key = state_key(tris, frozen)
+            key = flag_key(tris, frozen)
             if key in self.visited:
                 continue
             self.visited.add(key)
@@ -551,16 +553,16 @@ class _GenusSurfaceSearch:
             frozen_degree[x] = frozen_degree.get(x, 0) + 1
             frozen_degree[y] = frozen_degree.get(y, 0) + 1
         vals = valences(tris)
+        edge_map = edge_triangles(tris)
+        by_vertex = vertex_triangles(tris)
         a, b = e
-        if self._freeze_ok(tris, frozen, e, vals, frozen_degree):
+        if self._freeze_ok(frozen, e, vals, frozen_degree, edge_map, by_vertex):
             out.append((tris, frozen | {e}))
         verts = sorted(vals)
         n_v = len(verts)
         cands = [x for x in verts if x not in e]
         if n_v < self.max_v:
             cands.append(n_v + 1)
-        edge_map = edge_triangles(tris)
-        by_vertex = vertex_triangles(tris)
         if len(tris) >= self.max_t:
             return out
         for x in cands:
@@ -613,7 +615,7 @@ class _GenusSurfaceSearch:
             out.append((tris | {new_tri}, frozen))
         return out
 
-    def _freeze_ok(self, tris, frozen, e, vals, frozen_degree) -> bool:
+    def _freeze_ok(self, frozen, e, vals, frozen_degree, edge_map, by_vertex) -> bool:
         if len(frozen) + 1 > self.max_v:
             return False
         a, b = e
@@ -623,8 +625,7 @@ class _GenusSurfaceSearch:
         if frozen_degree.get(a, 0) >= 2 or frozen_degree.get(b, 0) >= 2:
             return False
         # the opposite vertex of a boundary edge must end up on the boundary
-        by_vertex = vertex_triangles(tris)
-        tri = next(t for t in edge_triangles(tris)[e])
+        tri = edge_map[e][0]
         w = next(x for x in tri if x not in e)
         if not frozen_degree.get(w) and link_shape(by_vertex[w], w) == "circle":
             return False
@@ -760,6 +761,7 @@ def _roots_from_genus_surface(
     comps = g.boundary
     degs = degrees(g.triangles)
     md = max(degs.values())
+    seen = set()  # flag keys of the roots already found
     for main_idx, main_cycle in enumerate(comps):
         others = [c for k, c in enumerate(comps) if k != main_idx]
         if cfg.specialized:
@@ -805,6 +807,10 @@ def _roots_from_genus_surface(
                             vals = valences(glued)
                             if min(vals.values()) < 4 or max(vals.values()) > m:
                                 continue
+                            key = flag_key(glued)
+                            if key in seen:
+                                continue
+                            seen.add(key)
                             cls = classify(t)
                             if cls != g.capped_class:
                                 raise AssertionError(
@@ -867,20 +873,21 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
     found by breadth-first vertex-adding moves."""
     if not is_root(root):
         raise ValueError("enumerate_nonroots needs a root")
+    seen = set()
     found: set[Code] = set()
-    frontier: set[Code] = {minimal_code(root.triangles)}
+    frontier = [root]
     while frontier:
-        nxt: set[Code] = set()
-        for code in frontier:
-            t = Triangulation(code)
+        nxt = []
+        for t in frontier:
             if t.vertex_count >= cfg.max_vertices:
                 continue
             for tri in t.triangles:
                 moved = t_move(t, tri)
-                new_code = minimal_code(moved.triangles)
-                if new_code not in found:
-                    found.add(new_code)
-                    nxt.add(new_code)
+                key = flag_key(moved.triangles)
+                if key not in seen:
+                    seen.add(key)
+                    found.add(minimal_code(moved.triangles))
+                    nxt.append(moved)
         frontier = nxt
     return {Triangulation(code) for code in found}
 

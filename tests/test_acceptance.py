@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from surfenum.canon import canonical_witness, minimal_code
+from surfenum.canon import canonical_witness, flag_key, minimal_code
 from surfenum.core import (
     SPHERE,
     SurfaceClass,
@@ -149,6 +149,28 @@ def test_general_mode_oracle_equivalence_eight_vertices(corpus8):
     assert result.all_codes() == corpus8.codes
     print(f"general mode: PASS — canonical sets equal the oracle's at V<=8 "
           f"({elapsed:.1f}s)")
+
+
+def test_flag_key_classes_match_minimal_code(corpus8):
+    # the pipeline deduplicates by flag_key and stores minimal_code, so the
+    # two keys must split the corpus and its relabelings into the same classes
+    rng = random.Random(3)
+    entries = []
+    for codes in corpus8.codes.values():
+        for code in codes:
+            entries.append(code)
+            labels = list(range(1, max(v for tri in code for v in tri) + 1))
+            for _ in range(3):
+                shuffled = labels[:]
+                rng.shuffle(shuffled)
+                mapping = dict(zip(labels, shuffled))
+                entries.append([tuple(mapping[v] for v in tri) for tri in code])
+    pairs = {(flag_key(e), minimal_code(e)) for e in entries}
+    assert len({a for a, _ in pairs}) == len(pairs)
+    assert len({b for _, b in pairs}) == len(pairs)
+    assert len(pairs) == 57
+    print(f"flag key: PASS — {len(entries)} complexes, {len(pairs)} classes "
+          f"under both keys")
 
 
 def test_criterion_06_root_uniqueness_under_random_orders():

@@ -7,6 +7,7 @@ from conftest import RP2_SIX, relabel
 from surfenum.canon import (
     canonical_form,
     canonical_witness,
+    flag_key,
     is_isomorphic,
     minimal_code,
     mixed_lex_compare,
@@ -136,3 +137,33 @@ class TestStateKey:
         code, marked = state_key(rp2_six.triangles, [])
         assert code == minimal_code(rp2_six.triangles)
         assert marked == ()
+
+
+class TestFlagKey:
+    def test_invariant_under_relabeling(self, mobius):
+        rng = random.Random(31)
+        marked = [(1, 4), (2, 5)]
+        reference = flag_key(mobius.triangles, marked)
+        for _ in range(25):
+            shuffled, mapping = relabel(mobius, rng)
+            image = [tuple(sorted((mapping[a], mapping[b]))) for a, b in marked]
+            assert flag_key(shuffled.triangles, image) == reference
+
+    def test_distinguishes_different_markings(self, mobius):
+        # boundary edge (1, 4) vs interior edge (1, 2)
+        assert (flag_key(mobius.triangles, [(1, 4)])
+                != flag_key(mobius.triangles, [(1, 2)]))
+
+    def test_merges_automorphic_markings(self):
+        # in the tetrahedron every edge is equivalent to every other
+        t = parse_triangulation_text("123 124 134 234")
+        keys = {flag_key(t.triangles, [e]) for e in t.edges()}
+        assert len(keys) == 1
+
+    def test_rejects_an_edge_in_three_triangles(self):
+        with pytest.raises(ValueError, match="more than two triangles"):
+            flag_key(parse_triangulation_text("123 124 125").triangles)
+
+    def test_rejects_triangles_joined_at_a_vertex_only(self):
+        with pytest.raises(ValueError, match="edge-connected"):
+            flag_key(parse_triangulation_text("123 145").triangles)

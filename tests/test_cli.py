@@ -140,3 +140,37 @@ class TestCommands:
         assert "5\tS2\t1\t0\t1" in capsys.readouterr().out
         assert main(["crosscheck", "--max-vertices", "6"]) == 0
         assert "OK" in capsys.readouterr().out
+
+
+class TestWorkerCounts:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        # a bad count must be rejected before the oracle or the pipeline runs
+        from surfenum import cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before the worker check")
+
+        monkeypatch.setattr(cli, "brute_force_enumerate", must_not_run)
+        monkeypatch.setattr(cli, "cross_validate", must_not_run)
+
+    @pytest.mark.parametrize("command", ["oracle", "crosscheck"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_flag_value_exits_2(self, command, value, capsys, no_work):
+        assert main([command, "--max-vertices", "5", "--workers", value]) == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and value in err
+
+    @pytest.mark.parametrize("command", ["oracle", "crosscheck"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_environment_value_exits_2(self, command, value, capsys,
+                                           monkeypatch, no_work):
+        monkeypatch.setenv("SURFENUM_WORKERS", value)
+        assert main([command, "--max-vertices", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "SURFENUM_WORKERS" in err and value in err
+
+    def test_flag_overrides_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("SURFENUM_WORKERS", "abc")
+        assert main(["oracle", "--max-vertices", "5", "--workers", "1"]) == 0
+        assert "5\tS2\t1\t0\t1" in capsys.readouterr().out

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from surfenum.canon import minimal_code
+from surfenum.canon import minimal_code, state_key
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     PROJECTIVE_PLANE,
@@ -23,6 +23,7 @@ from surfenum.listing import (
     GluingError,
     GluingTally,
     SearchConfig,
+    _GenusSurfaceSearch,
     closed_star_disc,
     enumerate_discs,
     enumerate_genus_surfaces,
@@ -329,3 +330,30 @@ class TestMainDiscsOnce:
         monkeypatch.setattr(listing, "enumerate_main_discs", counting)
         listing.enumerate_all(SearchConfig(max_vertices=7))
         assert calls == {4: 1, 5: 1, 6: 1}
+
+
+class TestGenusSearchDedup:
+    @pytest.mark.parametrize("v, states, candidates", [(7, 182, 5), (8, 2815, 25)])
+    def test_visited_and_emitted_counts(self, v, states, candidates):
+        search = _GenusSurfaceSearch(SearchConfig(max_vertices=v)).run()
+        assert len(search.visited) == states
+        assert len(search.emitted) == candidates
+
+    def test_flag_key_splits_states_like_state_key(self, monkeypatch):
+        from surfenum import listing
+
+        states = set()
+        real = listing.flag_key
+
+        def recording(tris, marked_edges=()):
+            states.add((tris, marked_edges))
+            return real(tris, marked_edges)
+
+        monkeypatch.setattr(listing, "flag_key", recording)
+        _GenusSurfaceSearch(SearchConfig(max_vertices=8)).run()
+        pairs = {(real(tris, frozen), state_key(tris, frozen))
+                 for tris, frozen in states}
+        # same classes: each key of one kind pairs with exactly one of the other
+        assert len({a for a, _ in pairs}) == len(pairs)
+        assert len({b for _, b in pairs}) == len(pairs)
+        assert len(pairs) == 2815
