@@ -1,10 +1,12 @@
-"""The listing pipeline: discs, spheres, genus-surfaces, gluings, non-roots.
+"""The listing pipeline: discs, genus-surfaces, gluings, non-roots.
 
-Closed triangulations are listed root-first.  Spheres come from discs with
-a 3-cycle boundary plus the missing triangle.  Every other root is cut into
-a genus-surface (the piece carrying the topology) and one main disc holding
-a maximal-valence vertex in its interior, plus at most one small extra disc
-when at most 11 vertices are requested.  Genus-surface candidates are grown
+Closed triangulations are listed root-first.  Every root but the
+tetrahedron, which is added directly, is cut into a genus-surface (the
+piece carrying the topology) and one main disc holding a maximal-valence
+vertex in its interior, plus at most one small extra disc when at most 11
+vertices are requested.  For the sphere the genus-surface is one triangle,
+so sphere roots are main discs with a 3-cycle boundary glued onto it by the
+same gluing as every other root.  Genus-surface candidates are grown
 exhaustively and pruned by the necessary conditions for minimal
 decompositions; gluing the discs back in all possible ways recovers every
 root, and repeated vertex-adding moves recover the non-roots.
@@ -245,14 +247,13 @@ def grow_main_disc_step(
     d: PartialDisc,
     edge: Edge,
     third: int | None,
-    require_root: bool = True,
 ) -> PartialDisc:
     """Glue one triangle along a boundary edge of ``d``.
 
     ``third`` is None for a one-edge gluing with a fresh vertex (type I) or
     a boundary vertex adjacent along the boundary for a two-edge gluing
-    closing that corner (type II).  ``require_root`` rejects a type II step
-    that would finish an interior vertex with valence three.
+    closing that corner (type II).  A type II step that would finish an
+    interior vertex with valence three is rejected.
     """
     a, b = edge
     bnd = d.boundary
@@ -295,7 +296,7 @@ def grow_main_disc_step(
     edge_map = edge_triangles(d.triangles)
     if far in edge_map:
         raise DuplicateEdgeError(f"edge {far} already present")
-    if require_root and vals[corner] + 1 < 4:
+    if vals[corner] + 1 < 4:
         raise GluingError(
             f"corner {corner} would become a 3-valent interior vertex")
     tris = set(d.triangles)
@@ -370,49 +371,7 @@ def enumerate_discs(cfg: SearchConfig) -> set[Disc]:
 
 
 # --------------------------------------------------------------------------
-# Step 2: spheres
-# --------------------------------------------------------------------------
-
-def _main_discs_by_valence(cfg: SearchConfig) -> dict[int, list[Disc]]:
-    """Main discs for every interior valence m = 4 .. V-1, shared by the
-    sphere step and the gluing index."""
-    return {m: enumerate_main_discs(m, cfg.max_vertices)
-            for m in range(4, cfg.max_vertices)}
-
-
-def _sphere_codes(cfg: SearchConfig, main_discs: dict[int, list[Disc]]) -> set[Code]:
-    found: set[Code] = set()
-    if cfg.max_vertices >= 4 and (cfg.surface is None or cfg.surface == SPHERE):
-        found.add(TETRAHEDRON)
-        for m, discs in main_discs.items():
-            for disc in discs:
-                if len(disc.boundary) != 3:
-                    continue
-                tris = set(disc.triangles)
-                missing = tuple(sorted(disc.boundary))
-                if missing in tris:
-                    continue
-                tris.add(missing)
-                t = Triangulation(tris)
-                if validate(t).kind is not SurfaceKind.CLOSED_SURFACE:
-                    continue
-                vals = valences(tris)
-                if min(vals.values()) < 4 or max(vals.values()) > m:
-                    continue
-                found.add(minimal_code(tris))
-    return found
-
-
-def enumerate_spheres(cfg: SearchConfig) -> set[Triangulation]:
-    """All sphere roots with at most the configured vertex count: the
-    boundary of the tetrahedron plus, for each main disc with a 3-cycle
-    boundary, the disc with the missing triangle glued in."""
-    return {Triangulation(code)
-            for code in _sphere_codes(cfg, _main_discs_by_valence(cfg))}
-
-
-# --------------------------------------------------------------------------
-# Step 3: genus-surfaces
+# Step 2: genus-surfaces
 # --------------------------------------------------------------------------
 
 def main_disc_boundary_lower_bound(
@@ -525,10 +484,8 @@ class _GenusSurfaceSearch:
         self.visited: set = set()
         self.emitted: dict[Code, GenusSurface] = {}
 
-    def run(self, initial: Sequence[tuple[frozenset, frozenset]] | None = None):
-        stack = list(initial) if initial is not None else [
-            (frozenset({(1, 2, 3)}), frozenset())
-        ]
+    def run(self):
+        stack = [(frozenset({(1, 2, 3)}), frozenset())]
         while stack:
             tris, frozen = stack.pop()
             key = flag_key(tris, frozen)
@@ -666,7 +623,7 @@ def enumerate_genus_surfaces(
 
 
 # --------------------------------------------------------------------------
-# Step 4: gluings
+# Step 3: gluings
 # --------------------------------------------------------------------------
 
 def _glue_raw(
@@ -761,7 +718,7 @@ def _roots_from_genus_surface(
     comps = g.boundary
     degs = degrees(g.triangles)
     md = max(degs.values())
-    seen = set()  # flag keys of the roots already found
+    seen = set()  # flag keys of the gluings already checked
     for main_idx, main_cycle in enumerate(comps):
         others = [c for k, c in enumerate(comps) if k != main_idx]
         if cfg.specialized:
@@ -797,20 +754,23 @@ def _roots_from_genus_surface(
                 g, interior_count == 1, cond_b, total_vertices)
             if len(main_cycle) < bound:
                 continue
-            for m in range(5, total_vertices):
+            for m in range(4, total_vertices):
                 for disc in discs_by_key.get((m, len(main_cycle), interior_count), []):
                     for base in bases:
                         for glued in _all_gluings(base, main_cycle, disc):
-                            t = Triangulation(glued)
-                            if validate(t).kind is not SurfaceKind.CLOSED_SURFACE:
-                                continue
                             vals = valences(glued)
                             if min(vals.values()) < 4 or max(vals.values()) > m:
                                 continue
+                            # the disc's interior hub has valence m, so a
+                            # class fixes m; validity is a class property
+                            # too, so each class is checked once
                             key = flag_key(glued)
                             if key in seen:
                                 continue
                             seen.add(key)
+                            t = Triangulation(glued)
+                            if validate(t).kind is not SurfaceKind.CLOSED_SURFACE:
+                                continue
                             cls = classify(t)
                             if cls != g.capped_class:
                                 raise AssertionError(
@@ -819,14 +779,13 @@ def _roots_from_genus_surface(
     return found
 
 
-def _index_main_discs(cfg: SearchConfig,
-                      main_discs: dict[int, list[Disc]]) -> dict[tuple, list[Disc]]:
-    """Main discs indexed by (interior max valence, boundary length,
-    interior vertex count); in the general mode also all discs by
-    ('any', boundary length) for the extra-disc role."""
+def _index_main_discs(cfg: SearchConfig) -> dict[tuple, list[Disc]]:
+    """Main discs for every interior valence m = 4 .. V-1, indexed by (m,
+    boundary length, interior vertex count); in the general mode also all
+    discs by ('any', boundary length) for the extra-disc role."""
     index: dict[tuple, list[Disc]] = {}
-    for m, discs in main_discs.items():
-        for disc in discs:
+    for m in range(4, cfg.max_vertices):
+        for disc in enumerate_main_discs(m, cfg.max_vertices):
             key = (m, len(disc.boundary), disc.interior_count)
             index.setdefault(key, []).append(disc)
     if not cfg.specialized:
@@ -836,19 +795,19 @@ def _index_main_discs(cfg: SearchConfig,
 
 
 def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Code]]:
-    """All roots within the vertex budget, keyed by (V, surface class)."""
+    """All roots within the vertex budget, keyed by (V, surface class):
+    the tetrahedron, and the gluings of main discs onto every genus-surface
+    candidate (the one-triangle candidate for the other sphere roots)."""
     roots: dict[tuple[int, SurfaceClass], set[Code]] = {}
 
     def add(v: int, cls: SurfaceClass, code: Code) -> None:
         roots.setdefault((v, cls), set()).add(code)
 
-    main_discs = _main_discs_by_valence(cfg)
-    for code in _sphere_codes(cfg, main_discs):
-        add(max(v for t in code for v in t), SPHERE, code)
-    genus_surfaces = [g for g in enumerate_genus_surfaces(cfg)
-                      if g.capped_class != SPHERE]
+    if cfg.max_vertices >= 4 and cfg.surface in (None, SPHERE):
+        add(4, SPHERE, TETRAHEDRON)
+    genus_surfaces = enumerate_genus_surfaces(cfg)
     if genus_surfaces:
-        discs_by_key = _index_main_discs(cfg, main_discs)
+        discs_by_key = _index_main_discs(cfg)
         results = _map_maybe_parallel(
             _roots_from_genus_surface_task,
             [(g, cfg, discs_by_key) for g in genus_surfaces],
@@ -865,7 +824,7 @@ def _roots_from_genus_surface_task(args):
 
 
 # --------------------------------------------------------------------------
-# Step 5: non-roots
+# Step 4: non-roots
 # --------------------------------------------------------------------------
 
 def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulation]:

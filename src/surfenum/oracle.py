@@ -27,7 +27,7 @@ from .core import (
     validate,
     vertex_triangles,
 )
-from .listing import CountsTable
+from .listing import CountsTable, _map_maybe_parallel
 
 
 def _m_fan(m: int) -> frozenset:
@@ -128,15 +128,8 @@ def brute_force_enumerate(max_vertices: int, workers: int = 1) -> OracleResult:
     if max_vertices < 4:
         return OracleResult(CountsTable())
     tasks = [(m, max_vertices) for m in range(3, max_vertices)]
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_shard_task, tasks))
-    else:
-        batches = [_shard_task(t) for t in tasks]
     result = OracleResult(CountsTable())
-    for batch in batches:
+    for batch in _map_maybe_parallel(_shard_task, tasks, workers):
         for code in batch:
             v = max(x for t in code for x in t)
             cls = classify(Triangulation(code))

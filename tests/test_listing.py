@@ -25,12 +25,12 @@ from surfenum.listing import (
     SearchConfig,
     _GenusSurfaceSearch,
     closed_star_disc,
+    enumerate_all,
     enumerate_discs,
     enumerate_genus_surfaces,
     enumerate_main_discs,
     enumerate_nonroots,
     enumerate_roots,
-    enumerate_spheres,
     genus_surface_admissible,
     glue_disc,
     grow_main_disc_step,
@@ -209,10 +209,39 @@ class TestGluing:
 
 class TestSpheres:
     def test_sphere_roots_up_to_seven(self):
-        spheres = enumerate_spheres(SearchConfig(max_vertices=7))
+        roots = enumerate_roots(SearchConfig(max_vertices=7, surface=SPHERE))
+        spheres = [Triangulation(code) for codes in roots.values() for code in codes]
         by_v = Counter(t.vertex_count for t in spheres)
         assert by_v == {4: 1, 6: 1, 7: 1}
         assert all(classify(t) == SPHERE and is_root(t) for t in spheres)
+
+
+    @pytest.mark.parametrize("v", [7, 8])
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_one_triangle_is_the_only_planar_candidate(self, v, specialized):
+        # sphere roots are found only by gluing onto this candidate
+        gs = enumerate_genus_surfaces(SearchConfig(max_vertices=v, specialized=specialized))
+        assert [g.triangles for g in gs if g.capped_class == SPHERE] == [((1, 2, 3),)]
+
+
+class TestGluingChecks:
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_each_glued_class_is_validated_once(self, monkeypatch, specialized):
+        import sys
+
+        from surfenum import listing
+
+        calls = Counter()
+        real = listing.validate
+
+        def counting(t):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return real(t)
+
+        monkeypatch.setattr(listing, "validate", counting)
+        enumerate_roots(SearchConfig(max_vertices=8, specialized=specialized))
+        # one call per flag-key class that passes the valence test
+        assert 0 < calls["_roots_from_genus_surface"] <= 40
 
 
 class TestRootsAndNonRoots:
@@ -357,3 +386,15 @@ class TestGenusSearchDedup:
         assert len({a for a, _ in pairs}) == len(pairs)
         assert len({b for _, b in pairs}) == len(pairs)
         assert len(pairs) == 2815
+
+
+class TestWorkerPools:
+    def test_two_workers_give_the_same_results(self):
+        cfg = SearchConfig(max_vertices=7)
+        serial, pooled = enumerate_all(cfg), enumerate_all(
+            SearchConfig(max_vertices=7, workers=2))
+        assert pooled.all_codes() == serial.all_codes()
+        assert pooled.counts.rows() == serial.counts.rows()
+        serial, pooled = brute_force_enumerate(7), brute_force_enumerate(7, workers=2)
+        assert pooled.codes == serial.codes
+        assert pooled.counts.rows() == serial.counts.rows()
