@@ -10,9 +10,13 @@ relabeled triangle list under this order; two complexes are isomorphic
 exactly when their canonical forms coincide.  The minimum is found by a
 backtracking search that emits triangles in ascending order: label 1 ranges
 over the maximal-valence vertices, and each further label is created the
-first time the next smallest triangle needs an unlabeled vertex.  Ties
-(several triangles, or several vertex assignments, realizing the same next
-triple) are branched on and pruned against the best list found so far.
+first time the next smallest triangle needs an unlabeled vertex.  Because
+the triples ascend, the next one starts with the smallest label whose
+vertex still has an unused triangle, so each step scans only that vertex's
+star.  Only when no labeled vertex has a triangle left (a disconnected
+input) do all unused triangles tie, each taking three fresh labels.
+Ties (several triangles, or several vertex assignments, realizing the same
+next triple) are branched on and pruned against the best list found so far.
 
 The *flag key* (:func:`flag_key`) is the internal duplicate-check key of
 the listing pipeline, after plantri and surftri (Brinkmann & McKay,
@@ -38,6 +42,7 @@ Code = tuple[Triangle, ...]
 
 def _search(
     tris: Sequence[Triangle],
+    star: dict[int, list[tuple[int, int, int]]],
     seed: int,
     best: list,  # [code or None]; None while a strictly better code is pending
     witnesses: list | None,  # collects all optimal labelings when not None
@@ -45,9 +50,13 @@ def _search(
     # Invariant: on entry the emitted prefix equals best[0][:pos] whenever
     # best[0] is not None.  A branch that realizes a strictly smaller triple
     # therefore discards best[0]; its first completion re-establishes it.
+    n = len(tris)
+    used = [False] * n
+    vertex_of = [seed] * (len(star) + 1)  # label -> vertex, below next_label
 
-    def recurse(label, next_label, remaining, emitted):
-        if not remaining:
+    def recurse(label, next_label, low, emitted):
+        pos = len(emitted)
+        if pos == n:
             if best[0] is None:
                 best[0] = tuple(emitted)
                 if witnesses is not None:
@@ -57,36 +66,38 @@ def _search(
                 # by the invariant this completion ties with best[0]
                 witnesses.append(dict(label))
             return
-        pos = len(emitted)
+        # triples are emitted in ascending order, so the next one starts with
+        # the smallest label ``low`` whose vertex still has an unused triangle
         get = label.get
-        # smallest realizable next triple: known labels then fresh ones
         min_key = None
         candidates = []
-        for t in remaining:
-            a, b, c = t
-            ks = []
-            la = get(a)
-            if la is not None:
-                ks.append(la)
-            lb = get(b)
-            if lb is not None:
-                ks.append(lb)
-            lc = get(c)
-            if lc is not None:
-                ks.append(lc)
-            ks.sort()
-            # fresh labels are consecutive from next_label and exceed all
-            # assigned labels, so appending keeps the triple sorted
-            fresh = next_label
-            while len(ks) < 3:
-                ks.append(fresh)
-                fresh += 1
-            key = (ks[0], ks[1], ks[2])
-            if min_key is None or key < min_key:
-                min_key = key
-                candidates = [t]
-            elif key == min_key:
-                candidates.append(t)
+        while low < next_label:
+            for i, x, y in star[vertex_of[low]]:
+                if used[i]:
+                    continue
+                lx = get(x)
+                ly = get(y)
+                # fresh labels are consecutive from next_label
+                if lx is None:
+                    key = ((low, next_label, next_label + 1) if ly is None
+                           else (low, ly, next_label))
+                elif ly is None:
+                    key = (low, lx, next_label)
+                else:
+                    key = (low, lx, ly) if lx < ly else (low, ly, lx)
+                if min_key is None or key < min_key:
+                    min_key = key
+                    candidates = [i]
+                elif key == min_key:
+                    candidates.append(i)
+            if candidates:
+                break
+            low += 1
+        else:
+            # no labeled vertex has a triangle left (a disconnected input):
+            # every unused triangle takes three fresh labels
+            min_key = (next_label, next_label + 1, next_label + 2)
+            candidates = [i for i in range(n) if not used[i]]
         if best[0] is not None:
             ref = best[0][pos]
             if min_key > ref:
@@ -96,9 +107,9 @@ def _search(
                 if witnesses is not None:
                     witnesses.clear()
         emitted.append(min_key)
-        for t in candidates:
+        for i in candidates:
+            t = tris[i]
             missing = [x for x in t if x not in label]
-            rest = [u for u in remaining if u != t]
             if len(missing) <= 1:
                 orders = [tuple(missing)]
             elif len(missing) == 2:
@@ -109,27 +120,38 @@ def _search(
                     (a, b, c), (a, c, b), (b, a, c),
                     (b, c, a), (c, a, b), (c, b, a),
                 ]
+            used[i] = True
             for order in orders:
-                for i, x in enumerate(order):
-                    label[x] = next_label + i
-                recurse(label, next_label + len(missing), rest, emitted)
+                for k, x in enumerate(order):
+                    label[x] = next_label + k
+                    vertex_of[next_label + k] = x
+                recurse(label, next_label + len(missing), low, emitted)
                 for x in order:
                     del label[x]
+            used[i] = False
         emitted.pop()
 
-    recurse({seed: 1}, 2, list(tris), [])
+    recurse({seed: 1}, 2, 1, [])
+    # recurse holds itself through its closure; dropping the name frees the
+    # star and the flags now instead of at the next cyclic collection
+    del recurse
 
 
 def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
     """Mixed-lex minimal relabeled triangle list of a raw triangle
     collection; optionally also every labeling achieving it."""
     tris = normalize_triangles(tris)
-    val = valences(tris)
-    max_val = max(val.values())
+    # vertex -> (triangle index, the two other vertices), indices ascending
+    star: dict[int, list[tuple[int, int, int]]] = {}
+    for i, (a, b, c) in enumerate(tris):
+        star.setdefault(a, []).append((i, b, c))
+        star.setdefault(b, []).append((i, a, c))
+        star.setdefault(c, []).append((i, a, b))
+    max_val = max(len(s) for s in star.values())
     best: list = [None]
     witnesses: list | None = [] if with_witnesses else None
-    for v in sorted(x for x, k in val.items() if k == max_val):
-        _search(tris, v, best, witnesses)
+    for v in sorted(x for x, s in star.items() if len(s) == max_val):
+        _search(tris, star, v, best, witnesses)
     if with_witnesses:
         return best[0], witnesses
     return best[0]

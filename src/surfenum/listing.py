@@ -41,7 +41,7 @@ from .core import (
     validate,
     vertex_triangles,
 )
-from .moves import is_root, t_move
+from .moves import _cone, is_root
 
 TETRAHEDRON: Code = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
@@ -841,7 +841,7 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
             if t.vertex_count >= cfg.max_vertices:
                 continue
             for tri in t.triangles:
-                moved = t_move(t, tri)
+                moved = _cone(t, tri)  # closed: the root was checked
                 key = flag_key(moved.triangles)
                 if key not in seen:
                     seen.add(key)

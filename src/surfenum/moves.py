@@ -46,6 +46,12 @@ def t_move(t: Triangulation, tri: Triangle) -> Triangulation:
     tri = tuple(sorted(tri))
     if tri not in t.triangles:
         raise MoveError(f"triangle {tri} not in triangulation")
+    return _cone(t, tri)
+
+
+def _cone(t: Triangulation, tri: Triangle) -> Triangulation:
+    """:func:`t_move` without its checks: ``tri`` must be a sorted triangle
+    of ``t``.  The move keeps a closed surface closed."""
     a, b, c = tri
     w = t.vertex_count + 1
     tris = [u for u in t.triangles if u != tri]
@@ -65,8 +71,15 @@ def inverse_t_move(t: Triangulation, v: int) -> Triangulation:
         raise LinkBoundsTriangleError(
             f"link of vertex {v} already bounds a triangle"
         )
+    return _remove_vertex(t, v)
+
+
+def _remove_vertex(t: Triangulation, v: int) -> Triangulation:
+    """:func:`inverse_t_move` without its checks: ``v`` must be a removable
+    vertex of ``t``.  The move keeps a closed surface closed."""
     tris = [u for u in t.triangles if v not in u]
-    tris.append(neighbours)
+    tris.append(tuple(sorted({x for u in t.triangles if v in u
+                              for x in u if x != v})))
     compact = lambda x: x - 1 if x > v else x
     return Triangulation([tuple(compact(x) for x in tri) for tri in tris])
 
@@ -97,7 +110,7 @@ def compute_root(t: Triangulation) -> Triangulation:
         removable = _removable_vertices(t)
         if not removable:
             return canonical_form(t).triangulation()
-        t = inverse_t_move(t, removable[0])
+        t = _remove_vertex(t, removable[0])
 
 
 def edge_expand_4valent(t: Triangulation, e: Edge) -> Triangulation:

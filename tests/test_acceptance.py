@@ -2,8 +2,8 @@
 
 Published reference counts (Table 1 / Table 2 style) are exact expectations;
 the independent brute-force oracle provides the canonical-set comparison.
-Long-running whole-table checks at V=10 carry the nightly marker and are
-excluded from the default gate.
+Long-running checks (the V=9 pipeline-oracle set equality, the V=10 whole
+table) carry the nightly marker and are excluded from the default gate.
 """
 
 import itertools
@@ -126,6 +126,16 @@ def test_criterion_04_table1_ten_vertices_nightly():
     assert at_ten == TABLE1_V10
     assert sum(t for t, _r, _n in at_ten.values()) == 42426
     print("criterion 4: PASS — Table 1 V=10 exact, 42426 triangulations")
+
+
+@pytest.mark.nightly
+def test_oracle_equivalence_nine_vertices_nightly():
+    report = cross_validate(9)
+    assert report.equal, report.summary()
+    # 1+1+3+9+43+655 = 712 triangulations with V <= 9
+    assert report.total == 712
+    print(f"nightly: PASS — canonical sets equal at V=9, {report.total} "
+          f"triangulations")
 
 
 def test_criterion_05_oracle_equivalence_eight_vertices():

@@ -31,6 +31,35 @@ def brute_minimal_code(t: Triangulation):
     return best
 
 
+def brute_witnesses(t: Triangulation, code):
+    """All relabelings (old -> new) mapping ``t`` onto ``code``, and the
+    number of automorphisms of ``code``, by trying every permutation."""
+    labels = list(range(1, t.vertex_count + 1))
+    target = set(code)
+
+    def onto_target(perm, tris):
+        # a bijection maps equally many triangles, so inclusion is equality
+        return all(tuple(sorted(perm[v - 1] for v in tri)) in target
+                   for tri in tris)
+
+    realizing, automorphisms = set(), 0
+    for perm in itertools.permutations(labels):
+        if onto_target(perm, t.triangles):
+            realizing.add(tuple(zip(labels, perm)))
+        if onto_target(perm, code):
+            automorphisms += 1
+    return realizing, automorphisms
+
+
+# a disconnected complex (the search runs out of labeled vertices with
+# triangles left), two triangles joined at a vertex, an edge in three triangles
+UNUSUAL_COMPLEXES = (
+    "1,2,3 1,2,4 1,3,4 2,3,4 5,6,7 5,6,8 5,7,8 6,7,8",
+    "1,2,3 3,4,5",
+    "1,2,3 1,2,4 1,2,5",
+)
+
+
 class TestMinimalCode:
     def test_projective_plane_fixture_is_canonical(self, rp2_six):
         # the standard 6-vertex projective plane is its own canonical form
@@ -64,8 +93,28 @@ class TestMinimalCode:
         for t in (mobius, annulus):
             assert minimal_code(t.triangles) == brute_minimal_code(t)
 
+    @pytest.mark.parametrize("text", UNUSUAL_COMPLEXES)
+    def test_unusual_complexes_against_all_permutations(self, text):
+        t = parse_triangulation_text(text)
+        assert minimal_code(t.triangles) == brute_minimal_code(t)
+
 
 class TestWitness:
+    def test_witnesses_are_every_realizing_relabeling(self, mobius, annulus):
+        rng = random.Random(4242)
+        corpus = brute_force_enumerate(7)
+        inputs = [relabel(Triangulation(code), rng)[0]
+                  for codes in corpus.codes.values() for code in codes]
+        inputs += [mobius, annulus]
+        inputs += [parse_triangulation_text(s) for s in UNUSUAL_COMPLEXES]
+        for t in inputs:
+            code, wits = minimal_code(t.triangles, with_witnesses=True)
+            found = [tuple(sorted(w.items())) for w in wits]
+            realizing, automorphisms = brute_witnesses(t, code)
+            assert len(found) == len(set(found))
+            assert set(found) == realizing
+            assert len(found) == automorphisms
+
     def test_witness_realizes_canonical_form(self, octa, rp2_six, mobius):
         rng = random.Random(99)
         for t in (octa, rp2_six, mobius):

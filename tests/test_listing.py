@@ -260,6 +260,22 @@ class TestRootsAndNonRoots:
         assert by_v == {5: 1, 6: 1}
         assert all(classify(t) == SPHERE and not is_root(t) for t in grown)
 
+    def test_nonroots_validate_only_the_root(self, monkeypatch, octa):
+        from surfenum import moves
+
+        calls = Counter()
+        real = moves.validate
+
+        def counting(t):
+            calls[t.vertex_count] += 1
+            return real(t)
+
+        monkeypatch.setattr(moves, "validate", counting)
+        grown = enumerate_nonroots(octa, SearchConfig(max_vertices=8))
+        assert len(grown) > 1
+        # is_root checks the root; the moves from it keep the surface closed
+        assert calls == {6: 1}
+
     def test_nonroots_requires_root(self, tetra):
         from surfenum.moves import t_move
         with pytest.raises(ValueError):

@@ -103,6 +103,21 @@ class TestRoots:
                 roots.add(minimal_code(cur.triangles))
             assert len(roots) == 1
 
+    def test_compute_root_validates_once(self, monkeypatch, octa):
+        from surfenum import moves
+
+        t = t_move(t_move(t_move(octa, (1, 2, 3)), (2, 4, 6)), (1, 2, 7))
+        calls = []
+        real = moves.validate
+
+        def counting(u):
+            calls.append(u.vertex_count)
+            return real(u)
+
+        monkeypatch.setattr(moves, "validate", counting)
+        assert compute_root(t) == Triangulation(minimal_code(octa.triangles))
+        assert calls == [9]
+
     def test_root_invariant_under_relabeling(self, rp2_six):
         rng = random.Random(3)
         t = t_move(t_move(rp2_six, (1, 2, 3)), (2, 4, 5))
