@@ -18,6 +18,17 @@ input) do all unused triangles tie, each taking three fresh labels.
 Ties (several triangles, or several vertex assignments, realizing the same
 next triple) are branched on and pruned against the best list found so far.
 
+A seed whose link is one cycle (every vertex of a closed surface, every
+interior vertex) skips the first d steps, d its valence.  Its star is
+emitted first, and each start flag fixes it: a star triangle, in index
+order, with its two other vertices as labels 2, 3, then as 3, 2.  Each
+further link vertex takes the next label at the arc end with the smaller
+label, so the star's d triples are (1,2,3), (1,2,4), (1,3,5), (1,4,6), ...,
+(1,d,d+1) for every flag and every such seed.  This prefix is compared with
+the best list once per seed; each flag then labels its link in one walk and
+the search goes on from triangle d.  Other seeds (boundary vertices,
+pinches, non-manifold or disconnected inputs) search from label 1.
+
 The *flag key* (:func:`flag_key`) is the internal duplicate-check key of
 the listing pipeline, after plantri and surftri (Brinkmann & McKay,
 "Fast generation of planar graphs", MATCH 58 (2007); Sulanke & Lutz,
@@ -35,7 +46,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Edge, Triangle, Triangulation, normalize_triangles, valences
+from .core import (Edge, Triangle, Triangulation, closed_cycles,
+                   normalize_triangles, valences)
 
 Code = tuple[Triangle, ...]
 
@@ -131,7 +143,39 @@ def _search(
             used[i] = False
         emitted.pop()
 
-    recurse({seed: 1}, 2, 1, [])
+    links = star[seed]
+    cycles = closed_cycles((x, y) for _i, x, y in links)
+    if not cycles or len(cycles[0]) != len(links):
+        recurse({seed: 1}, 2, 1, [])
+    else:
+        # one cycle link: every flag emits the same star prefix, so it is
+        # compared with best once and each flag labels the link in one walk
+        ring = cycles[0]
+        d = len(ring)
+        prefix = [(1, 2, 3)] + [(1, k, k + 2) for k in range(2, d)] + [(1, d, d + 1)]
+        ref = prefix if best[0] is None else list(best[0][:d])
+        if prefix < ref:
+            best[0] = None
+            if witnesses is not None:
+                witnesses.clear()
+        if prefix <= ref:
+            # ring offsets in label order: 2 and 3 are the flag's vertices,
+            # then the arc grows at its end with the smaller label
+            offsets = [j for pair in zip(range(d), range(d - 1, -1, -1))
+                       for j in pair][:d]
+            at = {v: j for j, v in enumerate(ring)}
+            for i, _x, _y in links:
+                used[i] = True
+            for _i, x, y in links:
+                for a, b in ((x, y), (y, x)):
+                    p = at[a]
+                    step = -1 if ring[(p + 1) % d] == b else 1
+                    label = {seed: 1}
+                    for k, j in enumerate(offsets, 2):
+                        v = ring[(p + step * j) % d]
+                        label[v] = k
+                        vertex_of[k] = v
+                    recurse(label, d + 2, 2, prefix)
     # recurse holds itself through its closure; dropping the name frees the
     # star and the flags now instead of at the next cyclic collection
     del recurse
@@ -194,19 +238,6 @@ def mixed_lex_compare(a: Sequence[Triangle], b: Sequence[Triangle]) -> int:
     if ta == tb:
         return 0
     return -1 if ta < tb else 1
-
-
-def state_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]]):
-    """Canonical key for a complex together with a set of marked edges,
-    invariant under relabeling (automorphisms are minimized over)."""
-    code, wits = minimal_code(tris, with_witnesses=True)
-    marked = list(marked_edges)
-    best_marked = None
-    for w in wits:
-        image = tuple(sorted(tuple(sorted((w[a], w[b]))) for a, b in marked))
-        if best_marked is None or image < best_marked:
-            best_marked = image
-    return code, best_marked
 
 
 def _flag_walk(sides: dict[Edge, list[tuple[int, int]]], n: int,

@@ -207,13 +207,20 @@ def _default_workers(args) -> int:
     return workers
 
 
+def _max_vertices(args) -> int:
+    """``--max-vertices``, checked before any work starts."""
+    if args.max_vertices < 3:
+        raise ValueError(f"--max-vertices must be at least 3, got {args.max_vertices}")
+    return args.max_vertices
+
+
 def _parse_surface(name: str | None) -> SurfaceClass | None:
     return SurfaceClass.from_name(name) if name else None
 
 
 def _cmd_enum(args) -> int:
     cfg = SearchConfig(
-        max_vertices=args.max_vertices,
+        max_vertices=_max_vertices(args),
         surface=_parse_surface(args.surface),
         workers=_default_workers(args),
     )
@@ -233,14 +240,14 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    result = brute_force_enumerate(args.max_vertices,
+    result = brute_force_enumerate(_max_vertices(args),
                                    workers=_default_workers(args))
     print(format_counts_table(result.counts))
     return 0
 
 
 def _cmd_crosscheck(args) -> int:
-    report = cross_validate(args.max_vertices, workers=_default_workers(args))
+    report = cross_validate(_max_vertices(args), workers=_default_workers(args))
     print(report.summary())
     if not report.equal:
         for key, codes in sorted(report.missing.items()):

@@ -166,9 +166,9 @@ def cross_validate(max_vertices: int, workers: int = 1) -> CrossCheckReport:
     sets of canonical forms, not just counts."""
     from .listing import SearchConfig, enumerate_all
 
+    cfg = SearchConfig(max_vertices=max_vertices, workers=workers)
     oracle = brute_force_enumerate(max_vertices, workers=workers)
-    pipeline = enumerate_all(SearchConfig(max_vertices=max_vertices,
-                                          workers=workers))
+    pipeline = enumerate_all(cfg)
     mine = pipeline.all_codes()
     missing: dict[tuple[int, SurfaceClass], set[Code]] = {}
     extra: dict[tuple[int, SurfaceClass], set[Code]] = {}

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from surfenum.canon import minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import Triangulation
 
@@ -49,3 +50,17 @@ def relabel(t: Triangulation, rng: random.Random) -> tuple[Triangulation, dict]:
         Triangulation([tuple(mapping[v] for v in tri) for tri in t.triangles]),
         mapping,
     )
+
+
+def state_key(tris, marked_edges):
+    """Canonical key for a complex together with a set of marked edges,
+    invariant under relabeling (automorphisms are minimized over); the
+    reference that the flag-key gates compare ``canon.flag_key`` with."""
+    code, wits = minimal_code(tris, with_witnesses=True)
+    marked = list(marked_edges)
+    best_marked = None
+    for w in wits:
+        image = tuple(sorted(tuple(sorted((w[a], w[b]))) for a, b in marked))
+        if best_marked is None or image < best_marked:
+            best_marked = image
+    return code, best_marked

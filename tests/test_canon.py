@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from conftest import RP2_SIX, relabel
+from conftest import ANNULUS, MOBIUS, relabel, state_key
 from surfenum.canon import (
     canonical_form,
     canonical_witness,
@@ -11,7 +12,6 @@ from surfenum.canon import (
     is_isomorphic,
     minimal_code,
     mixed_lex_compare,
-    state_key,
 )
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import Triangulation
@@ -58,6 +58,40 @@ UNUSUAL_COMPLEXES = (
     "1,2,3 3,4,5",
     "1,2,3 1,2,4 1,2,5",
 )
+
+# max-valence seeds with different link shapes.  Seeds run in vertex order,
+# and a seed whose link is one cycle compares its star prefix with the best
+# code once.  In the first complex (the 5-vertex sphere with two triangles
+# removed) seeds 1 and 3 have a path link, whose prefix is larger than
+# that of seed 2's cycle link, so seed 2 must discard seed 1's code.  A
+# path link never has the smaller prefix, so the second complex is built:
+# seed 1's link is a triangle plus a path, its prefix is smaller, and seed
+# 8 (cycle link) must be skipped.  Reversing the labels reverses the seed
+# order.
+MIXED_SEEDS = (
+    "1,2,3 1,2,5 1,3,4 2,3,5",
+    "1,2,3 1,2,4 1,3,4 1,5,6 1,6,7 2,3,8 2,7,8 3,5,8 5,6,8 6,7,8",
+)
+
+# sha256 of minimal_code(t, with_witnesses=True) over _pinned_inputs(), as
+# computed when every seed still ran the plain recursion from label 1: a
+# change to any code or to the order of any witness list changes it
+PINNED_DIGEST = "699d0dd92124adb90bb5ee3ece865b4dc496c9d8f5e2a4664a9e9f044d76836d"
+
+
+def _reversed_labels(t: Triangulation) -> Triangulation:
+    v = t.vertex_count
+    return Triangulation([tuple(v + 1 - x for x in tri) for tri in t.triangles])
+
+
+def _pinned_inputs() -> list[Triangulation]:
+    rng = random.Random(606)
+    corpus = brute_force_enumerate(8)
+    codes = sorted(code for codes in corpus.codes.values() for code in codes)
+    inputs = [relabel(Triangulation(code), rng)[0]
+              for code in codes for _ in range(3)]
+    return inputs + [parse_triangulation_text(s)
+                     for s in (MOBIUS, ANNULUS) + UNUSUAL_COMPLEXES]
 
 
 class TestMinimalCode:
@@ -114,6 +148,24 @@ class TestWitness:
             assert len(found) == len(set(found))
             assert set(found) == realizing
             assert len(found) == automorphisms
+
+    @pytest.mark.parametrize("text", MIXED_SEEDS, ids=["path", "pinch"])
+    def test_seeds_with_cycle_and_other_links(self, text):
+        t = parse_triangulation_text(text)
+        for u in (t, _reversed_labels(t)):
+            code, wits = minimal_code(u.triangles, with_witnesses=True)
+            assert code == brute_minimal_code(u)
+            realizing, automorphisms = brute_witnesses(u, code)
+            found = [tuple(sorted(w.items())) for w in wits]
+            assert set(found) == realizing
+            assert len(found) == automorphisms
+
+    def test_codes_and_witness_order_are_pinned(self):
+        digest = hashlib.sha256()
+        for t in _pinned_inputs():
+            code, wits = minimal_code(t.triangles, with_witnesses=True)
+            digest.update(repr((code, [sorted(w.items()) for w in wits])).encode())
+        assert digest.hexdigest() == PINNED_DIGEST
 
     def test_witness_realizes_canonical_form(self, octa, rp2_six, mobius):
         rng = random.Random(99)

@@ -142,17 +142,40 @@ class TestCommands:
         assert "OK" in capsys.readouterr().out
 
 
-class TestWorkerCounts:
-    @pytest.fixture
-    def no_work(self, monkeypatch):
-        # a bad count must be rejected before the oracle or the pipeline runs
-        from surfenum import cli
+@pytest.fixture
+def no_work(monkeypatch):
+    # a bad count or budget must be rejected before the oracle or the
+    # pipeline runs
+    from surfenum import cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the argument check")
+
+    monkeypatch.setattr(cli, "brute_force_enumerate", must_not_run)
+    monkeypatch.setattr(cli, "cross_validate", must_not_run)
+    monkeypatch.setattr(cli, "enumerate_all", must_not_run)
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("command", ["enum", "oracle", "crosscheck"])
+    @pytest.mark.parametrize("value", ["-1", "2"])
+    def test_budget_below_three_exits_2(self, command, value, capsys, no_work):
+        assert main([command, "--max-vertices", value]) == 2
+        assert (f"--max-vertices must be at least 3, got {value}"
+                in capsys.readouterr().err)
+
+    def test_cross_validate_checks_the_budget_first(self, monkeypatch):
+        from surfenum import oracle
 
         def must_not_run(*args, **kwargs):
-            raise AssertionError("work started before the worker check")
+            raise AssertionError("the oracle ran before the budget check")
 
-        monkeypatch.setattr(cli, "brute_force_enumerate", must_not_run)
-        monkeypatch.setattr(cli, "cross_validate", must_not_run)
+        monkeypatch.setattr(oracle, "brute_force_enumerate", must_not_run)
+        with pytest.raises(ValueError, match="at least 3"):
+            oracle.cross_validate(2)
+
+
+class TestWorkerCounts:
 
     @pytest.mark.parametrize("command", ["oracle", "crosscheck"])
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])

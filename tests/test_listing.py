@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from surfenum.canon import minimal_code, state_key
+from conftest import state_key
+from surfenum.canon import minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     PROJECTIVE_PLANE,
