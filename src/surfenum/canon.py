@@ -35,9 +35,13 @@ the listing pipeline, after plantri and surftri (Brinkmann & McKay,
 arXiv:math/0610022).  It is valid only for edge-connected complexes with
 every edge in at most two triangles: there a start flag (an ordered
 triangle) fixes the whole relabeling by a breadth-first walk across
-edges, so the key is the smallest walk code over the start flags.  It
-decides isomorphism like the minimal code but is not mixed-lex minimal,
-so it is never stored or returned as a canonical form.
+edges, so the key is the smallest walk code over the start flags.  Only
+the flags whose vertices rank highest by (valence, boundary edges at the
+vertex, marked edges at the vertex) start a walk; an isomorphism of the
+complex and its marks keeps these triples, so the key stays complete, and
+on a closed surface with no marks they rank by valence alone.  It decides
+isomorphism like the minimal code but is not mixed-lex minimal, so it is
+never stored or returned as a canonical form.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (Edge, Triangle, Triangulation, closed_cycles,
-                   normalize_triangles, valences)
+                   normalize_triangles)
 
 Code = tuple[Triangle, ...]
 
@@ -291,9 +295,10 @@ def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] =
     equal for two inputs exactly when an isomorphism maps one complex and
     its marking onto the other.
 
-    The start flags are the ordered triangles (v0, v1, v2) with the
-    lexicographically largest valence signature (val v0, val v1, val v2).
-    From each, v0, v1, v2 get labels 1, 2, 3 and the triangles are walked
+    The start flags are the ordered triangles (v0, v1, v2) whose vertex
+    triples (valence, boundary edges at it, marked edges at it) are
+    non-increasing and, as a list, lexicographically largest.  From each,
+    v0, v1, v2 get labels 1, 2, 3 and the triangles are walked
     breadth-first, leaving each through its edges in order of their label
     pairs into the other triangle on that edge, whose third vertex takes
     the next free label when first reached.  The key is the smallest
@@ -311,13 +316,25 @@ def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] =
             pair.append((w, i))
             if len(pair) > 2:
                 raise ValueError(f"edge {e} lies in more than two triangles")
-    val = valences(tris)
-    sigs = [sorted((val[a], val[b], val[c]), reverse=True) for a, b, c in tris]
+    marked = list(marked_edges)
+    # vertex -> its triple as one number in base 3T (no vertex meets 3T edges)
+    base = 3 * len(tris)
+    inv: dict[int, int] = {}
+    for t in tris:
+        for v in t:
+            inv[v] = inv.get(v, 0) + base * base
+    for (a, b), pair in sides.items():
+        if len(pair) == 1:
+            inv[a] += base
+            inv[b] += base
+    for a, b in marked:
+        inv[a] += 1
+        inv[b] += 1
+    sigs = [sorted((inv[a], inv[b], inv[c]), reverse=True) for a, b, c in tris]
     top = max(sigs)
     starts = [(f, i) for i, t in enumerate(tris) if sigs[i] == top
               for f in itertools.permutations(t)
-              if [val[f[0]], val[f[1]], val[f[2]]] == top]
-    marked = list(marked_edges)
+              if [inv[f[0]], inv[f[1]], inv[f[2]]] == top]
     best = best_marks = None
     for start, i in starts:
         walk = _flag_walk(sides, len(tris), start, i, best)

@@ -28,14 +28,12 @@ from .core import (
     Triangle,
     Triangulation,
     boundary_cycles,
-    boundary_edges,
     cap_boundary,
     classify,
     closed_cycles,
     degrees,
     edge_triangles,
     euler_characteristic,
-    link_shape,
     normalize_triangles,
     valences,
     validate,
@@ -55,10 +53,6 @@ class BoundaryLengthMismatchError(GluingError):
 
 
 class DuplicateEdgeError(GluingError):
-    pass
-
-
-class NotASurfaceError(GluingError):
     pass
 
 
@@ -396,18 +390,24 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
     minimal decomposition of a root within the configured vertex budget."""
     if isinstance(g, Triangulation):
         g = GenusSurface.from_triangles(g.triangles)
-    tris = g.triangles
-    n_budget = cfg.max_vertices
-    comps = g.boundary
-    if not comps:
+    if not g.boundary:
         return False
     if g.capped_class == SPHERE:
         # the only planar genus-surface of a minimal decomposition
-        return len(tris) == 1
+        return len(g.triangles) == 1
+    return _shape_admissible(g.triangles, g.boundary, cfg)
+
+
+def _shape_admissible(tris: Sequence[Triangle],
+                      comps: Sequence[Sequence[int]], cfg: SearchConfig) -> bool:
+    """The checks of :func:`genus_surface_admissible` that need no surface
+    class: ``comps`` are the (non-empty) boundary cycles of ``tris``."""
+    n_budget = cfg.max_vertices
+    n_verts = max(v for t in tris for v in t)
     bverts = {v for c in comps for v in c}
     vals = valences(tris)
     # vertex budget (the root needs at least one more vertex)
-    if g.vertex_count > n_budget - 1:
+    if n_verts > n_budget - 1:
         return False
     # valence bounds, and at least one boundary vertex of valence >= 3
     for v, k in vals.items():
@@ -457,7 +457,7 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
     # some component must be able to host a main disc of the required
     # minimum boundary length (checked with the weakest of the four cases)
     md = max(degrees(tris).values())
-    bound = md + min(0, 2 + g.vertex_count - n_budget)
+    bound = md + min(0, 2 + n_verts - n_budget)
     if cfg.specialized and len(comps) == 2:
         hosts = [c for c, o in ((comps[0], comps[1]), (comps[1], comps[0]))
                  if len(o) in (3, 4)]
@@ -468,10 +468,47 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
     return True
 
 
+def _link_ends(star: Iterable[Triangle],
+               v: int) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """The link of ``v`` in a growth state, whose links are circles or
+    disjoint paths: link vertex -> neighbours, and path end -> other end."""
+    adj: dict[int, list[int]] = {}
+    for a, b, c in star:
+        p, q = (b, c) if v == a else (a, c) if v == b else (a, b)
+        adj.setdefault(p, []).append(q)
+        adj.setdefault(q, []).append(p)
+    partner: dict[int, int] = {}
+    for end, nbrs in adj.items():
+        if len(nbrs) == 1 and end not in partner:
+            prev, cur = end, nbrs[0]
+            while len(adj[cur]) == 2:
+                x, y = adj[cur]
+                prev, cur = cur, (y if x == prev else x)
+            partner[end] = cur
+            partner[cur] = end
+    return adj, partner
+
+
+def _link_after(link, p: int, q: int) -> str:
+    """:func:`core.link_shape` of the link ``link`` (from :func:`_link_ends`)
+    with the new link edge (p, q), which is not in it yet."""
+    adj, partner = link
+    # a circle link, or a link vertex already on two link edges, is closed off
+    if (adj and not partner) or len(adj.get(p, ())) == 2 or len(adj.get(q, ())) == 2:
+        return "bad"
+    if partner.get(p) == q:
+        # the edge closes its path: a circle only if no other path remains
+        return "circle" if len(partner) == 2 else "bad"
+    # each of p, q already in the link is a path end, which the edge joins
+    paths = len(partner) // 2 + 1 - (p in adj) - (q in adj)
+    return "interval" if paths == 1 else "paths"
+
+
 class _GenusSurfaceSearch:
     """Exhaustive growth of bounded-surface candidates with one declared
     decision per boundary edge: cover it with some triangle or freeze it
-    into the final boundary."""
+    into the final boundary.  Every state is edge-connected, with no edge
+    in three triangles and each link a circle or disjoint paths."""
 
     def __init__(self, cfg: SearchConfig, max_surface_vertices: int | None = None):
         self.cfg = cfg
@@ -500,28 +537,35 @@ class _GenusSurfaceSearch:
         return self
 
     def children(self, tris: frozenset, frozen: frozenset):
-        open_edges = [e for e in boundary_edges(tris) if e not in frozen]
+        # one edge and one vertex index per state; the rest is read off them
+        edge_map = edge_triangles(tris)
+        by_vertex = vertex_triangles(tris)
+        bedges = [e for e, ts in edge_map.items() if len(ts) == 1]
+        open_edges = [e for e in bedges if e not in frozen]
         if not open_edges:
             return None
-        e = open_edges[0]
+        e = min(open_edges)
+        # no bad link and no edge in three triangles: a vertex has a circle
+        # link (is interior) exactly when no boundary edge meets it
+        bverts = {v for edge in bedges for v in edge}
+        vals = {v: len(ts) for v, ts in by_vertex.items()}
         out = []
         frozen_degree = {}
         for x, y in frozen:
             frozen_degree[x] = frozen_degree.get(x, 0) + 1
             frozen_degree[y] = frozen_degree.get(y, 0) + 1
-        vals = valences(tris)
-        edge_map = edge_triangles(tris)
-        by_vertex = vertex_triangles(tris)
         a, b = e
-        if self._freeze_ok(frozen, e, vals, frozen_degree, edge_map, by_vertex):
+        if self._freeze_ok(frozen, e, vals, frozen_degree, edge_map, bverts):
             out.append((tris, frozen | {e}))
-        verts = sorted(vals)
-        n_v = len(verts)
-        cands = [x for x in verts if x not in e]
+        n_v = len(vals)
+        cands = [x for x in range(1, n_v + 1) if x != a and x != b]
         if n_v < self.max_v:
             cands.append(n_v + 1)
         if len(tris) >= self.max_t:
             return out
+        n_max = self.cfg.max_vertices
+        link_a = _link_ends(by_vertex[a], a)
+        link_b = _link_ends(by_vertex[b], b)
         for x in cands:
             new_tri = tuple(sorted((a, b, x)))
             if new_tri in tris:
@@ -531,48 +575,33 @@ class _GenusSurfaceSearch:
                 continue
             if ea in frozen or eb in frozen:
                 continue
-            bad = False
             finished = {}
-            for v in (a, b, x):
+            # the new triangle adds the link edge (p, q) at v
+            for v, p, q, link in ((a, b, x, link_a), (b, a, x, link_b),
+                                  (x, a, b, None)):
                 # interior valence <= N-2, boundary valence <= N-3
-                cap = (self.cfg.max_vertices - 3 if frozen_degree.get(v)
-                       else self.cfg.max_vertices - 2)
-                if vals.get(v, 0) + 1 > cap:
-                    bad = True
+                k = vals.get(v, 0) + 1
+                if k > (n_max - 3 if frozen_degree.get(v) else n_max - 2):
                     break
-                at_v = by_vertex.get(v, []) + [new_tri]
-                shape = link_shape(at_v, v)
-                if shape == "bad":
-                    bad = True
+                shape = _link_after(link or _link_ends(by_vertex.get(v, ()), v),
+                                    p, q)
+                # a finished interior vertex needs valence >= 4
+                if shape == "bad" or (shape == "circle" and k < 4):
                     break
                 finished[v] = shape == "circle"
-                if finished[v] and len(at_v) < 4:
-                    # a finished interior vertex needs valence >= 4
-                    bad = True
-                    break
-            if bad:
-                continue
-            # no triangle may end up with all three vertices interior
-            def is_finished(v):
-                if v in finished:
-                    return finished[v]
-                if frozen_degree.get(v):
-                    return False
-                return link_shape(by_vertex.get(v, []), v) == "circle"
-
-            for t in itertools.chain(
-                (u for v in (a, b, x) if v in by_vertex for u in by_vertex[v]),
-                (new_tri,),
-            ):
-                if all(is_finished(v) for v in t):
-                    bad = True
-                    break
-            if bad:
+            if len(finished) < 3:
+                continue  # the loop stopped at a failing vertex
+            # no triangle may end up with all three vertices interior; such a
+            # triangle meets a, b or x, so one of them has just been finished
+            if any(all(finished[u] if u in finished else u not in bverts
+                       for u in t)
+                   for v in (a, b, x) if finished[v]
+                   for t in itertools.chain(by_vertex.get(v, ()), (new_tri,))):
                 continue
             out.append((tris | {new_tri}, frozen))
         return out
 
-    def _freeze_ok(self, frozen, e, vals, frozen_degree, edge_map, by_vertex) -> bool:
+    def _freeze_ok(self, frozen, e, vals, frozen_degree, edge_map, bverts) -> bool:
         if len(frozen) + 1 > self.max_v:
             return False
         a, b = e
@@ -584,7 +613,7 @@ class _GenusSurfaceSearch:
         # the opposite vertex of a boundary edge must end up on the boundary
         tri = edge_map[e][0]
         w = next(x for x in tri if x not in e)
-        if not frozen_degree.get(w) and link_shape(by_vertex[w], w) == "circle":
+        if w not in bverts:
             return False
         if self.cfg.specialized:
             cycles = closed_cycles(frozen | {e})
@@ -595,19 +624,30 @@ class _GenusSurfaceSearch:
         return True
 
     def emit(self, tris: frozenset) -> None:
-        if not boundary_edges(tris):
-            return  # closed up: not a genus-surface
-        t = Triangulation(tris)
-        if validate(t).kind is not SurfaceKind.SURFACE_WITH_BOUNDARY:
+        # a state is edge-connected with circle or path links, so it is a
+        # surface with boundary exactly when it has boundary edges and no
+        # vertex on more than two of them (a link of several paths)
+        comps = boundary_cycles(tris)
+        if not comps:
             return
-        g = GenusSurface.from_triangles(tris)
-        if not genus_surface_admissible(g, self.cfg):
-            return
-        if self.cfg.surface is not None and g.capped_class != self.cfg.surface:
+        if len(tris) == 1:
+            capped = SPHERE  # the only planar genus-surface admitted
+        else:
+            # the class-free checks first: a planar candidate is rejected
+            # whether or not it passes them
+            if not _shape_admissible(tris, comps, self.cfg):
+                return
+            capped = classify(cap_boundary(Triangulation(tris)))
+            if capped == SPHERE:
+                return
+        if self.cfg.surface is not None and capped != self.cfg.surface:
             return
         code = minimal_code(tris)
-        canonical = GenusSurface.from_triangles(code)
-        self.emitted.setdefault(code, canonical)
+        if code not in self.emitted:
+            # boundary and class of the isomorphic canonical copy
+            cycles = tuple(tuple(c) for c in boundary_cycles(code))
+            self.emitted[code] = GenusSurface(triangles=code, boundary=cycles,
+                                              capped_class=capped)
 
 
 def enumerate_genus_surfaces(
@@ -665,29 +705,6 @@ def _glue_raw(
         if me in base_edges:
             raise DuplicateEdgeError(f"edge {me} already present")
     return base | new_tris
-
-
-def glue_disc(
-    g: GenusSurface,
-    cycle: Sequence[int],
-    d: Disc,
-    offset: int,
-    reflect: bool,
-) -> Triangulation:
-    """Identify the disc boundary with the given boundary cycle of the
-    genus-surface under the chosen rotation/reflection."""
-    cycle = tuple(cycle)
-    if cycle not in g.boundary and tuple(reversed(cycle)) not in g.boundary:
-        raise GluingError(f"{cycle} is not a boundary component")
-    tris = _glue_raw(frozenset(g.triangles), cycle, d, offset, reflect)
-    t = Triangulation(tris)
-    report = validate(t)
-    if len(g.boundary) == 1:
-        if report.kind is not SurfaceKind.CLOSED_SURFACE:
-            raise NotASurfaceError("gluing did not produce a closed surface")
-    elif not report.is_surface:
-        raise NotASurfaceError("gluing did not produce a surface")
-    return t
 
 
 _EXTRA_DISCS = {

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from .canon import canonical_form
 from .core import (
-    Edge,
     SurfaceKind,
     Triangle,
     Triangulation,
-    edge_triangles,
     validate,
     vertex_triangles,
 )
@@ -111,23 +109,3 @@ def compute_root(t: Triangulation) -> Triangulation:
         if not removable:
             return canonical_form(t).triangulation()
         t = _remove_vertex(t, removable[0])
-
-
-def edge_expand_4valent(t: Triangulation, e: Edge) -> Triangulation:
-    """Split the two triangles at ``e`` around a new 4-valent vertex.
-
-    The new vertex V+1 is adjacent to both endpoints of ``e`` and to the
-    two link vertices of ``e``; the expansion never creates a 3-valent
-    vertex, so it maps roots to roots.
-    """
-    _require_closed(t)
-    e = tuple(sorted(e))
-    at_e = edge_triangles(t.triangles).get(e, [])
-    if len(at_e) != 2:
-        raise MoveError(f"edge {e} not an interior edge of the triangulation")
-    a, b = e
-    c, d = sorted(next(x for x in tri if x not in e) for tri in at_e)
-    w = t.vertex_count + 1
-    tris = [u for u in t.triangles if u not in at_e]
-    tris += [(a, c, w), (b, c, w), (a, d, w), (b, d, w)]
-    return Triangulation(tris)

@@ -125,6 +125,8 @@ def _shard_task(args):
 def brute_force_enumerate(max_vertices: int, workers: int = 1) -> OracleResult:
     """Every closed triangulation with at most ``max_vertices`` vertices,
     up to isomorphism, found by direct growth."""
+    if max_vertices < 3:
+        raise ValueError("max_vertices must be at least 3")
     if max_vertices < 4:
         return OracleResult(CountsTable())
     tasks = [(m, max_vertices) for m in range(3, max_vertices)]

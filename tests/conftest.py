@@ -4,7 +4,10 @@ import pytest
 
 from surfenum.canon import minimal_code
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import Triangulation
+from surfenum.core import (Edge, SurfaceKind, Triangulation, edge_triangles,
+                           validate)
+from surfenum.listing import Disc, GenusSurface, GluingError, _glue_raw
+from surfenum.moves import MoveError, _require_closed
 
 # well-known fixtures (compact single-digit format)
 TETRAHEDRON = "123 124 134 234"
@@ -64,3 +67,46 @@ def state_key(tris, marked_edges):
         if best_marked is None or image < best_marked:
             best_marked = image
     return code, best_marked
+
+
+class NotASurfaceError(GluingError):
+    pass
+
+
+def glue_disc(g: GenusSurface, cycle, d: Disc, offset: int,
+              reflect: bool) -> Triangulation:
+    """Identify the disc boundary with the given boundary cycle of the
+    genus-surface under the chosen rotation/reflection; the checked form
+    of the pipeline's ``listing._glue_raw``."""
+    cycle = tuple(cycle)
+    if cycle not in g.boundary and tuple(reversed(cycle)) not in g.boundary:
+        raise GluingError(f"{cycle} is not a boundary component")
+    tris = _glue_raw(frozenset(g.triangles), cycle, d, offset, reflect)
+    t = Triangulation(tris)
+    report = validate(t)
+    if len(g.boundary) == 1:
+        if report.kind is not SurfaceKind.CLOSED_SURFACE:
+            raise NotASurfaceError("gluing did not produce a closed surface")
+    elif not report.is_surface:
+        raise NotASurfaceError("gluing did not produce a surface")
+    return t
+
+
+def edge_expand_4valent(t: Triangulation, e: Edge) -> Triangulation:
+    """Split the two triangles at ``e`` around a new 4-valent vertex.
+
+    The new vertex V+1 is adjacent to both endpoints of ``e`` and to the
+    two link vertices of ``e``; the expansion never creates a 3-valent
+    vertex, so it maps roots to roots.
+    """
+    _require_closed(t)
+    e = tuple(sorted(e))
+    at_e = edge_triangles(t.triangles).get(e, [])
+    if len(at_e) != 2:
+        raise MoveError(f"edge {e} not an interior edge of the triangulation")
+    a, b = e
+    c, d = sorted(next(x for x in tri if x not in e) for tri in at_e)
+    w = t.vertex_count + 1
+    tris = [u for u in t.triangles if u not in at_e]
+    tris += [(a, c, w), (b, c, w), (a, d, w), (b, d, w)]
+    return Triangulation(tris)

@@ -261,6 +261,43 @@ class TestFlagKey:
         keys = {flag_key(t.triangles, [e]) for e in t.edges()}
         assert len(keys) == 1
 
+    def test_search_states_invariant_under_relabeling(self, monkeypatch):
+        # start flags are chosen by (valence, boundary-edge degree,
+        # marked-edge degree), which a relabeling keeps
+        from surfenum import listing
+
+        states = []
+        real = listing._GenusSurfaceSearch.children
+
+        def recording(search, tris, frozen):
+            states.append((tris, frozen))
+            return real(search, tris, frozen)
+
+        monkeypatch.setattr(listing._GenusSurfaceSearch, "children", recording)
+        listing._GenusSurfaceSearch(listing.SearchConfig(max_vertices=7)).run()
+        assert len(states) == 182
+        rng = random.Random(71)
+        for tris, frozen in states:
+            reference = flag_key(tris, frozen)
+            t = Triangulation(tris)
+            for _ in range(3):
+                shuffled, mapping = relabel(t, rng)
+                image = [(mapping[a], mapping[b]) for a, b in frozen]
+                assert flag_key(shuffled.triangles, image) == reference
+
+    def test_distinguishes_which_boundary_edge_is_frozen(self):
+        # a fan of three triangles around vertex 1; the reflection
+        # 2<->5, 3<->4 is its only non-trivial automorphism
+        fan = parse_triangulation_text("123 134 145").triangles
+        edges = [(1, 2), (1, 5), (2, 3), (4, 5), (3, 4)]
+        keys = {e: flag_key(fan, [e]) for e in edges}
+        assert keys[(1, 2)] == keys[(1, 5)]
+        assert keys[(2, 3)] == keys[(4, 5)]
+        assert len({keys[(1, 2)], keys[(2, 3)], keys[(3, 4)]}) == 3
+        for e, f in itertools.combinations(edges, 2):
+            assert ((keys[e] == keys[f])
+                    == (state_key(fan, [e]) == state_key(fan, [f])))
+
     def test_rejects_an_edge_in_three_triangles(self):
         with pytest.raises(ValueError, match="more than two triangles"):
             flag_key(parse_triangulation_text("123 124 125").triangles)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import state_key
+from conftest import glue_disc, state_key
 from surfenum.canon import minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
@@ -33,7 +33,6 @@ from surfenum.listing import (
     enumerate_nonroots,
     enumerate_roots,
     genus_surface_admissible,
-    glue_disc,
     grow_main_disc_step,
     main_disc_boundary_lower_bound,
     validate_decomposition,
@@ -403,6 +402,82 @@ class TestGenusSearchDedup:
         assert len({a for a, _ in pairs}) == len(pairs)
         assert len({b for _, b in pairs}) == len(pairs)
         assert len(pairs) == 2815
+
+
+class TestGenusSearchShortcuts:
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_link_verdicts_match_link_shape(self, monkeypatch, specialized):
+        from surfenum import listing
+        from surfenum.core import link_shape, vertex_triangles
+
+        # id -> (link, its vertex's star, the vertex); holding the link
+        # keeps its id from being reused
+        links = {}
+        verdicts = Counter()
+        states = 0
+        real_ends, real_after = listing._link_ends, listing._link_after
+        real_freeze_ok = listing._GenusSurfaceSearch._freeze_ok
+
+        def recording_ends(star, v):
+            link = real_ends(star, v)
+            links[id(link)] = (link, list(star), v)
+            return link
+
+        def checking_after(link, p, q):
+            verdict = real_after(link, p, q)
+            _link, star, v = links[id(link)]
+            new_tri = tuple(sorted((v, p, q)))
+            assert verdict == link_shape(star + [new_tri], v), (star, new_tri)
+            verdicts[verdict] += 1
+            return verdict
+
+        def checking_freeze_ok(search, frozen, e, vals, frozen_degree,
+                               edge_map, bverts):
+            # the boundary vertex set behind the finished, opposite-vertex
+            # and all-interior-triangle tests of this state
+            nonlocal states
+            states += 1
+            tris = {t for ts in edge_map.values() for t in ts}
+            for v, star in vertex_triangles(tris).items():
+                assert (v not in bverts) == (link_shape(star, v) == "circle")
+            return real_freeze_ok(search, frozen, e, vals, frozen_degree,
+                                  edge_map, bverts)
+
+        monkeypatch.setattr(listing, "_link_ends", recording_ends)
+        monkeypatch.setattr(listing, "_link_after", checking_after)
+        monkeypatch.setattr(listing._GenusSurfaceSearch, "_freeze_ok",
+                            checking_freeze_ok)
+        _GenusSurfaceSearch(SearchConfig(max_vertices=8, specialized=specialized)).run()
+        assert states == 2815 - 122  # the visited states less the leaves
+        assert set(verdicts) == {"bad", "circle", "interval", "paths"}
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_only_shape_admissible_leaves_are_classified(self, monkeypatch,
+                                                         specialized):
+        from surfenum import listing
+
+        calls = []
+        real = listing.classify
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(listing, "classify", counting)
+        search = _GenusSurfaceSearch(
+            SearchConfig(max_vertices=8, specialized=specialized)).run()
+        assert len(search.emitted) == 25
+        # one per non-planar candidate; 145 when every leaf was classified
+        # before the shape checks and each emitted code once more
+        assert 0 < len(calls) <= 24
+
+    @pytest.mark.parametrize("v", [7, 8])
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_emitted_genus_surfaces_match_from_triangles(self, v, specialized):
+        search = _GenusSurfaceSearch(
+            SearchConfig(max_vertices=v, specialized=specialized)).run()
+        for code, g in search.emitted.items():
+            assert g == GenusSurface.from_triangles(code)
 
 
 class TestWorkerPools:

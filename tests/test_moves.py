@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import relabel
+from conftest import edge_expand_4valent, relabel
 from surfenum.canon import is_isomorphic, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import SPHERE, Triangulation, classify, vertex_stats
@@ -12,7 +12,6 @@ from surfenum.moves import (
     NotThreeValentError,
     _removable_vertices,
     compute_root,
-    edge_expand_4valent,
     inverse_t_move,
     is_root,
     t_move,

@@ -1,7 +1,10 @@
 from collections import Counter
 
+import pytest
+
 from surfenum.canon import minimal_code
 from surfenum.core import SurfaceKind, Triangulation, validate
+from surfenum.listing import SearchConfig
 from surfenum.oracle import brute_force_enumerate, cross_validate
 
 
@@ -35,6 +38,14 @@ class TestBruteForce:
         assert brute_force_enumerate(3).counts.rows() == []
         by_v = Counter(v for (v, _cls) in brute_force_enumerate(4).codes)
         assert by_v == {4: 1}
+
+    @pytest.mark.parametrize("budget", [-1, 0, 2])
+    def test_budget_below_three_is_rejected(self, budget):
+        # the same check and message as SearchConfig
+        with pytest.raises(ValueError, match="at least 3"):
+            SearchConfig(max_vertices=budget)
+        with pytest.raises(ValueError, match="at least 3"):
+            brute_force_enumerate(budget)
 
 
 class TestCrossValidate:
