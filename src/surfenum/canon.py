@@ -214,9 +214,6 @@ class CanonicalForm:
     def triangulation(self) -> Triangulation:
         return Triangulation(self.triangles)
 
-    def __lt__(self, other: "CanonicalForm") -> bool:
-        return mixed_lex_compare(self.triangles, other.triangles) < 0
-
 
 def canonical_form(t: Triangulation) -> CanonicalForm:
     return CanonicalForm(minimal_code(t.triangles))
@@ -230,18 +227,6 @@ def canonical_witness(t: Triangulation) -> dict[int, int]:
 
 def is_isomorphic(a: Triangulation, b: Triangulation) -> bool:
     return minimal_code(a.triangles) == minimal_code(b.triangles)
-
-
-def mixed_lex_compare(a: Sequence[Triangle], b: Sequence[Triangle]) -> int:
-    """-1, 0 or 1; both lists must be normalized (triples and list sorted)."""
-    val_a = sum(1 for t in a if 1 in t)
-    val_b = sum(1 for t in b if 1 in t)
-    if val_a != val_b:
-        return -1 if val_a > val_b else 1
-    ta, tb = tuple(a), tuple(b)
-    if ta == tb:
-        return 0
-    return -1 if ta < tb else 1
 
 
 def _flag_walk(sides: dict[Edge, list[tuple[int, int]]], n: int,

@@ -8,8 +8,13 @@ vertices are requested.  For the sphere the genus-surface is one triangle,
 so sphere roots are main discs with a 3-cycle boundary glued onto it by the
 same gluing as every other root.  Genus-surface candidates are grown
 exhaustively and pruned by the necessary conditions for minimal
-decompositions; gluing the discs back in all possible ways recovers every
-root, and repeated vertex-adding moves recover the non-roots.
+decompositions: a partial candidate is dropped as soon as it breaks one that
+no later triangle or frozen boundary edge can repair (valence caps, the
+opposite vertex of a boundary edge on the boundary, one boundary path per
+boundary vertex, adjacent triangles on one boundary component), and each
+finished candidate is checked in full.  Gluing the discs back in all
+possible ways recovers every root, and repeated vertex-adding moves recover
+the non-roots.
 """
 
 from __future__ import annotations
@@ -420,13 +425,10 @@ def _shape_admissible(tris: Sequence[Triangle],
         return False
     # the link of every boundary edge lies on the boundary
     edge_map = edge_triangles(tris)
-    comp_of: dict[Edge, int] = {}
-    for idx, c in enumerate(comps):
-        n = len(c)
-        for i in range(n):
-            comp_of[tuple(sorted((c[i], c[(i + 1) % n])))] = idx
+    bedges = set()
     for e, ts in edge_map.items():
         if len(ts) == 1:
+            bedges.add(e)
             opposite = next(x for x in ts[0] if x not in e)
             if opposite not in bverts:
                 return False
@@ -435,19 +437,8 @@ def _shape_admissible(tris: Sequence[Triangle],
         if not any(v in bverts for v in t):
             return False
     # no edge-adjacent triangle pair touching two different boundary comps
-    def comps_touched(t: Triangle) -> set[int]:
-        a, b, c = t
-        out = set()
-        for e in ((a, b), (a, c), (b, c)):
-            if e in comp_of:
-                out.add(comp_of[e])
-        return out
-
-    for e, ts in edge_map.items():
-        if len(ts) == 2:
-            c1, c2 = comps_touched(ts[0]), comps_touched(ts[1])
-            if any(x != y for x in c1 for y in c2):
-                return False
+    if _splits_boundary(bedges, edge_map):
+        return False
     # specialization: at most two boundary components, the extra one short
     if cfg.specialized:
         if len(comps) > 2:
@@ -504,11 +495,56 @@ def _link_after(link, p: int, q: int) -> str:
     return "interval" if paths == 1 else "paths"
 
 
+def _splits_boundary(bedges, edge_map) -> bool:
+    """Whether two edge-adjacent triangles touch boundary edges ``bedges``
+    of different boundary components.  In a growth state ``bedges`` are the
+    frozen edges: a closed cycle of them is a whole final component, so no
+    frozen edge off it can join it."""
+    cycles = closed_cycles(bedges)
+    if not cycles:
+        return False
+    # boundary edge -> its closed cycle, or None while its path is open
+    comp = {}
+    for i, c in enumerate(cycles):
+        for j in range(len(c)):
+            comp[tuple(sorted((c[j - 1], c[j])))] = i
+
+    def touched(t: Triangle) -> set:
+        a, b, c = t
+        return {comp.get(f) for f in ((a, b), (a, c), (b, c)) if f in bedges}
+
+    for f in bedges:
+        t = edge_map[f][0]
+        mine = touched(t)
+        a, b, c = t
+        for g in ((a, b), (a, c), (b, c)):
+            ts = edge_map[g]
+            if len(ts) == 2:
+                theirs = touched(ts[1] if ts[0] == t else ts[0])
+                # None against None is open: two open paths may still join
+                if any(x != y for x in mine for y in theirs):
+                    return True
+    return False
+
+
 class _GenusSurfaceSearch:
     """Exhaustive growth of bounded-surface candidates with one declared
     decision per boundary edge: cover it with some triangle or freeze it
     into the final boundary.  Every state is edge-connected, with no edge
-    in three triangles and each link a circle or disjoint paths."""
+    in three triangles and each link a circle or disjoint paths.
+
+    Partial states are checked only for what growth cannot undo: a triangle
+    once added and an edge once frozen are permanent, and a vertex once
+    interior (circle link) gets no further triangle.  ``children`` and
+    ``_freeze_ok`` cap valences, vertices, triangles and frozen edges, give
+    a finished vertex valence >= 4 and a triangle a vertex off the interior,
+    keep the opposite vertex of a frozen edge on the boundary, and in the
+    specialized mode limit the closed cycles of frozen edges.
+    ``_dead_end`` rejects a child that breaks a leaf condition of
+    :func:`_shape_admissible` for good (rules R1-R3).  The leaves get the
+    rest in ``emit``: the valence floors, the main-disc host bound and the
+    capped surface class.
+    """
 
     def __init__(self, cfg: SearchConfig, max_surface_vertices: int | None = None):
         self.cfg = cfg
@@ -522,6 +558,11 @@ class _GenusSurfaceSearch:
         self.emitted: dict[Code, GenusSurface] = {}
 
     def run(self):
+        # the one-triangle candidate is emitted directly: its vertices close
+        # with valence 1, which ``_dead_end`` rejects in every other state;
+        # its three frozen edges need max_v >= 3, as in the search
+        if self.max_v >= 3:
+            self.emit(frozenset({(1, 2, 3)}))
         stack = [(frozenset({(1, 2, 3)}), frozenset())]
         while stack:
             tris, frozen = stack.pop()
@@ -549,14 +590,30 @@ class _GenusSurfaceSearch:
         # link (is interior) exactly when no boundary edge meets it
         bverts = {v for edge in bedges for v in edge}
         vals = {v: len(ts) for v, ts in by_vertex.items()}
-        out = []
-        frozen_degree = {}
-        for x, y in frozen:
-            frozen_degree[x] = frozen_degree.get(x, 0) + 1
-            frozen_degree[y] = frozen_degree.get(y, 0) + 1
+        # the far ends of each vertex's frozen edges, and the vertex opposite
+        # each frozen edge in its one triangle
+        frozen_ends: dict[int, list[int]] = {}
+        opposite = set()
+        for f in frozen:
+            x, y = f
+            frozen_ends.setdefault(x, []).append(y)
+            frozen_ends.setdefault(y, []).append(x)
+            opposite.add(next(w for w in edge_map[f][0] if w != x and w != y))
         a, b = e
-        if self._freeze_ok(frozen, e, vals, frozen_degree, edge_map, bverts):
-            out.append((tris, frozen | {e}))
+        links = {a: _link_ends(by_vertex[a], a), b: _link_ends(by_vertex[b], b)}
+        out = []
+        if self._freeze_ok(frozen, e, vals, frozen_ends, edge_map, bverts):
+            changes = []
+            for v, w in ((a, b), (b, a)):
+                # freezing e makes w a frozen end of v; the link is unchanged
+                ends = frozen_ends.get(v, ())
+                partner = links[v][1]
+                changes.append((v, vals[v],
+                                "interval" if len(partner) == 2 else "paths",
+                                len(ends) == 1 and partner.get(ends[0]) == w))
+            if self._dead_end(changes, opposite,
+                              _splits_boundary(frozen | {e}, edge_map)) is None:
+                out.append((tris, frozen | {e}))
         n_v = len(vals)
         cands = [x for x in range(1, n_v + 1) if x != a and x != b]
         if n_v < self.max_v:
@@ -564,8 +621,6 @@ class _GenusSurfaceSearch:
         if len(tris) >= self.max_t:
             return out
         n_max = self.cfg.max_vertices
-        link_a = _link_ends(by_vertex[a], a)
-        link_b = _link_ends(by_vertex[b], b)
         for x in cands:
             new_tri = tuple(sorted((a, b, x)))
             if new_tri in tris:
@@ -575,22 +630,29 @@ class _GenusSurfaceSearch:
                 continue
             if ea in frozen or eb in frozen:
                 continue
-            finished = {}
+            changes = []
             # the new triangle adds the link edge (p, q) at v
-            for v, p, q, link in ((a, b, x, link_a), (b, a, x, link_b),
-                                  (x, a, b, None)):
+            for v, p, q in ((a, b, x), (b, a, x), (x, a, b)):
                 # interior valence <= N-2, boundary valence <= N-3
                 k = vals.get(v, 0) + 1
-                if k > (n_max - 3 if frozen_degree.get(v) else n_max - 2):
+                ends = frozen_ends.get(v, ())
+                if k > (n_max - 3 if ends else n_max - 2):
                     break
-                shape = _link_after(link or _link_ends(by_vertex.get(v, ()), v),
-                                    p, q)
+                link = links.get(v) or _link_ends(by_vertex.get(v, ()), v)
+                shape = _link_after(link, p, q)
                 # a finished interior vertex needs valence >= 4
                 if shape == "bad" or (shape == "circle" and k < 4):
                     break
-                finished[v] = shape == "circle"
-            if len(finished) < 3:
+                # the frozen ends are never p or q (the triangle's edges at v
+                # are not frozen); the new edge joins the paths ending in p, q
+                partner = link[1]
+                closed = len(ends) == 2 and (
+                    partner.get(ends[0]) == ends[1]
+                    or {partner.get(p, p), partner.get(q, q)} == set(ends))
+                changes.append((v, k, shape, closed))
+            if len(changes) < 3:
                 continue  # the loop stopped at a failing vertex
+            finished = {v: shape == "circle" for v, _k, shape, _c in changes}
             # no triangle may end up with all three vertices interior; such a
             # triangle meets a, b or x, so one of them has just been finished
             if any(all(finished[u] if u in finished else u not in bverts
@@ -598,17 +660,19 @@ class _GenusSurfaceSearch:
                    for v in (a, b, x) if finished[v]
                    for t in itertools.chain(by_vertex.get(v, ()), (new_tri,))):
                 continue
-            out.append((tris | {new_tri}, frozen))
+            # the new triangle has no frozen edge, so it splits no boundary
+            if self._dead_end(changes, opposite, False) is None:
+                out.append((tris | {new_tri}, frozen))
         return out
 
-    def _freeze_ok(self, frozen, e, vals, frozen_degree, edge_map, bverts) -> bool:
+    def _freeze_ok(self, frozen, e, vals, frozen_ends, edge_map, bverts) -> bool:
         if len(frozen) + 1 > self.max_v:
             return False
         a, b = e
         cap = self.cfg.max_vertices - 3
         if vals[a] > cap or vals[b] > cap:
             return False
-        if frozen_degree.get(a, 0) >= 2 or frozen_degree.get(b, 0) >= 2:
+        if len(frozen_ends.get(a, ())) >= 2 or len(frozen_ends.get(b, ())) >= 2:
             return False
         # the opposite vertex of a boundary edge must end up on the boundary
         tri = edge_map[e][0]
@@ -622,6 +686,32 @@ class _GenusSurfaceSearch:
             if len(cycles) == 2 and not any(len(c) in (3, 4) for c in cycles):
                 return False
         return True
+
+    @staticmethod
+    def _dead_end(changes, opposite, split: bool) -> str | None:
+        """The rule by which no leaf below a child passes
+        :func:`_shape_admissible` (the one-triangle candidate aside, which
+        ``run`` emits directly), or None.  ``changes`` holds, for each
+        vertex v the child changes, (v, valence, link shape, closed) after
+        the change, where closed means that one link path joins the far ends
+        of v's two frozen edges; ``opposite`` holds the vertices opposite a
+        frozen edge, and ``split`` is :func:`_splits_boundary` of the child."""
+        for v, k, shape, closed in changes:
+            # R1: a frozen edge keeps its one triangle and a finished vertex
+            # stays interior, so that boundary edge's link stays off the boundary
+            if shape == "circle" and v in opposite:
+                return "R1"
+            # R2: a frozen end stays a link end, so a path joining both is
+            # v's final link: no other link path can ever join it (the
+            # boundary pinches at v), and v's valence is final (below 2)
+            if closed and (shape != "interval" or k < 2):
+                return "R2"
+        # R3: the two triangles, their shared edge and their frozen edges
+        # are permanent, and so is a closed cycle of frozen edges as a
+        # boundary component, so the pair stays on two components
+        if split:
+            return "R3"
+        return None
 
     def emit(self, tris: frozenset) -> None:
         # a state is edge-connected with circle or path links, so it is a

@@ -1,11 +1,12 @@
 import random
+from typing import Sequence
 
 import pytest
 
 from surfenum.canon import minimal_code
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import (Edge, SurfaceKind, Triangulation, edge_triangles,
-                           validate)
+from surfenum.core import (Edge, SurfaceKind, Triangle, Triangulation,
+                           edge_triangles, validate)
 from surfenum.listing import Disc, GenusSurface, GluingError, _glue_raw
 from surfenum.moves import MoveError, _require_closed
 
@@ -67,6 +68,18 @@ def state_key(tris, marked_edges):
         if best_marked is None or image < best_marked:
             best_marked = image
     return code, best_marked
+
+
+def mixed_lex_compare(a: Sequence[Triangle], b: Sequence[Triangle]) -> int:
+    """-1, 0 or 1; both lists must be normalized (triples and list sorted)."""
+    val_a = sum(1 for t in a if 1 in t)
+    val_b = sum(1 for t in b if 1 in t)
+    if val_a != val_b:
+        return -1 if val_a > val_b else 1
+    ta, tb = tuple(a), tuple(b)
+    if ta == tb:
+        return 0
+    return -1 if ta < tb else 1
 
 
 class NotASurfaceError(GluingError):

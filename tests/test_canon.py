@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from conftest import ANNULUS, MOBIUS, relabel, state_key
+from conftest import ANNULUS, MOBIUS, mixed_lex_compare, relabel, state_key
 from surfenum.canon import (
     canonical_form,
     canonical_witness,
     flag_key,
     is_isomorphic,
     minimal_code,
-    mixed_lex_compare,
 )
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import Triangulation
@@ -274,8 +273,8 @@ class TestFlagKey:
             return real(search, tris, frozen)
 
         monkeypatch.setattr(listing._GenusSurfaceSearch, "children", recording)
-        listing._GenusSurfaceSearch(listing.SearchConfig(max_vertices=7)).run()
-        assert len(states) == 182
+        listing._GenusSurfaceSearch(listing.SearchConfig(max_vertices=8)).run()
+        assert len(states) == 1105
         rng = random.Random(71)
         for tris, frozen in states:
             reference = flag_key(tris, frozen)

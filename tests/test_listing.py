@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 from collections import Counter
 
 import pytest
 
 from conftest import glue_disc, state_key
-from surfenum.canon import minimal_code
+from surfenum.canon import flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     PROJECTIVE_PLANE,
@@ -378,11 +379,23 @@ class TestMainDiscsOnce:
 
 
 class TestGenusSearchDedup:
-    @pytest.mark.parametrize("v, states, candidates", [(7, 182, 5), (8, 2815, 25)])
-    def test_visited_and_emitted_counts(self, v, states, candidates):
+    @pytest.mark.parametrize("v, states, candidates", [(7, 85, 5), (8, 1105, 25)])
+    def test_visited_and_emitted_counts(self, monkeypatch, v, states, candidates):
+        from surfenum import listing
+
+        leaves = []
+        real = listing._GenusSurfaceSearch.emit
+
+        def counting(search, tris):
+            leaves.append(tris)
+            return real(search, tris)
+
+        monkeypatch.setattr(listing._GenusSurfaceSearch, "emit", counting)
         search = _GenusSurfaceSearch(SearchConfig(max_vertices=v)).run()
         assert len(search.visited) == states
         assert len(search.emitted) == candidates
+        # every leaf of the pruned search is emitted
+        assert len(leaves) == candidates
 
     def test_flag_key_splits_states_like_state_key(self, monkeypatch):
         from surfenum import listing
@@ -401,7 +414,7 @@ class TestGenusSearchDedup:
         # same classes: each key of one kind pairs with exactly one of the other
         assert len({a for a, _ in pairs}) == len(pairs)
         assert len({b for _, b in pairs}) == len(pairs)
-        assert len(pairs) == 2815
+        assert len(pairs) == 1105
 
 
 class TestGenusSearchShortcuts:
@@ -431,7 +444,7 @@ class TestGenusSearchShortcuts:
             verdicts[verdict] += 1
             return verdict
 
-        def checking_freeze_ok(search, frozen, e, vals, frozen_degree,
+        def checking_freeze_ok(search, frozen, e, vals, frozen_ends,
                                edge_map, bverts):
             # the boundary vertex set behind the finished, opposite-vertex
             # and all-interior-triangle tests of this state
@@ -440,7 +453,7 @@ class TestGenusSearchShortcuts:
             tris = {t for ts in edge_map.values() for t in ts}
             for v, star in vertex_triangles(tris).items():
                 assert (v not in bverts) == (link_shape(star, v) == "circle")
-            return real_freeze_ok(search, frozen, e, vals, frozen_degree,
+            return real_freeze_ok(search, frozen, e, vals, frozen_ends,
                                   edge_map, bverts)
 
         monkeypatch.setattr(listing, "_link_ends", recording_ends)
@@ -448,7 +461,9 @@ class TestGenusSearchShortcuts:
         monkeypatch.setattr(listing._GenusSurfaceSearch, "_freeze_ok",
                             checking_freeze_ok)
         _GenusSurfaceSearch(SearchConfig(max_vertices=8, specialized=specialized)).run()
-        assert states == 2815 - 122  # the visited states less the leaves
+        # the visited states less the leaves; the one-triangle candidate is
+        # emitted directly, so 24 of the 25 candidates are leaves
+        assert states == 1105 - 24
         assert set(verdicts) == {"bad", "circle", "interval", "paths"}
 
     @pytest.mark.parametrize("specialized", [True, False])
@@ -478,6 +493,96 @@ class TestGenusSearchShortcuts:
             SearchConfig(max_vertices=v, specialized=specialized)).run()
         for code, g in search.emitted.items():
             assert g == GenusSurface.from_triangles(code)
+
+
+def emitted_digest(emitted) -> str:
+    """sha256 of the sorted (code, boundary, capped class) of a search's
+    emitted candidates."""
+    rows = sorted((g.triangles, g.boundary, g.capped_class.name)
+                  for g in emitted.values())
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# emitted_digest of the search before it pruned partial states; the same in
+# both modes
+EMITTED_SHA256 = {
+    5: "0add8c1dc60fd3ae0878083eaeff68ae8d4cc3f13ec27ec28d5cce03f2bfaab6",
+    6: "152d78af1c909c4d7ef35221c5236912d21a63666b25a0334815886be37a7bd5",
+    7: "ee7a1d0395ca8920d2feac860f5bec76afe81cae7b599529f95c0f6cc5ce5cfe",
+    8: "d45e17f9f64e6f0f9ba2b108dd3ba05f43ea80b289c8c12589d95c65106c8aa0",
+    9: "ccaadc90a31b33abaadf37f8dadc9a77c92a61b2f53181d7d69d7788823f68fe",
+}
+
+
+class TestGenusSearchPruning:
+    @pytest.mark.parametrize("v", [5, 6, 7, 8])
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_emitted_candidates_are_pinned(self, v, specialized):
+        search = _GenusSurfaceSearch(
+            SearchConfig(max_vertices=v, specialized=specialized)).run()
+        assert emitted_digest(search.emitted) == EMITTED_SHA256[v]
+
+    @pytest.mark.nightly
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_nine_vertex_candidates_are_pinned_nightly(self, specialized):
+        search = _GenusSurfaceSearch(
+            SearchConfig(max_vertices=9, specialized=specialized)).run()
+        assert len(search.emitted) == 608
+        assert emitted_digest(search.emitted) == EMITTED_SHA256[9]
+        # 138,690 states without the pruning, 55,215 without its rule R3
+        assert len(search.visited) <= 48068
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_pruned_children_reach_no_admissible_leaf(self, monkeypatch,
+                                                     specialized):
+        from surfenum import listing
+
+        search_cls = listing._GenusSurfaceSearch
+        real_children, real_dead_end = search_cls.children, search_cls._dead_end
+        # the rules' verdict on each child, in the order children lists them,
+        # and the (child, rule) of every child a rule rejects
+        verdicts = []
+        pruned = []
+
+        def recording(changes, opposite, split):
+            verdicts.append(real_dead_end(changes, opposite, split))
+            return None  # the rules patched out: every child is listed
+
+        def pruning(search, tris, frozen):
+            verdicts.clear()
+            out = real_children(search, tris, frozen)
+            if out is None:
+                return None
+            assert len(out) == len(verdicts)
+            pruned.extend((c, rule) for c, rule in zip(out, verdicts) if rule)
+            return [c for c, rule in zip(out, verdicts) if rule is None]
+
+        monkeypatch.setattr(search_cls, "_dead_end", staticmethod(recording))
+        monkeypatch.setattr(search_cls, "children", pruning)
+        cfg = SearchConfig(max_vertices=7, specialized=specialized)
+        search = search_cls(cfg).run()
+        assert emitted_digest(search.emitted) == EMITTED_SHA256[7]
+        assert {rule for _c, rule in pruned} == {"R1", "R2", "R3"}
+
+        # grow every pruned child with the rules patched out
+        seen = set()
+        stack = [c for c, _rule in pruned]
+        admissible = set()
+        while stack:
+            tris, frozen = stack.pop()
+            key = flag_key(tris, frozen)
+            if key in seen:
+                continue
+            seen.add(key)
+            out = real_children(search, tris, frozen)
+            if out is not None:
+                stack.extend(out)
+            elif (boundary_cycles(tris)
+                  and genus_surface_admissible(Triangulation(tris), cfg)):
+                admissible.add(minimal_code(tris))
+        # the one-triangle candidate, which the search emits directly, is
+        # the only admissible leaf below a pruned child
+        assert admissible == {((1, 2, 3),)}
 
 
 class TestWorkerPools:
