@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 Triangle = tuple[int, int, int]
 Edge = tuple[int, int]
@@ -208,6 +208,8 @@ class ValidationReport:
 
 
 def _connected(tris: tuple[Triangle, ...]) -> bool:
+    """Edge-connectivity; pieces that meet only at a vertex split that
+    vertex's link, which :func:`validate` reports before asking."""
     by_edge = edge_triangles(tris)
     seen = {tris[0]}
     stack = [tris[0]]
@@ -219,22 +221,7 @@ def _connected(tris: tuple[Triangle, ...]) -> bool:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-    if len(seen) == len(tris):
-        return True
-    # fall back to vertex connectivity (complexes joined at a vertex only
-    # are edge-disconnected but still fail the link test, so reporting them
-    # as connected here keeps the offending vertex diagnosis meaningful)
-    verts = vertex_triangles(tris)
-    reached = set(tris[0])
-    frontier = list(tris[0])
-    while frontier:
-        v = frontier.pop()
-        for t in verts[v]:
-            for w in t:
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append(w)
-    return len(reached) == len(verts)
+    return len(seen) == len(tris)
 
 
 def validate(t: Triangulation) -> ValidationReport:
@@ -350,17 +337,27 @@ def orientable_triangles(tris: tuple[Triangle, ...]) -> bool:
     return True
 
 
-def classify(t: Triangulation) -> SurfaceClass:
-    """Surface type of a closed triangulation from orientability and chi."""
-    report = validate(t)
-    if report.kind is not SurfaceKind.CLOSED_SURFACE:
-        raise ValueError(f"classify needs a closed surface, got {report.kind.value}")
-    chi = euler_characteristic(t)
+def surface_class(t: Triangulation, holes: int = 0) -> SurfaceClass:
+    """Class of the closed surface obtained by capping each of the ``holes``
+    boundary cycles of the connected surface ``t`` with a disc, with no
+    check that ``t`` is one.  Capping keeps orientability and adds 1 to chi
+    per hole."""
+    chi = euler_characteristic(t) + holes
     if orientable_triangles(t.triangles):
         if chi % 2 != 0:
             raise AssertionError("orientable surface with odd Euler characteristic")
         return SurfaceClass(True, (2 - chi) // 2)
     return SurfaceClass(False, 2 - chi)
+
+
+def classify(t: Triangulation) -> SurfaceClass:
+    """Surface type of a closed triangulation, validated first: orientable
+    with genus (2 - chi) / 2, or non-orientable with genus 2 - chi (see
+    :func:`surface_class`)."""
+    report = validate(t)
+    if report.kind is not SurfaceKind.CLOSED_SURFACE:
+        raise ValueError(f"classify needs a closed surface, got {report.kind.value}")
+    return surface_class(t)
 
 
 def heawood_min_vertices(s: SurfaceClass) -> int:
@@ -383,69 +380,7 @@ def boundary_edges(tris: Iterable[Triangle]) -> list[Edge]:
     return sorted(e for e, ts in edge_triangles(tris).items() if len(ts) == 1)
 
 
-def boundary_components(t: Triangulation) -> list[list[int]]:
-    """Boundary cycles, each as a list of vertices in cyclic order.
-
-    Requires the complex to be a surface (possibly with boundary); the
-    boundary graph is then a disjoint union of simple cycles.
-    """
-    report = validate(t)
-    if not report.is_surface:
-        raise ValueError("boundary_components needs a surface")
-    return boundary_cycles(t.triangles)
-
-
 def boundary_cycles(tris: Iterable[Triangle]) -> list[list[int]] | None:
     """Boundary cycles of a raw triangle collection (no validity check);
     None when some vertex has more than two boundary edges."""
     return closed_cycles(boundary_edges(tris))
-
-
-def cap_boundary(t: Triangulation) -> Triangulation:
-    """Cone each boundary cycle to a fresh vertex, yielding a closed surface.
-
-    Only the homeomorphism type of the result is meaningful; this is how a
-    bounded piece is classified by the closed surface it caps to.
-    """
-    report = validate(t)
-    if report.kind is not SurfaceKind.SURFACE_WITH_BOUNDARY:
-        raise ValueError("cap_boundary needs a surface with boundary")
-    tris = list(t.triangles)
-    apex = t.vertex_count
-    for cycle in boundary_cycles(t.triangles):
-        apex += 1
-        n = len(cycle)
-        for i in range(n):
-            tris.append((cycle[i], cycle[(i + 1) % n], apex))
-    return Triangulation(tris)
-
-
-@dataclass(frozen=True)
-class VertexInfo:
-    valence: int
-    degree: int
-    interior: bool
-
-
-@dataclass
-class VertexStats:
-    per_vertex: Mapping[int, VertexInfo]
-    max_valence: int
-    max_degree: int
-
-
-def vertex_stats(t: Triangulation) -> VertexStats:
-    """Per-vertex valence (triangle count), degree (neighbour count) and
-    interior flag, plus the maxima over all vertices."""
-    report = validate(t)
-    if not report.is_surface:
-        raise ValueError("vertex_stats needs a surface")
-    boundary_verts = {v for e in boundary_edges(t.triangles) for v in e}
-    degs = degrees(t.triangles)
-    info = {v: VertexInfo(valence=k, degree=degs[v], interior=v not in boundary_verts)
-            for v, k in valences(t.triangles).items()}
-    return VertexStats(
-        per_vertex=info,
-        max_valence=max(i.valence for i in info.values()),
-        max_degree=max(i.degree for i in info.values()),
-    )

@@ -27,19 +27,17 @@ from typing import Iterable, Iterator, Sequence
 from .canon import Code, flag_key, minimal_code
 from .core import (
     SPHERE,
-    Edge,
     SurfaceClass,
     SurfaceKind,
     Triangle,
     Triangulation,
     boundary_cycles,
-    cap_boundary,
-    classify,
     closed_cycles,
     degrees,
     edge_triangles,
     euler_characteristic,
     normalize_triangles,
+    surface_class,
     valences,
     validate,
     vertex_triangles,
@@ -83,53 +81,37 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class GluingTally:
-    """Counts of one-edge (fresh vertex) and two-edge (corner-closing)
-    triangle gluings used to build a main disc."""
-
-    type_i: int
-    type_ii: int
-
-
-@dataclass(frozen=True)
 class Disc:
     """A triangulated disc: one boundary cycle, Euler characteristic 1."""
 
     triangles: Code
     boundary: tuple[int, ...]
-    interior_count: int
-    max_interior_valence: int | None
-    no_interior_three_valent: bool
-    tally: GluingTally | None = None
 
     @classmethod
-    def from_triangles(cls, triangles: Iterable[Triangle],
-                       tally: GluingTally | None = None) -> "Disc":
+    def from_triangles(cls, triangles: Iterable[Triangle]) -> "Disc":
         tris = normalize_triangles(triangles)
         cycles = boundary_cycles(tris)
         if cycles is None or len(cycles) != 1:
             raise ValueError("a disc has exactly one boundary component")
-        bverts = set(cycles[0])
-        vals = valences(tris)
-        interior = [v for v in vals if v not in bverts]
-        return cls(
-            triangles=tris,
-            boundary=tuple(cycles[0]),
-            interior_count=len(interior),
-            max_interior_valence=max((vals[v] for v in interior), default=None),
-            no_interior_three_valent=all(vals[v] >= 4 for v in interior),
-            tally=tally,
-        )
+        return cls(triangles=tris, boundary=tuple(cycles[0]))
 
     @property
     def vertex_count(self) -> int:
-        return len(self.boundary) + self.interior_count
+        return len({v for t in self.triangles for v in t})
+
+    @property
+    def interior_count(self) -> int:
+        return self.vertex_count - len(self.boundary)
 
 
 @dataclass(frozen=True)
 class GenusSurface:
     """The non-disc piece of a decomposition, with its boundary cycles and
-    the closed surface obtained by capping them."""
+    the closed surface obtained by capping them.  Capping a cycle with a
+    disc keeps orientability and adds 1 to chi, so the capped class comes
+    from the piece's own orientability, chi and number of holes.
+    ``from_triangles`` does not check that its input is a connected
+    surface."""
 
     triangles: Code
     boundary: tuple[tuple[int, ...], ...]
@@ -139,11 +121,7 @@ class GenusSurface:
     def from_triangles(cls, triangles: Iterable[Triangle]) -> "GenusSurface":
         tris = normalize_triangles(triangles)
         cycles = tuple(tuple(c) for c in boundary_cycles(tris))
-        t = Triangulation(tris)
-        if len(tris) == 1:
-            capped = SPHERE
-        else:
-            capped = classify(cap_boundary(t))
+        capped = surface_class(Triangulation(tris), len(cycles))
         return cls(triangles=tris, boundary=cycles, capped_class=capped)
 
     @property
@@ -216,133 +194,49 @@ class CountsTable:
 # Step 1: triangulated discs
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartialDisc:
-    """A disc under construction: triangle set, boundary cycle in order,
-    and the tally of gluing types applied so far."""
-
-    triangles: frozenset
-    boundary: tuple[int, ...]
-    tally: GluingTally
-
-    @property
-    def vertex_count(self) -> int:
-        return max(v for t in self.triangles for v in t)
-
-
-def closed_star_disc(valence: int) -> PartialDisc:
-    """The closed star of an interior vertex of the given valence: the
-    starting point of every main-disc construction."""
-    if valence < 3:
-        raise ValueError("an interior vertex has valence at least 3")
-    hub = 1
-    rim = list(range(2, valence + 2))
-    tris = {tuple(sorted((hub, rim[i], rim[(i + 1) % valence])))
-            for i in range(valence)}
-    return PartialDisc(frozenset(tris), tuple(rim), GluingTally(0, 0))
-
-
-def grow_main_disc_step(
-    d: PartialDisc,
-    edge: Edge,
-    third: int | None,
-) -> PartialDisc:
-    """Glue one triangle along a boundary edge of ``d``.
-
-    ``third`` is None for a one-edge gluing with a fresh vertex (type I) or
-    a boundary vertex adjacent along the boundary for a two-edge gluing
-    closing that corner (type II).  A type II step that would finish an
-    interior vertex with valence three is rejected.
-    """
-    a, b = edge
-    bnd = d.boundary
-    n = len(bnd)
-    try:
-        i = bnd.index(a)
-    except ValueError:
-        raise GluingError(f"vertex {a} not on the boundary") from None
-    if bnd[(i + 1) % n] == b:
-        pass
-    elif bnd[(i - 1) % n] == b:
-        a, b = b, a
-        i = (i - 1) % n
-    else:
-        raise GluingError(f"edge {edge} not on the boundary")
-    vals = valences(d.triangles)
-
-    if third is None:
-        w = d.vertex_count + 1
-        tris = set(d.triangles)
-        tris.add(tuple(sorted((a, b, w))))
-        boundary = bnd[: i + 1] + (w,) + bnd[i + 1:]
-        tally = GluingTally(d.tally.type_i + 1, d.tally.type_ii)
-        return PartialDisc(frozenset(tris), boundary, tally)
-
-    # two-edge gluing: the corner at ``third`` is filled, making it interior
-    if n <= 3:
-        raise GluingError("closing a corner of a 3-cycle boundary would close the disc")
-    if third == bnd[(i + 2) % n]:
-        corner = b
-        other = third
-    elif third == bnd[(i - 1) % n]:
-        corner = a
-        other = third
-    else:
-        raise GluingError(
-            f"vertex {third} is not adjacent to edge {edge} along the boundary")
-    far = tuple(sorted((a if corner == b else b, other)))
-    new_tri = tuple(sorted((a, b, other)))
-    edge_map = edge_triangles(d.triangles)
-    if far in edge_map:
-        raise DuplicateEdgeError(f"edge {far} already present")
-    if vals[corner] + 1 < 4:
-        raise GluingError(
-            f"corner {corner} would become a 3-valent interior vertex")
-    tris = set(d.triangles)
-    tris.add(new_tri)
-    j = bnd.index(corner)
-    boundary = bnd[:j] + bnd[j + 1:]
-    tally = GluingTally(d.tally.type_i, d.tally.type_ii + 1)
-    return PartialDisc(frozenset(tris), boundary, tally)
-
-
-def _disc_children(d: PartialDisc, m: float, max_vertices: int) -> list[PartialDisc]:
-    """One-triangle extensions of ``d`` that keep boundary valences at most
-    m-1 and make no interior vertex of valence outside [4, m]."""
-    vals = valences(d.triangles)
-    room = d.vertex_count < max_vertices
-    bnd = d.boundary
+def _disc_children(tris: frozenset, bnd: tuple[int, ...], m: float,
+                   max_vertices: int) -> list[tuple[frozenset, tuple[int, ...]]]:
+    """One-triangle extensions of the disc ``tris`` with boundary cycle
+    ``bnd`` that keep boundary valences at most m-1 and make no interior
+    vertex of valence outside [4, m]: a fresh vertex on a boundary edge, or
+    a closed corner that becomes interior with a new far edge."""
+    vals = valences(tris)
+    n_v = len(vals)  # labels are 1..n_v
+    edges = edge_triangles(tris)
     n = len(bnd)
     out = []
     for i in range(n):
         a, b, c = bnd[i], bnd[(i + 1) % n], bnd[(i + 2) % n]
-        # type I: both endpoints stay on the boundary
-        if room and vals[a] + 1 <= m - 1 and vals[b] + 1 <= m - 1:
-            out.append(grow_main_disc_step(d, (a, b), None))
-        # type II closing the corner at b (valence >= 4 is checked by the step)
-        if n > 3 and vals[b] + 1 <= m and vals[a] + 1 <= m - 1 and vals[c] + 1 <= m - 1:
-            try:
-                out.append(grow_main_disc_step(d, (a, b), c))
-            except GluingError:
-                pass
+        # a fresh vertex on the edge (a, b): both endpoints stay on the boundary
+        if n_v < max_vertices and vals[a] + 1 <= m - 1 and vals[b] + 1 <= m - 1:
+            w = n_v + 1
+            out.append((tris | {tuple(sorted((a, b, w)))},
+                        bnd[:i + 1] + (w,) + bnd[i + 1:]))
+        # close the corner at b with the triangle (a, b, c): b becomes
+        # interior and (a, c) a boundary edge, which must be new; closing a
+        # corner of a 3-cycle boundary would close the disc
+        if (n > 3 and 4 <= vals[b] + 1 <= m and vals[a] + 1 <= m - 1
+                and vals[c] + 1 <= m - 1 and tuple(sorted((a, c))) not in edges):
+            j = (i + 1) % n
+            out.append((tris | {tuple(sorted((a, b, c)))}, bnd[:j] + bnd[j + 1:]))
     return out
 
 
-def _grow_discs(start: PartialDisc, m: float,
-                max_vertices: int) -> dict[Code, GluingTally]:
-    """Canonical codes of every disc grown from ``start``, in discovery
-    order, with the tally of the first growth reaching each."""
+def _grow_discs(tris: frozenset, bnd: tuple[int, ...], m: float,
+                max_vertices: int) -> list[Disc]:
+    """Every disc grown from the disc ``tris`` with boundary ``bnd``, one
+    canonical copy per isomorphism class, in discovery order."""
     seen = set()
-    found: dict[Code, GluingTally] = {}
-    stack = [start]
+    found = []
+    stack = [(tris, bnd)]
     while stack:
-        d = stack.pop()
-        key = flag_key(d.triangles)
+        tris, bnd = stack.pop()
+        key = flag_key(tris)
         if key in seen:
             continue
         seen.add(key)
-        found[minimal_code(d.triangles)] = d.tally
-        stack.extend(_disc_children(d, m, max_vertices))
+        found.append(Disc.from_triangles(minimal_code(tris)))
+        stack.extend(_disc_children(tris, bnd, m, max_vertices))
     return found
 
 
@@ -352,21 +246,21 @@ def enumerate_main_discs(max_interior_valence: int,
     vertex of the given valence, interior valences in [4, m] (except the
     bare 3-star), boundary valences at most m-1."""
     m = max_interior_valence
-    start = closed_star_disc(m)
+    # the closed star of the hub 1 with rim 2 .. m+1
+    rim = tuple(range(2, m + 2))
+    star = frozenset(tuple(sorted((1, rim[i - 1], rim[i]))) for i in range(m))
     if m == 3:
         # the bare star: the only disc whose interior vertex is 3-valent
         # ever needed (it closes up to the boundary of the tetrahedron)
-        return [Disc.from_triangles(start.triangles, start.tally)]
-    return [Disc.from_triangles(code, tally)
-            for code, tally in _grow_discs(start, m, max_vertices).items()]
+        return [Disc.from_triangles(star)]
+    return _grow_discs(star, rim, m, max_vertices)
 
 
 def enumerate_discs(cfg: SearchConfig) -> set[Disc]:
     """All triangulated discs with at most the configured number of
     vertices and no 3-valent interior vertex, up to isomorphism."""
-    start = PartialDisc(frozenset({(1, 2, 3)}), (1, 2, 3), GluingTally(0, 0))
-    return {Disc.from_triangles(code)
-            for code in _grow_discs(start, math.inf, cfg.max_vertices)}
+    return set(_grow_discs(frozenset({(1, 2, 3)}), (1, 2, 3), math.inf,
+                           cfg.max_vertices))
 
 
 # --------------------------------------------------------------------------
@@ -392,21 +286,20 @@ def main_disc_boundary_lower_bound(
 def genus_surface_admissible(g: GenusSurface | Triangulation,
                              cfg: SearchConfig) -> bool:
     """Necessary conditions for a candidate to be the genus-surface of a
-    minimal decomposition of a root within the configured vertex budget."""
+    minimal decomposition of a root within the configured vertex budget,
+    and of the configured surface if there is one."""
     if isinstance(g, Triangulation):
+        if not validate(g).is_surface:
+            raise ValueError("genus_surface_admissible needs a surface")
         g = GenusSurface.from_triangles(g.triangles)
     if not g.boundary:
+        return False
+    if cfg.surface is not None and g.capped_class != cfg.surface:
         return False
     if g.capped_class == SPHERE:
         # the only planar genus-surface of a minimal decomposition
         return len(g.triangles) == 1
-    return _shape_admissible(g.triangles, g.boundary, cfg)
-
-
-def _shape_admissible(tris: Sequence[Triangle],
-                      comps: Sequence[Sequence[int]], cfg: SearchConfig) -> bool:
-    """The checks of :func:`genus_surface_admissible` that need no surface
-    class: ``comps`` are the (non-empty) boundary cycles of ``tris``."""
+    tris, comps = g.triangles, g.boundary
     n_budget = cfg.max_vertices
     n_verts = max(v for t in tris for v in t)
     bverts = {v for c in comps for v in c}
@@ -541,9 +434,9 @@ class _GenusSurfaceSearch:
     keep the opposite vertex of a frozen edge on the boundary, and in the
     specialized mode limit the closed cycles of frozen edges.
     ``_dead_end`` rejects a child that breaks a leaf condition of
-    :func:`_shape_admissible` for good (rules R1-R3).  The leaves get the
-    rest in ``emit``: the valence floors, the main-disc host bound and the
-    capped surface class.
+    :func:`genus_surface_admissible` for good (rules R1-R3).  The leaves get
+    the rest in ``emit``: the valence floors, the main-disc host bound and
+    the capped surface class.
     """
 
     def __init__(self, cfg: SearchConfig, max_surface_vertices: int | None = None):
@@ -690,7 +583,7 @@ class _GenusSurfaceSearch:
     @staticmethod
     def _dead_end(changes, opposite, split: bool) -> str | None:
         """The rule by which no leaf below a child passes
-        :func:`_shape_admissible` (the one-triangle candidate aside, which
+        :func:`genus_surface_admissible` (the one-triangle candidate aside, which
         ``run`` emits directly), or None.  ``changes`` holds, for each
         vertex v the child changes, (v, valence, link shape, closed) after
         the change, where closed means that one link path joins the far ends
@@ -714,30 +607,13 @@ class _GenusSurfaceSearch:
         return None
 
     def emit(self, tris: frozenset) -> None:
-        # a state is edge-connected with circle or path links, so it is a
-        # surface with boundary exactly when it has boundary edges and no
-        # vertex on more than two of them (a link of several paths)
-        comps = boundary_cycles(tris)
-        if not comps:
-            return
-        if len(tris) == 1:
-            capped = SPHERE  # the only planar genus-surface admitted
-        else:
-            # the class-free checks first: a planar candidate is rejected
-            # whether or not it passes them
-            if not _shape_admissible(tris, comps, self.cfg):
-                return
-            capped = classify(cap_boundary(Triangulation(tris)))
-            if capped == SPHERE:
-                return
-        if self.cfg.surface is not None and capped != self.cfg.surface:
-            return
-        code = minimal_code(tris)
-        if code not in self.emitted:
-            # boundary and class of the isomorphic canonical copy
-            cycles = tuple(tuple(c) for c in boundary_cycles(code))
-            self.emitted[code] = GenusSurface(triangles=code, boundary=cycles,
-                                              capped_class=capped)
+        # a state is edge-connected with circle or path links, and no leaf
+        # has a vertex on three frozen edges, so a leaf with boundary edges
+        # is a surface with boundary
+        if genus_surface_admissible(GenusSurface.from_triangles(tris), self.cfg):
+            code = minimal_code(tris)
+            if code not in self.emitted:
+                self.emitted[code] = GenusSurface.from_triangles(code)
 
 
 def enumerate_genus_surfaces(
@@ -878,7 +754,7 @@ def _roots_from_genus_surface(
                             t = Triangulation(glued)
                             if validate(t).kind is not SurfaceKind.CLOSED_SURFACE:
                                 continue
-                            cls = classify(t)
+                            cls = surface_class(t)
                             if cls != g.capped_class:
                                 raise AssertionError(
                                     "glued surface class differs from capped genus-surface")

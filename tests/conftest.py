@@ -5,7 +5,8 @@ import pytest
 
 from surfenum.canon import minimal_code
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import (Edge, SurfaceKind, Triangle, Triangulation,
+from surfenum.core import (Edge, SurfaceClass, SurfaceKind, Triangle,
+                           Triangulation, boundary_cycles, classify,
                            edge_triangles, validate)
 from surfenum.listing import Disc, GenusSurface, GluingError, _glue_raw
 from surfenum.moves import MoveError, _require_closed
@@ -80,6 +81,19 @@ def mixed_lex_compare(a: Sequence[Triangle], b: Sequence[Triangle]) -> int:
     if ta == tb:
         return 0
     return -1 if ta < tb else 1
+
+
+def cone_and_classify(tris) -> SurfaceClass:
+    """The class of a surface with boundary capped by coning each boundary
+    cycle to a fresh vertex: the reference for ``core.surface_class``."""
+    t = Triangulation(tris)
+    assert validate(t).kind is SurfaceKind.SURFACE_WITH_BOUNDARY
+    capped = list(t.triangles)
+    apex = t.vertex_count
+    for cycle in boundary_cycles(t.triangles):
+        apex += 1
+        capped += [(cycle[i - 1], cycle[i], apex) for i in range(len(cycle))]
+    return classify(Triangulation(capped))
 
 
 class NotASurfaceError(GluingError):

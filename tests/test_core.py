@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import relabel
+from conftest import cone_and_classify, relabel
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     KLEIN_BOTTLE,
@@ -12,16 +12,15 @@ from surfenum.core import (
     SurfaceClass,
     SurfaceKind,
     Triangulation,
-    boundary_components,
-    cap_boundary,
+    boundary_cycles,
     classify,
     closed_cycles,
     degrees,
     euler_characteristic,
     heawood_min_vertices,
+    surface_class,
     valences,
     validate,
-    vertex_stats,
 )
 
 
@@ -68,6 +67,21 @@ class TestValidate:
         assert report.kind is SurfaceKind.NOT_A_SURFACE
         assert 1 in report.offending_vertices
 
+    def test_tetrahedra_sharing_a_vertex(self):
+        # two closed pieces joined at vertex 1, whose link is two circles
+        t = Triangulation([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+                           (1, 5, 6), (1, 5, 7), (1, 6, 7), (5, 6, 7)])
+        report = validate(t)
+        assert report.kind is SurfaceKind.NOT_A_SURFACE
+        assert report.offending_vertices == (1,)
+
+    def test_disjoint_tetrahedra(self):
+        t = Triangulation([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+                           (5, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8)])
+        report = validate(t)
+        assert report.kind is SurfaceKind.NOT_A_SURFACE
+        assert report.offending_vertices == ()
+
 
 class TestClassification:
     def test_euler_characteristics(self, tetra, octa, rp2_six, mobius):
@@ -111,39 +125,46 @@ class TestHeawood:
 
 class TestBoundary:
     def test_mobius_boundary(self, mobius):
-        comps = boundary_components(mobius)
+        comps = boundary_cycles(mobius.triangles)
         assert len(comps) == 1
         assert len(comps[0]) == 5
 
     def test_annulus_boundary(self, annulus):
-        comps = boundary_components(annulus)
+        comps = boundary_cycles(annulus.triangles)
         assert sorted(len(c) for c in comps) == [4, 5]
 
+    # the capped class from chi and the number of holes, against coning
     def test_cap_mobius_gives_projective_plane(self, mobius):
-        capped = cap_boundary(mobius)
-        assert classify(capped) == PROJECTIVE_PLANE
+        assert surface_class(mobius, 1) == cone_and_classify(mobius.triangles)
+        assert surface_class(mobius, 1) == PROJECTIVE_PLANE
 
     def test_cap_annulus_gives_sphere(self, annulus):
-        capped = cap_boundary(annulus)
-        assert classify(capped) == SPHERE
+        assert surface_class(annulus, 2) == cone_and_classify(annulus.triangles)
+        assert surface_class(annulus, 2) == SPHERE
+
+    def test_cap_triangle_gives_sphere(self):
+        t = Triangulation([(1, 2, 3)])
+        assert surface_class(t, 1) == cone_and_classify(t.triangles) == SPHERE
 
     def test_closed_surface_has_no_boundary(self, octa):
-        assert boundary_components(octa) == []
+        assert boundary_cycles(octa.triangles) == []
 
 
 class TestVertexStats:
     def test_octahedron(self, octa):
-        stats = vertex_stats(octa)
-        assert stats.max_valence == 4
-        assert stats.max_degree == 4
-        assert all(info.valence == 4 and info.interior
-                   for info in stats.per_vertex.values())
+        tris = octa.triangles
+        assert max(valences(tris).values()) == 4
+        assert max(degrees(tris).values()) == 4
+        # every vertex has valence 4 and is interior
+        assert set(valences(tris).values()) == {4}
+        assert boundary_cycles(tris) == []
 
     def test_mobius(self, mobius):
-        stats = vertex_stats(mobius)
-        assert stats.max_valence == 3
-        assert stats.max_degree == 4
-        assert not any(info.interior for info in stats.per_vertex.values())
+        tris = mobius.triangles
+        assert max(valences(tris).values()) == 3
+        assert max(degrees(tris).values()) == 4
+        # no vertex is interior
+        assert {v for c in boundary_cycles(tris) for v in c} == set(mobius.vertices())
 
     def test_euler_formula_on_closed_surfaces(self):
         # E = 3V - 3*chi and T = 2V - 2*chi on every closed fixture

@@ -1,5 +1,6 @@
 """Import hygiene: no linter runs on the package, so this is the guard
-against module-level imports that nothing uses."""
+against module-level imports that nothing uses and module-level functions
+and classes that nothing in the package uses."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,41 @@ def test_no_unused_module_level_import(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+# module-level names that only tests use, each with the test that uses it
+TEST_ONLY_NAMES = {
+    "canonical_witness": "test_canon.py::TestWitness::test_witness_realizes_canonical_form",
+    "heawood_min_vertices": "test_core.py::TestHeawood::test_known_minima",
+    "inverse_t_move": "test_moves.py::TestTMove::test_round_trip",
+    "is_isomorphic": "test_canon.py::TestIsomorphism::test_relabelings_are_isomorphic",
+    "t_move": "test_moves.py::TestTMove::test_five_vertex_sphere",
+    "validate_decomposition":
+        "test_listing.py::TestValidateDecomposition::test_octahedron_sphere_decomposition",
+}
+
+
+def test_every_module_level_name_is_used():
+    trees = [ast.parse(p.read_text()) for p in PACKAGE_DIR.glob("*.py")]
+    used = set()
+    exported = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                exported.update(ast.literal_eval(node.value))
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(defined - used - exported) == sorted(TEST_ONLY_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ONLY_NAMES))
+def test_test_only_names_are_used_by_their_tests(name):
+    path, _cls, test = TEST_ONLY_NAMES[name].split("::")
+    text = (Path(__file__).resolve().parent / path).read_text()
+    body = text[text.index(f"def {test}("):].split("\n    def ", 1)[0]
+    assert f"{name}(" in body

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import glue_disc, state_key
+from conftest import cone_and_classify, glue_disc, state_key
 from surfenum.canon import flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
@@ -14,6 +14,7 @@ from surfenum.core import (
     Triangulation,
     boundary_cycles,
     classify,
+    valences,
     validate,
 )
 from surfenum.listing import (
@@ -23,10 +24,9 @@ from surfenum.listing import (
     Disc,
     GenusSurface,
     GluingError,
-    GluingTally,
     SearchConfig,
+    _disc_children,
     _GenusSurfaceSearch,
-    closed_star_disc,
     enumerate_all,
     enumerate_discs,
     enumerate_genus_surfaces,
@@ -34,7 +34,6 @@ from surfenum.listing import (
     enumerate_nonroots,
     enumerate_roots,
     genus_surface_admissible,
-    grow_main_disc_step,
     main_disc_boundary_lower_bound,
     validate_decomposition,
 )
@@ -52,46 +51,80 @@ class TestSearchConfig:
             SearchConfig(max_vertices=12, specialized=True)
 
 
+def closed_star(k: int) -> frozenset:
+    """The closed star of the hub 1 with rim 2 .. k+1."""
+    rim = range(2, k + 2)
+    return frozenset(tuple(sorted((1, rim[i - 1], rim[i]))) for i in range(k))
+
+
 class TestMainDiscGrowth:
     def test_closed_star(self):
-        d = closed_star_disc(5)
-        assert len(d.triangles) == 5
-        assert d.boundary == (2, 3, 4, 5, 6)
-        assert d.tally == GluingTally(0, 0)
+        # no room for a fresh vertex, and no corner of the bare star closes
+        [d] = enumerate_main_discs(5, 6)
+        assert d.triangles == minimal_code(closed_star(5))
+        assert len(d.triangles) == len(d.boundary) == 5
+        assert d.interior_count == 1
 
     def test_one_edge_gluing_adds_boundary_vertex(self):
-        d = closed_star_disc(5)
-        grown = grow_main_disc_step(d, (2, 3), None)
-        assert grown.boundary == (2, 7, 3, 4, 5, 6)
-        assert grown.tally == GluingTally(1, 0)
+        children = _disc_children(closed_star(5), (2, 3, 4, 5, 6), 8, 9)
+        assert (closed_star(5) | {(2, 3, 7)}, (2, 7, 3, 4, 5, 6)) in children
 
     def test_two_edge_gluing_closes_a_corner(self):
-        d = closed_star_disc(5)
-        d = grow_main_disc_step(d, (2, 3), None)  # corner 7 between 2 and 3
-        d = grow_main_disc_step(d, (3, 4), None)
-        grown = grow_main_disc_step(d, (7, 3), 8)  # close the corner at 3
-        assert 3 not in grown.boundary
-        assert grown.tally == GluingTally(2, 1)
+        # fresh vertices 7 on (2, 3) and 8 on (3, 4), then close the corner at 3
+        tris, bnd = closed_star(5), (2, 3, 4, 5, 6)
+        for grown in ({(2, 3, 7)}, {(3, 4, 8)}):
+            [(tris, bnd)] = [c for c in _disc_children(tris, bnd, 8, 9)
+                             if c[0] == tris | grown]
+        assert bnd == (2, 7, 3, 8, 4, 5, 6)
+        assert (tris | {(3, 7, 8)}, (2, 7, 8, 4, 5, 6)) in _disc_children(tris, bnd, 8, 9)
 
     def test_corner_close_on_fresh_star_is_rejected(self):
-        # the very first step can never be a two-edge gluing: the corner
-        # would become a 3-valent interior vertex
-        d = closed_star_disc(5)
-        with pytest.raises(GluingError):
-            grow_main_disc_step(d, (2, 3), 4)
-
-    def test_tally_tracks_boundary_and_interior(self):
-        # V(boundary) = m + n_I - n_II and V(interior) = 1 + n_II
-        for m in (5, 6):
-            for disc in enumerate_main_discs(m, 8):
-                tally = disc.tally
-                assert len(disc.boundary) == m + tally.type_i - tally.type_ii
-                assert disc.interior_count == 1 + tally.type_ii
+        # the very first step can never close a corner: the corner would
+        # become a 3-valent interior vertex
+        children = _disc_children(closed_star(5), (2, 3, 4, 5, 6), 8, 9)
+        assert len(children) == 5
+        assert all(len(bnd) == 6 and 7 in bnd for _tris, bnd in children)
 
     def test_main_discs_have_no_small_interior_valence(self):
         for disc in enumerate_main_discs(5, 8):
-            assert disc.no_interior_three_valent
-            assert disc.max_interior_valence <= 5
+            for v, k in valences(disc.triangles).items():
+                if v in disc.boundary:
+                    assert k <= 4
+                else:
+                    assert 4 <= k <= 5
+
+
+def disc_digest(discs) -> str:
+    """sha256 of the sorted (triangles, boundary, interior count) of discs."""
+    rows = sorted((d.triangles, d.boundary, d.interior_count) for d in discs)
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# disc_digest of enumerate_main_discs(m, 9) and of enumerate_discs at V=7,
+# from the discs grown with a tally of gluing types
+MAIN_DISC_SHA256 = {
+    3: "ad1ea8ecd5e014d70cb645380b6bab73b4bf2d8b557445e06b2e3e599d059d62",
+    4: "2ffbb98a4bc77dfd884877234211bbd88e7fd4ec11915f18acbe2519d8e53f36",
+    5: "308b03066e1906c79f2d2686b7aeb5a937bf45f66c357f0d70d5c3d0bc4ce95e",
+    6: "cf6219fb5d23831e1002d3e0a5a2d7592be3c7fad678b7b0f99409bfcab3f048",
+    7: "6e523e7090cd1a098d757c3a3919e4ff04f63f76b5070f1a74caa89d7e13f11a",
+    8: "7607231b2197ea2f2cdda88e410da7a485d013f148aa028e08f4e61ccf5045cf",
+}
+DISC_SHA256_V7 = "6322e3e76ad8c8341da177b12161798372efa13fcf254a3c49ef2aa3c86d87aa"
+
+
+class TestDiscsPinned:
+    @pytest.mark.parametrize("m, count", [(3, 1), (4, 5), (5, 71), (6, 64),
+                                          (7, 14), (8, 1)])
+    def test_main_discs_are_pinned(self, m, count):
+        discs = enumerate_main_discs(m, 9)
+        assert len(discs) == count
+        assert disc_digest(discs) == MAIN_DISC_SHA256[m]
+
+    def test_discs_are_pinned(self):
+        discs = enumerate_discs(SearchConfig(max_vertices=7))
+        assert len(discs) == 27
+        assert disc_digest(discs) == DISC_SHA256_V7
 
 
 def brute_force_discs(max_vertices: int) -> set:
@@ -152,6 +185,13 @@ class TestAdmissibility:
         t = Triangulation([(1, 2, 3), (1, 3, 4)])
         assert not genus_surface_admissible(t, SearchConfig(max_vertices=7))
 
+    def test_non_surface_is_refused(self):
+        # two tetrahedra joined at vertex 1
+        t = Triangulation([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+                           (1, 5, 6), (1, 5, 7), (1, 6, 7), (5, 6, 7)])
+        with pytest.raises(ValueError):
+            genus_surface_admissible(t, SearchConfig(max_vertices=9))
+
     def test_mobius_needs_enough_budget(self, mobius):
         # all five vertices are boundary with valence 3 <= N - 3 forces N >= 6
         assert not genus_surface_admissible(mobius, SearchConfig(max_vertices=5))
@@ -184,7 +224,7 @@ class TestGenusSurfaces:
 class TestGluing:
     def test_mobius_plus_star_gives_projective_plane(self, mobius, rp2_six):
         g = GenusSurface.from_triangles(mobius.triangles)
-        star = Disc.from_triangles(closed_star_disc(5).triangles)
+        star = Disc.from_triangles(closed_star(5))
         results = set()
         for reflect in (False, True):
             for offset in range(5):
@@ -197,13 +237,13 @@ class TestGluing:
 
     def test_boundary_length_mismatch(self, mobius):
         g = GenusSurface.from_triangles(mobius.triangles)
-        star4 = Disc.from_triangles(closed_star_disc(4).triangles)
+        star4 = Disc.from_triangles(closed_star(4))
         with pytest.raises(BoundaryLengthMismatchError):
             glue_disc(g, g.boundary[0], star4, 0, False)
 
     def test_unknown_cycle_rejected(self, mobius):
         g = GenusSurface.from_triangles(mobius.triangles)
-        star = Disc.from_triangles(closed_star_disc(5).triangles)
+        star = Disc.from_triangles(closed_star(5))
         with pytest.raises(GluingError):
             glue_disc(g, (1, 2, 3, 4, 5), star, 0, False)
 
@@ -230,19 +270,51 @@ class TestGluingChecks:
     def test_each_glued_class_is_validated_once(self, monkeypatch, specialized):
         import sys
 
-        from surfenum import listing
+        from surfenum import core, listing
 
-        calls = Counter()
-        real = listing.validate
+        calls = 0
+        real = core.validate
 
         def counting(t):
-            calls[sys._getframe(1).f_code.co_name] += 1
+            # count the calls made below the gluing, in classify too
+            nonlocal calls
+            frame = sys._getframe(1)
+            while frame and frame.f_code.co_name != "_roots_from_genus_surface":
+                frame = frame.f_back
+            calls += frame is not None
             return real(t)
 
         monkeypatch.setattr(listing, "validate", counting)
+        monkeypatch.setattr(core, "validate", counting)
         enumerate_roots(SearchConfig(max_vertices=8, specialized=specialized))
-        # one call per flag-key class that passes the valence test
-        assert 0 < calls["_roots_from_genus_surface"] <= 40
+        # one call per flag-key class that passes the valence test; 78 when
+        # classify validated each of them once more
+        assert 0 < calls <= 40
+
+    def test_enumerate_all_validate_calls(self, monkeypatch):
+        calls = 0
+        real = validate
+
+        def counting(t):
+            nonlocal calls
+            calls += 1
+            return real(t)
+
+        for mod in _package_modules_holding(real):
+            monkeypatch.setattr(mod, "validate", counting)
+        enumerate_all(SearchConfig(max_vertices=8))
+        # 39 in the gluing and 7 roots checked in the non-roots; 133 when
+        # each capped genus-surface was built and validated twice
+        assert 0 < calls <= 46
+
+
+def _package_modules_holding(obj) -> list:
+    """Every loaded package module with a global bound to ``obj``."""
+    import sys
+
+    return [m for name, m in list(sys.modules.items())
+            if name.split(".")[0] == "surfenum"
+            and any(v is obj for v in vars(m).values())]
 
 
 class TestRootsAndNonRoots:
@@ -467,32 +539,44 @@ class TestGenusSearchShortcuts:
         assert set(verdicts) == {"bad", "circle", "interval", "paths"}
 
     @pytest.mark.parametrize("specialized", [True, False])
-    def test_only_shape_admissible_leaves_are_classified(self, monkeypatch,
-                                                         specialized):
+    def test_search_makes_no_validate_call(self, monkeypatch, specialized):
         from surfenum import listing
 
         calls = []
-        real = listing.classify
+        real = validate
 
         def counting(t):
             calls.append(t)
             return real(t)
 
-        monkeypatch.setattr(listing, "classify", counting)
+        for mod in _package_modules_holding(real):
+            monkeypatch.setattr(mod, "validate", counting)
+        leaves = []
+        real_emit = listing._GenusSurfaceSearch.emit
+
+        def recording(search, tris):
+            leaves.append(tris)
+            return real_emit(search, tris)
+
+        monkeypatch.setattr(listing._GenusSurfaceSearch, "emit", recording)
         search = _GenusSurfaceSearch(
             SearchConfig(max_vertices=8, specialized=specialized)).run()
         assert len(search.emitted) == 25
-        # one per non-planar candidate; 145 when every leaf was classified
-        # before the shape checks and each emitted code once more
-        assert 0 < len(calls) <= 24
+        # 48 when each capped class came from a validated capped copy
+        assert calls == []
+        # every leaf is a surface with boundary, which the capped class needs
+        assert len(leaves) == 25
+        for tris in leaves:
+            assert real(Triangulation(tris)).kind is SurfaceKind.SURFACE_WITH_BOUNDARY
 
-    @pytest.mark.parametrize("v", [7, 8])
+    @pytest.mark.parametrize("v", [5, 6, 7, 8])
     @pytest.mark.parametrize("specialized", [True, False])
     def test_emitted_genus_surfaces_match_from_triangles(self, v, specialized):
         search = _GenusSurfaceSearch(
             SearchConfig(max_vertices=v, specialized=specialized)).run()
         for code, g in search.emitted.items():
             assert g == GenusSurface.from_triangles(code)
+            assert g.capped_class == cone_and_classify(code)
 
 
 def emitted_digest(emitted) -> str:

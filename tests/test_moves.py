@@ -5,7 +5,7 @@ import pytest
 from conftest import edge_expand_4valent, relabel
 from surfenum.canon import is_isomorphic, minimal_code
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import SPHERE, Triangulation, classify, vertex_stats
+from surfenum.core import SPHERE, Triangulation, classify, valences
 from surfenum.moves import (
     LinkBoundsTriangleError,
     MoveError,
@@ -25,7 +25,7 @@ class TestTMove:
         assert t.triangles == tuple(sorted([
             (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5)
         ]))
-        assert vertex_stats(t).per_vertex[5].valence == 3
+        assert valences(t.triangles)[5] == 3
 
     def test_preserves_class(self, rp2_six):
         for tri in rp2_six.triangles:
@@ -134,7 +134,7 @@ class TestEdgeExpansion:
                 assert grown.vertex_count == base.vertex_count + 1
                 assert classify(grown) == classify(base)
                 assert is_root(grown)
-                assert vertex_stats(grown).per_vertex[grown.vertex_count].valence == 4
+                assert valences(grown.triangles)[grown.vertex_count] == 4
 
     def test_tetrahedron_expansion(self, tetra):
         # the tetrahedron is a root only by exception; its expansion keeps
