@@ -81,6 +81,15 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _manifest_config(cfg: SearchConfig) -> dict:
+    """The part of ``cfg`` that a manifest records and a rerun must match."""
+    return {
+        "max_vertices": cfg.max_vertices,
+        "specialized": cfg.specialized,
+        "surface": cfg.surface.name if cfg.surface else None,
+    }
+
+
 def write_results(
     out_dir: Path,
     cfg: SearchConfig,
@@ -97,11 +106,7 @@ def write_results(
         (out_dir / name).write_text(text)
         shards[name] = {"count": len(lines), "sha256": _sha256(text)}
     manifest = {
-        "config": {
-            "max_vertices": cfg.max_vertices,
-            "specialized": cfg.specialized,
-            "surface": cfg.surface.name if cfg.surface else None,
-        },
+        "config": _manifest_config(cfg),
         "shards": shards,
         "wall_time_seconds": round(elapsed, 3),
     }
@@ -118,12 +123,7 @@ def results_complete(out_dir: Path, cfg: SearchConfig) -> bool:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError:
         return False
-    want = {
-        "max_vertices": cfg.max_vertices,
-        "specialized": cfg.specialized,
-        "surface": cfg.surface.name if cfg.surface else None,
-    }
-    if manifest.get("config") != want:
+    if manifest.get("config") != _manifest_config(cfg):
         return False
     for name, info in manifest.get("shards", {}).items():
         path = out_dir / name

@@ -12,8 +12,11 @@ decompositions: a partial candidate is dropped as soon as it breaks one that
 no later triangle or frozen boundary edge can repair (valence caps, the
 opposite vertex of a boundary edge on the boundary, one boundary path per
 boundary vertex, adjacent triangles on one boundary component), and each
-finished candidate is checked in full.  Gluing the discs back in all
-possible ways recovers every root, and repeated vertex-adding moves recover
+finished candidate is checked in full.  Gluing the discs back recovers every
+root: an extra disc goes on each boundary cycle but the host one, then a
+main disc on the host cycle, in every rotation and direction that adds no
+triangle or edge already there; the root's vertex count is the glued base's
+plus the main disc's interior count.  Repeated vertex-adding moves recover
 the non-roots.
 """
 
@@ -47,18 +50,6 @@ from .moves import _cone, is_root
 TETRAHEDRON: Code = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 
-class GluingError(ValueError):
-    pass
-
-
-class BoundaryLengthMismatchError(GluingError):
-    pass
-
-
-class DuplicateEdgeError(GluingError):
-    pass
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Search bounds: vertex budget, the at-most-11 specialization, an
@@ -78,6 +69,18 @@ class SearchConfig:
             raise ValueError("the specialization is only valid up to 11 vertices")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+
+
+def _host_splits(comps: Sequence[Sequence[int]], cfg: SearchConfig) -> list:
+    """(host cycle, other cycles) for each boundary cycle that can take the
+    main disc while every other cycle takes an extra disc.  Up to 11
+    vertices a root needs at most one extra disc, a triangle or a square:
+    one other cycle, of length 3 or 4."""
+    splits = [(c, comps[:i] + comps[i + 1:]) for i, c in enumerate(comps)]
+    if cfg.specialized:
+        splits = [(c, others) for c, others in splits
+                  if not others or (len(others) == 1 and len(others[0]) in (3, 4))]
+    return splits
 
 
 @dataclass(frozen=True)
@@ -332,24 +335,11 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
     # no edge-adjacent triangle pair touching two different boundary comps
     if _splits_boundary(bedges, edge_map):
         return False
-    # specialization: at most two boundary components, the extra one short
-    if cfg.specialized:
-        if len(comps) > 2:
-            return False
-        if len(comps) == 2 and not any(len(c) in (3, 4) for c in comps):
-            return False
     # some component must be able to host a main disc of the required
     # minimum boundary length (checked with the weakest of the four cases)
     md = max(degrees(tris).values())
     bound = md + min(0, 2 + n_verts - n_budget)
-    if cfg.specialized and len(comps) == 2:
-        hosts = [c for c, o in ((comps[0], comps[1]), (comps[1], comps[0]))
-                 if len(o) in (3, 4)]
-    else:
-        hosts = list(comps)
-    if not any(len(c) >= bound for c in hosts):
-        return False
-    return True
+    return any(len(c) >= bound for c, _others in _host_splits(comps, cfg))
 
 
 def _link_ends(star: Iterable[Triangle],
@@ -573,10 +563,9 @@ class _GenusSurfaceSearch:
         if w not in bverts:
             return False
         if self.cfg.specialized:
+            # the closed cycles so far are final boundary components
             cycles = closed_cycles(frozen | {e})
-            if cycles is None or len(cycles) > 2:
-                return False
-            if len(cycles) == 2 and not any(len(c) in (3, 4) for c in cycles):
+            if cycles is None or (cycles and not _host_splits(cycles, self.cfg)):
                 return False
         return True
 
@@ -632,149 +621,111 @@ def enumerate_genus_surfaces(
 # Step 3: gluings
 # --------------------------------------------------------------------------
 
-def _glue_raw(
-    base: frozenset,
-    cycle: Sequence[int],
-    disc: Disc,
-    offset: int,
-    reflect: bool,
-) -> frozenset:
+def _gluings(base: frozenset, cycle: Sequence[int],
+             disc: Disc) -> Iterator[frozenset]:
+    """``base`` with ``disc`` glued onto its boundary cycle ``cycle``, for
+    each rotation and direction of the rim that adds no triangle or edge
+    ``base`` already has.  The disc's interior vertices get fresh labels
+    after ``base``'s, so only its triangles and chords with every vertex on
+    the rim can land on ``base``."""
     L = len(cycle)
     if len(disc.boundary) != L:
-        raise BoundaryLengthMismatchError(
-            f"cycle length {L} vs disc boundary length {len(disc.boundary)}")
-    if not 0 <= offset < L:
-        raise GluingError(f"offset {offset} out of range")
-    mapping: dict[int, int] = {}
-    for i, v in enumerate(disc.boundary):
-        j = (offset - i) % L if reflect else (offset + i) % L
-        mapping[v] = cycle[j]
+        raise ValueError(f"cycle length {L} vs disc boundary length {len(disc.boundary)}")
+    base_edges = set(edge_triangles(base))
+    rim = set(disc.boundary)
     fresh = max(v for t in base for v in t)
+    inner: dict[int, int] = {}
     for t in disc.triangles:
         for v in t:
-            if v not in mapping:
+            if v not in rim and v not in inner:
                 fresh += 1
-                mapping[v] = fresh
-    cycle_edges = {tuple(sorted((cycle[i], cycle[(i + 1) % L])))
-                   for i in range(L)}
-    base_edges = set(edge_triangles(base))
-    new_tris = set()
-    for t in disc.triangles:
-        mapped = tuple(sorted(mapping[v] for v in t))
-        if mapped in base:
-            raise DuplicateEdgeError(f"triangle {mapped} already present")
-        new_tris.add(mapped)
-    for e in edge_triangles(disc.triangles):
-        me = tuple(sorted((mapping[e[0]], mapping[e[1]])))
-        if me in cycle_edges:
-            continue
-        if me in base_edges:
-            raise DuplicateEdgeError(f"edge {me} already present")
-    return base | new_tris
-
-
-_EXTRA_DISCS = {
-    3: [Disc.from_triangles([(1, 2, 3)])],
-    4: [Disc.from_triangles([(1, 2, 3), (1, 3, 4)])],
-}
-
-
-def _all_gluings(base: frozenset, cycle: Sequence[int],
-                 disc: Disc) -> Iterator[frozenset]:
-    L = len(cycle)
+                inner[v] = fresh
+    rim_tris = [t for t in disc.triangles if rim.issuperset(t)]
+    chords = [e for e, ts in edge_triangles(disc.triangles).items()
+              if len(ts) == 2 and rim.issuperset(e)]
     for reflect in (False, True):
         for offset in range(L):
-            try:
-                yield _glue_raw(base, cycle, disc, offset, reflect)
-            except GluingError:
+            mapping = {v: cycle[(offset - i if reflect else offset + i) % L]
+                       for i, v in enumerate(disc.boundary)}
+            if any(tuple(sorted(mapping[v] for v in t)) in base for t in rim_tris):
                 continue
+            if any(tuple(sorted((mapping[a], mapping[b]))) in base_edges
+                   for a, b in chords):
+                continue
+            mapping.update(inner)
+            yield base | {tuple(sorted(mapping[v] for v in t)) for t in disc.triangles}
+
+
+def _index_discs(cfg: SearchConfig):
+    """The main discs, each with its hub valence m = 4 .. V-1, and the extra
+    discs, both keyed by boundary length.  Up to 11 vertices the extra
+    discs are the triangle and the square."""
+    main: dict[int, list[tuple[int, Disc]]] = {}
+    for m in range(4, cfg.max_vertices):
+        for disc in enumerate_main_discs(m, cfg.max_vertices):
+            main.setdefault(len(disc.boundary), []).append((m, disc))
+    if cfg.specialized:
+        extras = [Disc.from_triangles([(1, 2, 3)]),
+                  Disc.from_triangles([(1, 2, 3), (1, 3, 4)])]
+    else:
+        extras = enumerate_discs(cfg)
+    extra: dict[int, list[Disc]] = {}
+    for disc in extras:
+        extra.setdefault(len(disc.boundary), []).append(disc)
+    return main, extra
 
 
 def _roots_from_genus_surface(
     g: GenusSurface,
     cfg: SearchConfig,
-    discs_by_key: dict[tuple[int, int, int], list[Disc]],
+    discs: tuple[dict[int, list[tuple[int, Disc]]], dict[int, list[Disc]]],
 ) -> set[tuple[int, SurfaceClass, Code]]:
-    """All roots arising from one genus-surface, as (V, class, code)."""
-    n_budget = cfg.max_vertices
+    """All roots arising from one genus-surface, as (V, class, code): an
+    extra disc on each boundary cycle but the host, then a main disc of
+    ``discs`` (from :func:`_index_discs`) on the host cycle."""
+    main_discs, extra_discs = discs
     found: set[tuple[int, SurfaceClass, Code]] = set()
-    comps = g.boundary
     degs = degrees(g.triangles)
     md = max(degs.values())
     seen = set()  # flag keys of the gluings already checked
-    for main_idx, main_cycle in enumerate(comps):
-        others = [c for k, c in enumerate(comps) if k != main_idx]
-        if cfg.specialized:
-            if len(others) > 1 or (others and len(others[0]) not in (3, 4)):
-                continue
+    for cycle, others in _host_splits(g.boundary, cfg):
         # glue the extra discs first (cheap, and independent of the main disc)
-        bases = [frozenset(g.triangles)]
-        feasible = True
+        bases = {frozenset(g.triangles)}
         for other in others:
-            if cfg.specialized:
-                extra_options = _EXTRA_DISCS.get(len(other), [])
-            else:
-                extra_options = discs_by_key.get(("any", len(other)), [])
-            next_bases = []
-            for base in bases:
-                seen_local = set()
-                for disc in extra_options:
-                    for glued in _all_gluings(base, other, disc):
-                        if glued not in seen_local:
-                            seen_local.add(glued)
-                            next_bases.append(glued)
-            bases = next_bases
-            if not bases:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        cond_b = any(degs[v] == md for v in main_cycle)
-        max_interior = n_budget - g.vertex_count
-        for interior_count in range(1, max_interior + 1):
-            total_vertices = g.vertex_count + interior_count
-            bound = main_disc_boundary_lower_bound(
-                g, interior_count == 1, cond_b, total_vertices)
-            if len(main_cycle) < bound:
-                continue
-            for m in range(4, total_vertices):
-                for disc in discs_by_key.get((m, len(main_cycle), interior_count), []):
-                    for base in bases:
-                        for glued in _all_gluings(base, main_cycle, disc):
-                            vals = valences(glued)
-                            if min(vals.values()) < 4 or max(vals.values()) > m:
-                                continue
-                            # the disc's interior hub has valence m, so a
-                            # class fixes m; validity is a class property
-                            # too, so each class is checked once
-                            key = flag_key(glued)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            t = Triangulation(glued)
-                            if validate(t).kind is not SurfaceKind.CLOSED_SURFACE:
-                                continue
-                            cls = surface_class(t)
-                            if cls != g.capped_class:
-                                raise AssertionError(
-                                    "glued surface class differs from capped genus-surface")
-                            found.add((total_vertices, cls, minimal_code(glued)))
+            bases = {glued for base in bases for disc in extra_discs.get(len(other), ())
+                     for glued in _gluings(base, other, disc)}
+        cond_b = any(degs[v] == md for v in cycle)
+        for base in bases:
+            # the root sizes within the budget whose main-disc boundary
+            # bound the host cycle meets
+            n_base = max(v for t in base for v in t)
+            totals = {n for n in range(n_base + 1, cfg.max_vertices + 1)
+                      if len(cycle) >= main_disc_boundary_lower_bound(
+                          g, n == g.vertex_count + 1, cond_b, n)}
+            for m, disc in main_discs.get(len(cycle), ()):
+                total = n_base + disc.interior_count
+                if total not in totals:
+                    continue
+                for glued in _gluings(base, cycle, disc):
+                    vals = valences(glued)
+                    if min(vals.values()) < 4 or max(vals.values()) > m:
+                        continue
+                    # the disc's interior hub has valence m, so a class fixes
+                    # m; validity is a class property too, so each class is
+                    # checked once
+                    key = flag_key(glued)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    t = Triangulation(glued)
+                    if validate(t).kind is not SurfaceKind.CLOSED_SURFACE:
+                        continue
+                    cls = surface_class(t)
+                    if cls != g.capped_class:
+                        raise AssertionError(
+                            "glued surface class differs from capped genus-surface")
+                    found.add((total, cls, minimal_code(glued)))
     return found
-
-
-def _index_main_discs(cfg: SearchConfig) -> dict[tuple, list[Disc]]:
-    """Main discs for every interior valence m = 4 .. V-1, indexed by (m,
-    boundary length, interior vertex count); in the general mode also all
-    discs by ('any', boundary length) for the extra-disc role."""
-    index: dict[tuple, list[Disc]] = {}
-    for m in range(4, cfg.max_vertices):
-        for disc in enumerate_main_discs(m, cfg.max_vertices):
-            key = (m, len(disc.boundary), disc.interior_count)
-            index.setdefault(key, []).append(disc)
-    if not cfg.specialized:
-        for disc in enumerate_discs(cfg):
-            index.setdefault(("any", len(disc.boundary)), []).append(disc)
-    return index
 
 
 def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Code]]:
@@ -790,10 +741,10 @@ def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Cod
         add(4, SPHERE, TETRAHEDRON)
     genus_surfaces = enumerate_genus_surfaces(cfg)
     if genus_surfaces:
-        discs_by_key = _index_main_discs(cfg)
+        discs = _index_discs(cfg)
         results = _map_maybe_parallel(
             _roots_from_genus_surface_task,
-            [(g, cfg, discs_by_key) for g in genus_surfaces],
+            [(g, cfg, discs) for g in genus_surfaces],
             cfg.workers,
         )
         for batch in results:

@@ -8,7 +8,6 @@ from surfenum.cli import parse_triangulation_text
 from surfenum.core import (Edge, SurfaceClass, SurfaceKind, Triangle,
                            Triangulation, boundary_cycles, classify,
                            edge_triangles, validate)
-from surfenum.listing import Disc, GenusSurface, GluingError, _glue_raw
 from surfenum.moves import MoveError, _require_closed
 
 # well-known fixtures (compact single-digit format)
@@ -94,29 +93,6 @@ def cone_and_classify(tris) -> SurfaceClass:
         apex += 1
         capped += [(cycle[i - 1], cycle[i], apex) for i in range(len(cycle))]
     return classify(Triangulation(capped))
-
-
-class NotASurfaceError(GluingError):
-    pass
-
-
-def glue_disc(g: GenusSurface, cycle, d: Disc, offset: int,
-              reflect: bool) -> Triangulation:
-    """Identify the disc boundary with the given boundary cycle of the
-    genus-surface under the chosen rotation/reflection; the checked form
-    of the pipeline's ``listing._glue_raw``."""
-    cycle = tuple(cycle)
-    if cycle not in g.boundary and tuple(reversed(cycle)) not in g.boundary:
-        raise GluingError(f"{cycle} is not a boundary component")
-    tris = _glue_raw(frozenset(g.triangles), cycle, d, offset, reflect)
-    t = Triangulation(tris)
-    report = validate(t)
-    if len(g.boundary) == 1:
-        if report.kind is not SurfaceKind.CLOSED_SURFACE:
-            raise NotASurfaceError("gluing did not produce a closed surface")
-    elif not report.is_surface:
-        raise NotASurfaceError("gluing did not produce a surface")
-    return t
 
 
 def edge_expand_4valent(t: Triangulation, e: Edge) -> Triangulation:

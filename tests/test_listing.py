@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import cone_and_classify, glue_disc, state_key
-from surfenum.canon import flag_key, minimal_code
+from conftest import cone_and_classify, state_key
+from surfenum.canon import Code, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     PROJECTIVE_PLANE,
@@ -18,15 +18,16 @@ from surfenum.core import (
     validate,
 )
 from surfenum.listing import (
-    BoundaryLengthMismatchError,
     CountsTable,
     Decomposition,
     Disc,
     GenusSurface,
-    GluingError,
     SearchConfig,
     _disc_children,
     _GenusSurfaceSearch,
+    _gluings,
+    _index_discs,
+    _roots_from_genus_surface,
     enumerate_all,
     enumerate_discs,
     enumerate_genus_surfaces,
@@ -221,31 +222,60 @@ class TestGenusSurfaces:
         assert five[0].capped_class == PROJECTIVE_PLANE
 
 
+def icosahedron() -> Code:
+    """Poles 1 and 12, upper ring 2 .. 6 and lower ring 7 .. 11."""
+    tris = []
+    for i in range(5):
+        j = (i + 1) % 5
+        tris += [(1, 2 + i, 2 + j), (12, 7 + i, 7 + j),
+                 (2 + i, 2 + j, 7 + i), (2 + j, 7 + i, 7 + j)]
+    return minimal_code(tris)
+
+
 class TestGluing:
     def test_mobius_plus_star_gives_projective_plane(self, mobius, rp2_six):
         g = GenusSurface.from_triangles(mobius.triangles)
         star = Disc.from_triangles(closed_star(5))
-        results = set()
-        for reflect in (False, True):
-            for offset in range(5):
-                try:
-                    t = glue_disc(g, g.boundary[0], star, offset, reflect)
-                except GluingError:
-                    continue
-                results.add(minimal_code(t.triangles))
+        results = {minimal_code(glued)
+                   for glued in _gluings(frozenset(g.triangles), g.boundary[0], star)
+                   if validate(Triangulation(glued)).kind is SurfaceKind.CLOSED_SURFACE}
         assert results == {minimal_code(rp2_six.triangles)}
 
     def test_boundary_length_mismatch(self, mobius):
         g = GenusSurface.from_triangles(mobius.triangles)
         star4 = Disc.from_triangles(closed_star(4))
-        with pytest.raises(BoundaryLengthMismatchError):
-            glue_disc(g, g.boundary[0], star4, 0, False)
+        with pytest.raises(ValueError, match="cycle length 5 vs disc boundary length 4"):
+            next(_gluings(frozenset(g.triangles), g.boundary[0], star4))
 
-    def test_unknown_cycle_rejected(self, mobius):
-        g = GenusSurface.from_triangles(mobius.triangles)
+    def test_extra_disc_interior_counts_towards_the_root(self):
+        # the annulus between the stars of two antipodal vertices, capped by
+        # a 5-star on each side: the root has the 10 annulus vertices and
+        # the two hubs, so it is over an 11-vertex budget
+        ico = icosahedron()
+        assert set(valences(ico).values()) == {5}
+        assert classify(Triangulation(ico)) == SPHERE
+        g = GenusSurface.from_triangles(
+            minimal_code([t for t in ico if 1 not in t and 12 not in t]))
+        assert [len(c) for c in g.boundary] == [5, 5]
         star = Disc.from_triangles(closed_star(5))
-        with pytest.raises(GluingError):
-            glue_disc(g, (1, 2, 3, 4, 5), star, 0, False)
+        discs = ({5: [(5, star)]}, {5: [star]})
+        assert _roots_from_genus_surface(g, SearchConfig(12), discs) == {(12, SPHERE, ico)}
+        assert _roots_from_genus_surface(
+            g, SearchConfig(11, specialized=False), discs) == set()
+
+    def test_triangle_extra_disc(self):
+        # a 9-vertex sphere root whose 5-valent star at vertex 1 and the
+        # face (7, 8, 9) off it leave a genus-surface with two boundary
+        # cycles; no genus-surface candidate at V<=9 has two, so the
+        # enumeration never glues an extra disc
+        root = parse_triangulation_text(
+            "123 124 135 146 156 237 247 358 378 469 479 568 689 789").triangles
+        g = GenusSurface.from_triangles(
+            minimal_code([t for t in root if 1 not in t and t != (7, 8, 9)]))
+        assert sorted(len(c) for c in g.boundary) == [3, 5]
+        cfg = SearchConfig(9)
+        assert _roots_from_genus_surface(g, cfg, _index_discs(cfg)) == {
+            (9, SPHERE, minimal_code(root))}
 
 
 class TestSpheres:
