@@ -113,19 +113,29 @@ def write_results(
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _read_manifest(out_dir: Path) -> dict:
+    """The manifest of ``out_dir``; ``ValueError`` unless it is a JSON
+    object whose ``shards`` maps each shard name to an object."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    shards = manifest.get("shards") if isinstance(manifest, dict) else None
+    if not (isinstance(shards, dict)
+            and all(isinstance(info, dict) for info in shards.values())):
+        raise ValueError(f"{out_dir / 'manifest.json'} is not a results manifest")
+    return manifest
+
+
 def results_complete(out_dir: Path, cfg: SearchConfig) -> bool:
     """True when the directory holds a finished run for the same config
     with intact shard checksums, so re-running can be skipped."""
-    manifest_path = out_dir / "manifest.json"
-    if not manifest_path.is_file():
+    if not (out_dir / "manifest.json").is_file():
         return False
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError:
+        manifest = _read_manifest(out_dir)
+    except ValueError:
         return False
     if manifest.get("config") != _manifest_config(cfg):
         return False
-    for name, info in manifest.get("shards", {}).items():
+    for name, info in manifest["shards"].items():
         path = out_dir / name
         if not path.is_file() or _sha256(path.read_text()) != info.get("sha256"):
             return False
@@ -135,9 +145,8 @@ def results_complete(out_dir: Path, cfg: SearchConfig) -> bool:
 def read_results(out_dir: Path) -> CountsTable:
     """Rebuild the counts table from persisted shards; the root/non-root
     split is recomputed from the stored triangle lists."""
-    manifest = json.loads((out_dir / "manifest.json").read_text())
     table = CountsTable()
-    for name in manifest["shards"]:
+    for name in _read_manifest(out_dir)["shards"]:
         for line in (out_dir / name).read_text().splitlines():
             if not line.strip():
                 continue

@@ -15,9 +15,10 @@ boundary vertex, adjacent triangles on one boundary component), and each
 finished candidate is checked in full.  Gluing the discs back recovers every
 root: an extra disc goes on each boundary cycle but the host one, then a
 main disc on the host cycle, in every rotation and direction that adds no
-triangle or edge already there; the root's vertex count is the glued base's
-plus the main disc's interior count.  Repeated vertex-adding moves recover
-the non-roots.
+triangle or edge already there, each distinct gluing once (rotations that a
+rim symmetry of the disc maps onto each other give one); the root's vertex
+count is the glued base's plus the main disc's interior count.  Repeated
+vertex-adding moves recover the non-roots.
 """
 
 from __future__ import annotations
@@ -625,9 +626,11 @@ def _gluings(base: frozenset, cycle: Sequence[int],
              disc: Disc) -> Iterator[frozenset]:
     """``base`` with ``disc`` glued onto its boundary cycle ``cycle``, for
     each rotation and direction of the rim that adds no triangle or edge
-    ``base`` already has.  The disc's interior vertices get fresh labels
-    after ``base``'s, so only its triangles and chords with every vertex on
-    the rim can land on ``base``."""
+    ``base`` already has; each distinct gluing is yielded once, so a rim
+    symmetry of the disc (all 2m rotations of a bare m-star) gives one.
+    The disc's interior vertices get fresh labels after ``base``'s, so
+    only its triangles and chords with every vertex on the rim can land on
+    ``base``."""
     L = len(cycle)
     if len(disc.boundary) != L:
         raise ValueError(f"cycle length {L} vs disc boundary length {len(disc.boundary)}")
@@ -643,6 +646,7 @@ def _gluings(base: frozenset, cycle: Sequence[int],
     rim_tris = [t for t in disc.triangles if rim.issuperset(t)]
     chords = [e for e, ts in edge_triangles(disc.triangles).items()
               if len(ts) == 2 and rim.issuperset(e)]
+    images = set()  # the disc's mapped triangles, per distinct gluing
     for reflect in (False, True):
         for offset in range(L):
             mapping = {v: cycle[(offset - i if reflect else offset + i) % L]
@@ -653,7 +657,10 @@ def _gluings(base: frozenset, cycle: Sequence[int],
                    for a, b in chords):
                 continue
             mapping.update(inner)
-            yield base | {tuple(sorted(mapping[v] for v in t)) for t in disc.triangles}
+            image = frozenset(tuple(sorted(mapping[v] for v in t)) for t in disc.triangles)
+            if image not in images:
+                images.add(image)
+                yield base | image
 
 
 def _index_discs(cfg: SearchConfig):

@@ -87,6 +87,43 @@ class TestPersistence:
         assert not results_complete(tmp_path, cfg)
 
 
+# valid JSON in the wrong shape, each with the config of a V=6 run
+MALFORMED_MANIFESTS = {
+    "list": [],
+    "no-shards": {"config": {"max_vertices": 6, "specialized": True, "surface": None}},
+    "shard-not-object": {
+        "config": {"max_vertices": 6, "specialized": True, "surface": None},
+        "shards": {"v04_S2.txt": 5},
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_MANIFESTS))
+class TestMalformedManifest:
+    def write(self, out_dir, shape):
+        out_dir.mkdir()
+        (out_dir / "v04_S2.txt").write_text("1,2,3 1,2,4 1,3,4 2,3,4\n")
+        (out_dir / "manifest.json").write_text(json.dumps(MALFORMED_MANIFESTS[shape]))
+
+    def test_enum_recomputes_and_overwrites(self, tmp_path, capsys, shape):
+        out_dir = tmp_path / "run"
+        self.write(out_dir, shape)
+        assert not results_complete(out_dir, SearchConfig(max_vertices=6))
+        assert main(["enum", "--max-vertices", "6", "--out", str(out_dir)]) == 0
+        captured = capsys.readouterr()
+        assert "skipping" not in captured.err
+        assert "6\tRP2\t1\t1\t0" in captured.out
+        assert results_complete(out_dir, SearchConfig(max_vertices=6))
+
+    def test_counts_exits_2(self, tmp_path, capsys, shape):
+        out_dir = tmp_path / "run"
+        self.write(out_dir, shape)
+        with pytest.raises(ValueError, match="not a results manifest"):
+            read_results(out_dir)
+        assert main(["counts", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestCommands:
     def test_validate_classify_canon_root(self, tmp_path, capsys):
         f = tmp_path / "t.txt"

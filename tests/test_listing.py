@@ -241,6 +241,15 @@ class TestGluing:
                    if validate(Triangulation(glued)).kind is SurfaceKind.CLOSED_SURFACE}
         assert results == {minimal_code(rp2_six.triangles)}
 
+    def test_symmetric_disc_is_glued_once(self, mobius):
+        # all 10 rotations and reflections of the 5-star's rim glue the same
+        # triangles: the cone of the fresh hub 6 over the Mobius strip's rim
+        base = frozenset(mobius.triangles)
+        cycle = GenusSurface.from_triangles(mobius.triangles).boundary[0]
+        cone = {tuple(sorted((6, cycle[i - 1], cycle[i]))) for i in range(5)}
+        star = Disc.from_triangles(closed_star(5))
+        assert list(_gluings(base, cycle, star)) == [base | cone]
+
     def test_boundary_length_mismatch(self, mobius):
         g = GenusSurface.from_triangles(mobius.triangles)
         star4 = Disc.from_triangles(closed_star(4))
@@ -298,28 +307,20 @@ class TestSpheres:
 class TestGluingChecks:
     @pytest.mark.parametrize("specialized", [True, False])
     def test_each_glued_class_is_validated_once(self, monkeypatch, specialized):
-        import sys
-
-        from surfenum import core, listing
-
-        calls = 0
-        real = core.validate
-
-        def counting(t):
-            # count the calls made below the gluing, in classify too
-            nonlocal calls
-            frame = sys._getframe(1)
-            while frame and frame.f_code.co_name != "_roots_from_genus_surface":
-                frame = frame.f_back
-            calls += frame is not None
-            return real(t)
-
-        monkeypatch.setattr(listing, "validate", counting)
-        monkeypatch.setattr(core, "validate", counting)
+        # count the calls made below the gluing, in classify too
+        calls = _count_gluing_calls(monkeypatch, validate)
         enumerate_roots(SearchConfig(max_vertices=8, specialized=specialized))
         # one call per flag-key class that passes the valence test; 78 when
         # classify validated each of them once more
-        assert 0 < calls <= 40
+        assert 0 < calls[0] <= 40
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_each_distinct_gluing_is_keyed_once(self, monkeypatch, specialized):
+        calls = _count_gluing_calls(monkeypatch, flag_key)
+        enumerate_roots(SearchConfig(max_vertices=8, specialized=specialized))
+        # 85 distinct gluings pass the valence test; 408 when each rotation
+        # of a symmetric disc was glued and keyed again
+        assert 0 < calls[0] <= 85
 
     def test_enumerate_all_validate_calls(self, monkeypatch):
         calls = 0
@@ -336,6 +337,26 @@ class TestGluingChecks:
         # 39 in the gluing and 7 roots checked in the non-roots; 133 when
         # each capped genus-surface was built and validated twice
         assert 0 < calls <= 46
+
+
+def _count_gluing_calls(monkeypatch, fn) -> list[int]:
+    """Rebind ``fn`` in every package module holding it to a wrapper that
+    counts the calls made below ``_roots_from_genus_surface``; the count is
+    the one item of the returned list."""
+    import sys
+
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame and frame.f_code.co_name != "_roots_from_genus_surface":
+            frame = frame.f_back
+        calls[0] += frame is not None
+        return fn(*args, **kwargs)
+
+    for mod in _package_modules_holding(fn):
+        monkeypatch.setattr(mod, fn.__name__, counting)
+    return calls
 
 
 def _package_modules_holding(obj) -> list:
