@@ -219,16 +219,6 @@ def canonical_form(t: Triangulation) -> CanonicalForm:
     return CanonicalForm(minimal_code(t.triangles))
 
 
-def canonical_witness(t: Triangulation) -> dict[int, int]:
-    """One relabeling (old -> new) realizing the canonical form."""
-    _code, wits = minimal_code(t.triangles, with_witnesses=True)
-    return wits[0]
-
-
-def is_isomorphic(a: Triangulation, b: Triangulation) -> bool:
-    return minimal_code(a.triangles) == minimal_code(b.triangles)
-
-
 def _flag_walk(sides: dict[Edge, list[tuple[int, int]]], n: int,
                start: Triangle, start_index: int, best: Code | None):
     """Breadth-first relabeling of ``n`` triangles from the start flag

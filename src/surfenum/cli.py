@@ -29,7 +29,7 @@ from .core import (
     validate,
 )
 from .listing import CountsTable, SearchConfig, enumerate_all
-from .moves import compute_root, is_root
+from .moves import _removable_vertices, compute_root
 from .oracle import brute_force_enumerate, cross_validate
 
 
@@ -144,7 +144,8 @@ def results_complete(out_dir: Path, cfg: SearchConfig) -> bool:
 
 def read_results(out_dir: Path) -> CountsTable:
     """Rebuild the counts table from persisted shards; the root/non-root
-    split is recomputed from the stored triangle lists."""
+    split is recomputed from the stored triangle lists, each validated once
+    (by :func:`core.classify`)."""
     table = CountsTable()
     for name in _read_manifest(out_dir)["shards"]:
         for line in (out_dir / name).read_text().splitlines():
@@ -152,10 +153,10 @@ def read_results(out_dir: Path) -> CountsTable:
                 continue
             t = parse_triangulation_text(line)
             v, cls = t.vertex_count, classify(t)
-            if is_root(t):
-                table.add_root(v, cls)
-            else:
+            if _removable_vertices(t):
                 table.add_nonroot(v, cls)
+            else:
+                table.add_root(v, cls)
     return table
 
 
@@ -239,6 +240,9 @@ def _cmd_enum(args) -> int:
               file=sys.stderr)
         print(format_counts_table(read_results(out_dir)))
         return 0
+    if out_dir:
+        # a bad path fails here, not after the enumeration
+        out_dir.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
     result = enumerate_all(cfg)
     elapsed = time.monotonic() - start

@@ -7,7 +7,6 @@ rebuilt from the triangle list rather than patched incrementally.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -358,22 +357,6 @@ def classify(t: Triangulation) -> SurfaceClass:
     if report.kind is not SurfaceKind.CLOSED_SURFACE:
         raise ValueError(f"classify needs a closed surface, got {report.kind.value}")
     return surface_class(t)
-
-
-def heawood_min_vertices(s: SurfaceClass) -> int:
-    """Minimal vertex count of a triangulation of ``s``: the ceiling of
-    (7 + sqrt(49 - 24 chi)) / 2, plus one for the three exceptional
-    surfaces (orientable genus 2, the Klein bottle, non-orientable genus 3).
-    """
-    chi = s.euler_characteristic
-    disc = 49 - 24 * chi
-    root = math.isqrt(disc)
-    if root * root == disc:
-        bound = -((7 + root) // -2)
-    else:
-        bound = (7 + root) // 2 + 1
-    exceptional = s in (SurfaceClass(True, 2), KLEIN_BOTTLE, SurfaceClass(False, 3))
-    return bound + (1 if exceptional else 0)
 
 
 def boundary_edges(tris: Iterable[Triangle]) -> list[Edge]:

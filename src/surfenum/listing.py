@@ -7,18 +7,19 @@ vertex in its interior, plus at most one small extra disc when at most 11
 vertices are requested.  For the sphere the genus-surface is one triangle,
 so sphere roots are main discs with a 3-cycle boundary glued onto it by the
 same gluing as every other root.  Genus-surface candidates are grown
-exhaustively and pruned by the necessary conditions for minimal
-decompositions: a partial candidate is dropped as soon as it breaks one that
-no later triangle or frozen boundary edge can repair (valence caps, the
-opposite vertex of a boundary edge on the boundary, one boundary path per
-boundary vertex, adjacent triangles on one boundary component), and each
-finished candidate is checked in full.  Gluing the discs back recovers every
-root: an extra disc goes on each boundary cycle but the host one, then a
-main disc on the host cycle, in every rotation and direction that adds no
-triangle or edge already there, each distinct gluing once (rotations that a
-rim symmetry of the disc maps onto each other give one); the root's vertex
-count is the glued base's plus the main disc's interior count.  Repeated
-vertex-adding moves recover the non-roots.
+exhaustively within a vertex and a triangle cap, the only size bounds, and
+pruned by the necessary conditions for minimal decompositions: a partial
+candidate is dropped as soon as it breaks one that no later triangle or
+frozen boundary edge can repair (the opposite vertex of a boundary edge on
+the boundary, one boundary path per boundary vertex, adjacent triangles on
+one boundary component), and each finished candidate is checked in full.
+Gluing the discs back recovers every root: an extra disc goes on each
+boundary cycle but the host one, then a main disc on the host cycle, in
+every rotation and direction that adds no triangle or edge already there,
+each distinct gluing once (rotations that a rim symmetry of the disc maps
+onto each other give one); the root's vertex count is the glued base's plus
+the main disc's interior count.  Repeated vertex-adding moves recover the
+non-roots.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .core import (
     closed_cycles,
     degrees,
     edge_triangles,
-    euler_characteristic,
     normalize_triangles,
     surface_class,
     valences,
@@ -133,25 +133,6 @@ class GenusSurface:
         return max(v for t in self.triangles for v in t)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """(genus-surface, main disc, extra discs), each a triangle subset of a
-    common closed triangulation."""
-
-    genus_surface: tuple[Triangle, ...]
-    main_disc: tuple[Triangle, ...]
-    extra_discs: tuple[tuple[Triangle, ...], ...] = ()
-
-
-@dataclass(frozen=True)
-class DecompositionCheck:
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 class CountsTable:
     """(V, surface) -> (triangulations, roots, non-roots)."""
 
@@ -217,9 +198,9 @@ def _disc_children(tris: frozenset, bnd: tuple[int, ...], m: float,
             out.append((tris | {tuple(sorted((a, b, w)))},
                         bnd[:i + 1] + (w,) + bnd[i + 1:]))
         # close the corner at b with the triangle (a, b, c): b becomes
-        # interior and (a, c) a boundary edge, which must be new; closing a
-        # corner of a 3-cycle boundary would close the disc
-        if (n > 3 and 4 <= vals[b] + 1 <= m and vals[a] + 1 <= m - 1
+        # interior and (a, c) a boundary edge, which must be new (on a
+        # 3-cycle boundary it is already one)
+        if (4 <= vals[b] + 1 <= m and vals[a] + 1 <= m - 1
                 and vals[c] + 1 <= m - 1 and tuple(sorted((a, c))) not in edges):
             j = (i + 1) % n
             out.append((tris | {tuple(sorted((a, b, c)))}, bnd[:j] + bnd[j + 1:]))
@@ -253,10 +234,6 @@ def enumerate_main_discs(max_interior_valence: int,
     # the closed star of the hub 1 with rim 2 .. m+1
     rim = tuple(range(2, m + 2))
     star = frozenset(tuple(sorted((1, rim[i - 1], rim[i]))) for i in range(m))
-    if m == 3:
-        # the bare star: the only disc whose interior vertex is 3-valent
-        # ever needed (it closes up to the boundary of the tetrahedron)
-        return [Disc.from_triangles(star)]
     return _grow_discs(star, rim, m, max_vertices)
 
 
@@ -311,13 +288,10 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
     # vertex budget (the root needs at least one more vertex)
     if n_verts > n_budget - 1:
         return False
-    # valence bounds, and at least one boundary vertex of valence >= 3
-    for v, k in vals.items():
-        if v in bverts:
-            if not 2 <= k <= n_budget - 3:
-                return False
-        elif not 4 <= k <= n_budget - 2:
-            return False
+    # valence floors, and at least one boundary vertex of valence >= 3; the
+    # vertex budget bounds every valence from above
+    if any(k < (2 if v in bverts else 4) for v, k in vals.items()):
+        return False
     if not any(vals[v] >= 3 for v in bverts):
         return False
     # the link of every boundary edge lies on the boundary
@@ -419,9 +393,11 @@ class _GenusSurfaceSearch:
 
     Partial states are checked only for what growth cannot undo: a triangle
     once added and an edge once frozen are permanent, and a vertex once
-    interior (circle link) gets no further triangle.  ``children`` and
-    ``_freeze_ok`` cap valences, vertices, triangles and frozen edges, give
-    a finished vertex valence >= 4 and a triangle a vertex off the interior,
+    interior (circle link) gets no further triangle.  ``children`` caps
+    vertices and triangles, the only size bounds (the vertex cap bounds
+    every valence and the number of frozen edges).  ``children`` and
+    ``_freeze_ok`` give a finished vertex valence >= 4 and a triangle a
+    vertex off the interior, allow a vertex at most two frozen edges,
     keep the opposite vertex of a frozen edge on the boundary, and in the
     specialized mode limit the closed cycles of frozen edges.
     ``_dead_end`` rejects a child that breaks a leaf condition of
@@ -444,7 +420,7 @@ class _GenusSurfaceSearch:
     def run(self):
         # the one-triangle candidate is emitted directly: its vertices close
         # with valence 1, which ``_dead_end`` rejects in every other state;
-        # its three frozen edges need max_v >= 3, as in the search
+        # its three vertices need max_v >= 3
         if self.max_v >= 3:
             self.emit(frozenset({(1, 2, 3)}))
         stack = [(frozenset({(1, 2, 3)}), frozenset())]
@@ -486,7 +462,7 @@ class _GenusSurfaceSearch:
         a, b = e
         links = {a: _link_ends(by_vertex[a], a), b: _link_ends(by_vertex[b], b)}
         out = []
-        if self._freeze_ok(frozen, e, vals, frozen_ends, edge_map, bverts):
+        if self._freeze_ok(frozen, e, frozen_ends, edge_map, bverts):
             changes = []
             for v, w in ((a, b), (b, a)):
                 # freezing e makes w a frozen end of v; the link is unchanged
@@ -504,24 +480,18 @@ class _GenusSurfaceSearch:
             cands.append(n_v + 1)
         if len(tris) >= self.max_t:
             return out
-        n_max = self.cfg.max_vertices
         for x in cands:
             new_tri = tuple(sorted((a, b, x)))
             if new_tri in tris:
                 continue
             ea, eb = tuple(sorted((a, x))), tuple(sorted((b, x)))
-            if len(edge_map.get(ea, ())) > 1 or len(edge_map.get(eb, ())) > 1:
-                continue
             if ea in frozen or eb in frozen:
                 continue
             changes = []
             # the new triangle adds the link edge (p, q) at v
             for v, p, q in ((a, b, x), (b, a, x), (x, a, b)):
-                # interior valence <= N-2, boundary valence <= N-3
                 k = vals.get(v, 0) + 1
                 ends = frozen_ends.get(v, ())
-                if k > (n_max - 3 if ends else n_max - 2):
-                    break
                 link = links.get(v) or _link_ends(by_vertex.get(v, ()), v)
                 shape = _link_after(link, p, q)
                 # a finished interior vertex needs valence >= 4
@@ -549,13 +519,8 @@ class _GenusSurfaceSearch:
                 out.append((tris | {new_tri}, frozen))
         return out
 
-    def _freeze_ok(self, frozen, e, vals, frozen_ends, edge_map, bverts) -> bool:
-        if len(frozen) + 1 > self.max_v:
-            return False
+    def _freeze_ok(self, frozen, e, frozen_ends, edge_map, bverts) -> bool:
         a, b = e
-        cap = self.cfg.max_vertices - 3
-        if vals[a] > cap or vals[b] > cap:
-            return False
         if len(frozen_ends.get(a, ())) >= 2 or len(frozen_ends.get(b, ())) >= 2:
             return False
         # the opposite vertex of a boundary edge must end up on the boundary
@@ -849,79 +814,3 @@ def _map_maybe_parallel(fn, tasks, workers: int):
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
-
-# --------------------------------------------------------------------------
-# Decomposition validation
-# --------------------------------------------------------------------------
-
-def _piece_simplices(tris: Iterable[Triangle]):
-    verts = {v for t in tris for v in t}
-    edges = set(edge_triangles(tris))
-    return verts, edges
-
-
-def _is_disc(tris: tuple[Triangle, ...]) -> bool:
-    try:
-        t = Triangulation(_relabel_contiguous(tris))
-    except ValueError:
-        return False
-    if validate(t).kind is not SurfaceKind.SURFACE_WITH_BOUNDARY:
-        return False
-    return euler_characteristic(t) == 1 and len(boundary_cycles(t.triangles)) == 1
-
-
-def _relabel_contiguous(tris: Iterable[Triangle]) -> list[Triangle]:
-    labels = sorted({v for t in tris for v in t})
-    remap = {v: i + 1 for i, v in enumerate(labels)}
-    return [tuple(sorted(remap[v] for v in t)) for t in tris]
-
-
-def validate_decomposition(t: Triangulation, dec: Decomposition) -> DecompositionCheck:
-    """Check every clause of the decomposition definition against ``t``."""
-    pieces = [normalize_triangles(p)
-              for p in (dec.genus_surface, dec.main_disc, *dec.extra_discs)]
-    all_tris = set(t.triangles)
-    for p in pieces:
-        if not p:
-            return DecompositionCheck(False, "empty piece")
-        if not set(p) <= all_tris:
-            return DecompositionCheck(False, "piece not a sub-triangulation")
-    union = set().union(*(set(p) for p in pieces))
-    if union != all_tris:
-        return DecompositionCheck(False, "pieces do not cover the triangulation")
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if set(pieces[i]) & set(pieces[j]):
-                return DecompositionCheck(False, "pieces share a triangle")
-            vi, ei = _piece_simplices(pieces[i])
-            vj, ej = _piece_simplices(pieces[j])
-            common_v, common_e = vi & vj, ei & ej
-            if not common_v and not common_e:
-                continue
-            # the intersection must be a triangulated circle
-            cycles = closed_cycles(common_e)
-            if cycles is None:
-                return DecompositionCheck(False, "shared part is not a circle")
-            on_cycle = {v for c in cycles for v in c}
-            if any(a not in on_cycle for a, _b in common_e):
-                return DecompositionCheck(False, "dangling shared edge")
-            if on_cycle != common_v:
-                return DecompositionCheck(False, "shared part is not a circle")
-            if len(cycles) != 1:
-                return DecompositionCheck(False, "shared part is not one circle")
-    for p, name in [(pieces[1], "main disc")] + [
-        (p, "extra disc") for p in pieces[2:]
-    ]:
-        if not _is_disc(p):
-            return DecompositionCheck(False, f"{name} is not a disc")
-    # the main disc holds a maximal-valence vertex in its interior
-    vals = valences(t.triangles)
-    mv = max(vals.values())
-    main = pieces[1]
-    interior = {v for tri in main for v in tri} - {
-        v for c in boundary_cycles(main) for v in c
-    }
-    if not any(vals[v] == mv for v in interior):
-        return DecompositionCheck(
-            False, "main disc has no maximal-valence interior vertex")
-    return DecompositionCheck(True)

@@ -20,9 +20,9 @@ from .core import (
     Triangle,
     Triangulation,
     boundary_edges,
-    classify,
     edge_triangles,
     link_shape,
+    surface_class,
     valences,
     validate,
     vertex_triangles,
@@ -134,7 +134,8 @@ def brute_force_enumerate(max_vertices: int, workers: int = 1) -> OracleResult:
     for batch in _map_maybe_parallel(_shard_task, tasks, workers):
         for code in batch:
             v = max(x for t in code for x in t)
-            cls = classify(Triangulation(code))
+            # validated as a closed surface where it was found
+            cls = surface_class(Triangulation(code))
             key = (v, cls)
             bucket = result.codes.setdefault(key, set())
             if code in bucket:

@@ -1,13 +1,16 @@
+import math
 import random
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import pytest
 
 from surfenum.canon import minimal_code
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import (Edge, SurfaceClass, SurfaceKind, Triangle,
-                           Triangulation, boundary_cycles, classify,
-                           edge_triangles, validate)
+from surfenum.core import (KLEIN_BOTTLE, Edge, SurfaceClass, SurfaceKind,
+                           Triangle, Triangulation, boundary_cycles, classify,
+                           closed_cycles, edge_triangles, euler_characteristic,
+                           normalize_triangles, valences, validate)
 from surfenum.moves import MoveError, _require_closed
 
 # well-known fixtures (compact single-digit format)
@@ -113,3 +116,121 @@ def edge_expand_4valent(t: Triangulation, e: Edge) -> Triangulation:
     tris = [u for u in t.triangles if u not in at_e]
     tris += [(a, c, w), (b, c, w), (a, d, w), (b, d, w)]
     return Triangulation(tris)
+
+
+def canonical_witness(t: Triangulation) -> dict[int, int]:
+    """One relabeling (old -> new) realizing the canonical form."""
+    _code, wits = minimal_code(t.triangles, with_witnesses=True)
+    return wits[0]
+
+
+def is_isomorphic(a: Triangulation, b: Triangulation) -> bool:
+    return minimal_code(a.triangles) == minimal_code(b.triangles)
+
+
+def heawood_min_vertices(s: SurfaceClass) -> int:
+    """Minimal vertex count of a triangulation of ``s``: the ceiling of
+    (7 + sqrt(49 - 24 chi)) / 2, plus one for the three exceptional
+    surfaces (orientable genus 2, the Klein bottle, non-orientable genus 3).
+    """
+    chi = s.euler_characteristic
+    disc = 49 - 24 * chi
+    root = math.isqrt(disc)
+    if root * root == disc:
+        bound = -((7 + root) // -2)
+    else:
+        bound = (7 + root) // 2 + 1
+    exceptional = s in (SurfaceClass(True, 2), KLEIN_BOTTLE, SurfaceClass(False, 3))
+    return bound + (1 if exceptional else 0)
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """(genus-surface, main disc, extra discs), each a triangle subset of a
+    common closed triangulation."""
+
+    genus_surface: tuple[Triangle, ...]
+    main_disc: tuple[Triangle, ...]
+    extra_discs: tuple[tuple[Triangle, ...], ...] = ()
+
+
+@dataclass(frozen=True)
+class DecompositionCheck:
+    ok: bool
+    reason: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def _piece_simplices(tris: Iterable[Triangle]):
+    verts = {v for t in tris for v in t}
+    edges = set(edge_triangles(tris))
+    return verts, edges
+
+
+def _is_disc(tris: tuple[Triangle, ...]) -> bool:
+    try:
+        t = Triangulation(_relabel_contiguous(tris))
+    except ValueError:
+        return False
+    if validate(t).kind is not SurfaceKind.SURFACE_WITH_BOUNDARY:
+        return False
+    return euler_characteristic(t) == 1 and len(boundary_cycles(t.triangles)) == 1
+
+
+def _relabel_contiguous(tris: Iterable[Triangle]) -> list[Triangle]:
+    labels = sorted({v for t in tris for v in t})
+    remap = {v: i + 1 for i, v in enumerate(labels)}
+    return [tuple(sorted(remap[v] for v in t)) for t in tris]
+
+
+def validate_decomposition(t: Triangulation, dec: Decomposition) -> DecompositionCheck:
+    """Check every clause of the decomposition definition against ``t``."""
+    pieces = [normalize_triangles(p)
+              for p in (dec.genus_surface, dec.main_disc, *dec.extra_discs)]
+    all_tris = set(t.triangles)
+    for p in pieces:
+        if not p:
+            return DecompositionCheck(False, "empty piece")
+        if not set(p) <= all_tris:
+            return DecompositionCheck(False, "piece not a sub-triangulation")
+    union = set().union(*(set(p) for p in pieces))
+    if union != all_tris:
+        return DecompositionCheck(False, "pieces do not cover the triangulation")
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            if set(pieces[i]) & set(pieces[j]):
+                return DecompositionCheck(False, "pieces share a triangle")
+            vi, ei = _piece_simplices(pieces[i])
+            vj, ej = _piece_simplices(pieces[j])
+            common_v, common_e = vi & vj, ei & ej
+            if not common_v and not common_e:
+                continue
+            # the intersection must be a triangulated circle
+            cycles = closed_cycles(common_e)
+            if cycles is None:
+                return DecompositionCheck(False, "shared part is not a circle")
+            on_cycle = {v for c in cycles for v in c}
+            if any(a not in on_cycle for a, _b in common_e):
+                return DecompositionCheck(False, "dangling shared edge")
+            if on_cycle != common_v:
+                return DecompositionCheck(False, "shared part is not a circle")
+            if len(cycles) != 1:
+                return DecompositionCheck(False, "shared part is not one circle")
+    for p, name in [(pieces[1], "main disc")] + [
+        (p, "extra disc") for p in pieces[2:]
+    ]:
+        if not _is_disc(p):
+            return DecompositionCheck(False, f"{name} is not a disc")
+    # the main disc holds a maximal-valence vertex in its interior
+    vals = valences(t.triangles)
+    mv = max(vals.values())
+    main = pieces[1]
+    interior = {v for tri in main for v in tri} - {
+        v for c in boundary_cycles(main) for v in c
+    }
+    if not any(vals[v] == mv for v in interior):
+        return DecompositionCheck(
+            False, "main disc has no maximal-valence interior vertex")
+    return DecompositionCheck(True)

@@ -14,21 +14,15 @@ from collections import Counter
 
 import pytest
 
-from surfenum.canon import canonical_witness, flag_key, minimal_code
-from surfenum.core import (
-    SPHERE,
-    SurfaceClass,
-    Triangulation,
-    classify,
-    heawood_min_vertices,
-)
+from conftest import (Decomposition, _relabel_contiguous, canonical_witness,
+                      heawood_min_vertices, validate_decomposition)
+from surfenum.canon import flag_key, minimal_code
+from surfenum.core import SPHERE, SurfaceClass, Triangulation, classify
 from surfenum.listing import (
-    Decomposition,
     SearchConfig,
     enumerate_all,
     enumerate_genus_surfaces,
     genus_surface_admissible,
-    validate_decomposition,
 )
 from surfenum.moves import _removable_vertices, inverse_t_move, t_move
 from surfenum.oracle import brute_force_enumerate, cross_validate
@@ -345,7 +339,6 @@ def test_criterion_10_admissibility_keeps_a_minimal_decomposition():
               for codes in brute_force_enumerate(7).codes.values()
               for code in codes]
     assert len(corpus) == 14
-    from surfenum.listing import _relabel_contiguous
     for t in corpus:
         cfg = SearchConfig(max_vertices=t.vertex_count)
         minimal = minimal_decomposition_genus_surfaces(t)

@@ -4,14 +4,9 @@ import random
 
 import pytest
 
-from conftest import ANNULUS, MOBIUS, mixed_lex_compare, relabel, state_key
-from surfenum.canon import (
-    canonical_form,
-    canonical_witness,
-    flag_key,
-    is_isomorphic,
-    minimal_code,
-)
+from conftest import (ANNULUS, MOBIUS, canonical_witness, is_isomorphic,
+                      mixed_lex_compare, relabel, state_key)
+from surfenum.canon import canonical_form, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import Triangulation
 from surfenum.oracle import brute_force_enumerate

@@ -79,6 +79,37 @@ class TestPersistence:
         table = read_results(tmp_path)
         assert table == corpus.counts
 
+    def test_read_results_validates_each_line_once(self, tmp_path, monkeypatch):
+        import sys
+
+        from surfenum.core import validate
+
+        write_results(tmp_path, SearchConfig(max_vertices=6),
+                      brute_force_enumerate(6).codes, 0.0)
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return validate(t)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "surfenum" and vars(mod).get("validate") is validate:
+                monkeypatch.setattr(mod, "validate", counting)
+        read_results(tmp_path)
+        lines = [parse_triangulation_text(line)
+                 for p in tmp_path.glob("*.txt") for line in p.read_text().splitlines()]
+        # two a line when is_root validated each line again after classify
+        assert sorted(calls, key=repr) == sorted(lines, key=repr)
+        assert len(calls) == 5
+
+    def test_shard_line_not_closed_exits_2(self, tmp_path, capsys):
+        write_results(tmp_path, SearchConfig(max_vertices=6),
+                      brute_force_enumerate(6).codes, 0.0)
+        shard = next(p for p in tmp_path.iterdir() if p.suffix == ".txt")
+        shard.write_text(render_triangulation(parse_triangulation_text(MOBIUS)) + "\n")
+        assert main(["counts", str(tmp_path)]) == 2
+        assert "classify needs a closed surface" in capsys.readouterr().err
+
     def test_corrupted_shard_invalidates_resume(self, tmp_path):
         cfg = SearchConfig(max_vertices=6)
         write_results(tmp_path, cfg, brute_force_enumerate(6).codes, 0.0)
@@ -212,16 +243,25 @@ class TestBudgets:
             oracle.cross_validate(2)
 
 
+class TestOutDirectory:
+    def test_enum_bad_out_path_exits_2_before_the_enumeration(
+            self, tmp_path, capsys, no_work):
+        path = tmp_path / "file"
+        path.write_text("")
+        assert main(["enum", "--max-vertices", "8", "--out", str(path)]) == 2
+        assert "File exists" in capsys.readouterr().err
+
+
 class TestWorkerCounts:
 
-    @pytest.mark.parametrize("command", ["oracle", "crosscheck"])
+    @pytest.mark.parametrize("command", ["enum", "oracle", "crosscheck"])
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_flag_value_exits_2(self, command, value, capsys, no_work):
         assert main([command, "--max-vertices", "5", "--workers", value]) == 2
         err = capsys.readouterr().err
         assert "--workers" in err and value in err
 
-    @pytest.mark.parametrize("command", ["oracle", "crosscheck"])
+    @pytest.mark.parametrize("command", ["enum", "oracle", "crosscheck"])
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_environment_value_exits_2(self, command, value, capsys,
                                            monkeypatch, no_work):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import cone_and_classify, relabel
+from conftest import cone_and_classify, heawood_min_vertices, relabel
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     KLEIN_BOTTLE,
@@ -17,7 +17,6 @@ from surfenum.core import (
     closed_cycles,
     degrees,
     euler_characteristic,
-    heawood_min_vertices,
     surface_class,
     valences,
     validate,

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import cone_and_classify, state_key
+from conftest import (Decomposition, cone_and_classify, state_key,
+                      validate_decomposition)
 from surfenum.canon import Code, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
@@ -19,7 +20,6 @@ from surfenum.core import (
 )
 from surfenum.listing import (
     CountsTable,
-    Decomposition,
     Disc,
     GenusSurface,
     SearchConfig,
@@ -36,7 +36,6 @@ from surfenum.listing import (
     enumerate_roots,
     genus_surface_admissible,
     main_disc_boundary_lower_bound,
-    validate_decomposition,
 )
 from surfenum.moves import is_root
 from surfenum.oracle import brute_force_enumerate
@@ -502,7 +501,8 @@ class TestMainDiscsOnce:
 
 
 class TestGenusSearchDedup:
-    @pytest.mark.parametrize("v, states, candidates", [(7, 85, 5), (8, 1105, 25)])
+    @pytest.mark.parametrize("v, states, candidates",
+                             [(5, 2, 1), (6, 15, 2), (7, 85, 5), (8, 1105, 25)])
     def test_visited_and_emitted_counts(self, monkeypatch, v, states, candidates):
         from surfenum import listing
 
@@ -567,17 +567,21 @@ class TestGenusSearchShortcuts:
             verdicts[verdict] += 1
             return verdict
 
-        def checking_freeze_ok(search, frozen, e, vals, frozen_ends,
-                               edge_map, bverts):
+        def checking_freeze_ok(search, frozen, e, frozen_ends, edge_map, bverts):
             # the boundary vertex set behind the finished, opposite-vertex
             # and all-interior-triangle tests of this state
             nonlocal states
             states += 1
+            n = search.cfg.max_vertices
             tris = {t for ts in edge_map.values() for t in ts}
             for v, star in vertex_triangles(tris).items():
                 assert (v not in bverts) == (link_shape(star, v) == "circle")
-            return real_freeze_ok(search, frozen, e, vals, frozen_ends,
-                                  edge_map, bverts)
+                # the valence caps that the vertex cap implies
+                assert len(star) <= (n - 3 if v in bverts else n - 2)
+            ok = real_freeze_ok(search, frozen, e, frozen_ends, edge_map, bverts)
+            # the frozen-edge cap that the vertex cap implies
+            assert len(frozen) + ok <= search.max_v
+            return ok
 
         monkeypatch.setattr(listing, "_link_ends", recording_ends)
         monkeypatch.setattr(listing, "_link_after", checking_after)

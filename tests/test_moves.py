@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import edge_expand_4valent, relabel
-from surfenum.canon import is_isomorphic, minimal_code
+from conftest import edge_expand_4valent, is_isomorphic, relabel
+from surfenum.canon import minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import SPHERE, Triangulation, classify, valences
 from surfenum.moves import (
