@@ -29,6 +29,16 @@ the best list once per seed; each flag then labels its link in one walk and
 the search goes on from triangle d.  Other seeds (boundary vertices,
 pinches, non-manifold or disconnected inputs) search from label 1.
 
+When only the code is wanted, a seed stops at its first tie: suppose a
+full labeling lambda_w from seed w equals the best code, which an earlier
+seed v set (as lambda_v) and nothing from w has beaten.  Then
+lambda_v^-1 o lambda_w is an automorphism mapping w to v, so w's minimum
+is v's, which is the best code, and nothing from w can beat it.  This is
+the seed-level automorphism pruning of McKay's canonical labeling
+("Practical graph isomorphism", 1981); it cuts only what an automorphism
+proves redundant.  With witnesses every optimal labeling is collected, so
+no seed stops early.
+
 The *flag key* (:func:`flag_key`) is the internal duplicate-check key of
 the listing pipeline, after plantri and surftri (Brinkmann & McKay,
 "Fast generation of planar graphs", MATCH 58 (2007); Sulanke & Lutz,
@@ -56,6 +66,10 @@ from .core import (Edge, Triangle, Triangulation, closed_cycles,
 Code = tuple[Triangle, ...]
 
 
+class _Tie(Exception):
+    """A seed's labeling tied with an earlier seed's best code."""
+
+
 def _search(
     tris: Sequence[Triangle],
     star: dict[int, list[tuple[int, int, int]]],
@@ -69,6 +83,8 @@ def _search(
     n = len(tris)
     used = [False] * n
     vertex_of = [seed] * (len(star) + 1)  # label -> vertex, below next_label
+    # an earlier seed's code; only a strictly smaller one replaces it
+    earlier = best[0]
 
     def recurse(label, next_label, low, emitted):
         pos = len(emitted)
@@ -81,6 +97,9 @@ def _search(
             elif witnesses is not None:
                 # by the invariant this completion ties with best[0]
                 witnesses.append(dict(label))
+            elif best[0] is earlier:
+                # the tie stop of the module docstring
+                raise _Tie
             return
         # triples are emitted in ascending order, so the next one starts with
         # the smallest label ``low`` whose vertex still has an unused triangle
@@ -149,37 +168,41 @@ def _search(
 
     links = star[seed]
     cycles = closed_cycles((x, y) for _i, x, y in links)
-    if not cycles or len(cycles[0]) != len(links):
-        recurse({seed: 1}, 2, 1, [])
-    else:
-        # one cycle link: every flag emits the same star prefix, so it is
-        # compared with best once and each flag labels the link in one walk
-        ring = cycles[0]
-        d = len(ring)
-        prefix = [(1, 2, 3)] + [(1, k, k + 2) for k in range(2, d)] + [(1, d, d + 1)]
-        ref = prefix if best[0] is None else list(best[0][:d])
-        if prefix < ref:
-            best[0] = None
-            if witnesses is not None:
-                witnesses.clear()
-        if prefix <= ref:
-            # ring offsets in label order: 2 and 3 are the flag's vertices,
-            # then the arc grows at its end with the smaller label
-            offsets = [j for pair in zip(range(d), range(d - 1, -1, -1))
-                       for j in pair][:d]
-            at = {v: j for j, v in enumerate(ring)}
-            for i, _x, _y in links:
-                used[i] = True
-            for _i, x, y in links:
-                for a, b in ((x, y), (y, x)):
-                    p = at[a]
-                    step = -1 if ring[(p + 1) % d] == b else 1
-                    label = {seed: 1}
-                    for k, j in enumerate(offsets, 2):
-                        v = ring[(p + step * j) % d]
-                        label[v] = k
-                        vertex_of[k] = v
-                    recurse(label, d + 2, 2, prefix)
+    try:
+        if not cycles or len(cycles[0]) != len(links):
+            recurse({seed: 1}, 2, 1, [])
+        else:
+            # one cycle link: every flag emits the same star prefix, so it is
+            # compared with best once and each flag labels the link in one walk
+            ring = cycles[0]
+            d = len(ring)
+            prefix = ([(1, 2, 3)] + [(1, k, k + 2) for k in range(2, d)]
+                      + [(1, d, d + 1)])
+            ref = prefix if best[0] is None else list(best[0][:d])
+            if prefix < ref:
+                best[0] = None
+                if witnesses is not None:
+                    witnesses.clear()
+            if prefix <= ref:
+                # ring offsets in label order: 2 and 3 are the flag's vertices,
+                # then the arc grows at its end with the smaller label
+                offsets = [j for pair in zip(range(d), range(d - 1, -1, -1))
+                           for j in pair][:d]
+                at = {v: j for j, v in enumerate(ring)}
+                for i, _x, _y in links:
+                    used[i] = True
+                for _i, x, y in links:
+                    for a, b in ((x, y), (y, x)):
+                        p = at[a]
+                        step = -1 if ring[(p + 1) % d] == b else 1
+                        label = {seed: 1}
+                        for k, j in enumerate(offsets, 2):
+                            v = ring[(p + step * j) % d]
+                            label[v] = k
+                            vertex_of[k] = v
+                        recurse(label, d + 2, 2, prefix)
+    except _Tie:
+        pass
     # recurse holds itself through its closure; dropping the name frees the
     # star and the flags now instead of at the next cyclic collection
     del recurse

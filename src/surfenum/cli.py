@@ -26,6 +26,7 @@ from .core import (
     Triangle,
     Triangulation,
     classify,
+    surface_class,
     validate,
 )
 from .listing import CountsTable, SearchConfig, enumerate_all
@@ -136,19 +137,31 @@ def results_complete(out_dir: Path, cfg: SearchConfig) -> bool:
     if manifest.get("config") != _manifest_config(cfg):
         return False
     for name, info in manifest["shards"].items():
-        path = out_dir / name
-        if not path.is_file() or _sha256(path.read_text()) != info.get("sha256"):
+        try:
+            _shard_text(out_dir, name, info)
+        except (ValueError, OSError):
             return False
     return True
+
+
+def _shard_text(out_dir: Path, name: str, info: dict) -> str:
+    """The text of shard ``name``; ``ValueError`` when its sha256 differs
+    from the one its manifest entry ``info`` records."""
+    path = out_dir / name
+    text = path.read_text()
+    if _sha256(text) != info.get("sha256"):
+        raise ValueError(f"{path} does not match its manifest checksum")
+    return text
 
 
 def read_results(out_dir: Path) -> CountsTable:
     """Rebuild the counts table from persisted shards; the root/non-root
     split is recomputed from the stored triangle lists, each validated once
-    (by :func:`core.classify`)."""
+    (by :func:`core.classify`).  ``ValueError`` when a shard's sha256
+    differs from the manifest's, before that shard is parsed."""
     table = CountsTable()
-    for name in _read_manifest(out_dir)["shards"]:
-        for line in (out_dir / name).read_text().splitlines():
+    for name, info in _read_manifest(out_dir)["shards"].items():
+        for line in _shard_text(out_dir, name, info).splitlines():
             if not line.strip():
                 continue
             t = parse_triangulation_text(line)
@@ -184,7 +197,7 @@ def _cmd_classify(args) -> int:
     if report.kind is not SurfaceKind.CLOSED_SURFACE:
         print(f"not a closed surface ({report.kind.value})", file=sys.stderr)
         return 1
-    print(classify(t).name)
+    print(surface_class(t).name)
     return 0
 
 

@@ -151,10 +151,10 @@ def closed_cycles(edges: Iterable[Edge]) -> list[list[int]] | None:
 def link_graph(tris_at_v: Iterable[Triangle], v: int) -> dict[int, list[int]]:
     """Adjacency of the link of ``v``: one link edge per triangle at ``v``."""
     adj: dict[int, list[int]] = {}
-    for t in tris_at_v:
-        a, b = (x for x in t if x != v)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    for a, b, c in tris_at_v:
+        p, q = (b, c) if v == a else (a, c) if v == b else (a, b)
+        adj.setdefault(p, []).append(q)
+        adj.setdefault(q, []).append(p)
     return adj
 
 
@@ -163,31 +163,41 @@ def link_shape(tris_at_v: Iterable[Triangle], v: int) -> str:
 
     'paths' means two or more disjoint simple paths (a pinch for a finished
     surface but an acceptable intermediate state during growth searches).
+    An empty star, a link vertex on more than two link edges and a
+    repeated link edge (a repeated triangle) are 'bad'.  Otherwise every link vertex is
+    on one or two link edges, so each component is a path or a circle; one
+    walk along each path from one end, or round the circle from any vertex
+    when there are no ends, decides the shape: it is 'bad' exactly when
+    the walks miss a link vertex, which lies on another circle.
     """
     adj = link_graph(tris_at_v, v)
-    if any(len(nbrs) > 2 or len(set(nbrs)) != len(nbrs) for nbrs in adj.values()):
+    ends = []
+    for x, nbrs in adj.items():
+        if len(nbrs) == 1:
+            ends.append(x)
+        elif len(nbrs) > 2 or nbrs[0] == nbrs[1]:
+            return "bad"
+    if not adj:
         return "bad"
-    endpoints = sum(1 for nbrs in adj.values() if len(nbrs) == 1)
-    # count connected components
-    seen: set[int] = set()
-    components = 0
-    for start in adj:
-        if start in seen:
+    walked = 0
+    far = set()  # path ends reached from the other end
+    for start in ends or [next(iter(adj))]:
+        if start in far:
             continue
-        components += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    if endpoints == 0:
-        return "circle" if components == 1 else "bad"
-    if endpoints == 2 * components:
-        return "interval" if components == 1 else "paths"
-    return "bad"
+        prev, cur = start, adj[start][0]
+        walked += 1
+        while cur != start:
+            walked += 1
+            nbrs = adj[cur]
+            if len(nbrs) == 1:
+                far.add(cur)
+                break
+            prev, cur = cur, (nbrs[1] if nbrs[0] == prev else nbrs[0])
+    if walked != len(adj):
+        return "bad"
+    if not ends:
+        return "circle"
+    return "interval" if len(ends) == 2 else "paths"
 
 
 class SurfaceKind(Enum):
@@ -206,10 +216,11 @@ class ValidationReport:
         return self.kind is not SurfaceKind.NOT_A_SURFACE
 
 
-def _connected(tris: tuple[Triangle, ...]) -> bool:
-    """Edge-connectivity; pieces that meet only at a vertex split that
-    vertex's link, which :func:`validate` reports before asking."""
-    by_edge = edge_triangles(tris)
+def _connected(tris: tuple[Triangle, ...],
+               by_edge: dict[Edge, list[Triangle]]) -> bool:
+    """Edge-connectivity, given :func:`edge_triangles` of ``tris``; pieces
+    that meet only at a vertex split that vertex's link, which
+    :func:`validate` reports before asking."""
     seen = {tris[0]}
     stack = [tris[0]]
     while stack:
@@ -228,7 +239,8 @@ def validate(t: Triangulation) -> ValidationReport:
     boundary, or not a surface at all (with the offending vertices)."""
     tris = t.triangles
     offending: set[int] = set()
-    for e, ts in edge_triangles(tris).items():
+    by_edge = edge_triangles(tris)
+    for e, ts in by_edge.items():
         if len(ts) > 2:
             offending.update(e)
     by_vertex = vertex_triangles(tris)
@@ -241,7 +253,7 @@ def validate(t: Triangulation) -> ValidationReport:
             has_boundary = True
     if offending:
         return ValidationReport(SurfaceKind.NOT_A_SURFACE, tuple(sorted(offending)))
-    if not _connected(tris):
+    if not _connected(tris, by_edge):
         return ValidationReport(SurfaceKind.NOT_A_SURFACE, ())
     if has_boundary:
         return ValidationReport(SurfaceKind.SURFACE_WITH_BOUNDARY)

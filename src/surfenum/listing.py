@@ -40,6 +40,7 @@ from .core import (
     closed_cycles,
     degrees,
     edge_triangles,
+    link_graph,
     normalize_triangles,
     surface_class,
     valences,
@@ -321,11 +322,7 @@ def _link_ends(star: Iterable[Triangle],
                v: int) -> tuple[dict[int, list[int]], dict[int, int]]:
     """The link of ``v`` in a growth state, whose links are circles or
     disjoint paths: link vertex -> neighbours, and path end -> other end."""
-    adj: dict[int, list[int]] = {}
-    for a, b, c in star:
-        p, q = (b, c) if v == a else (a, c) if v == b else (a, b)
-        adj.setdefault(p, []).append(q)
-        adj.setdefault(q, []).append(p)
+    adj = link_graph(star, v)
     partner: dict[int, int] = {}
     for end, nbrs in adj.items():
         if len(nbrs) == 1 and end not in partner:

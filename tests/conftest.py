@@ -10,7 +10,7 @@ from surfenum.cli import parse_triangulation_text
 from surfenum.core import (KLEIN_BOTTLE, Edge, SurfaceClass, SurfaceKind,
                            Triangle, Triangulation, boundary_cycles, classify,
                            closed_cycles, edge_triangles, euler_characteristic,
-                           normalize_triangles, valences, validate)
+                           link_graph, normalize_triangles, valences, validate)
 from surfenum.moves import MoveError, _require_closed
 
 # well-known fixtures (compact single-digit format)
@@ -71,6 +71,39 @@ def state_key(tris, marked_edges):
         if best_marked is None or image < best_marked:
             best_marked = image
     return code, best_marked
+
+
+def link_shape(tris_at_v: Iterable[Triangle], v: int) -> str:
+    """Classify the link of ``v``: 'circle', 'interval', 'paths' or 'bad'.
+
+    'paths' means two or more disjoint simple paths (a pinch for a finished
+    surface but an acceptable intermediate state during growth searches).
+    The reference that ``core.link_shape`` is compared with.
+    """
+    adj = link_graph(tris_at_v, v)
+    if any(len(nbrs) > 2 or len(set(nbrs)) != len(nbrs) for nbrs in adj.values()):
+        return "bad"
+    endpoints = sum(1 for nbrs in adj.values() if len(nbrs) == 1)
+    # count connected components
+    seen: set[int] = set()
+    components = 0
+    for start in adj:
+        if start in seen:
+            continue
+        components += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    if endpoints == 0:
+        return "circle" if components == 1 else "bad"
+    if endpoints == 2 * components:
+        return "interval" if components == 1 else "paths"
+    return "bad"
 
 
 def mixed_lex_compare(a: Sequence[Triangle], b: Sequence[Triangle]) -> int:

@@ -8,7 +8,7 @@ from conftest import (ANNULUS, MOBIUS, canonical_witness, is_isomorphic,
                       mixed_lex_compare, relabel, state_key)
 from surfenum.canon import canonical_form, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import Triangulation
+from surfenum.core import TORUS, Triangulation, classify
 from surfenum.oracle import brute_force_enumerate
 
 
@@ -66,6 +66,11 @@ MIXED_SEEDS = (
     "1,2,3 1,2,5 1,3,4 2,3,5",
     "1,2,3 1,2,4 1,3,4 1,5,6 1,6,7 2,3,8 2,7,8 3,5,8 5,6,8 6,7,8",
 )
+
+# the 7-vertex torus (Moebius 1861, Csaszar 1949): vertex-transitive, so every
+# seed after the first ties with the best code
+SEVEN_VERTEX_TORUS = tuple(
+    (i % 7 + 1, (i + j) % 7 + 1, (i + 3) % 7 + 1) for i in range(7) for j in (1, 2))
 
 # sha256 of minimal_code(t, with_witnesses=True) over _pinned_inputs(), as
 # computed when every seed still ran the plain recursion from label 1: a
@@ -160,6 +165,19 @@ class TestWitness:
             code, wits = minimal_code(t.triangles, with_witnesses=True)
             digest.update(repr((code, [sorted(w.items()) for w in wits])).encode())
         assert digest.hexdigest() == PINNED_DIGEST
+
+    def test_code_alone_equals_the_full_search(self, tetra, octa, rp2_six):
+        # only the code-alone search stops a seed at its first tie; the
+        # witness search runs every seed to the end
+        torus = Triangulation(SEVEN_VERTEX_TORUS)
+        assert classify(torus) == TORUS
+        rng = random.Random(1961)
+        inputs = _pinned_inputs()
+        for t in (tetra, octa, rp2_six, torus):
+            inputs += [t] + [relabel(t, rng)[0] for _ in range(3)]
+        for t in inputs:
+            code, _wits = minimal_code(t.triangles, with_witnesses=True)
+            assert minimal_code(t.triangles) == code
 
     def test_witness_realizes_canonical_form(self, octa, rp2_six, mobius):
         rng = random.Random(99)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -56,6 +58,23 @@ class TestParsing:
                 assert parse_triangulation_text(render_triangulation(t)) == t
 
 
+def count_validate_calls(monkeypatch) -> list:
+    """Route every ``validate`` call in the package through a counter;
+    returns the list of triangulations it was called with."""
+    from surfenum.core import validate
+
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return validate(t)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "surfenum" and vars(mod).get("validate") is validate:
+            monkeypatch.setattr(mod, "validate", counting)
+    return calls
+
+
 class TestCountsFormat:
     def test_v4_slice(self):
         table = CountsTable()
@@ -80,21 +99,9 @@ class TestPersistence:
         assert table == corpus.counts
 
     def test_read_results_validates_each_line_once(self, tmp_path, monkeypatch):
-        import sys
-
-        from surfenum.core import validate
-
         write_results(tmp_path, SearchConfig(max_vertices=6),
                       brute_force_enumerate(6).codes, 0.0)
-        calls = []
-
-        def counting(t):
-            calls.append(t)
-            return validate(t)
-
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "surfenum" and vars(mod).get("validate") is validate:
-                monkeypatch.setattr(mod, "validate", counting)
+        calls = count_validate_calls(monkeypatch)
         read_results(tmp_path)
         lines = [parse_triangulation_text(line)
                  for p in tmp_path.glob("*.txt") for line in p.read_text().splitlines()]
@@ -106,9 +113,30 @@ class TestPersistence:
         write_results(tmp_path, SearchConfig(max_vertices=6),
                       brute_force_enumerate(6).codes, 0.0)
         shard = next(p for p in tmp_path.iterdir() if p.suffix == ".txt")
-        shard.write_text(render_triangulation(parse_triangulation_text(MOBIUS)) + "\n")
+        text = render_triangulation(parse_triangulation_text(MOBIUS)) + "\n"
+        shard.write_text(text)
+        # a manifest that matches the edited shard, so the line reaches classify
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["shards"][shard.name]["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        path.write_text(json.dumps(manifest))
         assert main(["counts", str(tmp_path)]) == 2
         assert "classify needs a closed surface" in capsys.readouterr().err
+
+    def test_shard_checksum_mismatch_exits_2(self, tmp_path, capsys):
+        write_results(tmp_path, SearchConfig(max_vertices=6),
+                      brute_force_enumerate(6).codes, 0.0)
+        shard = tmp_path / "v06_S2.txt"
+        lines = shard.read_text().splitlines()
+        assert len(lines) == 2
+        # a cut shard still parses; only its checksum tells it is stale
+        shard.write_text(lines[0] + "\n")
+        with pytest.raises(ValueError, match="manifest checksum"):
+            read_results(tmp_path)
+        assert main(["counts", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "v06_S2.txt does not match its manifest checksum" in captured.err
 
     def test_corrupted_shard_invalidates_resume(self, tmp_path):
         cfg = SearchConfig(max_vertices=6)
@@ -175,6 +203,14 @@ class TestCommands:
         f.write_text("123 124 125")
         assert main(["validate", str(f)]) == 1
         assert "NotASurface" in capsys.readouterr().out
+
+    def test_classify_validates_once(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "t.txt"
+        f.write_text(RP2_SIX)
+        calls = count_validate_calls(monkeypatch)
+        assert main(["classify", str(f)]) == 0
+        assert capsys.readouterr().out.strip() == "RP2"
+        assert len(calls) == 1
 
     def test_classify_rejects_bounded_input(self, tmp_path, capsys):
         f = tmp_path / "m.txt"

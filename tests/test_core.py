@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import cone_and_classify, heawood_min_vertices, relabel
+from conftest import cone_and_classify, heawood_min_vertices, link_shape, relabel
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     KLEIN_BOTTLE,
@@ -17,6 +18,7 @@ from surfenum.core import (
     closed_cycles,
     degrees,
     euler_characteristic,
+    link_shape as fast_link_shape,
     surface_class,
     valences,
     validate,
@@ -201,3 +203,40 @@ class TestAdjacency:
     def test_degree_three_gives_none(self):
         assert closed_cycles([(1, 2), (1, 3), (1, 4)]) is None
         assert closed_cycles([(1, 2), (2, 3), (1, 3), (1, 4)]) is None
+
+
+class TestLinkShape:
+    # v = 4 sits first, in the middle and last in the sorted star triangles
+    V = 4
+    LINK_VERTICES = (1, 2, 3, 5, 6, 7, 8)
+
+    def star(self, edges):
+        return [tuple(sorted((self.V, a, b))) for a, b in edges]
+
+    def test_verdicts(self):
+        def shape(edges):
+            return fast_link_shape(self.star(edges), self.V)
+
+        assert shape([]) == "bad"
+        assert shape([(1, 2), (2, 3), (1, 3)]) == "circle"
+        assert shape([(1, 2), (2, 5)]) == "interval"
+        assert shape([(1, 2), (5, 6)]) == "paths"
+        assert shape([(1, 2), (2, 3), (1, 3), (5, 6)]) == "bad"
+        assert shape([(1, 2), (2, 3), (1, 3), (5, 6), (6, 7), (5, 7)]) == "bad"
+        assert shape([(1, 2), (1, 3), (1, 5)]) == "bad"
+        assert shape([(1, 2), (1, 2)]) == "bad"
+
+    def test_agrees_with_reference_on_small_stars(self):
+        edges = list(itertools.combinations(self.LINK_VERTICES, 2))
+        checked = 0
+        for k in range(7):
+            for sub in itertools.combinations(edges, k):
+                star = self.star(sub)
+                assert fast_link_shape(star, self.V) == link_shape(star, self.V), star
+                checked += 1
+                if k <= 4:
+                    for t in star:
+                        twice = star + [t]
+                        assert (fast_link_shape(twice, self.V)
+                                == link_shape(twice, self.V)), twice
+        assert checked == 82160
