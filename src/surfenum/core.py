@@ -262,9 +262,13 @@ def validate(t: Triangulation) -> ValidationReport:
 
 def euler_characteristic(t: Triangulation) -> int:
     """V - E + T."""
-    tris = t.triangles
+    return _euler(t.triangles, edge_triangles(t.triangles))
+
+
+def _euler(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]]) -> int:
+    """V - E + T, given :func:`edge_triangles` of ``tris``."""
     verts = {v for tri in tris for v in tri}
-    return len(verts) - len(edge_triangles(tris)) + len(tris)
+    return len(verts) - len(by_edge) + len(tris)
 
 
 @dataclass(frozen=True, order=True)
@@ -316,7 +320,12 @@ KLEIN_BOTTLE = SurfaceClass(False, 2)
 def orientable_triangles(tris: tuple[Triangle, ...]) -> bool:
     """Propagate a coherent orientation across shared edges; a conflict
     means the (connected, closed or bounded) surface is non-orientable."""
-    by_edge = edge_triangles(tris)
+    return _orientable(tris, edge_triangles(tris))
+
+
+def _orientable(tris: tuple[Triangle, ...],
+                by_edge: dict[Edge, list[Triangle]]) -> bool:
+    """:func:`orientable_triangles`, given :func:`edge_triangles` of ``tris``."""
     # orientation of a triangle = a chosen cyclic order of its vertices
     orient: dict[Triangle, tuple[int, int, int]] = {}
     for start in tris:
@@ -353,8 +362,10 @@ def surface_class(t: Triangulation, holes: int = 0) -> SurfaceClass:
     boundary cycles of the connected surface ``t`` with a disc, with no
     check that ``t`` is one.  Capping keeps orientability and adds 1 to chi
     per hole."""
-    chi = euler_characteristic(t) + holes
-    if orientable_triangles(t.triangles):
+    tris = t.triangles
+    by_edge = edge_triangles(tris)
+    chi = _euler(tris, by_edge) + holes
+    if _orientable(tris, by_edge):
         if chi % 2 != 0:
             raise AssertionError("orientable surface with odd Euler characteristic")
         return SurfaceClass(True, (2 - chi) // 2)

@@ -4,9 +4,19 @@ The oracle grows every closed triangulation directly, without discs,
 genus-surfaces or root moves: for each target maximal valence m it starts
 from the closed star of an m-valent vertex and glues one triangle at a time
 onto the smallest uncovered boundary edge, trying every admissible third
-vertex, with canonical-form deduplication of intermediate states.  Only the
+vertex.  A state isomorphic to one already expanded is dropped.  Only the
 basic surface predicates and the canonical labeling are shared with the
 pipeline, so agreement of the two results is meaningful evidence.
+
+Intermediate states are deduplicated in buckets keyed by a cheap invariant
+(McKay's isomorph rejection: invariants first, a certificate only where
+they fail to separate).  A state alone in its bucket is expanded without a
+canonical code; once a second state lands there, every member gets its
+``minimal_code``, and a state is dropped only when its code equals a
+member's.  This is exact: isomorphic states have equal invariants, so they
+meet in one bucket and compare by code, and the code is still the only
+equality test.  A hash collision of unequal invariants only costs codes.
+Closed leaves are always coded, and the returned codes are a set.
 """
 
 from __future__ import annotations
@@ -15,61 +25,75 @@ from dataclasses import dataclass, field
 
 from .canon import Code, minimal_code
 from .core import (
+    Edge,
     SurfaceClass,
     SurfaceKind,
     Triangle,
     Triangulation,
-    boundary_edges,
     edge_triangles,
     link_shape,
     surface_class,
-    valences,
     validate,
     vertex_triangles,
 )
 from .listing import CountsTable, _map_maybe_parallel
 
+# a growth state: its triangles in the order they were glued
+State = tuple[Triangle, ...]
 
-def _m_fan(m: int) -> frozenset:
+
+def _m_fan(m: int) -> State:
     rim = list(range(2, m + 2))
-    return frozenset(
+    return tuple(
         tuple(sorted((1, rim[i], rim[(i + 1) % m]))) for i in range(m)
     )
 
 
-def _children(tris: frozenset, m: int, max_vertices: int,
-              max_triangles: int) -> list[frozenset] | None:
-    open_edges = boundary_edges(tris)
+def _invariant(tris: State, by_edge: dict[Edge, list[Triangle]],
+               by_vertex: dict[int, list[Triangle]]) -> int:
+    """Bucket key of a growth state, unchanged by relabeling: the hash of
+    its sorted triangles, each the sorted triple of its vertices'
+    (valence, boundary-edge degree)."""
+    open_degree: dict[int, int] = {}
+    for (a, b), ts in by_edge.items():
+        if len(ts) == 1:
+            open_degree[a] = open_degree.get(a, 0) + 1
+            open_degree[b] = open_degree.get(b, 0) + 1
+    label = {v: (len(ts), open_degree.get(v, 0)) for v, ts in by_vertex.items()}
+    return hash(tuple(sorted(
+        tuple(sorted((label[a], label[b], label[c]))) for a, b, c in tris
+    )))
+
+
+def _children(tris: State, by_edge: dict[Edge, list[Triangle]],
+              by_vertex: dict[int, list[Triangle]], m: int, max_vertices: int,
+              max_triangles: int) -> list[State] | None:
+    open_edges = [e for e, ts in by_edge.items() if len(ts) == 1]
     if not open_edges:
         return None  # closed: a leaf
     if len(tris) >= max_triangles:
         return []
-    a, b = open_edges[0]
-    vals = valences(tris)
-    n_v = len(vals)
-    cands = [x for x in sorted(vals) if x not in (a, b)]
+    a, b = min(open_edges)
+    # (a, b, taken) is the one triangle already on (a, b)
+    taken = next(x for x in by_edge[(a, b)][0] if x not in (a, b))
+    n_v = len(by_vertex)
+    cands = [x for x in range(1, n_v + 1) if x not in (a, b, taken)]
     if n_v < max_vertices:
         cands.append(n_v + 1)
-    edge_map = edge_triangles(tris)
-    by_vertex = vertex_triangles(tris)
     out = []
     for x in cands:
         new_tri = tuple(sorted((a, b, x)))
-        if new_tri in tris:
-            continue
         ea, eb = tuple(sorted((a, x))), tuple(sorted((b, x)))
-        if len(edge_map.get(ea, ())) > 1 or len(edge_map.get(eb, ())) > 1:
+        if len(by_edge.get(ea, ())) > 1 or len(by_edge.get(eb, ())) > 1:
             continue
         ok = True
         for v in (a, b, x):
-            if vals.get(v, 0) + 1 > m:
-                ok = False
-                break
-            if link_shape(by_vertex.get(v, []) + [new_tri], v) == "bad":
+            at_v = by_vertex.get(v, [])
+            if len(at_v) + 1 > m or link_shape(at_v + [new_tri], v) == "bad":
                 ok = False
                 break
         if ok:
-            out.append(tris | {new_tri})
+            out.append(tris + (new_tri,))
     return out
 
 
@@ -77,19 +101,36 @@ def _enumerate_with_max_valence(m: int, max_vertices: int) -> set[Code]:
     """Canonical codes of all closed triangulations with maximal valence
     exactly m and at most max_vertices vertices."""
     max_triangles = max_vertices * (max_vertices - 1) // 3
-    visited: set[Code] = set()
+    # expanded states by invariant: one state with no code yet, or the
+    # codes of every state expanded with that invariant
+    lone: dict[int, State] = {}
+    coded: dict[int, set[Code]] = {}
     leaves: set[Code] = set()
     stack = [_m_fan(m)]
     while stack:
         tris = stack.pop()
-        code = minimal_code(tris)
-        if code in visited:
-            continue
-        visited.add(code)
-        children = _children(tris, m, max_vertices, max_triangles)
+        by_edge = edge_triangles(tris)
+        by_vertex = vertex_triangles(tris)
+        key = _invariant(tris, by_edge, by_vertex)
+        code = None
+        codes = coded.get(key)
+        if codes is None and key in lone:
+            codes = coded[key] = {minimal_code(lone.pop(key))}
+        if codes is None:
+            lone[key] = tris
+        else:
+            code = minimal_code(tris)
+            if code in codes:
+                continue
+            codes.add(code)
+        children = _children(tris, by_edge, by_vertex, m, max_vertices,
+                             max_triangles)
         if children is None:
-            t = Triangulation(tris)
-            if validate(t).kind is SurfaceKind.CLOSED_SURFACE:
+            if validate(Triangulation(tris)).kind is SurfaceKind.CLOSED_SURFACE:
+                if code is None:
+                    del lone[key]
+                    code = minimal_code(tris)
+                    coded[key] = {code}
                 leaves.add(code)
         else:
             stack.extend(children)
@@ -127,6 +168,8 @@ def brute_force_enumerate(max_vertices: int, workers: int = 1) -> OracleResult:
     up to isomorphism, found by direct growth."""
     if max_vertices < 3:
         raise ValueError("max_vertices must be at least 3")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     if max_vertices < 4:
         return OracleResult(CountsTable())
     tasks = [(m, max_vertices) for m in range(3, max_vertices)]

@@ -19,6 +19,7 @@ from surfenum.core import (
     degrees,
     euler_characteristic,
     link_shape as fast_link_shape,
+    orientable_triangles,
     surface_class,
     valences,
     validate,
@@ -90,6 +91,13 @@ class TestClassification:
         assert euler_characteristic(octa) == 2
         assert euler_characteristic(rp2_six) == 1
         assert euler_characteristic(mobius) == 0
+
+    def test_orientable_triangles(self, tetra, octa, rp2_six, mobius, annulus):
+        assert orientable_triangles(tetra.triangles)
+        assert orientable_triangles(octa.triangles)
+        assert orientable_triangles(annulus.triangles)
+        assert not orientable_triangles(rp2_six.triangles)
+        assert not orientable_triangles(mobius.triangles)
 
     def test_classify(self, tetra, octa, rp2_six):
         assert classify(tetra) == SPHERE

@@ -1,9 +1,13 @@
+import random
 from collections import Counter
 
 import pytest
 
+from conftest import relabel
+from surfenum import oracle
 from surfenum.canon import minimal_code
-from surfenum.core import SurfaceKind, Triangulation, validate
+from surfenum.core import (SurfaceKind, Triangulation, edge_triangles,
+                           validate, vertex_triangles)
 from surfenum.listing import SearchConfig
 from surfenum.oracle import brute_force_enumerate, cross_validate
 
@@ -46,6 +50,74 @@ class TestBruteForce:
             SearchConfig(max_vertices=budget)
         with pytest.raises(ValueError, match="at least 3"):
             brute_force_enumerate(budget)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_is_rejected(self, workers):
+        # the same check and message as SearchConfig
+        with pytest.raises(ValueError, match="workers must be positive"):
+            SearchConfig(max_vertices=8, workers=workers)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            brute_force_enumerate(8, workers=workers)
+
+    def test_minimal_code_calls(self, monkeypatch):
+        calls = 0
+
+        def counting(tris):
+            nonlocal calls
+            calls += 1
+            return minimal_code(tris)
+
+        monkeypatch.setattr(oracle, "minimal_code", counting)
+        brute_force_enumerate(8)
+        # one call per growth state whose invariant another state shares,
+        # and per closed leaf; 1,267 when every popped state was coded
+        assert 0 < calls <= 546
+
+
+def _growth_states(max_vertices: int) -> dict:
+    """Code -> one growth state of that code, for every state the oracle
+    expands at this budget (deduplicated by code alone)."""
+    states = {}
+    for m in range(3, max_vertices):
+        stack = [oracle._m_fan(m)]
+        while stack:
+            tris = stack.pop()
+            code = minimal_code(tris)
+            if code in states:
+                continue
+            states[code] = tris
+            stack.extend(oracle._children(
+                tris, edge_triangles(tris), vertex_triangles(tris), m,
+                max_vertices, max_vertices * (max_vertices - 1) // 3) or ())
+    return states
+
+
+def _invariant(tris) -> int:
+    return oracle._invariant(tris, edge_triangles(tris), vertex_triangles(tris))
+
+
+class TestInvariant:
+    def test_relabeling_invariant_on_eight_vertex_states(self):
+        states = _growth_states(8)
+        assert len(states) == 989
+        rng = random.Random(14)
+        for tris in states.values():
+            key = _invariant(tris)
+            for _ in range(3):
+                moved = relabel(Triangulation(tris), rng)[0].triangles
+                assert _invariant(moved) == key
+        # states that share their invariant with a non-isomorphic one
+        by_key = Counter(_invariant(tris) for tris in states.values())
+        assert sum(n for n in by_key.values() if n > 1) == 72
+
+    def test_non_isomorphic_states_can_share_it(self):
+        # a 5-star at 1 with three triangles on its rim: the third meets
+        # the first (at 7) or the second (at 8)
+        star = ((1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+                (2, 3, 7), (2, 4, 8))
+        first, second = star + ((2, 5, 7),), star + ((2, 5, 8),)
+        assert _invariant(first) == _invariant(second)
+        assert minimal_code(first) != minimal_code(second)
 
 
 class TestCrossValidate:
