@@ -210,7 +210,10 @@ def _search(
 
 def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
     """Mixed-lex minimal relabeled triangle list of a raw triangle
-    collection; optionally also every labeling achieving it."""
+    collection; optionally also every labeling achieving it.
+
+    Raises ValueError when the input has more triangles than the
+    interpreter's recursion limit leaves room for."""
     tris = normalize_triangles(tris)
     # vertex -> (triangle index, the two other vertices), indices ascending
     star: dict[int, list[tuple[int, int, int]]] = {}
@@ -221,8 +224,12 @@ def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
     max_val = max(len(s) for s in star.values())
     best: list = [None]
     witnesses: list | None = [] if with_witnesses else None
-    for v in sorted(x for x, s in star.items() if len(s) == max_val):
-        _search(tris, star, v, best, witnesses)
+    try:
+        for v in sorted(x for x, s in star.items() if len(s) == max_val):
+            _search(tris, star, v, best, witnesses)
+    except RecursionError:
+        raise ValueError(f"{len(tris)} triangles are too many to label: the "
+                         "canonical search recurses once per triangle") from None
     if with_witnesses:
         return best[0], witnesses
     return best[0]

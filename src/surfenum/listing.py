@@ -401,6 +401,18 @@ class _GenusSurfaceSearch:
     :func:`genus_surface_admissible` for good (rules R1-R3).  The leaves get
     the rest in ``emit``: the valence floors, the main-disc host bound and
     the capped surface class.
+
+    The open edge decided next is the one at the most advanced vertex: the
+    larger valence of its two ends, then the frozen edges at both ends, both
+    descending, then the least edge by label.  This is the fail-first rule
+    of constraint search (Haralick & Elliott, Artificial Intelligence 14
+    (1980)), and it closes one vertex link at a time as lextri does (Sulanke
+    & Lutz, arXiv:math/0610022): a full star and frozen ends leave the
+    fewest children, and a dead end shows sooner.  Any order is complete:
+    every final surface that contains a state covers or freezes each of its
+    open edges, so deciding any one open edge in every way loses none of
+    them.  Each pruning rule above is argued from what is permanent, not
+    from the order, so it holds whatever is decided later.
     """
 
     def __init__(self, cfg: SearchConfig, max_surface_vertices: int | None = None):
@@ -442,10 +454,6 @@ class _GenusSurfaceSearch:
         open_edges = [e for e in bedges if e not in frozen]
         if not open_edges:
             return None
-        e = min(open_edges)
-        # no bad link and no edge in three triangles: a vertex has a circle
-        # link (is interior) exactly when no boundary edge meets it
-        bverts = {v for edge in bedges for v in edge}
         vals = {v: len(ts) for v, ts in by_vertex.items()}
         # the far ends of each vertex's frozen edges, and the vertex opposite
         # each frozen edge in its one triangle
@@ -456,6 +464,14 @@ class _GenusSurfaceSearch:
             frozen_ends.setdefault(x, []).append(y)
             frozen_ends.setdefault(y, []).append(x)
             opposite.add(next(w for w in edge_map[f][0] if w != x and w != y))
+        # fail first: the open edge at the most advanced vertex (docstring)
+        e = min(open_edges, key=lambda e: (
+            -max(vals[e[0]], vals[e[1]]),
+            -len(frozen_ends.get(e[0], ())) - len(frozen_ends.get(e[1], ())),
+            e))
+        # no bad link and no edge in three triangles: a vertex has a circle
+        # link (is interior) exactly when no boundary edge meets it
+        bverts = {v for edge in bedges for v in edge}
         a, b = e
         links = {a: _link_ends(by_vertex[a], a), b: _link_ends(by_vertex[b], b)}
         out = []

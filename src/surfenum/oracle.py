@@ -3,10 +3,23 @@
 The oracle grows every closed triangulation directly, without discs,
 genus-surfaces or root moves: for each target maximal valence m it starts
 from the closed star of an m-valent vertex and glues one triangle at a time
-onto the smallest uncovered boundary edge, trying every admissible third
-vertex.  A state isomorphic to one already expanded is dropped.  Only the
-basic surface predicates and the canonical labeling are shared with the
-pipeline, so agreement of the two results is meaningful evidence.
+onto one uncovered boundary edge, trying every admissible third vertex.  A
+state isomorphic to one already expanded is dropped.  Only the basic surface
+predicates and the canonical labeling are shared with the pipeline, so
+agreement of the two results is meaningful evidence.
+
+The edge decided next is the one whose ends have the most triangles: the
+larger star of its two ends, then the smaller, both descending, then the
+least edge by label.  This is the fail-first rule of constraint search
+(Haralick & Elliott, Artificial Intelligence 14 (1980)): a fuller star
+leaves the third vertex the fewest choices under the valence cap and the
+link test, so the tree is narrower near the root.  Any order is complete:
+every closed surface that contains a state covers each of its uncovered
+edges, so trying every third vertex on any one of them loses none of those
+surfaces.  Each pruning rule holds for good, whatever is decided later,
+because a glued triangle stays: an edge in three triangles, a valence above
+m or a bad link is never repaired, and the vertex and triangle caps only
+bind harder.
 
 Intermediate states are deduplicated in buckets keyed by a cheap invariant
 (McKay's isomorph rejection: invariants first, a certificate only where
@@ -73,7 +86,10 @@ def _children(tris: State, by_edge: dict[Edge, list[Triangle]],
         return None  # closed: a leaf
     if len(tris) >= max_triangles:
         return []
-    a, b = min(open_edges)
+    # fail first: the edge whose ends have the most triangles (module docstring)
+    a, b = min(open_edges, key=lambda e: (
+        -max(len(by_vertex[e[0]]), len(by_vertex[e[1]])),
+        -min(len(by_vertex[e[0]]), len(by_vertex[e[1]])), e))
     # (a, b, taken) is the one triangle already on (a, b)
     taken = next(x for x in by_edge[(a, b)][0] if x not in (a, b))
     n_v = len(by_vertex)

@@ -287,7 +287,7 @@ class TestFlagKey:
 
         monkeypatch.setattr(listing._GenusSurfaceSearch, "children", recording)
         listing._GenusSurfaceSearch(listing.SearchConfig(max_vertices=8)).run()
-        assert len(states) == 1105
+        assert len(states) == 829
         rng = random.Random(71)
         for tris, frozen in states:
             reference = flag_key(tris, frozen)

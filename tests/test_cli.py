@@ -217,6 +217,23 @@ class TestCommands:
         f.write_text(MOBIUS)
         assert main(["classify", str(f)]) == 1
 
+    @pytest.mark.parametrize("command", ["canon", "root"])
+    def test_too_many_triangles_exits_2(self, command, tmp_path, capsys):
+        # the 25 x 25 torus grid: 1,250 triangles, more than the canonical
+        # search's one recursion level per triangle fits in
+        n = 25
+        label = lambda i, j: (i % n) * n + j % n + 1
+        f = tmp_path / "grid.txt"
+        f.write_text(render_triangulation(
+            [(label(i, j), label(i + 1, j), label(i + 1, j + 1))
+             for i in range(n) for j in range(n)]
+            + [(label(i, j), label(i, j + 1), label(i + 1, j + 1))
+               for i in range(n) for j in range(n)]))
+        assert main([command, str(f)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 1250 triangles are too many to label: the canonical "
+            "search recurses once per triangle\n")
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_text("not a triangulation")

@@ -502,7 +502,7 @@ class TestMainDiscsOnce:
 
 class TestGenusSearchDedup:
     @pytest.mark.parametrize("v, states, candidates",
-                             [(5, 2, 1), (6, 15, 2), (7, 85, 5), (8, 1105, 25)])
+                             [(5, 2, 1), (6, 15, 2), (7, 78, 5), (8, 829, 25)])
     def test_visited_and_emitted_counts(self, monkeypatch, v, states, candidates):
         from surfenum import listing
 
@@ -537,7 +537,7 @@ class TestGenusSearchDedup:
         # same classes: each key of one kind pairs with exactly one of the other
         assert len({a for a, _ in pairs}) == len(pairs)
         assert len({b for _, b in pairs}) == len(pairs)
-        assert len(pairs) == 1105
+        assert len(pairs) == 829
 
 
 class TestGenusSearchShortcuts:
@@ -590,7 +590,7 @@ class TestGenusSearchShortcuts:
         _GenusSurfaceSearch(SearchConfig(max_vertices=8, specialized=specialized)).run()
         # the visited states less the leaves; the one-triangle candidate is
         # emitted directly, so 24 of the 25 candidates are leaves
-        assert states == 1105 - 24
+        assert states == 829 - 24
         assert set(verdicts) == {"bad", "circle", "interval", "paths"}
 
     @pytest.mark.parametrize("specialized", [True, False])
@@ -668,8 +668,9 @@ class TestGenusSearchPruning:
             SearchConfig(max_vertices=9, specialized=specialized)).run()
         assert len(search.emitted) == 608
         assert emitted_digest(search.emitted) == EMITTED_SHA256[9]
-        # 138,690 states without the pruning, 55,215 without its rule R3
-        assert len(search.visited) <= 48068
+        # 138,690 states without the pruning, 55,215 without its rule R3,
+        # 48,068 when the open edge decided next was the least by label
+        assert len(search.visited) <= 26456
 
     @pytest.mark.parametrize("specialized", [True, False])
     def test_pruned_children_reach_no_admissible_leaf(self, monkeypatch,
