@@ -105,16 +105,6 @@ def valences(tris: Iterable[Triangle]) -> dict[int, int]:
     return val
 
 
-def degrees(tris: Iterable[Triangle]) -> dict[int, int]:
-    """Vertex -> number of neighbours."""
-    nbrs: dict[int, set[int]] = {}
-    for a, b, c in tris:
-        nbrs.setdefault(a, set()).update((b, c))
-        nbrs.setdefault(b, set()).update((a, c))
-        nbrs.setdefault(c, set()).update((a, b))
-    return {v: len(s) for v, s in nbrs.items()}
-
-
 def closed_cycles(edges: Iterable[Edge]) -> list[list[int]] | None:
     """Closed cycles of a graph of maximum degree 2, each walked from its
     smallest vertex towards its first neighbour in sorted edge order.

@@ -7,7 +7,7 @@ vertex in its interior, plus at most one small extra disc when at most 11
 vertices are requested.  For the sphere the genus-surface is one triangle,
 so sphere roots are main discs with a 3-cycle boundary glued onto it by the
 same gluing as every other root.  Genus-surface candidates are grown
-exhaustively within a vertex and a triangle cap, the only size bounds, and
+exhaustively within the vertex budget, the only size bound, and
 pruned by the necessary conditions for minimal decompositions: a partial
 candidate is dropped as soon as it breaks one that no later triangle or
 frozen boundary edge can repair (the opposite vertex of a boundary edge on
@@ -38,7 +38,6 @@ from .core import (
     Triangulation,
     boundary_cycles,
     closed_cycles,
-    degrees,
     edge_triangles,
     link_graph,
     normalize_triangles,
@@ -249,22 +248,6 @@ def enumerate_discs(cfg: SearchConfig) -> set[Disc]:
 # Step 2: genus-surfaces
 # --------------------------------------------------------------------------
 
-def main_disc_boundary_lower_bound(
-    g: GenusSurface, cond_a: bool, cond_b: bool, total_vertices: int
-) -> int:
-    """Lower bound on the main-disc boundary length for a non-sphere root.
-
-    cond_a: the genus-surface has all but one of the root's vertices.
-    cond_b: the maximal degree in the genus-surface is achieved on the
-    boundary circle shared with the main disc.
-    """
-    md = max(degrees(g.triangles).values())
-    slack = g.vertex_count - total_vertices
-    if cond_a:
-        return md + 1 if cond_b else md
-    return md + 3 + slack if cond_b else md + 2 + slack
-
-
 def genus_surface_admissible(g: GenusSurface | Triangulation,
                              cfg: SearchConfig) -> bool:
     """Necessary conditions for a candidate to be the genus-surface of a
@@ -282,12 +265,10 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
         # the only planar genus-surface of a minimal decomposition
         return len(g.triangles) == 1
     tris, comps = g.triangles, g.boundary
-    n_budget = cfg.max_vertices
-    n_verts = max(v for t in tris for v in t)
     bverts = {v for c in comps for v in c}
     vals = valences(tris)
     # vertex budget (the root needs at least one more vertex)
-    if n_verts > n_budget - 1:
+    if g.vertex_count > cfg.max_vertices - 1:
         return False
     # valence floors, and at least one boundary vertex of valence >= 3; the
     # vertex budget bounds every valence from above
@@ -311,11 +292,8 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
     # no edge-adjacent triangle pair touching two different boundary comps
     if _splits_boundary(bedges, edge_map):
         return False
-    # some component must be able to host a main disc of the required
-    # minimum boundary length (checked with the weakest of the four cases)
-    md = max(degrees(tris).values())
-    bound = md + min(0, 2 + n_verts - n_budget)
-    return any(len(c) >= bound for c, _others in _host_splits(comps, cfg))
+    # some boundary cycle can take the main disc
+    return bool(_host_splits(comps, cfg))
 
 
 def _link_ends(star: Iterable[Triangle],
@@ -391,15 +369,16 @@ class _GenusSurfaceSearch:
     Partial states are checked only for what growth cannot undo: a triangle
     once added and an edge once frozen are permanent, and a vertex once
     interior (circle link) gets no further triangle.  ``children`` caps
-    vertices and triangles, the only size bounds (the vertex cap bounds
-    every valence and the number of frozen edges).  ``children`` and
+    the vertices at ``max_v``, the only size bound: it bounds every
+    valence, the number of frozen edges and, with each edge in at most two
+    triangles, the number of triangles.  ``children`` and
     ``_freeze_ok`` give a finished vertex valence >= 4 and a triangle a
     vertex off the interior, allow a vertex at most two frozen edges,
     keep the opposite vertex of a frozen edge on the boundary, and in the
     specialized mode limit the closed cycles of frozen edges.
     ``_dead_end`` rejects a child that breaks a leaf condition of
     :func:`genus_surface_admissible` for good (rules R1-R3).  The leaves get
-    the rest in ``emit``: the valence floors, the main-disc host bound and
+    the rest in ``emit``: the valence floors, the at-most-11 host rule and
     the capped surface class.
 
     The open edge decided next is the one at the most advanced vertex: the
@@ -415,14 +394,9 @@ class _GenusSurfaceSearch:
     from the order, so it holds whatever is decided later.
     """
 
-    def __init__(self, cfg: SearchConfig, max_surface_vertices: int | None = None):
+    def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
-        n = cfg.max_vertices
-        self.max_v = n - 1
-        if max_surface_vertices is not None:
-            self.max_v = min(self.max_v, max_surface_vertices)
-        # a non-sphere root spends at least five triangles on the main disc
-        self.max_t = n * (n - 1) // 3 - 5
+        self.max_v = cfg.max_vertices - 1
         self.visited: set = set()
         self.emitted: dict[Code, GenusSurface] = {}
 
@@ -491,8 +465,6 @@ class _GenusSurfaceSearch:
         cands = [x for x in range(1, n_v + 1) if x != a and x != b]
         if n_v < self.max_v:
             cands.append(n_v + 1)
-        if len(tris) >= self.max_t:
-            return out
         for x in cands:
             new_tri = tuple(sorted((a, b, x)))
             if new_tri in tris:
@@ -542,9 +514,10 @@ class _GenusSurfaceSearch:
         if w not in bverts:
             return False
         if self.cfg.specialized:
-            # the closed cycles so far are final boundary components
+            # the closed cycles so far are final boundary components; not
+            # None, as the check above leaves each vertex on <= 2 frozen edges
             cycles = closed_cycles(frozen | {e})
-            if cycles is None or (cycles and not _host_splits(cycles, self.cfg)):
+            if cycles and not _host_splits(cycles, self.cfg):
                 return False
         return True
 
@@ -584,15 +557,11 @@ class _GenusSurfaceSearch:
                 self.emitted[code] = GenusSurface.from_triangles(code)
 
 
-def enumerate_genus_surfaces(
-    cfg: SearchConfig, max_surface_vertices: int | None = None
-) -> set[GenusSurface]:
+def enumerate_genus_surfaces(cfg: SearchConfig) -> set[GenusSurface]:
     """All isomorphism classes of admissible genus-surface candidates with
     at most max_vertices - 1 vertices (a superset of the minimal
-    genus-surfaces of all roots within the budget).  The optional cap
-    restricts the candidates' own vertex count without tightening the
-    admissibility budget."""
-    search = _GenusSurfaceSearch(cfg, max_surface_vertices).run()
+    genus-surfaces of all roots within the budget)."""
+    search = _GenusSurfaceSearch(cfg).run()
     return set(search.emitted.values())
 
 
@@ -670,8 +639,6 @@ def _roots_from_genus_surface(
     ``discs`` (from :func:`_index_discs`) on the host cycle."""
     main_discs, extra_discs = discs
     found: set[tuple[int, SurfaceClass, Code]] = set()
-    degs = degrees(g.triangles)
-    md = max(degs.values())
     seen = set()  # flag keys of the gluings already checked
     for cycle, others in _host_splits(g.boundary, cfg):
         # glue the extra discs first (cheap, and independent of the main disc)
@@ -679,17 +646,11 @@ def _roots_from_genus_surface(
         for other in others:
             bases = {glued for base in bases for disc in extra_discs.get(len(other), ())
                      for glued in _gluings(base, other, disc)}
-        cond_b = any(degs[v] == md for v in cycle)
         for base in bases:
-            # the root sizes within the budget whose main-disc boundary
-            # bound the host cycle meets
             n_base = max(v for t in base for v in t)
-            totals = {n for n in range(n_base + 1, cfg.max_vertices + 1)
-                      if len(cycle) >= main_disc_boundary_lower_bound(
-                          g, n == g.vertex_count + 1, cond_b, n)}
             for m, disc in main_discs.get(len(cycle), ()):
                 total = n_base + disc.interior_count
-                if total not in totals:
+                if total > cfg.max_vertices:
                     continue
                 for glued in _gluings(base, cycle, disc):
                     vals = valences(glued)

@@ -18,8 +18,7 @@ every closed surface that contains a state covers each of its uncovered
 edges, so trying every third vertex on any one of them loses none of those
 surfaces.  Each pruning rule holds for good, whatever is decided later,
 because a glued triangle stays: an edge in three triangles, a valence above
-m or a bad link is never repaired, and the vertex and triangle caps only
-bind harder.
+m or a bad link is never repaired, and the vertex cap only binds harder.
 
 Intermediate states are deduplicated in buckets keyed by a cheap invariant
 (McKay's isomorph rejection: invariants first, a certificate only where
@@ -79,13 +78,11 @@ def _invariant(tris: State, by_edge: dict[Edge, list[Triangle]],
 
 
 def _children(tris: State, by_edge: dict[Edge, list[Triangle]],
-              by_vertex: dict[int, list[Triangle]], m: int, max_vertices: int,
-              max_triangles: int) -> list[State] | None:
+              by_vertex: dict[int, list[Triangle]], m: int,
+              max_vertices: int) -> list[State] | None:
     open_edges = [e for e, ts in by_edge.items() if len(ts) == 1]
     if not open_edges:
         return None  # closed: a leaf
-    if len(tris) >= max_triangles:
-        return []
     # fail first: the edge whose ends have the most triangles (module docstring)
     a, b = min(open_edges, key=lambda e: (
         -max(len(by_vertex[e[0]]), len(by_vertex[e[1]])),
@@ -116,7 +113,6 @@ def _children(tris: State, by_edge: dict[Edge, list[Triangle]],
 def _enumerate_with_max_valence(m: int, max_vertices: int) -> set[Code]:
     """Canonical codes of all closed triangulations with maximal valence
     exactly m and at most max_vertices vertices."""
-    max_triangles = max_vertices * (max_vertices - 1) // 3
     # expanded states by invariant: one state with no code yet, or the
     # codes of every state expanded with that invariant
     lone: dict[int, State] = {}
@@ -139,8 +135,7 @@ def _enumerate_with_max_valence(m: int, max_vertices: int) -> set[Code]:
             if code in codes:
                 continue
             codes.add(code)
-        children = _children(tris, by_edge, by_vertex, m, max_vertices,
-                             max_triangles)
+        children = _children(tris, by_edge, by_vertex, m, max_vertices)
         if children is None:
             if validate(Triangulation(tris)).kind is SurfaceKind.CLOSED_SURFACE:
                 if code is None:

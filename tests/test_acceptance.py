@@ -20,8 +20,8 @@ from surfenum.canon import flag_key, minimal_code
 from surfenum.core import SPHERE, SurfaceClass, Triangulation, classify
 from surfenum.listing import (
     SearchConfig,
+    _GenusSurfaceSearch,
     enumerate_all,
-    enumerate_genus_surfaces,
     genus_surface_admissible,
 )
 from surfenum.moves import _removable_vertices, inverse_t_move, t_move
@@ -148,7 +148,7 @@ def test_criterion_05_oracle_equivalence_eight_vertices():
 def test_general_mode_oracle_equivalence_eight_vertices(corpus8):
     # the general mode (no at-most-11 specialization) is the only mode
     # for V >= 12; its extra discs come from enumerate_discs, but no
-    # genus-surface candidate at V <= 9 has two boundary cycles, so no extra
+    # genus-surface candidate at V <= 8 has two boundary cycles, so no extra
     # disc is glued here (test_listing's TestGluing glues them)
     start = time.monotonic()
     result = enumerate_all(SearchConfig(max_vertices=8, specialized=False))
@@ -252,9 +252,12 @@ def test_criterion_08_heawood_first_rows(pipeline9):
 
 
 def test_criterion_09_table2_genus_surface_counts(pipeline9):
-    gs = enumerate_genus_surfaces(SearchConfig(max_vertices=11),
-                                  max_surface_vertices=7)
-    got = Counter((g.vertex_count, g.capped_class.name) for g in gs
+    # the admissibility filter of an 11-vertex budget on the candidates of
+    # at most 7 vertices
+    search = _GenusSurfaceSearch(SearchConfig(max_vertices=11))
+    search.max_v = 7
+    got = Counter((g.vertex_count, g.capped_class.name)
+                  for g in search.run().emitted.values()
                   if g.capped_class != SPHERE)
     if dict(got) == TABLE2_V7:
         print("criterion 9: PASS — Table 2 V<=7 exact")

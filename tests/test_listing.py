@@ -35,7 +35,6 @@ from surfenum.listing import (
     enumerate_nonroots,
     enumerate_roots,
     genus_surface_admissible,
-    main_disc_boundary_lower_bound,
 )
 from surfenum.moves import is_root
 from surfenum.oracle import brute_force_enumerate
@@ -193,16 +192,8 @@ class TestAdmissibility:
             genus_surface_admissible(t, SearchConfig(max_vertices=9))
 
     def test_mobius_needs_enough_budget(self, mobius):
-        # all five vertices are boundary with valence 3 <= N - 3 forces N >= 6
+        # the vertex budget: a root on the five-vertex strip needs a sixth
         assert not genus_surface_admissible(mobius, SearchConfig(max_vertices=5))
-
-    def test_lower_bound_rows(self, mobius):
-        g = GenusSurface.from_triangles(mobius.triangles)
-        md = 4  # every Moebius vertex has degree 4
-        assert main_disc_boundary_lower_bound(g, True, True, 6) == md + 1
-        assert main_disc_boundary_lower_bound(g, True, False, 6) == md
-        assert main_disc_boundary_lower_bound(g, False, True, 7) == md + 3 + 5 - 7
-        assert main_disc_boundary_lower_bound(g, False, False, 7) == md + 2 + 5 - 7
 
 
 class TestGenusSurfaces:
@@ -274,8 +265,8 @@ class TestGluing:
     def test_triangle_extra_disc(self):
         # a 9-vertex sphere root whose 5-valent star at vertex 1 and the
         # face (7, 8, 9) off it leave a genus-surface with two boundary
-        # cycles; no genus-surface candidate at V<=9 has two, so the
-        # enumeration never glues an extra disc
+        # cycles; the search emits no planar candidate but the triangle, so
+        # the enumeration never glues an extra disc onto a sphere
         root = parse_triangulation_text(
             "123 124 135 146 156 237 247 358 378 469 479 568 689 789").triangles
         g = GenusSurface.from_triangles(
@@ -284,6 +275,30 @@ class TestGluing:
         cfg = SearchConfig(9)
         assert _roots_from_genus_surface(g, cfg, _index_discs(cfg)) == {
             (9, SPHERE, minimal_code(root))}
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_two_cycle_candidates_at_nine_glue_no_root(self, specialized):
+        # the search's only V<=9 candidates with two boundary cycles; each
+        # has 8 vertices, so within the budget the main disc on the host
+        # cycle is a bare star, and none of these gluings is a root
+        cfg = SearchConfig(9, specialized=specialized)
+        discs = _index_discs(cfg)
+        for text, lengths, name in TWO_CYCLE_CANDIDATES_V9:
+            g = GenusSurface.from_triangles(
+                parse_triangulation_text(text).triangles)
+            assert sorted(len(c) for c in g.boundary) == sorted(lengths)
+            assert g.capped_class.name == name
+            assert genus_surface_admissible(g, cfg)
+            assert _roots_from_genus_surface(g, cfg, discs) == set()
+
+
+# (triangles, boundary cycle lengths, capped class)
+TWO_CYCLE_CANDIDATES_V9 = [
+    ("123 124 135 146 157 168 236 258 268 345 347 378 467 578", [5, 3], "S-3"),
+    ("123 124 135 146 157 168 238 257 258 267 346 347 356 458 478 678",
+     [4, 4], "S+2"),
+    ("123 124 135 146 157 168 347 358 378 456 457 678", [5, 3], "K2"),
+]
 
 
 class TestSpheres:
@@ -502,7 +517,7 @@ class TestMainDiscsOnce:
 
 class TestGenusSearchDedup:
     @pytest.mark.parametrize("v, states, candidates",
-                             [(5, 2, 1), (6, 15, 2), (7, 78, 5), (8, 829, 25)])
+                             [(5, 5, 1), (6, 15, 2), (7, 78, 5), (8, 829, 25)])
     def test_visited_and_emitted_counts(self, monkeypatch, v, states, candidates):
         from surfenum import listing
 
@@ -642,14 +657,14 @@ def emitted_digest(emitted) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-# emitted_digest of the search before it pruned partial states; the same in
-# both modes
+# emitted_digest of the search before it pruned partial states, with the
+# three TWO_CYCLE_CANDIDATES_V9 at V=9; the same in both modes
 EMITTED_SHA256 = {
     5: "0add8c1dc60fd3ae0878083eaeff68ae8d4cc3f13ec27ec28d5cce03f2bfaab6",
     6: "152d78af1c909c4d7ef35221c5236912d21a63666b25a0334815886be37a7bd5",
     7: "ee7a1d0395ca8920d2feac860f5bec76afe81cae7b599529f95c0f6cc5ce5cfe",
     8: "d45e17f9f64e6f0f9ba2b108dd3ba05f43ea80b289c8c12589d95c65106c8aa0",
-    9: "ccaadc90a31b33abaadf37f8dadc9a77c92a61b2f53181d7d69d7788823f68fe",
+    9: "a567fd954603f6019020b9081fdd5358060b25779964b4ec302ba9bf6ba7b0c5",
 }
 
 
@@ -666,7 +681,7 @@ class TestGenusSearchPruning:
     def test_nine_vertex_candidates_are_pinned_nightly(self, specialized):
         search = _GenusSurfaceSearch(
             SearchConfig(max_vertices=9, specialized=specialized)).run()
-        assert len(search.emitted) == 608
+        assert len(search.emitted) == 611
         assert emitted_digest(search.emitted) == EMITTED_SHA256[9]
         # 138,690 states without the pruning, 55,215 without its rule R3,
         # 48,068 when the open edge decided next was the least by label

@@ -113,7 +113,7 @@ def _growth_states(max_vertices: int) -> dict:
             states[code] = tris
             stack.extend(oracle._children(
                 tris, edge_triangles(tris), vertex_triangles(tris), m,
-                max_vertices, max_vertices * (max_vertices - 1) // 3) or ())
+                max_vertices) or ())
     return states
 
 
