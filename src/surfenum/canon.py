@@ -29,6 +29,16 @@ the best list once per seed; each flag then labels its link in one walk and
 the search goes on from triangle d.  Other seeds (boundary vertices,
 pinches, non-manifold or disconnected inputs) search from label 1.
 
+Most of a cycle-link seed's 2d flags cannot win.  If the edge between
+labels 2 and 3 lies in a triangle other than the seed's, label 2 has an
+unused triangle and only such triangles contain label 3, so triple d
+(counting from 0) is (2, 3, x), x the smallest label the flag gives their
+apexes: a link label on the ring, the fresh d+2 off it.  A flag whose edge
+has no other triangle emits a larger triple d.  So only the flags with the
+smallest x are labeled and searched, and none when the best list has the
+same prefix and a smaller triple d; a dropped flag can neither tie nor beat
+the minimum, so codes, witnesses and their order stay those of the full search.
+
 When only the code is wanted, a seed stops at its first tie: suppose a
 full labeling lambda_w from seed w equals the best code, which an earlier
 seed v set (as lambda_v) and nothing from w has beaten.  Then
@@ -60,8 +70,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (Edge, Triangle, Triangulation, closed_cycles,
-                   normalize_triangles)
+from .core import Edge, Triangle, Triangulation, normalize_triangles
 
 Code = tuple[Triangle, ...]
 
@@ -167,14 +176,27 @@ def _search(
         emitted.pop()
 
     links = star[seed]
-    cycles = closed_cycles((x, y) for _i, x, y in links)
+    # walk the link once: it is one cycle when every link vertex has two
+    # distinct neighbours and the walk from one of them visits all
+    adj: dict[int, list[int]] = {}
+    for _i, x, y in links:
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+    ring = []
+    if all(len(nbrs) == 2 and nbrs[0] != nbrs[1] for nbrs in adj.values()):
+        start = prev = links[0][1]
+        cur = adj[start][0]
+        ring.append(start)
+        while cur != start:
+            ring.append(cur)
+            nbrs = adj[cur]
+            prev, cur = cur, (nbrs[1] if nbrs[0] == prev else nbrs[0])
     try:
-        if not cycles or len(cycles[0]) != len(links):
+        if len(ring) != len(links):
             recurse({seed: 1}, 2, 1, [])
         else:
             # one cycle link: every flag emits the same star prefix, so it is
             # compared with best once and each flag labels the link in one walk
-            ring = cycles[0]
             d = len(ring)
             prefix = ([(1, 2, 3)] + [(1, k, k + 2) for k in range(2, d)]
                       + [(1, d, d + 1)])
@@ -184,23 +206,37 @@ def _search(
                 if witnesses is not None:
                     witnesses.clear()
             if prefix <= ref:
-                # ring offsets in label order: 2 and 3 are the flag's vertices,
-                # then the arc grows at its end with the smaller label
-                offsets = [j for pair in zip(range(d), range(d - 1, -1, -1))
-                           for j in pair][:d]
                 at = {v: j for j, v in enumerate(ring)}
-                for i, _x, _y in links:
-                    used[i] = True
-                for _i, x, y in links:
+                # the label a flag gives the ring vertex at offset j from label
+                # 2 in its direction step: the arc grows at its smaller end
+                rank = [2 * j + 2 if 2 * j < d else 2 * (d - j) + 1
+                        for j in range(d)]
+                flags = []  # (x of triple d (2, 3, x) or None, p, step)
+                for i, x, y in links:
+                    # ring positions of the apexes on edge xy; None off it
+                    apexes = [at.get(w if u == y else u)
+                              for k, u, w in star[x] if k != i and y in (u, w)]
                     for a, b in ((x, y), (y, x)):
                         p = at[a]
                         step = -1 if ring[(p + 1) % d] == b else 1
-                        label = {seed: 1}
-                        for k, j in enumerate(offsets, 2):
-                            v = ring[(p + step * j) % d]
-                            label[v] = k
-                            vertex_of[k] = v
-                        recurse(label, d + 2, 2, prefix)
+                        xs = [d + 2 if q is None else rank[(q - p) * step % d]
+                              for q in apexes]
+                        flags.append((min(xs, default=None), p, step))
+                low = min((f[0] for f in flags if f[0] is not None), default=None)
+                if low is not None:
+                    flags = [f for f in flags if f[0] == low]
+                    if best[0] is not None and best[0][d] < (2, 3, low):
+                        flags = []
+                offsets = sorted(range(d), key=rank.__getitem__)
+                for i, _x, _y in links:
+                    used[i] = True
+                for _w, p, step in flags:
+                    label = {seed: 1}
+                    for k, j in enumerate(offsets, 2):
+                        v = ring[(p + step * j) % d]
+                        label[v] = k
+                        vertex_of[k] = v
+                    recurse(label, d + 2, 2, prefix)
     except _Tie:
         pass
     # recurse holds itself through its closure; dropping the name frees the

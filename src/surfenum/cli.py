@@ -25,8 +25,10 @@ from .core import (
     SurfaceKind,
     Triangle,
     Triangulation,
+    _surface_class,
+    _validate,
     classify,
-    surface_class,
+    edge_triangles,
     validate,
 )
 from .listing import CountsTable, SearchConfig, enumerate_all
@@ -193,11 +195,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_classify(args) -> int:
     t = _read_input(args.file)
-    report = validate(t)
+    by_edge = edge_triangles(t.triangles)
+    report = _validate(t.triangles, by_edge)
     if report.kind is not SurfaceKind.CLOSED_SURFACE:
         print(f"not a closed surface ({report.kind.value})", file=sys.stderr)
         return 1
-    print(surface_class(t).name)
+    print(_surface_class(t.triangles, by_edge).name)
     return 0
 
 

@@ -227,9 +227,13 @@ def _connected(tris: tuple[Triangle, ...],
 def validate(t: Triangulation) -> ValidationReport:
     """Decide whether the complex is a closed surface, a surface with
     boundary, or not a surface at all (with the offending vertices)."""
-    tris = t.triangles
+    return _validate(t.triangles, edge_triangles(t.triangles))
+
+
+def _validate(tris: tuple[Triangle, ...],
+              by_edge: dict[Edge, list[Triangle]]) -> ValidationReport:
+    """:func:`validate`, given :func:`edge_triangles` of ``tris``."""
     offending: set[int] = set()
-    by_edge = edge_triangles(tris)
     for e, ts in by_edge.items():
         if len(ts) > 2:
             offending.update(e)
@@ -315,35 +319,33 @@ def orientable_triangles(tris: tuple[Triangle, ...]) -> bool:
 
 def _orientable(tris: tuple[Triangle, ...],
                 by_edge: dict[Edge, list[Triangle]]) -> bool:
-    """:func:`orientable_triangles`, given :func:`edge_triangles` of ``tris``."""
-    # orientation of a triangle = a chosen cyclic order of its vertices
-    orient: dict[Triangle, tuple[int, int, int]] = {}
+    """:func:`orientable_triangles`, given :func:`edge_triangles` of ``tris``.
+
+    Each triangle gets a sign: +1 orients a sorted triangle (a, b, c) as
+    a -> b -> c, along its edges (a, b) and (b, c) and against (a, c), and
+    -1 the other way; two triangles on an edge must run it opposite ways."""
+    sign: dict[Triangle, int] = {}
     for start in tris:
-        if start in orient:
+        if start in sign:
             continue
-        orient[start] = start
+        sign[start] = 1
         stack = [start]
         while stack:
             t = stack.pop()
-            x, y, z = orient[t]
-            directed = {(x, y), (y, z), (z, x)}
             a, b, c = t
-            for e in ((a, b), (a, c), (b, c)):
+            s = sign[t]
+            for e, along in (((a, b), s), ((b, c), s), ((a, c), -s)):
                 for u in by_edge[e]:
                     if u is t or u == t:
                         continue
-                    # u must carry edge e in the opposite direction
-                    want = e if (e[1], e[0]) in directed else (e[1], e[0])
-                    w = next(v for v in u if v not in e)
-                    target = (want[0], want[1], w)
-                    if u in orient:
-                        ox, oy, oz = orient[u]
-                        have = {(ox, oy), (oy, oz), (oz, ox)}
-                        if (want[0], want[1]) not in have:
-                            return False
-                    else:
-                        orient[u] = target
+                    # u runs e the other way; its edge (first, last) is against
+                    want = along if (u[0], u[2]) == e else -along
+                    have = sign.get(u)
+                    if have is None:
+                        sign[u] = want
                         stack.append(u)
+                    elif have != want:
+                        return False
     return True
 
 
@@ -352,8 +354,13 @@ def surface_class(t: Triangulation, holes: int = 0) -> SurfaceClass:
     boundary cycles of the connected surface ``t`` with a disc, with no
     check that ``t`` is one.  Capping keeps orientability and adds 1 to chi
     per hole."""
-    tris = t.triangles
-    by_edge = edge_triangles(tris)
+    return _surface_class(t.triangles, edge_triangles(t.triangles), holes)
+
+
+def _surface_class(tris: tuple[Triangle, ...],
+                   by_edge: dict[Edge, list[Triangle]],
+                   holes: int = 0) -> SurfaceClass:
+    """:func:`surface_class`, given :func:`edge_triangles` of ``tris``."""
     chi = _euler(tris, by_edge) + holes
     if _orientable(tris, by_edge):
         if chi % 2 != 0:
@@ -366,10 +373,12 @@ def classify(t: Triangulation) -> SurfaceClass:
     """Surface type of a closed triangulation, validated first: orientable
     with genus (2 - chi) / 2, or non-orientable with genus 2 - chi (see
     :func:`surface_class`)."""
-    report = validate(t)
+    tris = t.triangles
+    by_edge = edge_triangles(tris)
+    report = _validate(tris, by_edge)
     if report.kind is not SurfaceKind.CLOSED_SURFACE:
         raise ValueError(f"classify needs a closed surface, got {report.kind.value}")
-    return surface_class(t)
+    return _surface_class(tris, by_edge)
 
 
 def boundary_edges(tris: Iterable[Triangle]) -> list[Edge]:

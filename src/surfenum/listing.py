@@ -641,10 +641,12 @@ def _roots_from_genus_surface(
     found: set[tuple[int, SurfaceClass, Code]] = set()
     seen = set()  # flag keys of the gluings already checked
     for cycle, others in _host_splits(g.boundary, cfg):
-        # glue the extra discs first (cheap, and independent of the main disc)
+        # glue the extra discs first, each only if a main disc's hub still fits
         bases = {frozenset(g.triangles)}
         for other in others:
             bases = {glued for base in bases for disc in extra_discs.get(len(other), ())
+                     if (max(v for t in base for v in t) + disc.interior_count + 1
+                         <= cfg.max_vertices)
                      for glued in _gluings(base, other, disc)}
         for base in bases:
             n_base = max(v for t in base for v in t)

@@ -106,6 +106,41 @@ def link_shape(tris_at_v: Iterable[Triangle], v: int) -> str:
     return "bad"
 
 
+def orientable(tris: tuple[Triangle, ...]) -> bool:
+    """Propagate a chosen cyclic vertex order per triangle across shared
+    edges, as directed-edge sets; a conflict means non-orientable.  The
+    reference that ``core._orientable`` is compared with."""
+    by_edge = edge_triangles(tris)
+    orient: dict[Triangle, tuple[int, int, int]] = {}
+    for start in tris:
+        if start in orient:
+            continue
+        orient[start] = start
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            x, y, z = orient[t]
+            directed = {(x, y), (y, z), (z, x)}
+            a, b, c = t
+            for e in ((a, b), (a, c), (b, c)):
+                for u in by_edge[e]:
+                    if u is t or u == t:
+                        continue
+                    # u must carry edge e in the opposite direction
+                    want = e if (e[1], e[0]) in directed else (e[1], e[0])
+                    w = next(v for v in u if v not in e)
+                    target = (want[0], want[1], w)
+                    if u in orient:
+                        ox, oy, oz = orient[u]
+                        have = {(ox, oy), (oy, oz), (oz, ox)}
+                        if (want[0], want[1]) not in have:
+                            return False
+                    else:
+                        orient[u] = target
+                        stack.append(u)
+    return True
+
+
 def mixed_lex_compare(a: Sequence[Triangle], b: Sequence[Triangle]) -> int:
     """-1, 0 or 1; both lists must be normalized (triples and list sorted)."""
     val_a = sum(1 for t in a if 1 in t)

@@ -67,6 +67,15 @@ MIXED_SEEDS = (
     "1,2,3 1,2,4 1,3,4 1,5,6 1,6,7 2,3,8 2,7,8 3,5,8 5,6,8 6,7,8",
 )
 
+# a cycle-link seed labels only the flags whose triple d, (2, 3, x), has the
+# smallest x, the label of an apex of the flag's ring edge: vertex 1's star
+# with ring 2..6, bare (no ring edge has an apex), with the triangle 234
+# (apex 4 of ring edge 23 takes label 4 from the flag that labels vertices
+# 3, 2 as 2, 3 and label 5 from the other), and with 234 and 237 (ring edge
+# 23 in three triangles; apex 7 is off the ring)
+STAR = "1,2,3 1,3,4 1,4,5 1,5,6 1,2,6"
+FLAG_FILTER_COMPLEXES = (STAR, STAR + " 2,3,4", STAR + " 2,3,4 2,3,7")
+
 # the 7-vertex torus (Moebius 1861, Csaszar 1949): vertex-transitive, so every
 # seed after the first ties with the best code
 SEVEN_VERTEX_TORUS = tuple(
@@ -154,6 +163,20 @@ class TestWitness:
         for u in (t, _reversed_labels(t)):
             code, wits = minimal_code(u.triangles, with_witnesses=True)
             assert code == brute_minimal_code(u)
+            realizing, automorphisms = brute_witnesses(u, code)
+            found = [tuple(sorted(w.items())) for w in wits]
+            assert set(found) == realizing
+            assert len(found) == automorphisms
+
+    @pytest.mark.parametrize("text", FLAG_FILTER_COMPLEXES,
+                             ids=["bare-star", "one-apex", "two-apexes"])
+    def test_flag_filter_against_all_permutations(self, text):
+        rng = random.Random(1981)
+        t = parse_triangulation_text(text)
+        for u in [t, _reversed_labels(t)] + [relabel(t, rng)[0] for _ in range(3)]:
+            code, wits = minimal_code(u.triangles, with_witnesses=True)
+            assert code == brute_minimal_code(u)
+            assert minimal_code(u.triangles) == code
             realizing, automorphisms = brute_witnesses(u, code)
             found = [tuple(sorted(w.items())) for w in wits]
             assert set(found) == realizing

@@ -15,7 +15,7 @@ from surfenum.cli import (
     results_complete,
     write_results,
 )
-from surfenum.core import SPHERE, Triangulation
+from surfenum.core import SPHERE, Triangulation, edge_triangles
 from surfenum.listing import CountsTable, SearchConfig
 from surfenum.oracle import brute_force_enumerate
 
@@ -59,19 +59,21 @@ class TestParsing:
 
 
 def count_validate_calls(monkeypatch) -> list:
-    """Route every ``validate`` call in the package through a counter;
-    returns the list of triangulations it was called with."""
-    from surfenum.core import validate
+    """Route every validation in the package through a counter: each runs
+    ``core._validate``, from ``validate`` or from a caller that shares one
+    edge index with ``surface_class``; returns the list of triangle tuples
+    it was called with."""
+    from surfenum.core import _validate
 
     calls = []
 
-    def counting(t):
-        calls.append(t)
-        return validate(t)
+    def counting(tris, by_edge):
+        calls.append(tris)
+        return _validate(tris, by_edge)
 
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "surfenum" and vars(mod).get("validate") is validate:
-            monkeypatch.setattr(mod, "validate", counting)
+        if name.split(".")[0] == "surfenum" and vars(mod).get("_validate") is _validate:
+            monkeypatch.setattr(mod, "_validate", counting)
     return calls
 
 
@@ -103,10 +105,10 @@ class TestPersistence:
                       brute_force_enumerate(6).codes, 0.0)
         calls = count_validate_calls(monkeypatch)
         read_results(tmp_path)
-        lines = [parse_triangulation_text(line)
+        lines = [parse_triangulation_text(line).triangles
                  for p in tmp_path.glob("*.txt") for line in p.read_text().splitlines()]
         # two a line when is_root validated each line again after classify
-        assert sorted(calls, key=repr) == sorted(lines, key=repr)
+        assert sorted(calls) == sorted(lines)
         assert len(calls) == 5
 
     def test_shard_line_not_closed_exits_2(self, tmp_path, capsys):
@@ -211,6 +213,26 @@ class TestCommands:
         assert main(["classify", str(f)]) == 0
         assert capsys.readouterr().out.strip() == "RP2"
         assert len(calls) == 1
+
+    def test_classify_builds_one_edge_index(self, tmp_path, capsys, monkeypatch):
+        # validate and surface_class share it, in core.classify and the command
+        from surfenum import cli, core
+
+        builds = []
+
+        def counting(tris):
+            builds.append(tris)
+            return edge_triangles(tris)
+
+        monkeypatch.setattr(core, "edge_triangles", counting)
+        monkeypatch.setattr(cli, "edge_triangles", counting)
+        assert core.classify(parse_triangulation_text(RP2_SIX)).name == "RP2"
+        assert len(builds) == 1
+        f = tmp_path / "t.txt"
+        f.write_text(RP2_SIX)
+        assert main(["classify", str(f)]) == 0
+        assert capsys.readouterr().out.strip() == "RP2"
+        assert len(builds) == 2
 
     def test_classify_rejects_bounded_input(self, tmp_path, capsys):
         f = tmp_path / "m.txt"

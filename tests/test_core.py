@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import cone_and_classify, heawood_min_vertices, link_shape, relabel
+from conftest import (cone_and_classify, heawood_min_vertices, link_shape,
+                      orientable, relabel)
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     KLEIN_BOTTLE,
@@ -23,6 +24,7 @@ from surfenum.core import (
     valences,
     validate,
 )
+from surfenum.oracle import brute_force_enumerate
 
 
 class TestTriangulation:
@@ -97,6 +99,24 @@ class TestClassification:
         assert orientable_triangles(annulus.triangles)
         assert not orientable_triangles(rp2_six.triangles)
         assert not orientable_triangles(mobius.triangles)
+
+    def test_orientable_agrees_with_reference(self, rp2_six, mobius):
+        codes = brute_force_enumerate(8).codes
+        klein = min(c for (_v, cls), cs in codes.items() if cls == KLEIN_BOTTLE
+                    for c in cs)
+        for tris in (rp2_six.triangles, mobius.triangles, klein):
+            assert not orientable_triangles(tris)
+            assert not orientable(tris)
+        # every prefix of every V <= 8 oracle code: discs, pinched and
+        # bounded pieces, and the closed surfaces themselves
+        verdicts = set()
+        for cs in codes.values():
+            for code in cs:
+                for k in range(1, len(code) + 1):
+                    verdict = orientable_triangles(code[:k])
+                    assert verdict == orientable(code[:k]), code[:k]
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_classify(self, tetra, octa, rp2_six):
         assert classify(tetra) == SPHERE

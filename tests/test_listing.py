@@ -277,27 +277,43 @@ class TestGluing:
             (9, SPHERE, minimal_code(root))}
 
     @pytest.mark.parametrize("specialized", [True, False])
-    def test_two_cycle_candidates_at_nine_glue_no_root(self, specialized):
+    def test_two_cycle_candidates_at_nine_glue_no_root(self, monkeypatch,
+                                                       specialized):
         # the search's only V<=9 candidates with two boundary cycles; each
-        # has 8 vertices, so within the budget the main disc on the host
-        # cycle is a bare star, and none of these gluings is a root
+        # has 8 vertices, so within the budget an extra disc has no interior
+        # vertex, the main disc on the host cycle is a bare star, and none
+        # of these gluings is a root
+        from surfenum import listing
+
+        yields = [0]
+
+        def counting(*args):
+            for glued in _gluings(*args):
+                yields[0] += 1
+                yield glued
+
+        monkeypatch.setattr(listing, "_gluings", counting)
         cfg = SearchConfig(9, specialized=specialized)
         discs = _index_discs(cfg)
-        for text, lengths, name in TWO_CYCLE_CANDIDATES_V9:
+        for text, lengths, name, glued in TWO_CYCLE_CANDIDATES_V9:
             g = GenusSurface.from_triangles(
                 parse_triangulation_text(text).triangles)
             assert sorted(len(c) for c in g.boundary) == sorted(lengths)
             assert g.capped_class.name == name
             assert genus_surface_admissible(g, cfg)
+            yields[0] = 0
             assert _roots_from_genus_surface(g, cfg, discs) == set()
+            assert yields[0] == glued
 
 
-# (triangles, boundary cycle lengths, capped class)
+# (triangles, boundary cycle lengths, capped class, _gluings yields in both
+# modes; 426, 514 and 426 in the general mode when it glued every extra
+# disc before checking the vertex budget)
 TWO_CYCLE_CANDIDATES_V9 = [
-    ("123 124 135 146 157 168 236 258 268 345 347 378 467 578", [5, 3], "S-3"),
+    ("123 124 135 146 157 168 236 258 268 345 347 378 467 578", [5, 3], "S-3", 2),
     ("123 124 135 146 157 168 238 257 258 267 346 347 356 458 478 678",
-     [4, 4], "S+2"),
-    ("123 124 135 146 157 168 347 358 378 456 457 678", [5, 3], "K2"),
+     [4, 4], "S+2", 0),
+    ("123 124 135 146 157 168 347 358 378 456 457 678", [5, 3], "K2", 2),
 ]
 
 
