@@ -49,19 +49,19 @@ the seed-level automorphism pruning of McKay's canonical labeling
 proves redundant.  With witnesses every optimal labeling is collected, so
 no seed stops early.
 
-The *flag key* (:func:`flag_key`) is the internal duplicate-check key of
-the listing pipeline, after plantri and surftri (Brinkmann & McKay,
-"Fast generation of planar graphs", MATCH 58 (2007); Sulanke & Lutz,
-arXiv:math/0610022).  It is valid only for edge-connected complexes with
-every edge in at most two triangles: there a start flag (an ordered
-triangle) fixes the whole relabeling by a breadth-first walk across
-edges, so the key is the smallest walk code over the start flags.  Only
-the flags whose vertices rank highest by (valence, boundary edges at the
-vertex, marked edges at the vertex) start a walk; an isomorphism of the
-complex and its marks keeps these triples, so the key stays complete, and
-on a closed surface with no marks they rank by valence alone.  It decides
-isomorphism like the minimal code but is not mixed-lex minimal, so it is
-never stored or returned as a canonical form.
+The *flag key* (:func:`flag_key`) keys the growth states of the
+genus-surface search, with their frozen edges as marks, after plantri
+and surftri (Brinkmann & McKay, "Fast generation of planar graphs",
+MATCH 58 (2007); Sulanke & Lutz, arXiv:math/0610022).  It is valid only
+for edge-connected complexes with every edge in at most two triangles:
+there a start flag (an ordered triangle) fixes the whole relabeling by a
+breadth-first walk across edges, so the key is the smallest walk code
+over the start flags.  Only the flags whose vertices rank highest by
+(valence, boundary edges at the vertex, marked edges at the vertex)
+start a walk; an isomorphism of the complex and its marks keeps these
+triples, so the key stays complete.  It decides isomorphism like the
+minimal code but is not mixed-lex minimal, so it is never stored or
+returned as a canonical form.
 """
 
 from __future__ import annotations

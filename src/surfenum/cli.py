@@ -22,13 +22,9 @@ from typing import Sequence
 from .canon import Code, canonical_form
 from .core import (
     SurfaceClass,
-    SurfaceKind,
     Triangle,
     Triangulation,
-    _surface_class,
-    _validate,
     classify,
-    edge_triangles,
     validate,
 )
 from .listing import CountsTable, SearchConfig, enumerate_all
@@ -195,12 +191,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_classify(args) -> int:
     t = _read_input(args.file)
-    by_edge = edge_triangles(t.triangles)
-    report = _validate(t.triangles, by_edge)
-    if report.kind is not SurfaceKind.CLOSED_SURFACE:
-        print(f"not a closed surface ({report.kind.value})", file=sys.stderr)
+    try:
+        print(classify(t).name)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 1
-    print(_surface_class(t.triangles, by_edge).name)
     return 0
 
 

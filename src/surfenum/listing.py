@@ -19,7 +19,8 @@ every rotation and direction that adds no triangle or edge already there,
 each distinct gluing once (rotations that a rim symmetry of the disc maps
 onto each other give one); the root's vertex count is the glued base's plus
 the main disc's interior count.  Repeated vertex-adding moves recover the
-non-roots.
+non-roots.  Discs and closed surfaces are keyed by their minimal code, and
+the genus-surface search's states, frozen edges marked, by canon.flag_key.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .canon import Code, flag_key, minimal_code
 from .core import (
     SPHERE,
     SurfaceClass,
-    SurfaceKind,
     Triangle,
     Triangulation,
     boundary_cycles,
@@ -145,24 +145,12 @@ class CountsTable:
     def add_nonroot(self, v: int, cls: SurfaceClass, count: int = 1) -> None:
         self._rows.setdefault((v, cls), [0, 0])[1] += count
 
-    def get(self, v: int, cls: SurfaceClass) -> tuple[int, int, int]:
-        roots, nonroots = self._rows.get((v, cls), (0, 0))
-        return roots + nonroots, roots, nonroots
-
     def rows(self) -> list[tuple[int, SurfaceClass, int, int, int]]:
         out = []
         for (v, cls), (roots, nonroots) in self._rows.items():
             out.append((v, cls, roots + nonroots, roots, nonroots))
         out.sort(key=lambda row: (row[0], row[1].sort_key()))
         return out
-
-    def merge(self, other: "CountsTable") -> None:
-        for (v, cls), (roots, nonroots) in other._rows.items():
-            self.add_root(v, cls, roots)
-            self.add_nonroot(v, cls, nonroots)
-
-    def total_triangulations(self) -> int:
-        return sum(r + n for r, n in self._rows.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountsTable):
@@ -211,18 +199,16 @@ def _grow_discs(tris: frozenset, bnd: tuple[int, ...], m: float,
                 max_vertices: int) -> list[Disc]:
     """Every disc grown from the disc ``tris`` with boundary ``bnd``, one
     canonical copy per isomorphism class, in discovery order."""
-    seen = set()
-    found = []
+    found: dict[Code, Disc] = {}
     stack = [(tris, bnd)]
     while stack:
         tris, bnd = stack.pop()
-        key = flag_key(tris)
-        if key in seen:
+        code = minimal_code(tris)
+        if code in found:
             continue
-        seen.add(key)
-        found.append(Disc.from_triangles(minimal_code(tris)))
+        found[code] = Disc.from_triangles(code)
         stack.extend(_disc_children(tris, bnd, m, max_vertices))
-    return found
+    return list(found.values())
 
 
 def enumerate_main_discs(max_interior_valence: int,
@@ -577,7 +563,20 @@ def _gluings(base: frozenset, cycle: Sequence[int],
     symmetry of the disc (all 2m rotations of a bare m-star) gives one.
     The disc's interior vertices get fresh labels after ``base``'s, so
     only its triangles and chords with every vertex on the rim can land on
-    ``base``."""
+    ``base``.
+
+    For a connected surface ``base`` every yield is ``base`` with ``cycle``
+    capped, so no caller validates it.  Rim edges land on cycle edges, each
+    in one triangle on either side, and the chord test keeps every other
+    disc edge off ``base``, so each edge is in two triangles but those on
+    the other cycles.  A cycle vertex v with cycle neighbours u, w has a
+    link path from u to w in ``base`` and another in the disc; a vertex
+    inside both would make an edge at v a chord on ``base``, and a link edge
+    (u, w) in both a rim triangle in ``base``, so the paths close into a
+    circle.  The other links are unchanged and the result is connected.
+    Capping a cycle keeps orientability and adds 1 to chi, so a
+    genus-surface with every cycle capped is a closed surface of its capped
+    class."""
     L = len(cycle)
     if len(disc.boundary) != L:
         raise ValueError(f"cycle length {L} vs disc boundary length {len(disc.boundary)}")
@@ -639,7 +638,6 @@ def _roots_from_genus_surface(
     ``discs`` (from :func:`_index_discs`) on the host cycle."""
     main_discs, extra_discs = discs
     found: set[tuple[int, SurfaceClass, Code]] = set()
-    seen = set()  # flag keys of the gluings already checked
     for cycle, others in _host_splits(g.boundary, cfg):
         # glue the extra discs first, each only if a main disc's hub still fits
         bases = {frozenset(g.triangles)}
@@ -658,21 +656,9 @@ def _roots_from_genus_surface(
                     vals = valences(glued)
                     if min(vals.values()) < 4 or max(vals.values()) > m:
                         continue
-                    # the disc's interior hub has valence m, so a class fixes
-                    # m; validity is a class property too, so each class is
-                    # checked once
-                    key = flag_key(glued)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    t = Triangulation(glued)
-                    if validate(t).kind is not SurfaceKind.CLOSED_SURFACE:
-                        continue
-                    cls = surface_class(t)
-                    if cls != g.capped_class:
-                        raise AssertionError(
-                            "glued surface class differs from capped genus-surface")
-                    found.add((total, cls, minimal_code(glued)))
+                    # a closed surface of g's capped class (see _gluings);
+                    # the set keeps one of the gluings that are isomorphic
+                    found.add((total, g.capped_class, minimal_code(glued)))
     return found
 
 
@@ -714,7 +700,6 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
     found by breadth-first vertex-adding moves."""
     if not is_root(root):
         raise ValueError("enumerate_nonroots needs a root")
-    seen = set()
     found: set[Code] = set()
     frontier = [root]
     while frontier:
@@ -724,10 +709,9 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
                 continue
             for tri in t.triangles:
                 moved = _cone(t, tri)  # closed: the root was checked
-                key = flag_key(moved.triangles)
-                if key not in seen:
-                    seen.add(key)
-                    found.add(minimal_code(moved.triangles))
+                code = minimal_code(moved.triangles)
+                if code not in found:
+                    found.add(code)
                     nxt.append(moved)
         frontier = nxt
     return {Triangulation(code) for code in found}

@@ -159,8 +159,8 @@ def test_general_mode_oracle_equivalence_eight_vertices(corpus8):
 
 
 def test_flag_key_classes_match_minimal_code(corpus8):
-    # the pipeline deduplicates by flag_key and stores minimal_code, so the
-    # two keys must split the corpus and its relabelings into the same classes
+    # flag_key keys the genus-surface search's states; unmarked, it must
+    # still split the corpus and its relabelings into minimal_code's classes
     rng = random.Random(3)
     entries = []
     for codes in corpus8.codes.values():

@@ -215,8 +215,9 @@ class TestCommands:
         assert len(calls) == 1
 
     def test_classify_builds_one_edge_index(self, tmp_path, capsys, monkeypatch):
-        # validate and surface_class share it, in core.classify and the command
-        from surfenum import cli, core
+        # validate and surface_class share it in core.classify, which the
+        # command calls
+        from surfenum import core
 
         builds = []
 
@@ -225,7 +226,6 @@ class TestCommands:
             return edge_triangles(tris)
 
         monkeypatch.setattr(core, "edge_triangles", counting)
-        monkeypatch.setattr(cli, "edge_triangles", counting)
         assert core.classify(parse_triangulation_text(RP2_SIX)).name == "RP2"
         assert len(builds) == 1
         f = tmp_path / "t.txt"
@@ -238,6 +238,8 @@ class TestCommands:
         f = tmp_path / "m.txt"
         f.write_text(MOBIUS)
         assert main(["classify", str(f)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "classify needs a closed surface, got ")
 
     @pytest.mark.parametrize("command", ["canon", "root"])
     def test_too_many_triangles_exits_2(self, command, tmp_path, capsys):

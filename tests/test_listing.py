@@ -335,22 +335,65 @@ class TestSpheres:
 
 
 class TestGluingChecks:
+    @pytest.mark.parametrize("v", [7, 8])
     @pytest.mark.parametrize("specialized", [True, False])
-    def test_each_glued_class_is_validated_once(self, monkeypatch, specialized):
-        # count the calls made below the gluing, in classify too
-        calls = _count_gluing_calls(monkeypatch, validate)
+    def test_each_gluing_caps_its_cycle(self, monkeypatch, v, specialized):
+        cfg = SearchConfig(max_vertices=v, specialized=specialized)
+        closed = _check_gluings(monkeypatch, cfg, enumerate_genus_surfaces(cfg))
+        # no candidate at V<=8 has two boundary cycles: every yield is closed
+        assert closed == {7: 33, 8: 341}[v]
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_two_cycle_gluings_cap_their_cycles(self, monkeypatch, specialized):
+        cfg = SearchConfig(max_vertices=9, specialized=specialized)
+        candidates = [GenusSurface.from_triangles(
+            parse_triangulation_text(text).triangles)
+            for text, _lengths, _name, _glued in TWO_CYCLE_CANDIDATES_V9]
+        # of the 4 yields, 2 glue the extra disc and 2 the main disc
+        assert _check_gluings(monkeypatch, cfg, candidates) == 2
+
+    def test_rim_triangle_never_doubles_a_triangle(self):
+        # a rim triangle off the 3-cycle has a chord, which the chord test
+        # keeps off the base; on the 3-cycle it is the whole disc, and lands
+        # on the base only when the base is one triangle
+        triangle = Disc.from_triangles([(1, 2, 3)])
+        assert list(_gluings(frozenset({(1, 2, 3)}), (1, 2, 3), triangle)) == []
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_gluing_makes_no_validate_call(self, monkeypatch, specialized):
+        # _validate is behind validate and classify both; 39 calls when the
+        # gluing validated each flag-key class that passed the valence test
+        from surfenum import core
+
+        calls = _count_gluing_calls(monkeypatch, core._validate)
         enumerate_roots(SearchConfig(max_vertices=8, specialized=specialized))
-        # one call per flag-key class that passes the valence test; 78 when
-        # classify validated each of them once more
-        assert 0 < calls[0] <= 40
+        assert calls[0] == 0
 
     @pytest.mark.parametrize("specialized", [True, False])
     def test_each_distinct_gluing_is_keyed_once(self, monkeypatch, specialized):
-        calls = _count_gluing_calls(monkeypatch, flag_key)
+        calls = _count_gluing_calls(monkeypatch, minimal_code)
         enumerate_roots(SearchConfig(max_vertices=8, specialized=specialized))
         # 85 distinct gluings pass the valence test; 408 when each rotation
         # of a symmetric disc was glued and keyed again
         assert 0 < calls[0] <= 85
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_flag_key_only_in_the_genus_search(self, monkeypatch, specialized):
+        import sys
+
+        callers = Counter()
+        real = flag_key
+
+        def recording(*args):
+            callers[sys._getframe(1).f_code.co_qualname] += 1
+            return real(*args)
+
+        for mod in _package_modules_holding(real):
+            monkeypatch.setattr(mod, "flag_key", recording)
+        enumerate_all(SearchConfig(max_vertices=8, specialized=specialized))
+        # 324 more from the disc growth, the gluing and the non-roots when
+        # they keyed discs and closed surfaces by flag_key
+        assert callers == {"_GenusSurfaceSearch.run": 997}
 
     def test_enumerate_all_validate_calls(self, monkeypatch):
         calls = 0
@@ -364,9 +407,40 @@ class TestGluingChecks:
         for mod in _package_modules_holding(real):
             monkeypatch.setattr(mod, "validate", counting)
         enumerate_all(SearchConfig(max_vertices=8))
-        # 39 in the gluing and 7 roots checked in the non-roots; 133 when
-        # each capped genus-surface was built and validated twice
-        assert 0 < calls <= 46
+        # the 7 roots that is_root checks in the non-roots; 46 when the
+        # gluing validated each glued class, 133 when each capped
+        # genus-surface was built and validated twice
+        assert 0 < calls <= 7
+
+
+def _check_gluings(monkeypatch, cfg: SearchConfig, candidates) -> int:
+    """Run :func:`_roots_from_genus_surface` on each candidate with every
+    ``_gluings`` yield checked before the valence test: it is its base with
+    the glued cycle capped, a closed surface of the candidate's capped
+    class once no other cycle is left.  Returns the closed yields."""
+    from surfenum import listing
+
+    closed = 0
+
+    def checking(base, cycle, disc):
+        nonlocal closed
+        others = {frozenset(c) for c in boundary_cycles(base)} - {frozenset(cycle)}
+        for glued in _gluings(base, cycle, disc):
+            t = Triangulation(glued)
+            if others:
+                assert validate(t).kind is SurfaceKind.SURFACE_WITH_BOUNDARY
+                assert {frozenset(c) for c in boundary_cycles(glued)} == others
+            else:
+                assert validate(t).kind is SurfaceKind.CLOSED_SURFACE
+                assert classify(t) == g.capped_class
+                closed += 1
+            yield glued
+
+    monkeypatch.setattr(listing, "_gluings", checking)
+    discs = _index_discs(cfg)
+    for g in candidates:
+        _roots_from_genus_surface(g, cfg, discs)
+    return closed
 
 
 def _count_gluing_calls(monkeypatch, fn) -> list[int]:
@@ -448,14 +522,6 @@ class TestCountsTable:
             (6, SPHERE, 2, 1, 1),
             (6, PROJECTIVE_PLANE, 1, 1, 0),
         ]
-        assert table.total_triangulations() == 3
-
-    def test_merge(self):
-        a, b = CountsTable(), CountsTable()
-        a.add_root(4, SPHERE)
-        b.add_nonroot(5, SPHERE)
-        a.merge(b)
-        assert a.get(5, SPHERE) == (1, 0, 1)
 
 
 class TestValidateDecomposition:
