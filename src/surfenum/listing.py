@@ -19,8 +19,9 @@ every rotation and direction that adds no triangle or edge already there,
 each distinct gluing once (rotations that a rim symmetry of the disc maps
 onto each other give one); the root's vertex count is the glued base's plus
 the main disc's interior count.  Repeated vertex-adding moves recover the
-non-roots.  Discs and closed surfaces are keyed by their minimal code, and
-the genus-surface search's states, frozen edges marked, by canon.flag_key.
+non-roots.  Discs and closed surfaces are keyed by their minimal code.  The
+genus-surface search's states, frozen edges marked, are bucketed by a cheap
+relabeling invariant and keyed by canon.flag_key only where two share one.
 """
 
 from __future__ import annotations
@@ -282,6 +283,25 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
     return bool(_host_splits(comps, cfg))
 
 
+def _state_invariant(tris, frozen, edge_map, by_vertex) -> int:
+    """Bucket key of a search state, unchanged by a relabeling that carries
+    the frozen edges along: the hash of its sorted triangles, each the
+    sorted triple of its vertices' (valence, boundary-edge degree,
+    frozen-edge degree), the triple by which ``flag_key`` ranks its start
+    flags, written as one number in base 3T as there."""
+    base = 3 * len(tris)
+    label = {v: base * base * len(ts) for v, ts in by_vertex.items()}
+    for (a, b), ts in edge_map.items():
+        if len(ts) == 1:
+            label[a] += base
+            label[b] += base
+    for a, b in frozen:
+        label[a] += 1
+        label[b] += 1
+    return hash(tuple(sorted(
+        tuple(sorted((label[a], label[b], label[c]))) for a, b, c in tris)))
+
+
 def _link_ends(star: Iterable[Triangle],
                v: int) -> tuple[dict[int, list[int]], dict[int, int]]:
     """The link of ``v`` in a growth state, whose links are circles or
@@ -378,12 +398,27 @@ class _GenusSurfaceSearch:
     open edges, so deciding any one open edge in every way loses none of
     them.  Each pruning rule above is argued from what is permanent, not
     from the order, so it holds whatever is decided later.
+
+    A popped state isomorphic to one already expanded, frozen edges
+    included, is dropped.  As in :mod:`oracle`, states meet in buckets
+    keyed by :func:`_state_invariant`, and ``canon.flag_key`` is called only
+    where the invariant fails to separate: a state alone in its bucket is
+    expanded with no key; once a second state lands there, both get their
+    flag key, and a state is dropped only when its key equals a member's.
+    This loses no state.  An isomorphism that carries the frozen edges
+    along keeps each vertex's valence, boundary-edge degree and frozen-edge
+    degree, so isomorphic (state, frozen-edge) pairs always share a bucket
+    and compare by flag key, still the only equality test.  Two
+    non-isomorphic states in one bucket, by equal invariants or a hash
+    collision, cost two ``flag_key`` calls, never a lost state.  So the
+    states expanded, their order and the candidates emitted are those of
+    keying every state.
     """
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         self.max_v = cfg.max_vertices - 1
-        self.visited: set = set()
+        self.expanded = 0
         self.emitted: dict[Code, GenusSurface] = {}
 
     def run(self):
@@ -392,24 +427,37 @@ class _GenusSurfaceSearch:
         # its three vertices need max_v >= 3
         if self.max_v >= 3:
             self.emit(frozenset({(1, 2, 3)}))
+        # expanded states by invariant: one state with no key yet, or the
+        # flag keys of every state expanded with that invariant
+        lone: dict[int, tuple[frozenset, frozenset]] = {}
+        keyed: dict[int, set] = {}
         stack = [(frozenset({(1, 2, 3)}), frozenset())]
         while stack:
             tris, frozen = stack.pop()
-            key = flag_key(tris, frozen)
-            if key in self.visited:
-                continue
-            self.visited.add(key)
-            children = self.children(tris, frozen)
+            # one edge and one vertex index per state; the rest is read off them
+            edge_map = edge_triangles(tris)
+            by_vertex = vertex_triangles(tris)
+            inv = _state_invariant(tris, frozen, edge_map, by_vertex)
+            keys = keyed.get(inv)
+            if keys is None and inv in lone:
+                keys = keyed[inv] = {flag_key(*lone.pop(inv))}
+            if keys is None:
+                # a tuple takes about half the memory of the frozenset
+                lone[inv] = (tuple(tris), frozen)
+            else:
+                key = flag_key(tris, frozen)
+                if key in keys:
+                    continue
+                keys.add(key)
+            self.expanded += 1
+            children = self.children(tris, frozen, edge_map, by_vertex)
             if children is None:
                 self.emit(tris)
             else:
                 stack.extend(children)
         return self
 
-    def children(self, tris: frozenset, frozen: frozenset):
-        # one edge and one vertex index per state; the rest is read off them
-        edge_map = edge_triangles(tris)
-        by_vertex = vertex_triangles(tris)
+    def children(self, tris: frozenset, frozen: frozenset, edge_map, by_vertex):
         bedges = [e for e, ts in edge_map.items() if len(ts) == 1]
         open_edges = [e for e in bedges if e not in frozen]
         if not open_edges:
@@ -771,6 +819,8 @@ def _map_maybe_parallel(fn, tasks, workers: int):
         return [fn(t) for t in tasks]
     import concurrent.futures
 
+    # the fork start method starts every worker at once, however few tasks
+    workers = min(workers, len(tasks))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 

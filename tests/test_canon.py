@@ -304,9 +304,9 @@ class TestFlagKey:
         states = []
         real = listing._GenusSurfaceSearch.children
 
-        def recording(search, tris, frozen):
+        def recording(search, tris, frozen, edge_map, by_vertex):
             states.append((tris, frozen))
-            return real(search, tris, frozen)
+            return real(search, tris, frozen, edge_map, by_vertex)
 
         monkeypatch.setattr(listing._GenusSurfaceSearch, "children", recording)
         listing._GenusSurfaceSearch(listing.SearchConfig(max_vertices=8)).run()

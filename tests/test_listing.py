@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -15,8 +16,10 @@ from surfenum.core import (
     Triangulation,
     boundary_cycles,
     classify,
+    edge_triangles,
     valences,
     validate,
+    vertex_triangles,
 )
 from surfenum.listing import (
     CountsTable,
@@ -27,7 +30,9 @@ from surfenum.listing import (
     _GenusSurfaceSearch,
     _gluings,
     _index_discs,
+    _map_maybe_parallel,
     _roots_from_genus_surface,
+    _state_invariant,
     enumerate_all,
     enumerate_discs,
     enumerate_genus_surfaces,
@@ -392,8 +397,10 @@ class TestGluingChecks:
             monkeypatch.setattr(mod, "flag_key", recording)
         enumerate_all(SearchConfig(max_vertices=8, specialized=specialized))
         # 324 more from the disc growth, the gluing and the non-roots when
-        # they keyed discs and closed surfaces by flag_key
-        assert callers == {"_GenusSurfaceSearch.run": 997}
+        # they keyed discs and closed surfaces by flag_key; 997 in the search
+        # when it keyed every popped state, not only those whose invariant
+        # collides
+        assert callers == {"_GenusSurfaceSearch.run": 298}
 
     def test_enumerate_all_validate_calls(self, monkeypatch):
         calls = 0
@@ -597,6 +604,28 @@ class TestMainDiscsOnce:
         assert calls == {4: 1, 5: 1, 6: 1}
 
 
+def search_states(monkeypatch, v: int) -> list:
+    """The (triangles, frozen edges) of every state the search expands at
+    vertex budget ``v``, recorded from ``children``."""
+    from surfenum import listing
+
+    states = []
+    real = listing._GenusSurfaceSearch.children
+
+    def recording(search, tris, frozen, edge_map, by_vertex):
+        states.append((tris, frozen))
+        return real(search, tris, frozen, edge_map, by_vertex)
+
+    monkeypatch.setattr(listing._GenusSurfaceSearch, "children", recording)
+    _GenusSurfaceSearch(SearchConfig(max_vertices=v)).run()
+    return states
+
+
+def invariant(tris, frozen) -> int:
+    return _state_invariant(tris, frozen, edge_triangles(tris),
+                            vertex_triangles(tris))
+
+
 class TestGenusSearchDedup:
     @pytest.mark.parametrize("v, states, candidates",
                              [(5, 5, 1), (6, 15, 2), (7, 78, 5), (8, 829, 25)])
@@ -612,29 +641,59 @@ class TestGenusSearchDedup:
 
         monkeypatch.setattr(listing._GenusSurfaceSearch, "emit", counting)
         search = _GenusSurfaceSearch(SearchConfig(max_vertices=v)).run()
-        assert len(search.visited) == states
+        assert search.expanded == states
         assert len(search.emitted) == candidates
         # every leaf of the pruned search is emitted
         assert len(leaves) == candidates
 
     def test_flag_key_splits_states_like_state_key(self, monkeypatch):
-        from surfenum import listing
-
-        states = set()
-        real = listing.flag_key
-
-        def recording(tris, marked_edges=()):
-            states.add((tris, marked_edges))
-            return real(tris, marked_edges)
-
-        monkeypatch.setattr(listing, "flag_key", recording)
-        _GenusSurfaceSearch(SearchConfig(max_vertices=8)).run()
-        pairs = {(real(tris, frozen), state_key(tris, frozen))
+        states = search_states(monkeypatch, 8)
+        assert len(states) == 829
+        pairs = {(flag_key(tris, frozen), state_key(tris, frozen))
                  for tris, frozen in states}
         # same classes: each key of one kind pairs with exactly one of the other
         assert len({a for a, _ in pairs}) == len(pairs)
         assert len({b for _, b in pairs}) == len(pairs)
         assert len(pairs) == 829
+
+    def test_invariant_buckets_never_split_a_flag_key_class(self, monkeypatch):
+        from surfenum import listing
+
+        popped = []
+        real = listing._state_invariant
+
+        def recording(tris, frozen, edge_map, by_vertex):
+            popped.append((tris, frozen))
+            return real(tris, frozen, edge_map, by_vertex)
+
+        monkeypatch.setattr(listing, "_state_invariant", recording)
+        states = search_states(monkeypatch, 8)
+        assert len(states) == 829
+        rng = random.Random(83)
+        for tris, frozen in states:
+            reference = invariant(tris, frozen)
+            # unchanged by relabelings that carry the frozen edges along
+            labels = sorted({v for t in tris for v in t})
+            for _ in range(3):
+                shuffled = labels[:]
+                rng.shuffle(shuffled)
+                mapping = dict(zip(labels, shuffled))
+                image = frozenset(tuple(sorted((mapping[a], mapping[b])))
+                                  for a, b in frozen)
+                moved = frozenset(tuple(sorted(mapping[v] for v in t))
+                                  for t in tris)
+                assert invariant(moved, image) == reference
+        # every popped state, duplicates included: no flag_key class spans
+        # two invariants, and the classes are the expanded states
+        assert len(popped) == 997
+        invariant_of = {}
+        for tris, frozen in popped:
+            reference = invariant(tris, frozen)
+            key = flag_key(tris, frozen)
+            assert invariant_of.setdefault(key, reference) == reference
+        assert len(invariant_of) == 829
+        # the invariant separates most, not all, of them
+        assert len(set(invariant_of.values())) < 829
 
 
 class TestGenusSearchShortcuts:
@@ -767,7 +826,7 @@ class TestGenusSearchPruning:
         assert emitted_digest(search.emitted) == EMITTED_SHA256[9]
         # 138,690 states without the pruning, 55,215 without its rule R3,
         # 48,068 when the open edge decided next was the least by label
-        assert len(search.visited) <= 26456
+        assert search.expanded <= 26456
 
     @pytest.mark.parametrize("specialized", [True, False])
     def test_pruned_children_reach_no_admissible_leaf(self, monkeypatch,
@@ -785,9 +844,9 @@ class TestGenusSearchPruning:
             verdicts.append(real_dead_end(changes, opposite, split))
             return None  # the rules patched out: every child is listed
 
-        def pruning(search, tris, frozen):
+        def pruning(search, tris, frozen, edge_map, by_vertex):
             verdicts.clear()
-            out = real_children(search, tris, frozen)
+            out = real_children(search, tris, frozen, edge_map, by_vertex)
             if out is None:
                 return None
             assert len(out) == len(verdicts)
@@ -811,7 +870,8 @@ class TestGenusSearchPruning:
             if key in seen:
                 continue
             seen.add(key)
-            out = real_children(search, tris, frozen)
+            out = real_children(search, tris, frozen, edge_triangles(tris),
+                                vertex_triangles(tris))
             if out is not None:
                 stack.extend(out)
             elif (boundary_cycles(tris)
@@ -823,6 +883,32 @@ class TestGenusSearchPruning:
 
 
 class TestWorkerPools:
+    @pytest.mark.parametrize("workers, tasks, pool", [(100000, 3, 3), (2, 5, 2)])
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch, workers,
+                                              tasks, pool):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording:
+            # records the pool size and maps in this process: no worker starts
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        assert _map_maybe_parallel(abs, [-i for i in range(tasks)],
+                                   workers) == list(range(tasks))
+        assert sizes == [pool]
+
     def test_two_workers_give_the_same_results(self):
         cfg = SearchConfig(max_vertices=7)
         serial, pooled = enumerate_all(cfg), enumerate_all(
