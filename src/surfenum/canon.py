@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .core import Edge, Triangle, Triangulation, normalize_triangles
 
@@ -331,6 +331,27 @@ def _flag_walk(sides: dict[Edge, list[tuple[int, int]]], n: int,
     return tuple(code), label
 
 
+def _vertex_ranks(tris: Collection[Triangle], sides: dict[Edge, list],
+                  marked: Iterable[Edge]) -> dict[int, int]:
+    """Each vertex's triple (valence, boundary edges at it, marked edges at
+    it) as one number in base 3T, T the number of triangles (no vertex meets
+    3T edges), so the numbers compare as the triples do.  ``sides`` maps
+    each edge to a list with one entry per triangle on it."""
+    base = 3 * len(tris)
+    rank: dict[int, int] = {}
+    for t in tris:
+        for v in t:
+            rank[v] = rank.get(v, 0) + base * base
+    for (a, b), pair in sides.items():
+        if len(pair) == 1:
+            rank[a] += base
+            rank[b] += base
+    for a, b in marked:
+        rank[a] += 1
+        rank[b] += 1
+    return rank
+
+
 def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] = ()):
     """Relabeling-invariant key of a complex with a set of marked edges,
     equal for two inputs exactly when an isomorphism maps one complex and
@@ -358,19 +379,7 @@ def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] =
             if len(pair) > 2:
                 raise ValueError(f"edge {e} lies in more than two triangles")
     marked = list(marked_edges)
-    # vertex -> its triple as one number in base 3T (no vertex meets 3T edges)
-    base = 3 * len(tris)
-    inv: dict[int, int] = {}
-    for t in tris:
-        for v in t:
-            inv[v] = inv.get(v, 0) + base * base
-    for (a, b), pair in sides.items():
-        if len(pair) == 1:
-            inv[a] += base
-            inv[b] += base
-    for a, b in marked:
-        inv[a] += 1
-        inv[b] += 1
+    inv = _vertex_ranks(tris, sides, marked)
     sigs = [sorted((inv[a], inv[b], inv[c]), reverse=True) for a, b, c in tris]
     top = max(sigs)
     starts = [(f, i) for i, t in enumerate(tris) if sigs[i] == top

@@ -12,7 +12,8 @@ pruned by the necessary conditions for minimal decompositions: a partial
 candidate is dropped as soon as it breaks one that no later triangle or
 frozen boundary edge can repair (the opposite vertex of a boundary edge on
 the boundary, one boundary path per boundary vertex, adjacent triangles on
-one boundary component), and each finished candidate is checked in full.
+one boundary component, a boundary cycle that can take the main disc), and
+each finished candidate is checked in full.
 Gluing the discs back recovers every root: an extra disc goes on each
 boundary cycle but the host one, then a main disc on the host cycle, in
 every rotation and direction that adds no triangle or edge already there,
@@ -20,8 +21,9 @@ each distinct gluing once (rotations that a rim symmetry of the disc maps
 onto each other give one); the root's vertex count is the glued base's plus
 the main disc's interior count.  Repeated vertex-adding moves recover the
 non-roots.  Discs and closed surfaces are keyed by their minimal code.  The
-genus-surface search's states, frozen edges marked, are bucketed by a cheap
-relabeling invariant and keyed by canon.flag_key only where two share one.
+genus-surface search's states, frozen edges marked, are bucketed by the
+vertex ranks by which canon.flag_key picks its start flags, and keyed by
+flag_key only where two share a bucket.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .canon import Code, flag_key, minimal_code
+from .canon import Code, _vertex_ranks, flag_key, minimal_code
 from .core import (
     SPHERE,
     SurfaceClass,
@@ -277,27 +279,18 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
         if not any(v in bverts for v in t):
             return False
     # no edge-adjacent triangle pair touching two different boundary comps
-    if _splits_boundary(bedges, edge_map):
+    if _splits_boundary(comps, bedges, edge_map):
         return False
     # some boundary cycle can take the main disc
     return bool(_host_splits(comps, cfg))
 
 
-def _state_invariant(tris, frozen, edge_map, by_vertex) -> int:
+def _state_invariant(tris, frozen, edge_map) -> int:
     """Bucket key of a search state, unchanged by a relabeling that carries
     the frozen edges along: the hash of its sorted triangles, each the
-    sorted triple of its vertices' (valence, boundary-edge degree,
-    frozen-edge degree), the triple by which ``flag_key`` ranks its start
-    flags, written as one number in base 3T as there."""
-    base = 3 * len(tris)
-    label = {v: base * base * len(ts) for v, ts in by_vertex.items()}
-    for (a, b), ts in edge_map.items():
-        if len(ts) == 1:
-            label[a] += base
-            label[b] += base
-    for a, b in frozen:
-        label[a] += 1
-        label[b] += 1
+    sorted triple of its vertices' ranks, by which ``flag_key`` picks its
+    start flags."""
+    label = _vertex_ranks(tris, edge_map, frozen)
     return hash(tuple(sorted(
         tuple(sorted((label[a], label[b], label[c]))) for a, b, c in tris)))
 
@@ -334,12 +327,12 @@ def _link_after(link, p: int, q: int) -> str:
     return "interval" if paths == 1 else "paths"
 
 
-def _splits_boundary(bedges, edge_map) -> bool:
+def _splits_boundary(cycles, bedges, edge_map) -> bool:
     """Whether two edge-adjacent triangles touch boundary edges ``bedges``
-    of different boundary components.  In a growth state ``bedges`` are the
-    frozen edges: a closed cycle of them is a whole final component, so no
-    frozen edge off it can join it."""
-    cycles = closed_cycles(bedges)
+    of different boundary components, ``cycles`` the closed cycles of
+    ``bedges``.  In a growth state ``bedges`` are the frozen edges: a closed
+    cycle of them is a whole final component, so no frozen edge off it can
+    join it."""
     if not cycles:
         return False
     # boundary edge -> its closed cycle, or None while its path is open
@@ -377,15 +370,22 @@ class _GenusSurfaceSearch:
     interior (circle link) gets no further triangle.  ``children`` caps
     the vertices at ``max_v``, the only size bound: it bounds every
     valence, the number of frozen edges and, with each edge in at most two
-    triangles, the number of triangles.  ``children`` and
-    ``_freeze_ok`` give a finished vertex valence >= 4 and a triangle a
-    vertex off the interior, allow a vertex at most two frozen edges,
-    keep the opposite vertex of a frozen edge on the boundary, and in the
-    specialized mode limit the closed cycles of frozen edges.
-    ``_dead_end`` rejects a child that breaks a leaf condition of
-    :func:`genus_surface_admissible` for good (rules R1-R3).  The leaves get
-    the rest in ``emit``: the valence floors, the at-most-11 host rule and
+    triangles, the number of triangles.  ``children`` gives a finished
+    vertex valence >= 4 and a triangle a vertex off the interior, allows a
+    vertex at most two frozen edges and keeps the opposite vertex of a
+    frozen edge on the boundary.  ``_dead_end`` rejects a child that breaks
+    a leaf condition of :func:`genus_surface_admissible` for good (rules
+    R1-R4).  The leaves get the rest in ``emit``: the valence floors and
     the capped surface class.
+
+    R4 is the at-most-11 host rule of :func:`_host_splits`, read off the
+    closed cycles of frozen edges that a freeze child has: each is a final
+    boundary component, and a leaf's components have a host split only if
+    these cycles have one.  It needs no mode guard, as in the general mode
+    ``_host_splits`` rejects nothing.  In the specialized mode the cycles
+    are vertex-disjoint (no vertex is on three frozen edges), and the rule
+    fires only on three or more cycles (at least 9 vertices) or on two of
+    length 5 or more (at least 10), so never below a budget of 10 vertices.
 
     The open edge decided next is the one at the most advanced vertex: the
     larger valence of its two ends, then the frozen edges at both ends, both
@@ -437,7 +437,7 @@ class _GenusSurfaceSearch:
             # one edge and one vertex index per state; the rest is read off them
             edge_map = edge_triangles(tris)
             by_vertex = vertex_triangles(tris)
-            inv = _state_invariant(tris, frozen, edge_map, by_vertex)
+            inv = _state_invariant(tris, frozen, edge_map)
             keys = keyed.get(inv)
             if keys is None and inv in lone:
                 keys = keyed[inv] = {flag_key(*lone.pop(inv))}
@@ -483,7 +483,11 @@ class _GenusSurfaceSearch:
         a, b = e
         links = {a: _link_ends(by_vertex[a], a), b: _link_ends(by_vertex[b], b)}
         out = []
-        if self._freeze_ok(frozen, e, frozen_ends, edge_map, bverts):
+        # freezing e leaves a vertex on at most two frozen edges, and the
+        # opposite vertex of a boundary edge must end up on the boundary
+        apex = next(x for x in edge_map[e][0] if x != a and x != b)
+        if (len(frozen_ends.get(a, ())) < 2 and len(frozen_ends.get(b, ())) < 2
+                and apex in bverts):
             changes = []
             for v, w in ((a, b), (b, a)):
                 # freezing e makes w a frozen end of v; the link is unchanged
@@ -492,9 +496,12 @@ class _GenusSurfaceSearch:
                 changes.append((v, vals[v],
                                 "interval" if len(partner) == 2 else "paths",
                                 len(ends) == 1 and partner.get(ends[0]) == w))
-            if self._dead_end(changes, opposite,
-                              _splits_boundary(frozen | {e}, edge_map)) is None:
-                out.append((tris, frozen | {e}))
+            child = frozen | {e}
+            # not None: each vertex is on at most two frozen edges
+            cycles = closed_cycles(child)
+            if self._dead_end(changes, opposite, cycles,
+                              _splits_boundary(cycles, child, edge_map)) is None:
+                out.append((tris, child))
         n_v = len(vals)
         cands = [x for x in range(1, n_v + 1) if x != a and x != b]
         if n_v < self.max_v:
@@ -533,37 +540,22 @@ class _GenusSurfaceSearch:
                    for v in (a, b, x) if finished[v]
                    for t in itertools.chain(by_vertex.get(v, ()), (new_tri,))):
                 continue
-            # the new triangle has no frozen edge, so it splits no boundary
-            if self._dead_end(changes, opposite, False) is None:
+            # the new triangle has no frozen edge and closes no cycle of
+            # them, so it splits no boundary
+            if self._dead_end(changes, opposite, [], False) is None:
                 out.append((tris | {new_tri}, frozen))
         return out
 
-    def _freeze_ok(self, frozen, e, frozen_ends, edge_map, bverts) -> bool:
-        a, b = e
-        if len(frozen_ends.get(a, ())) >= 2 or len(frozen_ends.get(b, ())) >= 2:
-            return False
-        # the opposite vertex of a boundary edge must end up on the boundary
-        tri = edge_map[e][0]
-        w = next(x for x in tri if x not in e)
-        if w not in bverts:
-            return False
-        if self.cfg.specialized:
-            # the closed cycles so far are final boundary components; not
-            # None, as the check above leaves each vertex on <= 2 frozen edges
-            cycles = closed_cycles(frozen | {e})
-            if cycles and not _host_splits(cycles, self.cfg):
-                return False
-        return True
-
-    @staticmethod
-    def _dead_end(changes, opposite, split: bool) -> str | None:
+    def _dead_end(self, changes, opposite, cycles, split: bool) -> str | None:
         """The rule by which no leaf below a child passes
         :func:`genus_surface_admissible` (the one-triangle candidate aside, which
         ``run`` emits directly), or None.  ``changes`` holds, for each
         vertex v the child changes, (v, valence, link shape, closed) after
         the change, where closed means that one link path joins the far ends
         of v's two frozen edges; ``opposite`` holds the vertices opposite a
-        frozen edge, and ``split`` is :func:`_splits_boundary` of the child."""
+        frozen edge, ``cycles`` the closed cycles of a freeze child's frozen
+        edges (none for a cover child, whose cycles its parent had), and
+        ``split`` is :func:`_splits_boundary` of the child."""
         for v, k, shape, closed in changes:
             # R1: a frozen edge keeps its one triangle and a finished vertex
             # stays interior, so that boundary edge's link stays off the boundary
@@ -579,16 +571,21 @@ class _GenusSurfaceSearch:
         # boundary component, so the pair stays on two components
         if split:
             return "R3"
+        # R4: the closed cycles are boundary components of every leaf below,
+        # so the at-most-11 host rule reads them now (class docstring)
+        if cycles and not _host_splits(cycles, self.cfg):
+            return "R4"
         return None
 
     def emit(self, tris: frozenset) -> None:
         # a state is edge-connected with circle or path links, and no leaf
         # has a vertex on three frozen edges, so a leaf with boundary edges
         # is a surface with boundary
-        if genus_surface_admissible(GenusSurface.from_triangles(tris), self.cfg):
-            code = minimal_code(tris)
-            if code not in self.emitted:
-                self.emitted[code] = GenusSurface.from_triangles(code)
+        code = minimal_code(tris)
+        if code not in self.emitted:
+            g = GenusSurface.from_triangles(code)
+            if genus_surface_admissible(g, self.cfg):
+                self.emitted[code] = g
 
 
 def enumerate_genus_surfaces(cfg: SearchConfig) -> set[GenusSurface]:
@@ -611,7 +608,10 @@ def _gluings(base: frozenset, cycle: Sequence[int],
     symmetry of the disc (all 2m rotations of a bare m-star) gives one.
     The disc's interior vertices get fresh labels after ``base``'s, so
     only its triangles and chords with every vertex on the rim can land on
-    ``base``.
+    ``base``.  The chord test keeps both off: a rim triangle off a 3-cycle
+    has a chord, and on a 3-cycle it is the whole disc, which lands on
+    ``base`` only when ``base`` is that one triangle.  So ``disc`` must not
+    be the lone triangle when ``base`` is one; no caller glues it so.
 
     For a connected surface ``base`` every yield is ``base`` with ``cycle``
     capped, so no caller validates it.  Rim edges land on cycle edges, each
@@ -620,7 +620,7 @@ def _gluings(base: frozenset, cycle: Sequence[int],
     the other cycles.  A cycle vertex v with cycle neighbours u, w has a
     link path from u to w in ``base`` and another in the disc; a vertex
     inside both would make an edge at v a chord on ``base``, and a link edge
-    (u, w) in both a rim triangle in ``base``, so the paths close into a
+    (u, w) in both a disc triangle in ``base``, so the paths close into a
     circle.  The other links are unchanged and the result is connected.
     Capping a cycle keeps orientability and adds 1 to chi, so a
     genus-surface with every cycle capped is a closed surface of its capped
@@ -637,7 +637,6 @@ def _gluings(base: frozenset, cycle: Sequence[int],
             if v not in rim and v not in inner:
                 fresh += 1
                 inner[v] = fresh
-    rim_tris = [t for t in disc.triangles if rim.issuperset(t)]
     chords = [e for e, ts in edge_triangles(disc.triangles).items()
               if len(ts) == 2 and rim.issuperset(e)]
     images = set()  # the disc's mapped triangles, per distinct gluing
@@ -645,8 +644,6 @@ def _gluings(base: frozenset, cycle: Sequence[int],
         for offset in range(L):
             mapping = {v: cycle[(offset - i if reflect else offset + i) % L]
                        for i, v in enumerate(disc.boundary)}
-            if any(tuple(sorted(mapping[v] for v in t)) in base for t in rim_tris):
-                continue
             if any(tuple(sorted((mapping[a], mapping[b]))) in base_edges
                    for a, b in chords):
                 continue
@@ -725,7 +722,7 @@ def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Cod
     if genus_surfaces:
         discs = _index_discs(cfg)
         results = _map_maybe_parallel(
-            _roots_from_genus_surface_task,
+            _roots_from_genus_surface,
             [(g, cfg, discs) for g in genus_surfaces],
             cfg.workers,
         )
@@ -733,10 +730,6 @@ def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Cod
             for v, cls, code in batch:
                 add(v, cls, code)
     return roots
-
-
-def _roots_from_genus_surface_task(args):
-    return _roots_from_genus_surface(*args)
 
 
 # --------------------------------------------------------------------------
@@ -765,8 +758,7 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
     return {Triangulation(code) for code in found}
 
 
-def _nonroots_task(args):
-    code, cfg = args
+def _nonroots_task(code: Code, cfg: SearchConfig):
     return code, {t.triangles
                   for t in enumerate_nonroots(Triangulation(code), cfg)}
 
@@ -815,12 +807,14 @@ def enumerate_all(cfg: SearchConfig) -> EnumerationResult:
 
 
 def _map_maybe_parallel(fn, tasks, workers: int):
+    """``fn(*task)`` for each argument tuple of ``tasks``, in order."""
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        return [fn(*t) for t in tasks]
     import concurrent.futures
 
     # the fork start method starts every worker at once, however few tasks
     workers = min(workers, len(tasks))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        return list(pool.map(fn, *zip(*tasks),
+                             chunksize=max(1, len(tasks) // (4 * workers))))
 

@@ -169,11 +169,6 @@ class OracleResult:
     codes: dict[tuple[int, SurfaceClass], set[Code]] = field(default_factory=dict)
 
 
-def _shard_task(args):
-    m, max_vertices = args
-    return _enumerate_with_max_valence(m, max_vertices)
-
-
 def brute_force_enumerate(max_vertices: int, workers: int = 1) -> OracleResult:
     """Every closed triangulation with at most ``max_vertices`` vertices,
     up to isomorphism, found by direct growth."""
@@ -185,7 +180,7 @@ def brute_force_enumerate(max_vertices: int, workers: int = 1) -> OracleResult:
         return OracleResult(CountsTable())
     tasks = [(m, max_vertices) for m in range(3, max_vertices)]
     result = OracleResult(CountsTable())
-    for batch in _map_maybe_parallel(_shard_task, tasks, workers):
+    for batch in _map_maybe_parallel(_enumerate_with_max_valence, tasks, workers):
         for code in batch:
             v = max(x for t in code for x in t)
             # validated as a closed surface where it was found

@@ -54,6 +54,24 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(max_vertices=12, specialized=True)
 
+    def test_specialized_is_read_in_four_places(self):
+        # the mode's whole effect: the host rule, the extra discs and the
+        # manifest; the genus-surface search reads it only through the host
+        # rule
+        import ast
+        from pathlib import Path
+
+        import surfenum
+
+        readers = set()
+        for path in Path(surfenum.__file__).parent.glob("*.py"):
+            for top in ast.parse(path.read_text()).body:
+                if any(isinstance(n, ast.Attribute) and n.attr == "specialized"
+                       for n in ast.walk(top)):
+                    readers.add((path.stem, top.name))
+        assert readers == {("listing", "SearchConfig"), ("listing", "_host_splits"),
+                           ("listing", "_index_discs"), ("cli", "_manifest_config")}
+
 
 def closed_star(k: int) -> frozenset:
     """The closed star of the hub 1 with rim 2 .. k+1."""
@@ -357,12 +375,26 @@ class TestGluingChecks:
         # of the 4 yields, 2 glue the extra disc and 2 the main disc
         assert _check_gluings(monkeypatch, cfg, candidates) == 2
 
-    def test_rim_triangle_never_doubles_a_triangle(self):
-        # a rim triangle off the 3-cycle has a chord, which the chord test
-        # keeps off the base; on the 3-cycle it is the whole disc, and lands
-        # on the base only when the base is one triangle
-        triangle = Disc.from_triangles([(1, 2, 3)])
-        assert list(_gluings(frozenset({(1, 2, 3)}), (1, 2, 3), triangle)) == []
+    @pytest.mark.parametrize("v", [7, 8])
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_no_triangle_is_glued_onto_a_lone_triangle(self, monkeypatch, v,
+                                                       specialized):
+        # the precondition under which the chord test alone keeps a disc's
+        # triangles off the base: the triangle glued onto the one-triangle
+        # base would double it, and _gluings does not reject that
+        from surfenum import listing
+
+        calls = []
+
+        def recording(base, cycle, disc):
+            calls.append((len(base), len(disc.triangles)))
+            return _gluings(base, cycle, disc)
+
+        monkeypatch.setattr(listing, "_gluings", recording)
+        enumerate_roots(SearchConfig(max_vertices=v, specialized=specialized))
+        # main discs go onto the one-triangle candidate, the triangle never
+        assert any(n_base == 1 for n_base, _n_disc in calls)
+        assert (1, 1) not in calls
 
     @pytest.mark.parametrize("specialized", [True, False])
     def test_gluing_makes_no_validate_call(self, monkeypatch, specialized):
@@ -622,8 +654,7 @@ def search_states(monkeypatch, v: int) -> list:
 
 
 def invariant(tris, frozen) -> int:
-    return _state_invariant(tris, frozen, edge_triangles(tris),
-                            vertex_triangles(tris))
+    return _state_invariant(tris, frozen, edge_triangles(tris))
 
 
 class TestGenusSearchDedup:
@@ -662,9 +693,9 @@ class TestGenusSearchDedup:
         popped = []
         real = listing._state_invariant
 
-        def recording(tris, frozen, edge_map, by_vertex):
+        def recording(tris, frozen, edge_map):
             popped.append((tris, frozen))
-            return real(tris, frozen, edge_map, by_vertex)
+            return real(tris, frozen, edge_map)
 
         monkeypatch.setattr(listing, "_state_invariant", recording)
         states = search_states(monkeypatch, 8)
@@ -708,7 +739,7 @@ class TestGenusSearchShortcuts:
         verdicts = Counter()
         states = 0
         real_ends, real_after = listing._link_ends, listing._link_after
-        real_freeze_ok = listing._GenusSurfaceSearch._freeze_ok
+        real_children = listing._GenusSurfaceSearch.children
 
         def recording_ends(star, v):
             link = real_ends(star, v)
@@ -723,26 +754,29 @@ class TestGenusSearchShortcuts:
             verdicts[verdict] += 1
             return verdict
 
-        def checking_freeze_ok(search, frozen, e, frozen_ends, edge_map, bverts):
-            # the boundary vertex set behind the finished, opposite-vertex
-            # and all-interior-triangle tests of this state
+        def checking_children(search, tris, frozen, edge_map, by_vertex):
             nonlocal states
+            out = real_children(search, tris, frozen, edge_map, by_vertex)
+            if out is None:
+                return None
             states += 1
+            # the boundary vertex set behind the finished, opposite-vertex
+            # and all-interior-triangle tests of this state, as children
+            # reads it off the boundary edges
+            bverts = {v for e, ts in edge_map.items() if len(ts) == 1 for v in e}
             n = search.cfg.max_vertices
-            tris = {t for ts in edge_map.values() for t in ts}
             for v, star in vertex_triangles(tris).items():
                 assert (v not in bverts) == (link_shape(star, v) == "circle")
                 # the valence caps that the vertex cap implies
                 assert len(star) <= (n - 3 if v in bverts else n - 2)
-            ok = real_freeze_ok(search, frozen, e, frozen_ends, edge_map, bverts)
             # the frozen-edge cap that the vertex cap implies
-            assert len(frozen) + ok <= search.max_v
-            return ok
+            assert all(len(child) <= search.max_v for _tris, child in out)
+            return out
 
         monkeypatch.setattr(listing, "_link_ends", recording_ends)
         monkeypatch.setattr(listing, "_link_after", checking_after)
-        monkeypatch.setattr(listing._GenusSurfaceSearch, "_freeze_ok",
-                            checking_freeze_ok)
+        monkeypatch.setattr(listing._GenusSurfaceSearch, "children",
+                            checking_children)
         _GenusSurfaceSearch(SearchConfig(max_vertices=8, specialized=specialized)).run()
         # the visited states less the leaves; the one-triangle candidate is
         # emitted directly, so 24 of the 25 candidates are leaves
@@ -840,8 +874,8 @@ class TestGenusSearchPruning:
         verdicts = []
         pruned = []
 
-        def recording(changes, opposite, split):
-            verdicts.append(real_dead_end(changes, opposite, split))
+        def recording(search, changes, opposite, cycles, split):
+            verdicts.append(real_dead_end(search, changes, opposite, cycles, split))
             return None  # the rules patched out: every child is listed
 
         def pruning(search, tris, frozen, edge_map, by_vertex):
@@ -853,7 +887,7 @@ class TestGenusSearchPruning:
             pruned.extend((c, rule) for c, rule in zip(out, verdicts) if rule)
             return [c for c, rule in zip(out, verdicts) if rule is None]
 
-        monkeypatch.setattr(search_cls, "_dead_end", staticmethod(recording))
+        monkeypatch.setattr(search_cls, "_dead_end", recording)
         monkeypatch.setattr(search_cls, "children", pruning)
         cfg = SearchConfig(max_vertices=7, specialized=specialized)
         search = search_cls(cfg).run()
@@ -881,6 +915,41 @@ class TestGenusSearchPruning:
         # the only admissible leaf below a pruned child
         assert admissible == {((1, 2, 3),)}
 
+    @pytest.mark.parametrize("v, lengths, hosted", [
+        (10, [3, 3, 3], False), (11, [5, 5], False), (10, [3, 5], True)],
+        ids=["3-3-3", "5-5", "3-5"])
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_host_rule_on_closed_frozen_cycles(self, v, lengths, hosted,
+                                               specialized):
+        # R4 cannot fire below 10 vertices, so no search run reaches it:
+        # with three cycles, or two of length 5 or more, no cycle can host
+        # the main disc with at most one extra triangle or square
+        labels = iter(range(1, sum(lengths) + 1))
+        cycles = [[next(labels) for _ in range(n)] for n in lengths]
+        search = _GenusSurfaceSearch(SearchConfig(v, specialized=specialized))
+        pruned = specialized and not hosted
+        assert search._dead_end([], set(), cycles, False) == ("R4" if pruned else None)
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_one_closed_cycles_walk_per_freeze_child(self, monkeypatch,
+                                                     specialized):
+        from surfenum.core import closed_cycles
+
+        calls = [0]
+
+        def counting(edges):
+            calls[0] += 1
+            return closed_cycles(edges)
+
+        for mod in _package_modules_holding(closed_cycles):
+            monkeypatch.setattr(mod, "closed_cycles", counting)
+        _GenusSurfaceSearch(SearchConfig(max_vertices=8,
+                                         specialized=specialized)).run()
+        # one per freeze child and one per emitted candidate's boundary;
+        # 1,256 and 665 when the specialized host rule and the split rule
+        # each walked the frozen cycles, and emit built two candidates
+        assert calls[0] <= 616
+
 
 class TestWorkerPools:
     @pytest.mark.parametrize("workers, tasks, pool", [(100000, 3, 3), (2, 5, 2)])
@@ -901,11 +970,11 @@ class TestWorkerPools:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        assert _map_maybe_parallel(abs, [-i for i in range(tasks)],
+        assert _map_maybe_parallel(abs, [(-i,) for i in range(tasks)],
                                    workers) == list(range(tasks))
         assert sizes == [pool]
 
