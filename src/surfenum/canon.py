@@ -271,6 +271,17 @@ def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
     return best[0]
 
 
+def automorphisms(witnesses: Sequence[dict[int, int]]) -> list[tuple[int, ...]]:
+    """The automorphism group of a minimal code, read off the witnesses that
+    :func:`minimal_code` returns for any labeling of it: w o w0^-1 for each
+    witness w, w0 the first.  Every optimal labeling is a witness, so each
+    automorphism comes out once.  Each is a tuple p with p[v] the image of
+    vertex v (p[0] = 0)."""
+    back = {x: v for v, x in witnesses[0].items()}
+    return [(0,) + tuple(w[back[x]] for x in range(1, len(back) + 1))
+            for w in witnesses]
+
+
 @dataclass(frozen=True)
 class CanonicalForm:
     """The mixed-lex minimal triangle list; equality means isomorphism."""

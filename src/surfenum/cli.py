@@ -6,6 +6,9 @@ separated by whitespace, vertices within a triangle separated by commas
 ("123 124 ...") is accepted on input whenever every label is at most 9.
 Enumeration results are persisted as one file per (vertex count, surface)
 shard of sorted canonical lines plus a manifest with config and checksums.
+Each file is written under a temporary name and moved into place, the
+manifest last, so a run cut short leaves no manifest and no partly written
+file under a final name.
 """
 
 from __future__ import annotations
@@ -80,13 +83,31 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# the manifest format; results_complete rejects a manifest of another one
+# (a manifest with no schema number is of format 1)
+_MANIFEST_SCHEMA = 2
+
+
 def _manifest_config(cfg: SearchConfig) -> dict:
-    """The part of ``cfg`` that a manifest records and a rerun must match."""
+    """The part of ``cfg`` that a manifest records and a rerun must match,
+    with the manifest format."""
     return {
+        "schema": _MANIFEST_SCHEMA,
         "max_vertices": cfg.max_vertices,
         "specialized": cfg.specialized,
         "surface": cfg.surface.name if cfg.surface else None,
     }
+
+
+def _write_replacing(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and move it onto
+    ``path``, so ``path`` holds the old text or all of the new."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_results(
@@ -95,21 +116,24 @@ def write_results(
     codes: dict[tuple[int, SurfaceClass], set[Code]],
     elapsed: float,
 ) -> None:
+    """Write each shard, then the manifest; an old manifest is removed
+    first, so until the new one is in place the results are incomplete."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     shards = {}
     for (v, cls), bucket in sorted(codes.items(),
                                    key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
         lines = sorted(render_triangulation(code) for code in bucket)
         text = "\n".join(lines) + "\n"
         name = _shard_name(v, cls)
-        (out_dir / name).write_text(text)
+        _write_replacing(out_dir / name, text)
         shards[name] = {"count": len(lines), "sha256": _sha256(text)}
     manifest = {
         "config": _manifest_config(cfg),
         "shards": shards,
         "wall_time_seconds": round(elapsed, 3),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_replacing(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _read_manifest(out_dir: Path) -> dict:

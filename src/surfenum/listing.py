@@ -19,8 +19,14 @@ boundary cycle but the host one, then a main disc on the host cycle, in
 every rotation and direction that adds no triangle or edge already there,
 each distinct gluing once (rotations that a rim symmetry of the disc maps
 onto each other give one); the root's vertex count is the glued base's plus
-the main disc's interior count.  Repeated vertex-adding moves recover the
-non-roots.  Discs and closed surfaces are keyed by their minimal code.  The
+the main disc's interior count; a main disc's rotation is built only when
+the valences it gives the host cycle are in range.  Repeated vertex-adding
+moves recover the non-roots.  A main disc glued straight onto a
+genus-surface g is glued once per orbit of Aut(g), and a vertex is added
+once per orbit of triangles: an automorphism of the parent, fixing the new
+vertices, maps one child of an orbit onto the others (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26 (1998)).  Discs and closed
+surfaces are keyed by their minimal code.  The
 genus-surface search's states, frozen edges marked, are bucketed by the
 vertex ranks by which canon.flag_key picks its start flags, and keyed by
 flag_key only where two share a bucket.
@@ -33,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .canon import Code, _vertex_ranks, flag_key, minimal_code
+from .canon import Code, _vertex_ranks, automorphisms, flag_key, minimal_code
 from .core import (
     SPHERE,
     SurfaceClass,
@@ -420,6 +426,7 @@ class _GenusSurfaceSearch:
         self.max_v = cfg.max_vertices - 1
         self.expanded = 0
         self.emitted: dict[Code, GenusSurface] = {}
+        self.automorphisms: dict[Code, list[tuple[int, ...]]] = {}
 
     def run(self):
         # the one-triangle candidate is emitted directly: its vertices close
@@ -580,38 +587,55 @@ class _GenusSurfaceSearch:
     def emit(self, tris: frozenset) -> None:
         # a state is edge-connected with circle or path links, and no leaf
         # has a vertex on three frozen edges, so a leaf with boundary edges
-        # is a surface with boundary
-        code = minimal_code(tris)
+        # is a surface with boundary; the witnesses give Aut(g) for the gluing
+        code, witnesses = minimal_code(tris, with_witnesses=True)
         if code not in self.emitted:
             g = GenusSurface.from_triangles(code)
             if genus_surface_admissible(g, self.cfg):
                 self.emitted[code] = g
+                self.automorphisms[code] = automorphisms(witnesses)
 
 
-def enumerate_genus_surfaces(cfg: SearchConfig) -> set[GenusSurface]:
+def enumerate_genus_surfaces(
+        cfg: SearchConfig) -> dict[GenusSurface, list[tuple[int, ...]]]:
     """All isomorphism classes of admissible genus-surface candidates with
     at most max_vertices - 1 vertices (a superset of the minimal
-    genus-surfaces of all roots within the budget)."""
+    genus-surfaces of all roots within the budget), each with its
+    automorphism group (see :func:`canon.automorphisms`)."""
     search = _GenusSurfaceSearch(cfg).run()
-    return set(search.emitted.values())
+    return {g: search.automorphisms[code] for code, g in search.emitted.items()}
 
 
 # --------------------------------------------------------------------------
 # Step 3: gluings
 # --------------------------------------------------------------------------
 
-def _gluings(base: frozenset, cycle: Sequence[int],
-             disc: Disc) -> Iterator[frozenset]:
+def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
+             room: dict[int, range] | None = None,
+             autos: Sequence[tuple[int, ...]] = ()) -> Iterator[frozenset]:
     """``base`` with ``disc`` glued onto its boundary cycle ``cycle``, for
     each rotation and direction of the rim that adds no triangle or edge
-    ``base`` already has; each distinct gluing is yielded once, so a rim
-    symmetry of the disc (all 2m rotations of a bare m-star) gives one.
+    ``base`` already has and, when ``room`` is given, lands each rim vertex
+    of disc valence k on a cycle vertex c with k in ``room[c]``.  Each
+    distinct gluing is yielded once, so a rim symmetry of the disc (all 2m
+    rotations of a bare m-star) gives one, and so does each orbit of the
+    automorphisms ``autos`` of ``base`` (tuples as from
+    :func:`canon.automorphisms`).
     The disc's interior vertices get fresh labels after ``base``'s, so
     only its triangles and chords with every vertex on the rim can land on
     ``base``.  The chord test keeps both off: a rim triangle off a 3-cycle
     has a chord, and on a 3-cycle it is the whole disc, which lands on
     ``base`` only when ``base`` is that one triangle.  So ``disc`` must not
     be the lone triangle when ``base`` is one; no caller glues it so.
+
+    The orbit pruning is exact: an automorphism s of ``base``, extended to
+    fix the fresh labels, maps ``base`` with the disc image I glued onto
+    ``base`` with s(I) glued, so both have one minimal code.  The orbit of
+    each image is added to the seen images when the image is yielded, so a
+    later rotation that lands in it is skipped.  ``room`` is the valence
+    precheck: a cycle vertex ends up with its valence in ``base`` plus its
+    rim vertex's valence in the disc, and no other vertex's valence
+    depends on the rotation, so the caller checks those once.
 
     For a connected surface ``base`` every yield is ``base`` with ``cycle``
     capped, so no caller validates it.  Rim edges land on cycle edges, each
@@ -637,13 +661,19 @@ def _gluings(base: frozenset, cycle: Sequence[int],
             if v not in rim and v not in inner:
                 fresh += 1
                 inner[v] = fresh
+    # the automorphisms extended to fix the fresh labels
+    autos = [p + tuple(range(len(p), fresh + 1)) for p in autos]
+    rim_vals = valences(disc.triangles) if room is not None else None
     chords = [e for e, ts in edge_triangles(disc.triangles).items()
               if len(ts) == 2 and rim.issuperset(e)]
-    images = set()  # the disc's mapped triangles, per distinct gluing
+    images = set()  # the disc's mapped triangles yielded, with their orbits
     for reflect in (False, True):
         for offset in range(L):
             mapping = {v: cycle[(offset - i if reflect else offset + i) % L]
                        for i, v in enumerate(disc.boundary)}
+            if room is not None and any(rim_vals[v] not in room[c]
+                                        for v, c in mapping.items()):
+                continue
             if any(tuple(sorted((mapping[a], mapping[b]))) in base_edges
                    for a, b in chords):
                 continue
@@ -651,6 +681,8 @@ def _gluings(base: frozenset, cycle: Sequence[int],
             image = frozenset(tuple(sorted(mapping[v] for v in t)) for t in disc.triangles)
             if image not in images:
                 images.add(image)
+                images.update(frozenset(tuple(sorted((p[a], p[b], p[c])))
+                                        for a, b, c in image) for p in autos)
                 yield base | image
 
 
@@ -677,10 +709,13 @@ def _roots_from_genus_surface(
     g: GenusSurface,
     cfg: SearchConfig,
     discs: tuple[dict[int, list[tuple[int, Disc]]], dict[int, list[Disc]]],
+    autos: Sequence[tuple[int, ...]],
 ) -> set[tuple[int, SurfaceClass, Code]]:
     """All roots arising from one genus-surface, as (V, class, code): an
     extra disc on each boundary cycle but the host, then a main disc of
-    ``discs`` (from :func:`_index_discs`) on the host cycle."""
+    ``discs`` (from :func:`_index_discs`) on the host cycle, in valence
+    range and glued once per orbit of ``g``'s automorphisms ``autos`` when
+    there is no extra disc (see :func:`_gluings`)."""
     main_discs, extra_discs = discs
     found: set[tuple[int, SurfaceClass, Code]] = set()
     for cycle, others in _host_splits(g.boundary, cfg):
@@ -691,16 +726,23 @@ def _roots_from_genus_surface(
                      if (max(v for t in base for v in t) + disc.interior_count + 1
                          <= cfg.max_vertices)
                      for glued in _gluings(base, other, disc)}
+        # with an extra disc glued the base is not g, and g's automorphisms
+        # do not act on it
+        base_autos = () if others else autos
         for base in bases:
             n_base = max(v for t in base for v in t)
+            vals = valences(base)
+            # the vertices off the host cycle keep their valence, and a main
+            # disc's inner vertices are in [4, m] (see _disc_children)
+            off = [k for v, k in vals.items() if v not in cycle]
+            if off and min(off) < 4:
+                continue
             for m, disc in main_discs.get(len(cycle), ()):
                 total = n_base + disc.interior_count
-                if total > cfg.max_vertices:
+                if total > cfg.max_vertices or m < max(off, default=0):
                     continue
-                for glued in _gluings(base, cycle, disc):
-                    vals = valences(glued)
-                    if min(vals.values()) < 4 or max(vals.values()) > m:
-                        continue
+                room = {c: range(4 - vals[c], m - vals[c] + 1) for c in cycle}
+                for glued in _gluings(base, cycle, disc, room, base_autos):
                     # a closed surface of g's capped class (see _gluings);
                     # the set keeps one of the gluings that are isomorphic
                     found.add((total, g.capped_class, minimal_code(glued)))
@@ -723,7 +765,7 @@ def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Cod
         discs = _index_discs(cfg)
         results = _map_maybe_parallel(
             _roots_from_genus_surface,
-            [(g, cfg, discs) for g in genus_surfaces],
+            [(g, cfg, discs, autos) for g, autos in genus_surfaces.items()],
             cfg.workers,
         )
         for batch in results:
@@ -738,21 +780,32 @@ def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Cod
 
 def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulation]:
     """Every non-root within the vertex budget whose root is ``root``,
-    found by breadth-first vertex-adding moves."""
+    found by breadth-first vertex-adding moves.  Each triangulation is
+    coned from its minimal code, on one triangle per orbit of its
+    automorphisms: the least, as the code's triangles ascend.  This loses
+    nothing, as the cone on s(t) is the cone on t relabeled by s with the
+    new vertex fixed."""
     if not is_root(root):
         raise ValueError("enumerate_nonroots needs a root")
     found: set[Code] = set()
-    frontier = [root]
-    while frontier:
+    frontier = [root.triangles]
+    # each level of the frontier has one vertex more than the last
+    for _v in range(root.vertex_count, cfg.max_vertices):
         nxt = []
-        for t in frontier:
-            if t.vertex_count >= cfg.max_vertices:
-                continue
-            for tri in t.triangles:
-                moved = _cone(t, tri)  # closed: the root was checked
-                code = minimal_code(moved.triangles)
-                if code not in found:
-                    found.add(code)
+        for tris in frontier:
+            code, witnesses = minimal_code(tris, with_witnesses=True)
+            autos = automorphisms(witnesses)
+            t = Triangulation(code)
+            coned = set()
+            for tri in code:
+                if tri in coned:
+                    continue
+                a, b, c = tri
+                coned.update(tuple(sorted((p[a], p[b], p[c]))) for p in autos)
+                # closed: the root was checked
+                moved = minimal_code(_cone(t, tri).triangles)
+                if moved not in found:
+                    found.add(moved)
                     nxt.append(moved)
         frontier = nxt
     return {Triangulation(code) for code in found}

@@ -5,13 +5,17 @@ from typing import Iterable, Sequence
 
 import pytest
 
-from surfenum.canon import minimal_code
+from surfenum.canon import Code, minimal_code
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import (KLEIN_BOTTLE, Edge, SurfaceClass, SurfaceKind,
-                           Triangle, Triangulation, boundary_cycles, classify,
-                           closed_cycles, edge_triangles, euler_characteristic,
-                           link_graph, normalize_triangles, valences, validate)
-from surfenum.moves import MoveError, _require_closed
+from surfenum.core import (KLEIN_BOTTLE, SPHERE, Edge, SurfaceClass,
+                           SurfaceKind, Triangle, Triangulation,
+                           boundary_cycles, classify, closed_cycles,
+                           edge_triangles, euler_characteristic, link_graph,
+                           normalize_triangles, valences, validate)
+from surfenum import listing
+from surfenum.listing import (SearchConfig, _host_splits, _index_discs,
+                              enumerate_genus_surfaces)
+from surfenum.moves import MoveError, _cone, _require_closed
 
 # well-known fixtures (compact single-digit format)
 TETRAHEDRON = "123 124 134 234"
@@ -302,3 +306,87 @@ def validate_decomposition(t: Triangulation, dec: Decomposition) -> Decompositio
         return DecompositionCheck(
             False, "main disc has no maximal-valence interior vertex")
     return DecompositionCheck(True)
+
+
+def reference_nonroots(root: Triangulation, max_vertices: int) -> set[Code]:
+    """The minimal codes of every non-root within ``max_vertices`` whose root
+    is ``root``, by coning every triangle of every triangulation found,
+    breadth first: the un-pruned reference for ``enumerate_nonroots``."""
+    found: set[Code] = set()
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            if t.vertex_count >= max_vertices:
+                continue
+            for tri in t.triangles:
+                moved = _cone(t, tri)
+                code = minimal_code(moved.triangles)
+                if code not in found:
+                    found.add(code)
+                    nxt.append(moved)
+        frontier = nxt
+    return found
+
+
+def reference_gluings(base: frozenset, cycle, disc):
+    """``base`` with ``disc`` glued onto ``cycle`` in every rotation and
+    direction that adds no edge ``base`` has, each distinct triangle set
+    once: the un-pruned reference for ``listing._gluings``."""
+    L = len(cycle)
+    base_edges = set(edge_triangles(base))
+    rim = set(disc.boundary)
+    fresh = max(v for t in base for v in t)
+    inner: dict[int, int] = {}
+    for t in disc.triangles:
+        for v in t:
+            if v not in rim and v not in inner:
+                fresh += 1
+                inner[v] = fresh
+    chords = [e for e, ts in edge_triangles(disc.triangles).items()
+              if len(ts) == 2 and rim.issuperset(e)]
+    images = set()
+    for reflect in (False, True):
+        for offset in range(L):
+            mapping = {v: cycle[(offset - i if reflect else offset + i) % L]
+                       for i, v in enumerate(disc.boundary)}
+            if any(tuple(sorted((mapping[a], mapping[b]))) in base_edges
+                   for a, b in chords):
+                continue
+            mapping.update(inner)
+            image = frozenset(tuple(sorted(mapping[v] for v in t))
+                              for t in disc.triangles)
+            if image not in images:
+                images.add(image)
+                yield base | image
+
+
+def reference_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Code]]:
+    """``enumerate_roots`` with every gluing of :func:`reference_gluings`
+    built, valence-checked and keyed, with no orbit pruning and no valence
+    precheck: the reference for the gluing stage."""
+    roots: dict[tuple[int, SurfaceClass], set[Code]] = {}
+    if cfg.max_vertices >= 4 and cfg.surface in (None, SPHERE):
+        roots[4, SPHERE] = {listing.TETRAHEDRON}
+    main_discs, extra_discs = _index_discs(cfg)
+    for g in enumerate_genus_surfaces(cfg):
+        for cycle, others in _host_splits(g.boundary, cfg):
+            bases = {frozenset(g.triangles)}
+            for other in others:
+                bases = {glued for base in bases
+                         for disc in extra_discs.get(len(other), ())
+                         if (max(v for t in base for v in t)
+                             + disc.interior_count + 1 <= cfg.max_vertices)
+                         for glued in reference_gluings(base, other, disc)}
+            for base in bases:
+                n_base = max(v for t in base for v in t)
+                for m, disc in main_discs.get(len(cycle), ()):
+                    total = n_base + disc.interior_count
+                    if total > cfg.max_vertices:
+                        continue
+                    for glued in reference_gluings(base, cycle, disc):
+                        vals = valences(glued).values()
+                        if min(vals) >= 4 and max(vals) <= m:
+                            roots.setdefault((total, g.capped_class), set()).add(
+                                minimal_code(glued))
+    return roots

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (ANNULUS, MOBIUS, canonical_witness, is_isomorphic,
                       mixed_lex_compare, relabel, state_key)
-from surfenum.canon import canonical_form, flag_key, minimal_code
+from surfenum.canon import automorphisms, canonical_form, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import TORUS, Triangulation, classify
 from surfenum.oracle import brute_force_enumerate
@@ -211,6 +211,39 @@ class TestWitness:
                 image = tuple(sorted(tuple(sorted(w[v] for v in tri))
                                      for tri in shuffled.triangles))
                 assert image == minimal_code(shuffled.triangles)
+
+
+class TestAutomorphisms:
+    @staticmethod
+    def group(t: Triangulation):
+        code, wits = minimal_code(t.triangles, with_witnesses=True)
+        return code, automorphisms(wits)
+
+    def test_group_orders(self, tetra, octa, rp2_six):
+        rng = random.Random(1981)
+        torus = Triangulation(SEVEN_VERTEX_TORUS)
+        for t, order in ((tetra, 24), (octa, 48), (rp2_six, 60), (torus, 42)):
+            for u in (t, relabel(t, rng)[0]):
+                code, autos = self.group(u)
+                assert len(autos) == len(set(autos)) == order
+                for p in autos:
+                    assert p[0] == 0
+                    assert tuple(sorted(tuple(sorted(p[v] for v in tri))
+                                        for tri in code)) == code
+
+    def test_groups_equal_all_permutations(self):
+        rng = random.Random(1998)
+        corpus = brute_force_enumerate(7)
+        codes = [code for bucket in corpus.codes.values() for code in bucket]
+        assert len(codes) == 14
+        for code in codes:
+            # read off the witnesses of a relabeling of the code
+            _code, autos = self.group(relabel(Triangulation(code), rng)[0])
+            assert _code == code
+            realizing, order = brute_witnesses(Triangulation(code), code)
+            labels = range(1, len(autos[0]))
+            assert {tuple((v, p[v]) for v in labels) for p in autos} == realizing
+            assert len(autos) == order
 
 
 class TestMixedLexOrder:

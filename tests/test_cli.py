@@ -140,6 +140,56 @@ class TestPersistence:
         assert captured.out == ""
         assert "v06_S2.txt does not match its manifest checksum" in captured.err
 
+    @pytest.mark.parametrize("schema", [None, 1, 3])
+    def test_other_manifest_schema_recomputes(self, tmp_path, capsys, schema):
+        out_dir = tmp_path / "run"
+        assert main(["enum", "--max-vertices", "6", "--out", str(out_dir)]) == 0
+        path = out_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        # a manifest with no schema number is one from before it had one
+        if schema is None:
+            del manifest["config"]["schema"]
+        else:
+            manifest["config"]["schema"] = schema
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert not results_complete(out_dir, SearchConfig(max_vertices=6))
+        assert main(["enum", "--max-vertices", "6", "--out", str(out_dir)]) == 0
+        captured = capsys.readouterr()
+        assert "skipping" not in captured.err
+        assert "6\tRP2\t1\t1\t0" in captured.out
+        assert results_complete(out_dir, SearchConfig(max_vertices=6))
+
+    def test_failed_manifest_move_leaves_no_manifest(self, tmp_path,
+                                                     monkeypatch):
+        from surfenum import cli
+
+        cfg = SearchConfig(max_vertices=6)
+        write_results(tmp_path, SearchConfig(max_vertices=5),
+                      brute_force_enumerate(5).codes, 0.0)
+        real = cli.os.replace
+
+        def failing(src, dst):
+            if dst.name == "manifest.json":
+                raise OSError("disk full")
+            real(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", failing)
+        codes = brute_force_enumerate(6).codes
+        with pytest.raises(OSError, match="disk full"):
+            write_results(tmp_path, cfg, codes, 0.0)
+        # the older run's manifest is gone too, so nothing reads as complete
+        assert not (tmp_path / "manifest.json").exists()
+        assert not results_complete(tmp_path, cfg)
+        assert not results_complete(tmp_path, SearchConfig(max_vertices=5))
+        # every shard is whole, and no temporary file is left
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "v04_S2.txt", "v05_S2.txt", "v06_RP2.txt", "v06_S2.txt"]
+        for (v, cls), bucket in codes.items():
+            text = (tmp_path / f"v{v:02d}_{cls.name}.txt").read_text()
+            assert text == "\n".join(sorted(
+                render_triangulation(code) for code in bucket)) + "\n"
+
     def test_corrupted_shard_invalidates_resume(self, tmp_path):
         cfg = SearchConfig(max_vertices=6)
         write_results(tmp_path, cfg, brute_force_enumerate(6).codes, 0.0)

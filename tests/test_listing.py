@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import (Decomposition, cone_and_classify, state_key,
+from conftest import (Decomposition, cone_and_classify, reference_nonroots,
+                      reference_roots, relabel, state_key,
                       validate_decomposition)
 from surfenum.canon import Code, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
@@ -281,22 +282,23 @@ class TestGluing:
         assert [len(c) for c in g.boundary] == [5, 5]
         star = Disc.from_triangles(closed_star(5))
         discs = ({5: [(5, star)]}, {5: [star]})
-        assert _roots_from_genus_surface(g, SearchConfig(12), discs) == {(12, SPHERE, ico)}
+        # g's automorphisms do not act once an extra disc is glued
         assert _roots_from_genus_surface(
-            g, SearchConfig(11, specialized=False), discs) == set()
+            g, SearchConfig(12), discs, ()) == {(12, SPHERE, ico)}
+        assert _roots_from_genus_surface(
+            g, SearchConfig(11, specialized=False), discs, ()) == set()
 
     def test_triangle_extra_disc(self):
         # a 9-vertex sphere root whose 5-valent star at vertex 1 and the
         # face (7, 8, 9) off it leave a genus-surface with two boundary
         # cycles; the search emits no planar candidate but the triangle, so
         # the enumeration never glues an extra disc onto a sphere
-        root = parse_triangulation_text(
-            "123 124 135 146 156 237 247 358 378 469 479 568 689 789").triangles
+        root = parse_triangulation_text(TRIANGLE_EXTRA_DISC_ROOT).triangles
         g = GenusSurface.from_triangles(
             minimal_code([t for t in root if 1 not in t and t != (7, 8, 9)]))
         assert sorted(len(c) for c in g.boundary) == [3, 5]
         cfg = SearchConfig(9)
-        assert _roots_from_genus_surface(g, cfg, _index_discs(cfg)) == {
+        assert _roots_from_genus_surface(g, cfg, _index_discs(cfg), ()) == {
             (9, SPHERE, minimal_code(root))}
 
     @pytest.mark.parametrize("specialized", [True, False])
@@ -325,18 +327,22 @@ class TestGluing:
             assert g.capped_class.name == name
             assert genus_surface_admissible(g, cfg)
             yields[0] = 0
-            assert _roots_from_genus_surface(g, cfg, discs) == set()
+            assert _roots_from_genus_surface(g, cfg, discs, ()) == set()
             assert yields[0] == glued
 
 
+TRIANGLE_EXTRA_DISC_ROOT = "123 124 135 146 156 237 247 358 378 469 479 568 689 789"
+
 # (triangles, boundary cycle lengths, capped class, _gluings yields in both
-# modes; 426, 514 and 426 in the general mode when it glued every extra
-# disc before checking the vertex budget)
+# modes: the extra disc's one gluing, and no main disc's, whose valences fail
+# the precheck; 2, 0 and 2 when the main disc's gluing was built and then
+# failed the valence test, 426, 514 and 426 in the general mode when it glued
+# every extra disc before checking the vertex budget)
 TWO_CYCLE_CANDIDATES_V9 = [
-    ("123 124 135 146 157 168 236 258 268 345 347 378 467 578", [5, 3], "S-3", 2),
+    ("123 124 135 146 157 168 236 258 268 345 347 378 467 578", [5, 3], "S-3", 1),
     ("123 124 135 146 157 168 238 257 258 267 346 347 356 458 478 678",
      [4, 4], "S+2", 0),
-    ("123 124 135 146 157 168 347 358 378 456 457 678", [5, 3], "K2", 2),
+    ("123 124 135 146 157 168 347 358 378 456 457 678", [5, 3], "K2", 1),
 ]
 
 
@@ -363,17 +369,25 @@ class TestGluingChecks:
     def test_each_gluing_caps_its_cycle(self, monkeypatch, v, specialized):
         cfg = SearchConfig(max_vertices=v, specialized=specialized)
         closed = _check_gluings(monkeypatch, cfg, enumerate_genus_surfaces(cfg))
-        # no candidate at V<=8 has two boundary cycles: every yield is closed
-        assert closed == {7: 33, 8: 341}[v]
+        # no candidate at V<=8 has two boundary cycles: every yield is closed;
+        # 33 and 341 when each rotation was built before its valence test
+        # and glued whatever orbit of Aut(g) it was in
+        assert closed == {7: 6, 8: 40}[v]
 
     @pytest.mark.parametrize("specialized", [True, False])
     def test_two_cycle_gluings_cap_their_cycles(self, monkeypatch, specialized):
         cfg = SearchConfig(max_vertices=9, specialized=specialized)
-        candidates = [GenusSurface.from_triangles(
-            parse_triangulation_text(text).triangles)
-            for text, _lengths, _name, _glued in TWO_CYCLE_CANDIDATES_V9]
-        # of the 4 yields, 2 glue the extra disc and 2 the main disc
-        assert _check_gluings(monkeypatch, cfg, candidates) == 2
+        candidates = {GenusSurface.from_triangles(
+            parse_triangulation_text(text).triangles): ()
+            for text, _lengths, _name, _glued in TWO_CYCLE_CANDIDATES_V9}
+        # their 2 yields glue the extra disc; 2 more glued the main disc
+        # when each rotation was built before its valence test
+        assert _check_gluings(monkeypatch, cfg, candidates) == 0
+        # the genus-surface of test_triangle_extra_disc glues both
+        root = parse_triangulation_text(TRIANGLE_EXTRA_DISC_ROOT).triangles
+        g = GenusSurface.from_triangles(
+            minimal_code([t for t in root if 1 not in t and t != (7, 8, 9)]))
+        assert _check_gluings(monkeypatch, cfg, {g: ()}) == 1
 
     @pytest.mark.parametrize("v", [7, 8])
     @pytest.mark.parametrize("specialized", [True, False])
@@ -386,9 +400,9 @@ class TestGluingChecks:
 
         calls = []
 
-        def recording(base, cycle, disc):
+        def recording(base, cycle, disc, *rest):
             calls.append((len(base), len(disc.triangles)))
-            return _gluings(base, cycle, disc)
+            return _gluings(base, cycle, disc, *rest)
 
         monkeypatch.setattr(listing, "_gluings", recording)
         enumerate_roots(SearchConfig(max_vertices=v, specialized=specialized))
@@ -402,17 +416,18 @@ class TestGluingChecks:
         # gluing validated each flag-key class that passed the valence test
         from surfenum import core
 
-        calls = _count_gluing_calls(monkeypatch, core._validate)
+        calls = _count_calls_below(monkeypatch, core._validate)
         enumerate_roots(SearchConfig(max_vertices=8, specialized=specialized))
         assert calls[0] == 0
 
     @pytest.mark.parametrize("specialized", [True, False])
     def test_each_distinct_gluing_is_keyed_once(self, monkeypatch, specialized):
-        calls = _count_gluing_calls(monkeypatch, minimal_code)
+        calls = _count_calls_below(monkeypatch, minimal_code)
         enumerate_roots(SearchConfig(max_vertices=8, specialized=specialized))
-        # 85 distinct gluings pass the valence test; 408 when each rotation
-        # of a symmetric disc was glued and keyed again
-        assert 0 < calls[0] <= 85
+        # 40 gluings, one per orbit of Aut(g), pass the valence precheck; 85
+        # when each distinct gluing was keyed whatever its orbit, 408 when
+        # each rotation of a symmetric disc was glued and keyed again
+        assert 0 < calls[0] <= 40
 
     @pytest.mark.parametrize("specialized", [True, False])
     def test_flag_key_only_in_the_genus_search(self, monkeypatch, specialized):
@@ -452,19 +467,20 @@ class TestGluingChecks:
         assert 0 < calls <= 7
 
 
-def _check_gluings(monkeypatch, cfg: SearchConfig, candidates) -> int:
-    """Run :func:`_roots_from_genus_surface` on each candidate with every
-    ``_gluings`` yield checked before the valence test: it is its base with
-    the glued cycle capped, a closed surface of the candidate's capped
-    class once no other cycle is left.  Returns the closed yields."""
+def _check_gluings(monkeypatch, cfg: SearchConfig, candidates: dict) -> int:
+    """Run :func:`_roots_from_genus_surface` on each candidate, with its
+    automorphisms (``candidates`` maps one to the other), with every
+    ``_gluings`` yield checked: it is its base with the glued cycle capped,
+    a closed surface of the candidate's capped class once no other cycle
+    is left.  Returns the closed yields."""
     from surfenum import listing
 
     closed = 0
 
-    def checking(base, cycle, disc):
+    def checking(base, cycle, disc, *rest):
         nonlocal closed
         others = {frozenset(c) for c in boundary_cycles(base)} - {frozenset(cycle)}
-        for glued in _gluings(base, cycle, disc):
+        for glued in _gluings(base, cycle, disc, *rest):
             t = Triangulation(glued)
             if others:
                 assert validate(t).kind is SurfaceKind.SURFACE_WITH_BOUNDARY
@@ -477,14 +493,15 @@ def _check_gluings(monkeypatch, cfg: SearchConfig, candidates) -> int:
 
     monkeypatch.setattr(listing, "_gluings", checking)
     discs = _index_discs(cfg)
-    for g in candidates:
-        _roots_from_genus_surface(g, cfg, discs)
+    for g, autos in candidates.items():
+        _roots_from_genus_surface(g, cfg, discs, autos)
     return closed
 
 
-def _count_gluing_calls(monkeypatch, fn) -> list[int]:
+def _count_calls_below(monkeypatch, fn,
+                        below: str = "_roots_from_genus_surface") -> list[int]:
     """Rebind ``fn`` in every package module holding it to a wrapper that
-    counts the calls made below ``_roots_from_genus_surface``; the count is
+    counts the calls made below the function named ``below``; the count is
     the one item of the returned list."""
     import sys
 
@@ -492,7 +509,7 @@ def _count_gluing_calls(monkeypatch, fn) -> list[int]:
 
     def counting(*args, **kwargs):
         frame = sys._getframe(1)
-        while frame and frame.f_code.co_name != "_roots_from_genus_surface":
+        while frame and frame.f_code.co_name != below:
             frame = frame.f_back
         calls[0] += frame is not None
         return fn(*args, **kwargs)
@@ -543,11 +560,56 @@ class TestRootsAndNonRoots:
         # is_root checks the root; the moves from it keep the surface closed
         assert calls == {6: 1}
 
+    def test_nonroots_key_once_per_orbit(self, monkeypatch):
+        calls = _count_calls_below(monkeypatch, minimal_code,
+                                    below="enumerate_nonroots")
+        enumerate_all(SearchConfig(max_vertices=8))
+        # one code per cone of a triangle least in its orbit, and one
+        # witness-mode code per coned triangulation; 136 when every
+        # triangle was coned
+        assert 0 < calls[0] <= 46
+
     def test_nonroots_requires_root(self, tetra):
         from surfenum.moves import t_move
         with pytest.raises(ValueError):
             enumerate_nonroots(t_move(tetra, (1, 2, 3)),
                                SearchConfig(max_vertices=7))
+
+
+class TestOrbitPruning:
+    """The gluing and the non-roots prune by automorphisms; the references
+    in conftest glue and cone everything."""
+
+    def test_nonroots_match_the_reference(self):
+        rng = random.Random(1998)
+        roots = [Triangulation(code) for codes in enumerate_roots(
+            SearchConfig(max_vertices=7)).values() for code in codes]
+        assert len(roots) == 7
+        cfg = SearchConfig(max_vertices=8)
+        for root in roots:
+            want = reference_nonroots(root, 8)
+            # the root as its minimal code and relabeled
+            for t in (root, relabel(root, rng)[0]):
+                assert {u.triangles for u in enumerate_nonroots(t, cfg)} == want
+
+    @pytest.mark.parametrize("v", [7, 8])
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_roots_match_the_reference(self, v, specialized):
+        cfg = SearchConfig(max_vertices=v, specialized=specialized)
+        assert enumerate_roots(cfg) == reference_roots(cfg)
+
+    @pytest.mark.nightly
+    def test_nine_vertices_match_the_references_nightly(self):
+        for specialized in (True, False):
+            cfg = SearchConfig(max_vertices=9, specialized=specialized)
+            roots = enumerate_roots(cfg)
+            assert roots == reference_roots(cfg)
+        for (v, _cls), codes in roots.items():
+            for code in codes:
+                if v < 9:
+                    root = Triangulation(code)
+                    assert ({u.triangles for u in enumerate_nonroots(root, cfg)}
+                            == reference_nonroots(root, 9))
 
 
 class TestCountsTable:
