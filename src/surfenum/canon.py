@@ -17,6 +17,13 @@ star.  Only when no labeled vertex has a triangle left (a disconnected
 input) do all unused triangles tie, each taking three fresh labels.
 Ties (several triangles, or several vertex assignments, realizing the same
 next triple) are branched on and pruned against the best list found so far.
+A step with one candidate triangle and at most one unlabeled vertex has
+one way to go, so the search takes it in a loop in the current frame and
+recurses only at a branching step (several candidates, or two or three
+fresh labels).  The search depth is then the number of branching steps in
+a row, not the number of triangles: no closed surface of the V <= 9
+corpus branches after its first vertex's star, and a torus grid of 1,250
+triangles labels within the default recursion limit.
 
 A seed whose link is one cycle (every vertex of a closed surface, every
 interior vertex) skips the first d steps, d its valence.  Its star is
@@ -27,17 +34,22 @@ label, so the star's d triples are (1,2,3), (1,2,4), (1,3,5), (1,4,6), ...,
 (1,d,d+1) for every flag and every such seed.  This prefix is compared with
 the best list once per seed; each flag then labels its link in one walk and
 the search goes on from triangle d.  Other seeds (boundary vertices,
-pinches, non-manifold or disconnected inputs) search from label 1.
+pinches, non-manifold or disconnected inputs) search from label 1.  The
+link is walked along the seed's spokes: :func:`minimal_code` indexes each
+edge's triangles with their third vertices, and the apexes of the spoke
+from the seed to a link vertex are that vertex's link neighbours.
 
 Most of a cycle-link seed's 2d flags cannot win.  If the edge between
 labels 2 and 3 lies in a triangle other than the seed's, label 2 has an
 unused triangle and only such triangles contain label 3, so triple d
 (counting from 0) is (2, 3, x), x the smallest label the flag gives their
-apexes: a link label on the ring, the fresh d+2 off it.  A flag whose edge
-has no other triangle emits a larger triple d.  So only the flags with the
-smallest x are labeled and searched, and none when the best list has the
-same prefix and a smaller triple d; a dropped flag can neither tie nor beat
-the minimum, so codes, witnesses and their order stay those of the full search.
+apexes: a link label on the ring, the fresh d+2 off it.  The apexes are
+read from the edge index, once per link edge for both of its flags.  A
+flag whose edge has no other triangle emits a larger triple d.  So only
+the flags with the smallest x are labeled and searched, and none when the
+best list has the same prefix and a smaller triple d; a dropped flag can
+neither tie nor beat the minimum, so codes, witnesses and their order stay
+those of the full search.
 
 When only the code is wanted, a seed stops at its first tie: suppose a
 full labeling lambda_w from seed w equals the best code, which an earlier
@@ -82,193 +94,243 @@ class _Tie(Exception):
 def _search(
     tris: Sequence[Triangle],
     star: dict[int, list[tuple[int, int, int]]],
-    seed: int,
-    best: list,  # [code or None]; None while a strictly better code is pending
+    apexes: dict[Edge, list[tuple[int, int]]],
+    seeds: Sequence[int],
     witnesses: list | None,  # collects all optimal labelings when not None
-) -> None:
+) -> Code:
     # Invariant: on entry the emitted prefix equals best[0][:pos] whenever
     # best[0] is not None.  A branch that realizes a strictly smaller triple
     # therefore discards best[0]; its first completion re-establishes it.
     n = len(tris)
-    used = [False] * n
-    vertex_of = [seed] * (len(star) + 1)  # label -> vertex, below next_label
-    # an earlier seed's code; only a strictly smaller one replaces it
-    earlier = best[0]
+    best: list = [None]  # None while a strictly better code is pending
+    vertex_of = [0] * (len(star) + 1)  # label -> vertex, below next_label
 
     def recurse(label, next_label, low, emitted):
-        pos = len(emitted)
-        if pos == n:
-            if best[0] is None:
-                best[0] = tuple(emitted)
-                if witnesses is not None:
-                    witnesses.clear()
-                    witnesses.append(dict(label))
-            elif witnesses is not None:
-                # by the invariant this completion ties with best[0]
-                witnesses.append(dict(label))
-            elif best[0] is earlier:
-                # the tie stop of the module docstring
-                raise _Tie
-            return
-        # triples are emitted in ascending order, so the next one starts with
-        # the smallest label ``low`` whose vertex still has an unused triangle
+        # a step with one candidate triangle and at most one unlabeled vertex
+        # is taken in this frame; only a branch recurses.  On exit the steps
+        # taken here are undone: their triangles, labels and triples.
+        start = len(emitted)
+        taken = []  # triangle indices used by this frame's steps
+        fresh = []  # vertices labeled by this frame's steps
         get = label.get
-        min_key = None
-        candidates = []
-        while low < next_label:
-            for i, x, y in star[vertex_of[low]]:
-                if used[i]:
-                    continue
-                lx = get(x)
-                ly = get(y)
-                # fresh labels are consecutive from next_label
-                if lx is None:
-                    key = ((low, next_label, next_label + 1) if ly is None
-                           else (low, ly, next_label))
-                elif ly is None:
-                    key = (low, lx, next_label)
-                else:
-                    key = (low, lx, ly) if lx < ly else (low, ly, lx)
-                if min_key is None or key < min_key:
-                    min_key = key
-                    candidates = [i]
-                elif key == min_key:
-                    candidates.append(i)
-            if candidates:
+        while True:
+            pos = len(emitted)
+            if pos == n:
+                if best[0] is None:
+                    best[0] = tuple(emitted)
+                    if witnesses is not None:
+                        witnesses.clear()
+                        witnesses.append(dict(label))
+                elif witnesses is not None:
+                    # by the invariant this completion ties with best[0]
+                    witnesses.append(dict(label))
+                elif best[0] is earlier:
+                    # the tie stop of the module docstring
+                    raise _Tie
                 break
-            low += 1
-        else:
-            # no labeled vertex has a triangle left (a disconnected input):
-            # every unused triangle takes three fresh labels
-            min_key = (next_label, next_label + 1, next_label + 2)
-            candidates = [i for i in range(n) if not used[i]]
-        if best[0] is not None:
-            ref = best[0][pos]
-            if min_key > ref:
-                return
-            if min_key < ref:
-                best[0] = None
-                if witnesses is not None:
-                    witnesses.clear()
-        emitted.append(min_key)
-        for i in candidates:
-            t = tris[i]
-            missing = [x for x in t if x not in label]
-            if len(missing) <= 1:
-                orders = [tuple(missing)]
-            elif len(missing) == 2:
-                orders = [(missing[0], missing[1]), (missing[1], missing[0])]
+            # triples are emitted in ascending order, so the next one starts
+            # with the smallest label ``low`` whose vertex still has an unused
+            # triangle
+            min_key = None
+            candidates = []
+            while low < next_label:
+                for i, x, y in star[vertex_of[low]]:
+                    if used[i]:
+                        continue
+                    lx = get(x)
+                    ly = get(y)
+                    # fresh labels are consecutive from next_label
+                    if lx is None:
+                        key = ((low, next_label, next_label + 1) if ly is None
+                               else (low, ly, next_label))
+                    elif ly is None:
+                        key = (low, lx, next_label)
+                    else:
+                        key = (low, lx, ly) if lx < ly else (low, ly, lx)
+                    if min_key is None or key < min_key:
+                        min_key = key
+                        candidates = [i]
+                    elif key == min_key:
+                        candidates.append(i)
+                if candidates:
+                    break
+                low += 1
             else:
-                a, b, c = missing
-                orders = [
-                    (a, b, c), (a, c, b), (b, a, c),
-                    (b, c, a), (c, a, b), (c, b, a),
-                ]
-            used[i] = True
-            for order in orders:
-                for k, x in enumerate(order):
-                    label[x] = next_label + k
-                    vertex_of[next_label + k] = x
-                recurse(label, next_label + len(missing), low, emitted)
-                for x in order:
-                    del label[x]
+                # no labeled vertex has a triangle left (a disconnected
+                # input): every unused triangle takes three fresh labels
+                min_key = (next_label, next_label + 1, next_label + 2)
+                candidates = [i for i in range(n) if not used[i]]
+            if best[0] is not None:
+                ref = best[0][pos]
+                if min_key > ref:
+                    break
+                if min_key < ref:
+                    best[0] = None
+                    if witnesses is not None:
+                        witnesses.clear()
+            emitted.append(min_key)
+            if len(candidates) == 1:
+                i = candidates[0]
+                missing = [x for x in tris[i] if x not in label]
+                if len(missing) <= 1:
+                    used[i] = True
+                    taken.append(i)
+                    if missing:
+                        x = missing[0]
+                        label[x] = next_label
+                        vertex_of[next_label] = x
+                        fresh.append(x)
+                        next_label += 1
+                    continue
+            for i in candidates:
+                missing = [x for x in tris[i] if x not in label]
+                if len(missing) <= 1:
+                    orders = [tuple(missing)]
+                elif len(missing) == 2:
+                    orders = [(missing[0], missing[1]), (missing[1], missing[0])]
+                else:
+                    a, b, c = missing
+                    orders = [
+                        (a, b, c), (a, c, b), (b, a, c),
+                        (b, c, a), (c, a, b), (c, b, a),
+                    ]
+                used[i] = True
+                for order in orders:
+                    for k, x in enumerate(order):
+                        label[x] = next_label + k
+                        vertex_of[next_label + k] = x
+                    recurse(label, next_label + len(missing), low, emitted)
+                    for x in order:
+                        del label[x]
+                used[i] = False
+            break
+        for i in taken:
             used[i] = False
-        emitted.pop()
+        for x in fresh:
+            del label[x]
+        del emitted[start:]
 
-    links = star[seed]
-    # walk the link once: it is one cycle when every link vertex has two
-    # distinct neighbours and the walk from one of them visits all
-    adj: dict[int, list[int]] = {}
-    for _i, x, y in links:
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-    ring = []
-    if all(len(nbrs) == 2 and nbrs[0] != nbrs[1] for nbrs in adj.values()):
-        start = prev = links[0][1]
-        cur = adj[start][0]
-        ring.append(start)
-        while cur != start:
+    # every seed has valence d, so a cycle-link seed's star prefix and the
+    # label its flags give each ring offset depend on d alone
+    d = len(star[seeds[0]])
+    prefix = (((1, 2, 3),) + tuple((1, k, k + 2) for k in range(2, d))
+              + ((1, d, d + 1),))
+    # the label a flag gives the ring vertex at offset j from label 2 in its
+    # direction step: the arc grows at its smaller end
+    rank = [2 * j + 2 if 2 * j < d else 2 * (d - j) + 1 for j in range(d)]
+    offsets = sorted(range(d), key=rank.__getitem__)
+    for seed in seeds:
+        used = [False] * n
+        vertex_of[1] = seed
+        # an earlier seed's code; only a strictly smaller one replaces it
+        earlier = best[0]
+        links = star[seed]
+        # walk the link once along the spokes: the apexes of spoke (seed, v)
+        # are v's link neighbours, so the link is one cycle when every spoke
+        # on the walk has two distinct apexes and the walk closes after d
+        ring = []
+        at = {}  # link vertex -> ring position
+        prev, cur = links[0][2], links[0][1]
+        for j in range(d):
+            spoke = apexes[(seed, cur) if seed < cur else (cur, seed)]
+            if len(spoke) != 2 or spoke[0][1] == spoke[1][1]:
+                break
             ring.append(cur)
-            nbrs = adj[cur]
-            prev, cur = cur, (nbrs[1] if nbrs[0] == prev else nbrs[0])
-    try:
-        if len(ring) != len(links):
-            recurse({seed: 1}, 2, 1, [])
-        else:
+            at[cur] = j
+            u = spoke[0][1]
+            prev, cur = cur, (spoke[1][1] if u == prev else u)
+            if cur == ring[0]:
+                break
+        try:
+            if len(ring) != d or cur != ring[0]:
+                recurse({seed: 1}, 2, 1, [])
+                continue
             # one cycle link: every flag emits the same star prefix, so it is
             # compared with best once and each flag labels the link in one walk
-            d = len(ring)
-            prefix = ([(1, 2, 3)] + [(1, k, k + 2) for k in range(2, d)]
-                      + [(1, d, d + 1)])
-            ref = prefix if best[0] is None else list(best[0][:d])
+            ref = prefix if best[0] is None else best[0][:d]
             if prefix < ref:
                 best[0] = None
                 if witnesses is not None:
                     witnesses.clear()
-            if prefix <= ref:
-                at = {v: j for j, v in enumerate(ring)}
-                # the label a flag gives the ring vertex at offset j from label
-                # 2 in its direction step: the arc grows at its smaller end
-                rank = [2 * j + 2 if 2 * j < d else 2 * (d - j) + 1
-                        for j in range(d)]
-                flags = []  # (x of triple d (2, 3, x) or None, p, step)
-                for i, x, y in links:
-                    # ring positions of the apexes on edge xy; None off it
-                    apexes = [at.get(w if u == y else u)
-                              for k, u, w in star[x] if k != i and y in (u, w)]
-                    for a, b in ((x, y), (y, x)):
-                        p = at[a]
-                        step = -1 if ring[(p + 1) % d] == b else 1
-                        xs = [d + 2 if q is None else rank[(q - p) * step % d]
-                              for q in apexes]
-                        flags.append((min(xs, default=None), p, step))
-                low = min((f[0] for f in flags if f[0] is not None), default=None)
-                if low is not None:
-                    flags = [f for f in flags if f[0] == low]
-                    if best[0] is not None and best[0][d] < (2, 3, low):
-                        flags = []
-                offsets = sorted(range(d), key=rank.__getitem__)
-                for i, _x, _y in links:
-                    used[i] = True
-                for _w, p, step in flags:
-                    label = {seed: 1}
-                    for k, j in enumerate(offsets, 2):
-                        v = ring[(p + step * j) % d]
-                        label[v] = k
-                        vertex_of[k] = v
-                    recurse(label, d + 2, 2, prefix)
-    except _Tie:
-        pass
+            elif prefix > ref:
+                continue
+            flags = []  # (x of triple d (2, 3, x) or None, p, step)
+            for i, x, y in links:
+                # the flags (x, y) and (y, x): label 2 at ring position px or
+                # py, and the direction that puts label 3 next to it
+                px = at[x]
+                step = -1 if ring[(px + 1) % d] == y else 1
+                # an apex of edge xy at ring position q is at offset off from
+                # px in direction step and d-1-off from py in -step; an apex
+                # off the ring takes the fresh label d + 2
+                fx = fy = None  # x of triple d for the flags (x, y), (y, x)
+                for k, w in apexes[x, y]:
+                    if k != i:
+                        q = at.get(w)
+                        if q is None:
+                            ax = ay = d + 2
+                        else:
+                            off = (q - px) * step % d
+                            ax, ay = rank[off], rank[d - 1 - off]
+                        if fx is None or ax < fx:
+                            fx = ax
+                        if fy is None or ay < fy:
+                            fy = ay
+                flags.append((fx, px, step))
+                flags.append((fy, (px - step) % d, -step))
+            low = min((f[0] for f in flags if f[0] is not None), default=None)
+            if low is not None:
+                flags = [f for f in flags if f[0] == low]
+                if best[0] is not None and best[0][d] < (2, 3, low):
+                    continue
+            for i, _x, _y in links:
+                used[i] = True
+            emitted = list(prefix)
+            for _w, p, step in flags:
+                label = {seed: 1}
+                for k, j in enumerate(offsets, 2):
+                    v = ring[(p + step * j) % d]
+                    label[v] = k
+                    vertex_of[k] = v
+                recurse(label, d + 2, 2, emitted)
+        except _Tie:
+            pass
     # recurse holds itself through its closure; dropping the name frees the
     # star and the flags now instead of at the next cyclic collection
     del recurse
+    return best[0]
 
 
 def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
     """Mixed-lex minimal relabeled triangle list of a raw triangle
     collection; optionally also every labeling achieving it.
 
-    Raises ValueError when the input has more triangles than the
-    interpreter's recursion limit leaves room for."""
+    Raises ValueError when the search branches more times in a row than
+    the interpreter's recursion limit leaves room for: it recurses once per
+    branching step, not once per triangle."""
     tris = normalize_triangles(tris)
-    # vertex -> (triangle index, the two other vertices), indices ascending
+    # vertex -> (triangle index, the two other vertices), indices ascending;
+    # edge -> (triangle index, the third vertex)
     star: dict[int, list[tuple[int, int, int]]] = {}
+    apexes: dict[Edge, list[tuple[int, int]]] = {}
     for i, (a, b, c) in enumerate(tris):
         star.setdefault(a, []).append((i, b, c))
         star.setdefault(b, []).append((i, a, c))
         star.setdefault(c, []).append((i, a, b))
+        apexes.setdefault((a, b), []).append((i, c))
+        apexes.setdefault((a, c), []).append((i, b))
+        apexes.setdefault((b, c), []).append((i, a))
     max_val = max(len(s) for s in star.values())
-    best: list = [None]
     witnesses: list | None = [] if with_witnesses else None
+    seeds = sorted(x for x, s in star.items() if len(s) == max_val)
     try:
-        for v in sorted(x for x, s in star.items() if len(s) == max_val):
-            _search(tris, star, v, best, witnesses)
+        code = _search(tris, star, apexes, seeds, witnesses)
     except RecursionError:
         raise ValueError(f"{len(tris)} triangles are too many to label: the "
-                         "canonical search recurses once per triangle") from None
+                         "canonical search recurses once per branching step") from None
     if with_witnesses:
-        return best[0], witnesses
-    return best[0]
+        return code, witnesses
+    return code
 
 
 def automorphisms(witnesses: Sequence[dict[int, int]]) -> list[tuple[int, ...]]:

@@ -37,11 +37,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .canon import Code, _vertex_ranks, automorphisms, flag_key, minimal_code
 from .core import (
     SPHERE,
+    Edge,
     SurfaceClass,
     Triangle,
     Triangulation,
@@ -610,13 +611,25 @@ def enumerate_genus_surfaces(
 # Step 3: gluings
 # --------------------------------------------------------------------------
 
+def _disc_rim(disc: Disc) -> tuple[dict[int, int], list[Edge]]:
+    """What every gluing of ``disc`` reads besides its triangles: the
+    valences of its vertices and its chords, the edges inside it with both
+    ends on the rim."""
+    on_rim = set(disc.boundary)
+    chords = [e for e, ts in edge_triangles(disc.triangles).items()
+              if len(ts) == 2 and on_rim.issuperset(e)]
+    return valences(disc.triangles), chords
+
+
 def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
+             rim: tuple[dict[int, int], list[Edge]], base_edges: Collection[Edge],
              room: dict[int, range] | None = None,
              autos: Sequence[tuple[int, ...]] = ()) -> Iterator[frozenset]:
     """``base`` with ``disc`` glued onto its boundary cycle ``cycle``, for
     each rotation and direction of the rim that adds no triangle or edge
-    ``base`` already has and, when ``room`` is given, lands each rim vertex
-    of disc valence k on a cycle vertex c with k in ``room[c]``.  Each
+    ``base`` already has (``base_edges``) and, when ``room`` is given, lands
+    each rim vertex of disc valence k on a cycle vertex c with k in
+    ``room[c]``.  ``rim`` is :func:`_disc_rim` of ``disc``.  Each
     distinct gluing is yielded once, so a rim symmetry of the disc (all 2m
     rotations of a bare m-star) gives one, and so does each orbit of the
     automorphisms ``autos`` of ``base`` (tuples as from
@@ -652,26 +665,23 @@ def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
     L = len(cycle)
     if len(disc.boundary) != L:
         raise ValueError(f"cycle length {L} vs disc boundary length {len(disc.boundary)}")
-    base_edges = set(edge_triangles(base))
-    rim = set(disc.boundary)
+    disc_vals, chords = rim
+    on_rim = set(disc.boundary)
     fresh = max(v for t in base for v in t)
     inner: dict[int, int] = {}
     for t in disc.triangles:
         for v in t:
-            if v not in rim and v not in inner:
+            if v not in on_rim and v not in inner:
                 fresh += 1
                 inner[v] = fresh
     # the automorphisms extended to fix the fresh labels
     autos = [p + tuple(range(len(p), fresh + 1)) for p in autos]
-    rim_vals = valences(disc.triangles) if room is not None else None
-    chords = [e for e, ts in edge_triangles(disc.triangles).items()
-              if len(ts) == 2 and rim.issuperset(e)]
     images = set()  # the disc's mapped triangles yielded, with their orbits
     for reflect in (False, True):
         for offset in range(L):
             mapping = {v: cycle[(offset - i if reflect else offset + i) % L]
                        for i, v in enumerate(disc.boundary)}
-            if room is not None and any(rim_vals[v] not in room[c]
+            if room is not None and any(disc_vals[v] not in room[c]
                                         for v, c in mapping.items()):
                 continue
             if any(tuple(sorted((mapping[a], mapping[b]))) in base_edges
@@ -687,28 +697,30 @@ def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
 
 
 def _index_discs(cfg: SearchConfig):
-    """The main discs, each with its hub valence m = 4 .. V-1, and the extra
-    discs, both keyed by boundary length.  Up to 11 vertices the extra
-    discs are the triangle and the square."""
-    main: dict[int, list[tuple[int, Disc]]] = {}
+    """The main discs, each as (hub valence m = 4 .. V-1, disc,
+    :func:`_disc_rim`), and the extra discs, each as (disc, rim), both
+    keyed by boundary length.  Up to 11 vertices the extra discs are the
+    triangle and the square."""
+    main: dict[int, list[tuple[int, Disc, tuple]]] = {}
     for m in range(4, cfg.max_vertices):
         for disc in enumerate_main_discs(m, cfg.max_vertices):
-            main.setdefault(len(disc.boundary), []).append((m, disc))
+            main.setdefault(len(disc.boundary), []).append((m, disc, _disc_rim(disc)))
     if cfg.specialized:
         extras = [Disc.from_triangles([(1, 2, 3)]),
                   Disc.from_triangles([(1, 2, 3), (1, 3, 4)])]
     else:
         extras = enumerate_discs(cfg)
-    extra: dict[int, list[Disc]] = {}
+    extra: dict[int, list[tuple[Disc, tuple]]] = {}
     for disc in extras:
-        extra.setdefault(len(disc.boundary), []).append(disc)
+        extra.setdefault(len(disc.boundary), []).append((disc, _disc_rim(disc)))
     return main, extra
 
 
 def _roots_from_genus_surface(
     g: GenusSurface,
     cfg: SearchConfig,
-    discs: tuple[dict[int, list[tuple[int, Disc]]], dict[int, list[Disc]]],
+    discs: tuple[dict[int, list[tuple[int, Disc, tuple]]],
+                 dict[int, list[tuple[Disc, tuple]]]],
     autos: Sequence[tuple[int, ...]],
 ) -> set[tuple[int, SurfaceClass, Code]]:
     """All roots arising from one genus-surface, as (V, class, code): an
@@ -722,27 +734,33 @@ def _roots_from_genus_surface(
         # glue the extra discs first, each only if a main disc's hub still fits
         bases = {frozenset(g.triangles)}
         for other in others:
-            bases = {glued for base in bases for disc in extra_discs.get(len(other), ())
-                     if (max(v for t in base for v in t) + disc.interior_count + 1
-                         <= cfg.max_vertices)
-                     for glued in _gluings(base, other, disc)}
+            glued_bases = set()
+            for base in bases:
+                n_base = max(v for t in base for v in t)
+                base_edges = edge_triangles(base)
+                for disc, rim in extra_discs.get(len(other), ()):
+                    if n_base + disc.interior_count + 1 <= cfg.max_vertices:
+                        glued_bases.update(_gluings(base, other, disc, rim, base_edges))
+            bases = glued_bases
         # with an extra disc glued the base is not g, and g's automorphisms
         # do not act on it
         base_autos = () if others else autos
         for base in bases:
             n_base = max(v for t in base for v in t)
+            base_edges = edge_triangles(base)
             vals = valences(base)
             # the vertices off the host cycle keep their valence, and a main
             # disc's inner vertices are in [4, m] (see _disc_children)
             off = [k for v, k in vals.items() if v not in cycle]
             if off and min(off) < 4:
                 continue
-            for m, disc in main_discs.get(len(cycle), ()):
+            for m, disc, rim in main_discs.get(len(cycle), ()):
                 total = n_base + disc.interior_count
                 if total > cfg.max_vertices or m < max(off, default=0):
                     continue
                 room = {c: range(4 - vals[c], m - vals[c] + 1) for c in cycle}
-                for glued in _gluings(base, cycle, disc, room, base_autos):
+                for glued in _gluings(base, cycle, disc, rim, base_edges, room,
+                                      base_autos):
                     # a closed surface of g's capped class (see _gluings);
                     # the set keeps one of the gluings that are isomorphic
                     found.add((total, g.capped_class, minimal_code(glued)))

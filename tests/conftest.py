@@ -63,6 +63,16 @@ def relabel(t: Triangulation, rng: random.Random) -> tuple[Triangulation, dict]:
     )
 
 
+def torus_grid(n: int) -> list[Triangle]:
+    """The n x n grid on the torus: 2n^2 triangles, every vertex of
+    valence 6."""
+    label = lambda i, j: (i % n) * n + j % n + 1
+    return ([(label(i, j), label(i + 1, j), label(i + 1, j + 1))
+             for i in range(n) for j in range(n)]
+            + [(label(i, j), label(i, j + 1), label(i + 1, j + 1))
+               for i in range(n) for j in range(n)])
+
+
 def state_key(tris, marked_edges):
     """Canonical key for a complex together with a set of marked edges,
     invariant under relabeling (automorphisms are minimized over); the
@@ -374,13 +384,13 @@ def reference_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Cod
             bases = {frozenset(g.triangles)}
             for other in others:
                 bases = {glued for base in bases
-                         for disc in extra_discs.get(len(other), ())
+                         for disc, _rim in extra_discs.get(len(other), ())
                          if (max(v for t in base for v in t)
                              + disc.interior_count + 1 <= cfg.max_vertices)
                          for glued in reference_gluings(base, other, disc)}
             for base in bases:
                 n_base = max(v for t in base for v in t)
-                for m, disc in main_discs.get(len(cycle), ()):
+                for m, disc, _rim in main_discs.get(len(cycle), ()):
                     total = n_base + disc.interior_count
                     if total > cfg.max_vertices:
                         continue

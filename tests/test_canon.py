@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import (ANNULUS, MOBIUS, canonical_witness, is_isomorphic,
-                      mixed_lex_compare, relabel, state_key)
+                      mixed_lex_compare, relabel, state_key, torus_grid)
 from surfenum.canon import automorphisms, canonical_form, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import TORUS, Triangulation, classify
@@ -87,6 +87,13 @@ SEVEN_VERTEX_TORUS = tuple(
 PINNED_DIGEST = "699d0dd92124adb90bb5ee3ece865b4dc496c9d8f5e2a4664a9e9f044d76836d"
 
 
+# sha256 of minimal_code(tris) and minimal_code(tris, with_witnesses=True)
+# over _growth_states(): bounded complexes, where forced steps and branching
+# steps interleave (254 branches in each mode), as computed when every step
+# still recursed
+GROWTH_STATES_DIGEST = "1ae1d85d58f1d90f24730b43599025a845006b81185a2dc2b834330934a38d8d"
+
+
 def _reversed_labels(t: Triangulation) -> Triangulation:
     v = t.vertex_count
     return Triangulation([tuple(v + 1 - x for x in tri) for tri in t.triangles])
@@ -100,6 +107,24 @@ def _pinned_inputs() -> list[Triangulation]:
               for code in codes for _ in range(3)]
     return inputs + [parse_triangulation_text(s)
                      for s in (MOBIUS, ANNULUS) + UNUSUAL_COMPLEXES]
+
+
+def _growth_states(monkeypatch) -> list:
+    """The 108 growth states the oracle pops at V <= 7, in popping order."""
+    from surfenum import oracle
+
+    states = []
+    real = oracle._invariant
+
+    def recording(tris, by_edge, by_vertex):
+        states.append(tris)
+        return real(tris, by_edge, by_vertex)
+
+    monkeypatch.setattr(oracle, "_invariant", recording)
+    brute_force_enumerate(7)
+    monkeypatch.undo()
+    assert len(states) == 108
+    return states
 
 
 class TestMinimalCode:
@@ -139,6 +164,17 @@ class TestMinimalCode:
     def test_unusual_complexes_against_all_permutations(self, text):
         t = parse_triangulation_text(text)
         assert minimal_code(t.triangles) == brute_minimal_code(t)
+
+    def test_depth_of_the_caller_does_not_matter(self):
+        # a forced step adds no stack frame, so a surface of 1,058 triangles
+        # labels from 100 frames deeper as from the top level
+        tris = torus_grid(23)
+        code = minimal_code(tris)
+
+        def deeper(k):
+            return minimal_code(tris) if k == 0 else deeper(k - 1)
+
+        assert deeper(100) == code
 
 
 class TestWitness:
@@ -188,6 +224,15 @@ class TestWitness:
             code, wits = minimal_code(t.triangles, with_witnesses=True)
             digest.update(repr((code, [sorted(w.items()) for w in wits])).encode())
         assert digest.hexdigest() == PINNED_DIGEST
+
+    def test_growth_state_codes_and_witness_order_are_pinned(self, monkeypatch):
+        digest = hashlib.sha256()
+        for tris in _growth_states(monkeypatch):
+            code = minimal_code(tris)
+            wcode, wits = minimal_code(tris, with_witnesses=True)
+            digest.update(repr((code, wcode,
+                                [sorted(w.items()) for w in wits])).encode())
+        assert digest.hexdigest() == GROWTH_STATES_DIGEST
 
     def test_code_alone_equals_the_full_search(self, tetra, octa, rp2_six):
         # only the code-alone search stops a seed at its first tie; the

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import random
 import sys
 
 import pytest
 
-from conftest import ANNULUS, MOBIUS, RP2_SIX, TETRAHEDRON, THREE_FAN_DISC
+from conftest import (ANNULUS, MOBIUS, RP2_SIX, TETRAHEDRON, THREE_FAN_DISC,
+                      torus_grid)
 from surfenum.canon import minimal_code
 from surfenum.cli import (
     format_counts_table,
@@ -292,21 +294,51 @@ class TestCommands:
             "classify needs a closed surface, got ")
 
     @pytest.mark.parametrize("command", ["canon", "root"])
-    def test_too_many_triangles_exits_2(self, command, tmp_path, capsys):
-        # the 25 x 25 torus grid: 1,250 triangles, more than the canonical
-        # search's one recursion level per triangle fits in
-        n = 25
-        label = lambda i, j: (i % n) * n + j % n + 1
+    def test_large_torus_grid_labels(self, command, tmp_path, capsys):
+        # 1,250 triangles: the canonical search takes a forced step in a
+        # loop, so its depth does not grow with the number of triangles
+        tris = torus_grid(25)
         f = tmp_path / "grid.txt"
+        f.write_text(render_triangulation(tris))
+        assert main([command, str(f)]) == 0
+        out = capsys.readouterr().out.strip()
+        # no vertex is removable, so the root is the grid's canonical form
+        assert parse_triangulation_text(out).triangles == minimal_code(tris)
+
+    def test_large_torus_grid_relabeled(self, tmp_path, capsys):
+        tris = torus_grid(25)
+        labels = list(range(1, 626))
+        random.Random(2507).shuffle(labels)
+        f, g = tmp_path / "grid.txt", tmp_path / "relabeled.txt"
+        f.write_text(render_triangulation(tris))
+        g.write_text(render_triangulation(
+            [tuple(labels[v - 1] for v in t) for t in tris]))
+        assert main(["canon", str(f)]) == 0
+        first = capsys.readouterr().out
+        assert main(["canon", str(g)]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_deep_branching_exits_2(self, tmp_path, capsys):
+        # a chain of 300 triangles joined at single vertices: every step
+        # labels two fresh vertices, so each branches and the search
+        # recurses once per triangle, deeper than the lowered limit allows
+        f = tmp_path / "chain.txt"
         f.write_text(render_triangulation(
-            [(label(i, j), label(i + 1, j), label(i + 1, j + 1))
-             for i in range(n) for j in range(n)]
-            + [(label(i, j), label(i, j + 1), label(i + 1, j + 1))
-               for i in range(n) for j in range(n)]))
-        assert main([command, str(f)]) == 2
+            [(2 * i + 1, 2 * i + 2, 2 * i + 3) for i in range(300)]))
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            assert main(["canon", str(f)]) == 2
+        finally:
+            sys.setrecursionlimit(limit)
         assert capsys.readouterr().err == (
-            "error: 1250 triangles are too many to label: the canonical "
-            "search recurses once per triangle\n")
+            "error: 300 triangles are too many to label: the canonical "
+            "search recurses once per branching step\n")
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"

@@ -28,6 +28,7 @@ from surfenum.listing import (
     GenusSurface,
     SearchConfig,
     _disc_children,
+    _disc_rim,
     _GenusSurfaceSearch,
     _gluings,
     _index_discs,
@@ -251,7 +252,8 @@ class TestGluing:
         g = GenusSurface.from_triangles(mobius.triangles)
         star = Disc.from_triangles(closed_star(5))
         results = {minimal_code(glued)
-                   for glued in _gluings(frozenset(g.triangles), g.boundary[0], star)
+                   for glued in _gluings(frozenset(g.triangles), g.boundary[0], star,
+                                         _disc_rim(star), edge_triangles(g.triangles))
                    if validate(Triangulation(glued)).kind is SurfaceKind.CLOSED_SURFACE}
         assert results == {minimal_code(rp2_six.triangles)}
 
@@ -262,13 +264,15 @@ class TestGluing:
         cycle = GenusSurface.from_triangles(mobius.triangles).boundary[0]
         cone = {tuple(sorted((6, cycle[i - 1], cycle[i]))) for i in range(5)}
         star = Disc.from_triangles(closed_star(5))
-        assert list(_gluings(base, cycle, star)) == [base | cone]
+        assert list(_gluings(base, cycle, star, _disc_rim(star),
+                             edge_triangles(base))) == [base | cone]
 
     def test_boundary_length_mismatch(self, mobius):
         g = GenusSurface.from_triangles(mobius.triangles)
         star4 = Disc.from_triangles(closed_star(4))
         with pytest.raises(ValueError, match="cycle length 5 vs disc boundary length 4"):
-            next(_gluings(frozenset(g.triangles), g.boundary[0], star4))
+            next(_gluings(frozenset(g.triangles), g.boundary[0], star4,
+                          _disc_rim(star4), edge_triangles(g.triangles)))
 
     def test_extra_disc_interior_counts_towards_the_root(self):
         # the annulus between the stars of two antipodal vertices, capped by
@@ -281,7 +285,8 @@ class TestGluing:
             minimal_code([t for t in ico if 1 not in t and 12 not in t]))
         assert [len(c) for c in g.boundary] == [5, 5]
         star = Disc.from_triangles(closed_star(5))
-        discs = ({5: [(5, star)]}, {5: [star]})
+        rim = _disc_rim(star)
+        discs = ({5: [(5, star, rim)]}, {5: [(star, rim)]})
         # g's automorphisms do not act once an extra disc is glued
         assert _roots_from_genus_surface(
             g, SearchConfig(12), discs, ()) == {(12, SPHERE, ico)}
