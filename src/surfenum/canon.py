@@ -74,6 +74,11 @@ start a walk; an isomorphism of the complex and its marks keeps these
 triples, so the key stays complete.  It decides isomorphism like the
 minimal code but is not mixed-lex minimal, so it is never stored or
 returned as a canonical form.
+
+Both growth searches, the genus-surface search and the brute-force oracle,
+drop isomorphs through :class:`Isomorphs`: it buckets states by the vertex
+ranks that :func:`flag_key` starts from, and calls the caller's certificate
+(``flag_key``, ``minimal_code``) only where two states share a bucket.
 """
 
 from __future__ import annotations
@@ -82,7 +87,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .core import Edge, Triangle, Triangulation, normalize_triangles
+from .core import (Edge, Triangle, Triangulation, normalize_triangles,
+                   vertex_triangles)
 
 Code = tuple[Triangle, ...]
 
@@ -405,16 +411,14 @@ def _flag_walk(sides: dict[Edge, list[tuple[int, int]]], n: int,
 
 
 def _vertex_ranks(tris: Collection[Triangle], sides: dict[Edge, list],
-                  marked: Iterable[Edge]) -> dict[int, int]:
+                  by_vertex: dict[int, list], marked: Iterable[Edge]) -> dict[int, int]:
     """Each vertex's triple (valence, boundary edges at it, marked edges at
     it) as one number in base 3T, T the number of triangles (no vertex meets
-    3T edges), so the numbers compare as the triples do.  ``sides`` maps
-    each edge to a list with one entry per triangle on it."""
+    3T edges), so the numbers compare as the triples do.  ``sides`` and
+    ``by_vertex`` map each edge and each vertex to a list with one entry per
+    triangle on it."""
     base = 3 * len(tris)
-    rank: dict[int, int] = {}
-    for t in tris:
-        for v in t:
-            rank[v] = rank.get(v, 0) + base * base
+    rank = {v: len(ts) * base * base for v, ts in by_vertex.items()}
     for (a, b), pair in sides.items():
         if len(pair) == 1:
             rank[a] += base
@@ -452,7 +456,7 @@ def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] =
             if len(pair) > 2:
                 raise ValueError(f"edge {e} lies in more than two triangles")
     marked = list(marked_edges)
-    inv = _vertex_ranks(tris, sides, marked)
+    inv = _vertex_ranks(tris, sides, vertex_triangles(tris), marked)
     sigs = [sorted((inv[a], inv[b], inv[c]), reverse=True) for a, b, c in tris]
     top = max(sigs)
     starts = [(f, i) for i, t in enumerate(tris) if sigs[i] == top
@@ -472,3 +476,58 @@ def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] =
         if code != best or marks < best_marks:
             best, best_marks = code, marks
     return best, best_marks
+
+
+class Isomorphs:
+    """The isomorph filter of an exhaustive growth search: :meth:`add`
+    tells whether a state is new, isomorphic to no state added before by a
+    map that carries the marked edges along.  ``certificate(tris, marked)``
+    is the caller's complete invariant and the only equality test.
+
+    This is McKay's isomorph rejection ("Isomorph-free exhaustive
+    generation", J. Algorithms 26 (1998)).  A state alone in its
+    :meth:`bucket` gets no certificate; once a second one lands there,
+    every member gets one, and a state is a repeat only when its
+    certificate equals a member's.  An isomorphism that carries the marks
+    along keeps every vertex rank (:func:`_vertex_ranks`), so isomorphic
+    states share a bucket and compare by certificate: no state is lost.
+    Non-isomorphic states in one bucket, by equal invariants or a hash
+    collision, cost certificates, never a merge.  So the states found new,
+    and their order, are those of certifying every state.
+    """
+
+    def __init__(self, certificate):
+        self.certificate = certificate
+        # bucket -> its one state with no certificate yet
+        self._lone: dict[int, tuple] = {}
+        # bucket -> the certificates of its states, once it has two
+        self._certified: dict[int, set] = {}
+
+    @staticmethod
+    def bucket(tris: Collection[Triangle], sides: dict[Edge, list],
+               by_vertex: dict[int, list], marked: Collection[Edge] = ()) -> int:
+        """The hash of a state's sorted triangles, each the sorted triple of
+        its vertices' ranks; ``sides`` and ``by_vertex`` index its edges and
+        vertices as for :func:`_vertex_ranks`."""
+        rank = _vertex_ranks(tris, sides, by_vertex, marked)
+        return hash(tuple(sorted(
+            tuple(sorted((rank[a], rank[b], rank[c]))) for a, b, c in tris)))
+
+    def add(self, tris: Collection[Triangle], sides: dict[Edge, list],
+            by_vertex: dict[int, list], marked: Collection[Edge] = ()) -> bool:
+        """Whether the state ``tris`` with marked edges ``marked`` is new;
+        the other arguments are as for :meth:`bucket`."""
+        bucket = self.bucket(tris, sides, by_vertex, marked)
+        certs = self._certified.get(bucket)
+        if certs is None:
+            if bucket not in self._lone:
+                # a tuple takes about half the memory of a frozenset
+                self._lone[bucket] = (tuple(tris), marked)
+                return True
+            certs = self._certified[bucket] = {
+                self.certificate(*self._lone.pop(bucket))}
+        cert = self.certificate(tris, marked)
+        if cert in certs:
+            return False
+        certs.add(cert)
+        return True

@@ -26,10 +26,9 @@ genus-surface g is glued once per orbit of Aut(g), and a vertex is added
 once per orbit of triangles: an automorphism of the parent, fixing the new
 vertices, maps one child of an orbit onto the others (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26 (1998)).  Discs and closed
-surfaces are keyed by their minimal code.  The
-genus-surface search's states, frozen edges marked, are bucketed by the
-vertex ranks by which canon.flag_key picks its start flags, and keyed by
-flag_key only where two share a bucket.
+surfaces are keyed by their minimal code.  The genus-surface search drops
+isomorphic states, frozen edges marked, through canon.Isomorphs with
+canon.flag_key as the certificate.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .canon import Code, _vertex_ranks, automorphisms, flag_key, minimal_code
+from .canon import Code, Isomorphs, automorphisms, flag_key, minimal_code
 from .core import (
     SPHERE,
     Edge,
@@ -292,16 +291,6 @@ def genus_surface_admissible(g: GenusSurface | Triangulation,
     return bool(_host_splits(comps, cfg))
 
 
-def _state_invariant(tris, frozen, edge_map) -> int:
-    """Bucket key of a search state, unchanged by a relabeling that carries
-    the frozen edges along: the hash of its sorted triangles, each the
-    sorted triple of its vertices' ranks, by which ``flag_key`` picks its
-    start flags."""
-    label = _vertex_ranks(tris, edge_map, frozen)
-    return hash(tuple(sorted(
-        tuple(sorted((label[a], label[b], label[c]))) for a, b, c in tris)))
-
-
 def _link_ends(star: Iterable[Triangle],
                v: int) -> tuple[dict[int, list[int]], dict[int, int]]:
     """The link of ``v`` in a growth state, whose links are circles or
@@ -407,19 +396,9 @@ class _GenusSurfaceSearch:
     from the order, so it holds whatever is decided later.
 
     A popped state isomorphic to one already expanded, frozen edges
-    included, is dropped.  As in :mod:`oracle`, states meet in buckets
-    keyed by :func:`_state_invariant`, and ``canon.flag_key`` is called only
-    where the invariant fails to separate: a state alone in its bucket is
-    expanded with no key; once a second state lands there, both get their
-    flag key, and a state is dropped only when its key equals a member's.
-    This loses no state.  An isomorphism that carries the frozen edges
-    along keeps each vertex's valence, boundary-edge degree and frozen-edge
-    degree, so isomorphic (state, frozen-edge) pairs always share a bucket
-    and compare by flag key, still the only equality test.  Two
-    non-isomorphic states in one bucket, by equal invariants or a hash
-    collision, cost two ``flag_key`` calls, never a lost state.  So the
-    states expanded, their order and the candidates emitted are those of
-    keying every state.
+    included, is dropped by :class:`canon.Isomorphs` with ``flag_key`` as
+    the certificate; its docstring argues that the states expanded, their
+    order and the candidates emitted are those of keying every state.
     """
 
     def __init__(self, cfg: SearchConfig):
@@ -435,28 +414,15 @@ class _GenusSurfaceSearch:
         # its three vertices need max_v >= 3
         if self.max_v >= 3:
             self.emit(frozenset({(1, 2, 3)}))
-        # expanded states by invariant: one state with no key yet, or the
-        # flag keys of every state expanded with that invariant
-        lone: dict[int, tuple[frozenset, frozenset]] = {}
-        keyed: dict[int, set] = {}
+        seen = Isomorphs(flag_key)
         stack = [(frozenset({(1, 2, 3)}), frozenset())]
         while stack:
             tris, frozen = stack.pop()
             # one edge and one vertex index per state; the rest is read off them
             edge_map = edge_triangles(tris)
             by_vertex = vertex_triangles(tris)
-            inv = _state_invariant(tris, frozen, edge_map)
-            keys = keyed.get(inv)
-            if keys is None and inv in lone:
-                keys = keyed[inv] = {flag_key(*lone.pop(inv))}
-            if keys is None:
-                # a tuple takes about half the memory of the frozenset
-                lone[inv] = (tuple(tris), frozen)
-            else:
-                key = flag_key(tris, frozen)
-                if key in keys:
-                    continue
-                keys.add(key)
+            if not seen.add(tris, edge_map, by_vertex, frozen):
+                continue
             self.expanded += 1
             children = self.children(tris, frozen, edge_map, by_vertex)
             if children is None:
@@ -806,12 +772,13 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
     if not is_root(root):
         raise ValueError("enumerate_nonroots needs a root")
     found: set[Code] = set()
-    frontier = [root.triangles]
-    # each level of the frontier has one vertex more than the last
-    for _v in range(root.vertex_count, cfg.max_vertices):
+    # (code, witnesses) of each triangulation the next level cones
+    frontier = [minimal_code(root.triangles, with_witnesses=True)]
+    # each level of cones has one vertex more than the last; the last
+    # level is never coned, so its cones are coded without witnesses
+    for v in range(root.vertex_count + 1, cfg.max_vertices + 1):
         nxt = []
-        for tris in frontier:
-            code, witnesses = minimal_code(tris, with_witnesses=True)
+        for code, witnesses in frontier:
             autos = automorphisms(witnesses)
             t = Triangulation(code)
             coned = set()
@@ -821,10 +788,14 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
                 a, b, c = tri
                 coned.update(tuple(sorted((p[a], p[b], p[c]))) for p in autos)
                 # closed: the root was checked
-                moved = minimal_code(_cone(t, tri).triangles)
+                cone = _cone(t, tri).triangles
+                if v < cfg.max_vertices:
+                    moved, wits = minimal_code(cone, with_witnesses=True)
+                else:
+                    moved, wits = minimal_code(cone), None
                 if moved not in found:
                     found.add(moved)
-                    nxt.append(moved)
+                    nxt.append((moved, wits))
         frontier = nxt
     return {Triangulation(code) for code in found}
 

@@ -5,8 +5,9 @@ genus-surfaces or root moves: for each target maximal valence m it starts
 from the closed star of an m-valent vertex and glues one triangle at a time
 onto one uncovered boundary edge, trying every admissible third vertex.  A
 state isomorphic to one already expanded is dropped.  Only the basic surface
-predicates and the canonical labeling are shared with the pipeline, so
-agreement of the two results is meaningful evidence.
+predicates, the canonical labeling and the buckets of the isomorph filter
+are shared with the pipeline, so agreement of the two results is
+meaningful evidence.
 
 The edge decided next is the one whose ends have the most triangles: the
 larger star of its two ends, then the smaller, both descending, then the
@@ -20,22 +21,21 @@ surfaces.  Each pruning rule holds for good, whatever is decided later,
 because a glued triangle stays: an edge in three triangles, a valence above
 m or a bad link is never repaired, and the vertex cap only binds harder.
 
-Intermediate states are deduplicated in buckets keyed by a cheap invariant
-(McKay's isomorph rejection: invariants first, a certificate only where
-they fail to separate).  A state alone in its bucket is expanded without a
-canonical code; once a second state lands there, every member gets its
-``minimal_code``, and a state is dropped only when its code equals a
-member's.  This is exact: isomorphic states have equal invariants, so they
-meet in one bucket and compare by code, and the code is still the only
-equality test.  A hash collision of unequal invariants only costs codes.
-Closed leaves are always coded, and the returned codes are a set.
+Open states are deduplicated by :class:`canon.Isomorphs`, the filter the
+genus-surface search uses too, with ``minimal_code`` as the certificate;
+its docstring argues that this is exact.  Sharing the buckets keeps the
+oracle independent: a wrong invariant could split isomorphic states into
+different buckets, which costs extra work but loses nothing, and it can
+never merge two classes, as only the certificate does that, here the
+reference code.  Closed states never enter the buckets: each is coded
+where it is found, and the codes are a set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import Code, minimal_code
+from .canon import Code, Isomorphs, minimal_code
 from .core import (
     Edge,
     SurfaceClass,
@@ -61,28 +61,12 @@ def _m_fan(m: int) -> State:
     )
 
 
-def _invariant(tris: State, by_edge: dict[Edge, list[Triangle]],
-               by_vertex: dict[int, list[Triangle]]) -> int:
-    """Bucket key of a growth state, unchanged by relabeling: the hash of
-    its sorted triangles, each the sorted triple of its vertices'
-    (valence, boundary-edge degree)."""
-    open_degree: dict[int, int] = {}
-    for (a, b), ts in by_edge.items():
-        if len(ts) == 1:
-            open_degree[a] = open_degree.get(a, 0) + 1
-            open_degree[b] = open_degree.get(b, 0) + 1
-    label = {v: (len(ts), open_degree.get(v, 0)) for v, ts in by_vertex.items()}
-    return hash(tuple(sorted(
-        tuple(sorted((label[a], label[b], label[c]))) for a, b, c in tris
-    )))
-
-
 def _children(tris: State, by_edge: dict[Edge, list[Triangle]],
               by_vertex: dict[int, list[Triangle]], m: int,
-              max_vertices: int) -> list[State] | None:
+              max_vertices: int) -> list[State]:
     open_edges = [e for e, ts in by_edge.items() if len(ts) == 1]
     if not open_edges:
-        return None  # closed: a leaf
+        return []  # closed: a leaf
     # fail first: the edge whose ends have the most triangles (module docstring)
     a, b = min(open_edges, key=lambda e: (
         -max(len(by_vertex[e[0]]), len(by_vertex[e[1]])),
@@ -113,38 +97,22 @@ def _children(tris: State, by_edge: dict[Edge, list[Triangle]],
 def _enumerate_with_max_valence(m: int, max_vertices: int) -> set[Code]:
     """Canonical codes of all closed triangulations with maximal valence
     exactly m and at most max_vertices vertices."""
-    # expanded states by invariant: one state with no code yet, or the
-    # codes of every state expanded with that invariant
-    lone: dict[int, State] = {}
-    coded: dict[int, set[Code]] = {}
+    seen = Isomorphs(lambda tris, _marked: minimal_code(tris))
     leaves: set[Code] = set()
     stack = [_m_fan(m)]
     while stack:
         tris = stack.pop()
         by_edge = edge_triangles(tris)
         by_vertex = vertex_triangles(tris)
-        key = _invariant(tris, by_edge, by_vertex)
-        code = None
-        codes = coded.get(key)
-        if codes is None and key in lone:
-            codes = coded[key] = {minimal_code(lone.pop(key))}
-        if codes is None:
-            lone[key] = tris
-        else:
+        # no edge is in three triangles, so the state is closed exactly when
+        # every edge is in two: 2E = 3T
+        if 2 * len(by_edge) == 3 * len(tris):
             code = minimal_code(tris)
-            if code in codes:
-                continue
-            codes.add(code)
-        children = _children(tris, by_edge, by_vertex, m, max_vertices)
-        if children is None:
-            if validate(Triangulation(tris)).kind is SurfaceKind.CLOSED_SURFACE:
-                if code is None:
-                    del lone[key]
-                    code = minimal_code(tris)
-                    coded[key] = {code}
+            if (code not in leaves and validate(Triangulation(tris)).kind
+                    is SurfaceKind.CLOSED_SURFACE):
                 leaves.add(code)
-        else:
-            stack.extend(children)
+        elif seen.add(tris, by_edge, by_vertex):
+            stack.extend(_children(tris, by_edge, by_vertex, m, max_vertices))
     return leaves
 
 

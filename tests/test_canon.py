@@ -6,9 +6,11 @@ import pytest
 
 from conftest import (ANNULUS, MOBIUS, canonical_witness, is_isomorphic,
                       mixed_lex_compare, relabel, state_key, torus_grid)
-from surfenum.canon import automorphisms, canonical_form, flag_key, minimal_code
+from surfenum.canon import (Isomorphs, automorphisms, canonical_form, flag_key,
+                            minimal_code)
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import TORUS, Triangulation, classify
+from surfenum.core import (TORUS, Triangulation, classify, edge_triangles,
+                           vertex_triangles)
 from surfenum.oracle import brute_force_enumerate
 
 
@@ -114,13 +116,13 @@ def _growth_states(monkeypatch) -> list:
     from surfenum import oracle
 
     states = []
-    real = oracle._invariant
+    real = oracle.edge_triangles
 
-    def recording(tris, by_edge, by_vertex):
+    def recording(tris):
         states.append(tris)
-        return real(tris, by_edge, by_vertex)
+        return real(tris)
 
-    monkeypatch.setattr(oracle, "_invariant", recording)
+    monkeypatch.setattr(oracle, "edge_triangles", recording)
     brute_force_enumerate(7)
     monkeypatch.undo()
     assert len(states) == 108
@@ -418,3 +420,53 @@ class TestFlagKey:
     def test_rejects_triangles_joined_at_a_vertex_only(self):
         with pytest.raises(ValueError, match="edge-connected"):
             flag_key(parse_triangulation_text("123 145").triangles)
+
+
+def _add(seen: Isomorphs, tris, marked=()) -> bool:
+    return seen.add(tris, edge_triangles(tris), vertex_triangles(tris), marked)
+
+
+class TestIsomorphs:
+    @staticmethod
+    def counting(certificate):
+        calls = []
+
+        def counted(tris, marked):
+            calls.append(tris)
+            return certificate(tris, marked)
+
+        return Isomorphs(counted), calls
+
+    def test_a_lone_state_gets_no_certificate(self, mobius):
+        seen, calls = self.counting(flag_key)
+        assert _add(seen, mobius.triangles, [(1, 4)])
+        assert calls == []
+
+    def test_relabeled_state_with_its_marks_is_a_repeat(self, mobius):
+        rng = random.Random(37)
+        marked = [(1, 4), (2, 5)]
+        seen, calls = self.counting(flag_key)
+        assert _add(seen, mobius.triangles, marked)
+        for _ in range(5):
+            shuffled, mapping = relabel(mobius, rng)
+            image = [tuple(sorted((mapping[a], mapping[b]))) for a, b in marked]
+            assert not _add(seen, shuffled.triangles, image)
+        # the first state is certified when the second lands in its bucket
+        assert len(calls) == 6
+
+    def test_same_triangles_with_other_marks_are_new(self, mobius):
+        seen, _calls = self.counting(flag_key)
+        assert _add(seen, mobius.triangles, [(1, 4)])
+        assert _add(seen, mobius.triangles, [(1, 2)])
+        assert _add(seen, mobius.triangles, [])
+        assert not _add(seen, mobius.triangles, [(1, 2)])
+
+    def test_a_shared_bucket_is_settled_by_the_certificate(self):
+        # the 5-star pair of the oracle tests: one invariant, two codes
+        star = ((1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+                (2, 3, 7), (2, 4, 8))
+        first, second = star + ((2, 5, 7),), star + ((2, 5, 8),)
+        seen, calls = self.counting(lambda tris, _marked: minimal_code(tris))
+        assert _add(seen, first)
+        assert _add(seen, second)
+        assert calls == [first, second]

@@ -8,7 +8,7 @@ import pytest
 from conftest import (Decomposition, cone_and_classify, reference_nonroots,
                       reference_roots, relabel, state_key,
                       validate_decomposition)
-from surfenum.canon import Code, flag_key, minimal_code
+from surfenum.canon import Code, Isomorphs, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     PROJECTIVE_PLANE,
@@ -34,7 +34,6 @@ from surfenum.listing import (
     _index_discs,
     _map_maybe_parallel,
     _roots_from_genus_surface,
-    _state_invariant,
     enumerate_all,
     enumerate_discs,
     enumerate_genus_surfaces,
@@ -448,11 +447,11 @@ class TestGluingChecks:
         for mod in _package_modules_holding(real):
             monkeypatch.setattr(mod, "flag_key", recording)
         enumerate_all(SearchConfig(max_vertices=8, specialized=specialized))
-        # 324 more from the disc growth, the gluing and the non-roots when
-        # they keyed discs and closed surfaces by flag_key; 997 in the search
-        # when it keyed every popped state, not only those whose invariant
-        # collides
-        assert callers == {"_GenusSurfaceSearch.run": 298}
+        # all from the search's isomorph filter; 324 more from the disc
+        # growth, the gluing and the non-roots when they keyed discs and
+        # closed surfaces by flag_key; 997 in the search when it keyed every
+        # popped state, not only those whose invariant collides
+        assert callers == {"Isomorphs.add": 298}
 
     def test_enumerate_all_validate_calls(self, monkeypatch):
         calls = 0
@@ -569,10 +568,11 @@ class TestRootsAndNonRoots:
         calls = _count_calls_below(monkeypatch, minimal_code,
                                     below="enumerate_nonroots")
         enumerate_all(SearchConfig(max_vertices=8))
-        # one code per cone of a triangle least in its orbit, and one
-        # witness-mode code per coned triangulation; 136 when every
-        # triangle was coned
-        assert 0 < calls[0] <= 46
+        # one code per cone of a triangle least in its orbit, with its
+        # witnesses when the next level cones it, and one for the root; 46
+        # when each coned triangulation was coded again for its witnesses,
+        # 136 when every triangle was coned
+        assert 0 < calls[0] <= 39
 
     def test_nonroots_requires_root(self, tetra):
         from surfenum.moves import t_move
@@ -721,7 +721,8 @@ def search_states(monkeypatch, v: int) -> list:
 
 
 def invariant(tris, frozen) -> int:
-    return _state_invariant(tris, frozen, edge_triangles(tris))
+    return Isomorphs.bucket(tris, edge_triangles(tris), vertex_triangles(tris),
+                            frozen)
 
 
 class TestGenusSearchDedup:
@@ -755,16 +756,14 @@ class TestGenusSearchDedup:
         assert len(pairs) == 829
 
     def test_invariant_buckets_never_split_a_flag_key_class(self, monkeypatch):
-        from surfenum import listing
-
         popped = []
-        real = listing._state_invariant
+        real = Isomorphs.add
 
-        def recording(tris, frozen, edge_map):
-            popped.append((tris, frozen))
-            return real(tris, frozen, edge_map)
+        def recording(seen, tris, sides, by_vertex, marked=()):
+            popped.append((tris, marked))
+            return real(seen, tris, sides, by_vertex, marked)
 
-        monkeypatch.setattr(listing, "_state_invariant", recording)
+        monkeypatch.setattr(Isomorphs, "add", recording)
         states = search_states(monkeypatch, 8)
         assert len(states) == 829
         rng = random.Random(83)

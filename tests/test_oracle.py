@@ -6,7 +6,7 @@ import pytest
 
 from conftest import relabel
 from surfenum import oracle
-from surfenum.canon import minimal_code
+from surfenum.canon import Isomorphs, minimal_code
 from surfenum.core import (SurfaceKind, Triangulation, edge_triangles,
                            validate, vertex_triangles)
 from surfenum.listing import SearchConfig
@@ -113,12 +113,12 @@ def _growth_states(max_vertices: int) -> dict:
             states[code] = tris
             stack.extend(oracle._children(
                 tris, edge_triangles(tris), vertex_triangles(tris), m,
-                max_vertices) or ())
+                max_vertices))
     return states
 
 
 def _invariant(tris) -> int:
-    return oracle._invariant(tris, edge_triangles(tris), vertex_triangles(tris))
+    return Isomorphs.bucket(tris, edge_triangles(tris), vertex_triangles(tris))
 
 
 class TestInvariant:
