@@ -53,6 +53,10 @@ class Triangulation:
     def __setattr__(self, name, value):
         raise AttributeError("Triangulation is immutable")
 
+    def __reduce__(self):
+        # unpickling rebuilds through __init__, which checks the labels again
+        return Triangulation, (self.triangles,)
+
     def __eq__(self, other):
         return isinstance(other, Triangulation) and self.triangles == other.triangles
 

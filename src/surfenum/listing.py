@@ -25,17 +25,19 @@ moves recover the non-roots.  A main disc glued straight onto a
 genus-surface g is glued once per orbit of Aut(g), and a vertex is added
 once per orbit of triangles: an automorphism of the parent, fixing the new
 vertices, maps one child of an orbit onto the others (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26 (1998)).  Discs and closed
-surfaces are keyed by their minimal code.  The genus-surface search drops
-isomorphic states, frozen edges marked, through canon.Isomorphs with
-canon.flag_key as the certificate.
+exhaustive generation", J. Algorithms 26 (1998)).  Each piece carries what
+the gluing reads (a Disc its valences, chords and largest interior valence,
+m for a main disc; a GenusSurface its automorphisms), so the stages pass
+plain lists.  Discs and closed surfaces are keyed by their minimal code.
+The genus-surface search drops isomorphic states, frozen edges marked,
+through canon.Isomorphs with canon.flag_key as the certificate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .canon import Code, Isomorphs, automorphisms, flag_key, minimal_code
@@ -95,22 +97,34 @@ def _host_splits(comps: Sequence[Sequence[int]], cfg: SearchConfig) -> list:
 
 @dataclass(frozen=True)
 class Disc:
-    """A triangulated disc: one boundary cycle, Euler characteristic 1."""
+    """A triangulated disc: one boundary cycle (the rim), Euler
+    characteristic 1.  It carries what a gluing reads: its vertex valences,
+    its chords (inner edges with both ends on the rim) and its largest
+    interior valence, 0 with none; growth from an m-star keeps that m (see
+    :func:`_disc_children`).  Equality is that of (triangles, boundary)."""
 
     triangles: Code
     boundary: tuple[int, ...]
+    valences: dict[int, int] = field(compare=False)
+    max_interior_valence: int = field(compare=False)
+    chords: tuple[Edge, ...] = field(compare=False)
 
     @classmethod
     def from_triangles(cls, triangles: Iterable[Triangle]) -> "Disc":
         tris = normalize_triangles(triangles)
-        cycles = boundary_cycles(tris)
+        edges = edge_triangles(tris)
+        cycles = closed_cycles(e for e, ts in edges.items() if len(ts) == 1)
         if cycles is None or len(cycles) != 1:
             raise ValueError("a disc has exactly one boundary component")
-        return cls(triangles=tris, boundary=tuple(cycles[0]))
+        rim, vals = set(cycles[0]), valences(tris)
+        return cls(tris, tuple(cycles[0]), vals,
+                   max((k for v, k in vals.items() if v not in rim), default=0),
+                   tuple(e for e, ts in edges.items()
+                         if len(ts) == 2 and rim.issuperset(e)))
 
     @property
     def vertex_count(self) -> int:
-        return len({v for t in self.triangles for v in t})
+        return len(self.valences)
 
     @property
     def interior_count(self) -> int:
@@ -119,23 +133,26 @@ class Disc:
 
 @dataclass(frozen=True)
 class GenusSurface:
-    """The non-disc piece of a decomposition, with its boundary cycles and
-    the closed surface obtained by capping them.  Capping a cycle with a
-    disc keeps orientability and adds 1 to chi, so the capped class comes
-    from the piece's own orientability, chi and number of holes.
-    ``from_triangles`` does not check that its input is a connected
-    surface."""
+    """The non-disc piece of a decomposition as its minimal code, with its
+    boundary cycles, the closed surface obtained by capping them and its
+    automorphism group (:func:`canon.automorphisms`), which equality leaves
+    out.  Capping a cycle with a disc keeps orientability and adds 1 to
+    chi, so the capped class comes from the piece's own orientability, chi
+    and number of holes.  ``from_triangles`` does not check that its input
+    is a connected surface."""
 
     triangles: Code
     boundary: tuple[tuple[int, ...], ...]
     capped_class: SurfaceClass
+    automorphisms: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @classmethod
     def from_triangles(cls, triangles: Iterable[Triangle]) -> "GenusSurface":
-        tris = normalize_triangles(triangles)
-        cycles = tuple(tuple(c) for c in boundary_cycles(tris))
-        capped = surface_class(Triangulation(tris), len(cycles))
-        return cls(triangles=tris, boundary=cycles, capped_class=capped)
+        code, witnesses = minimal_code(triangles, with_witnesses=True)
+        cycles = tuple(tuple(c) for c in boundary_cycles(code))
+        capped = surface_class(Triangulation(code), len(cycles))
+        return cls(triangles=code, boundary=cycles, capped_class=capped,
+                   automorphisms=tuple(automorphisms(witnesses)))
 
     @property
     def vertex_count(self) -> int:
@@ -405,8 +422,7 @@ class _GenusSurfaceSearch:
         self.cfg = cfg
         self.max_v = cfg.max_vertices - 1
         self.expanded = 0
-        self.emitted: dict[Code, GenusSurface] = {}
-        self.automorphisms: dict[Code, list[tuple[int, ...]]] = {}
+        self.emitted: list[GenusSurface] = []
 
     def run(self):
         # the one-triangle candidate is emitted directly: its vertices close
@@ -554,51 +570,35 @@ class _GenusSurfaceSearch:
     def emit(self, tris: frozenset) -> None:
         # a state is edge-connected with circle or path links, and no leaf
         # has a vertex on three frozen edges, so a leaf with boundary edges
-        # is a surface with boundary; the witnesses give Aut(g) for the gluing
-        code, witnesses = minimal_code(tris, with_witnesses=True)
-        if code not in self.emitted:
-            g = GenusSurface.from_triangles(code)
-            if genus_surface_admissible(g, self.cfg):
-                self.emitted[code] = g
-                self.automorphisms[code] = automorphisms(witnesses)
+        # is a surface with boundary.  No two leaves are isomorphic: a
+        # leaf's frozen edges are exactly its boundary edges, so isomorphic
+        # leaves are isomorphic as marked states, and run drops the second
+        g = GenusSurface.from_triangles(tris)
+        if genus_surface_admissible(g, self.cfg):
+            self.emitted.append(g)
 
 
-def enumerate_genus_surfaces(
-        cfg: SearchConfig) -> dict[GenusSurface, list[tuple[int, ...]]]:
+def enumerate_genus_surfaces(cfg: SearchConfig) -> list[GenusSurface]:
     """All isomorphism classes of admissible genus-surface candidates with
     at most max_vertices - 1 vertices (a superset of the minimal
-    genus-surfaces of all roots within the budget), each with its
-    automorphism group (see :func:`canon.automorphisms`)."""
-    search = _GenusSurfaceSearch(cfg).run()
-    return {g: search.automorphisms[code] for code, g in search.emitted.items()}
+    genus-surfaces of all roots within the budget), once each."""
+    return _GenusSurfaceSearch(cfg).run().emitted
 
 
 # --------------------------------------------------------------------------
 # Step 3: gluings
 # --------------------------------------------------------------------------
 
-def _disc_rim(disc: Disc) -> tuple[dict[int, int], list[Edge]]:
-    """What every gluing of ``disc`` reads besides its triangles: the
-    valences of its vertices and its chords, the edges inside it with both
-    ends on the rim."""
-    on_rim = set(disc.boundary)
-    chords = [e for e, ts in edge_triangles(disc.triangles).items()
-              if len(ts) == 2 and on_rim.issuperset(e)]
-    return valences(disc.triangles), chords
-
-
 def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
-             rim: tuple[dict[int, int], list[Edge]], base_edges: Collection[Edge],
-             room: dict[int, range] | None = None,
+             base_edges: Collection[Edge], room: dict[int, range] | None = None,
              autos: Sequence[tuple[int, ...]] = ()) -> Iterator[frozenset]:
     """``base`` with ``disc`` glued onto its boundary cycle ``cycle``, for
     each rotation and direction of the rim that adds no triangle or edge
     ``base`` already has (``base_edges``) and, when ``room`` is given, lands
     each rim vertex of disc valence k on a cycle vertex c with k in
-    ``room[c]``.  ``rim`` is :func:`_disc_rim` of ``disc``.  Each
-    distinct gluing is yielded once, so a rim symmetry of the disc (all 2m
-    rotations of a bare m-star) gives one, and so does each orbit of the
-    automorphisms ``autos`` of ``base`` (tuples as from
+    ``room[c]``.  Each distinct gluing is yielded once, so a rim symmetry
+    of the disc (all 2m rotations of a bare m-star) gives one, and so does
+    each orbit of the automorphisms ``autos`` of ``base`` (tuples as from
     :func:`canon.automorphisms`).
     The disc's interior vertices get fresh labels after ``base``'s, so
     only its triangles and chords with every vertex on the rim can land on
@@ -631,15 +631,13 @@ def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
     L = len(cycle)
     if len(disc.boundary) != L:
         raise ValueError(f"cycle length {L} vs disc boundary length {len(disc.boundary)}")
-    disc_vals, chords = rim
     on_rim = set(disc.boundary)
     fresh = max(v for t in base for v in t)
     inner: dict[int, int] = {}
-    for t in disc.triangles:
-        for v in t:
-            if v not in on_rim and v not in inner:
-                fresh += 1
-                inner[v] = fresh
+    for v in disc.valences:
+        if v not in on_rim:
+            fresh += 1
+            inner[v] = fresh
     # the automorphisms extended to fix the fresh labels
     autos = [p + tuple(range(len(p), fresh + 1)) for p in autos]
     images = set()  # the disc's mapped triangles yielded, with their orbits
@@ -647,11 +645,11 @@ def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
         for offset in range(L):
             mapping = {v: cycle[(offset - i if reflect else offset + i) % L]
                        for i, v in enumerate(disc.boundary)}
-            if room is not None and any(disc_vals[v] not in room[c]
+            if room is not None and any(disc.valences[v] not in room[c]
                                         for v, c in mapping.items()):
                 continue
             if any(tuple(sorted((mapping[a], mapping[b]))) in base_edges
-                   for a, b in chords):
+                   for a, b in disc.chords):
                 continue
             mapping.update(inner)
             image = frozenset(tuple(sorted(mapping[v] for v in t)) for t in disc.triangles)
@@ -662,38 +660,36 @@ def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
                 yield base | image
 
 
-def _index_discs(cfg: SearchConfig):
-    """The main discs, each as (hub valence m = 4 .. V-1, disc,
-    :func:`_disc_rim`), and the extra discs, each as (disc, rim), both
-    keyed by boundary length.  Up to 11 vertices the extra discs are the
-    triangle and the square."""
-    main: dict[int, list[tuple[int, Disc, tuple]]] = {}
-    for m in range(4, cfg.max_vertices):
-        for disc in enumerate_main_discs(m, cfg.max_vertices):
-            main.setdefault(len(disc.boundary), []).append((m, disc, _disc_rim(disc)))
+def _index_discs(cfg: SearchConfig) -> tuple[dict[int, list[Disc]],
+                                             dict[int, list[Disc]]]:
+    """The main discs, of hub valence m = 4 .. V-1, and the extra discs,
+    both keyed by boundary length.  Up to 11 vertices the extra discs are
+    the triangle and the square."""
     if cfg.specialized:
         extras = [Disc.from_triangles([(1, 2, 3)]),
                   Disc.from_triangles([(1, 2, 3), (1, 3, 4)])]
     else:
         extras = enumerate_discs(cfg)
-    extra: dict[int, list[tuple[Disc, tuple]]] = {}
-    for disc in extras:
-        extra.setdefault(len(disc.boundary), []).append((disc, _disc_rim(disc)))
+    mains = (disc for m in range(4, cfg.max_vertices)
+             for disc in enumerate_main_discs(m, cfg.max_vertices))
+    main: dict[int, list[Disc]] = {}
+    extra: dict[int, list[Disc]] = {}
+    for index, discs in ((main, mains), (extra, extras)):
+        for disc in discs:
+            index.setdefault(len(disc.boundary), []).append(disc)
     return main, extra
 
 
 def _roots_from_genus_surface(
     g: GenusSurface,
     cfg: SearchConfig,
-    discs: tuple[dict[int, list[tuple[int, Disc, tuple]]],
-                 dict[int, list[tuple[Disc, tuple]]]],
-    autos: Sequence[tuple[int, ...]],
+    discs: tuple[dict[int, list[Disc]], dict[int, list[Disc]]],
 ) -> set[tuple[int, SurfaceClass, Code]]:
     """All roots arising from one genus-surface, as (V, class, code): an
     extra disc on each boundary cycle but the host, then a main disc of
     ``discs`` (from :func:`_index_discs`) on the host cycle, in valence
-    range and glued once per orbit of ``g``'s automorphisms ``autos`` when
-    there is no extra disc (see :func:`_gluings`)."""
+    range and glued once per orbit of ``g``'s automorphisms when there is
+    no extra disc (see :func:`_gluings`)."""
     main_discs, extra_discs = discs
     found: set[tuple[int, SurfaceClass, Code]] = set()
     for cycle, others in _host_splits(g.boundary, cfg):
@@ -704,28 +700,29 @@ def _roots_from_genus_surface(
             for base in bases:
                 n_base = max(v for t in base for v in t)
                 base_edges = edge_triangles(base)
-                for disc, rim in extra_discs.get(len(other), ()):
+                for disc in extra_discs.get(len(other), ()):
                     if n_base + disc.interior_count + 1 <= cfg.max_vertices:
-                        glued_bases.update(_gluings(base, other, disc, rim, base_edges))
+                        glued_bases.update(_gluings(base, other, disc, base_edges))
             bases = glued_bases
         # with an extra disc glued the base is not g, and g's automorphisms
         # do not act on it
-        base_autos = () if others else autos
+        base_autos = () if others else g.automorphisms
         for base in bases:
             n_base = max(v for t in base for v in t)
             base_edges = edge_triangles(base)
             vals = valences(base)
             # the vertices off the host cycle keep their valence, and a main
-            # disc's inner vertices are in [4, m] (see _disc_children)
+            # disc's inner vertices are in [4, m] (see Disc)
             off = [k for v, k in vals.items() if v not in cycle]
             if off and min(off) < 4:
                 continue
-            for m, disc, rim in main_discs.get(len(cycle), ()):
+            for disc in main_discs.get(len(cycle), ()):
+                m = disc.max_interior_valence
                 total = n_base + disc.interior_count
                 if total > cfg.max_vertices or m < max(off, default=0):
                     continue
                 room = {c: range(4 - vals[c], m - vals[c] + 1) for c in cycle}
-                for glued in _gluings(base, cycle, disc, rim, base_edges, room,
+                for glued in _gluings(base, cycle, disc, base_edges, room,
                                       base_autos):
                     # a closed surface of g's capped class (see _gluings);
                     # the set keeps one of the gluings that are isomorphic
@@ -749,7 +746,7 @@ def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Cod
         discs = _index_discs(cfg)
         results = _map_maybe_parallel(
             _roots_from_genus_surface,
-            [(g, cfg, discs, autos) for g, autos in genus_surfaces.items()],
+            [(g, cfg, discs) for g in genus_surfaces],
             cfg.workers,
         )
         for batch in results:
@@ -800,11 +797,6 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
     return {Triangulation(code) for code in found}
 
 
-def _nonroots_task(code: Code, cfg: SearchConfig):
-    return code, {t.triangles
-                  for t in enumerate_nonroots(Triangulation(code), cfg)}
-
-
 # --------------------------------------------------------------------------
 # Full pipeline
 # --------------------------------------------------------------------------
@@ -827,19 +819,17 @@ def enumerate_all(cfg: SearchConfig) -> EnumerationResult:
     """Roots, then non-roots by repeated vertex-adding moves; returns the
     counts table plus the canonical triangle lists behind it."""
     roots = enumerate_roots(cfg)
-    nonroots: dict[tuple[int, SurfaceClass], set[Code]] = {}
-    tasks = []
-    class_of: dict[Code, SurfaceClass] = {}
+    tasks, classes = [], []
     for (v, cls), codes in roots.items():
-        for code in codes:
-            if v < cfg.max_vertices:
-                tasks.append((code, cfg))
-                class_of[code] = cls
-    for code, grown in _map_maybe_parallel(_nonroots_task, tasks, cfg.workers):
-        cls = class_of[code]
-        for nr in grown:
-            v = max(x for t in nr for x in t)
-            nonroots.setdefault((v, cls), set()).add(nr)
+        if v < cfg.max_vertices:
+            for code in codes:
+                tasks.append((Triangulation(code), cfg))
+                classes.append(cls)
+    nonroots: dict[tuple[int, SurfaceClass], set[Code]] = {}
+    grown = _map_maybe_parallel(enumerate_nonroots, tasks, cfg.workers)
+    for cls, found in zip(classes, grown):
+        for t in found:
+            nonroots.setdefault((t.vertex_count, cls), set()).add(t.triangles)
     counts = CountsTable()
     for (v, cls), codes in roots.items():
         counts.add_root(v, cls, len(codes))

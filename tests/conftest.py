@@ -339,6 +339,20 @@ def reference_nonroots(root: Triangulation, max_vertices: int) -> set[Code]:
     return found
 
 
+def reference_chords(disc) -> list[Edge]:
+    """The edges inside ``disc`` with both ends on its rim, from its
+    triangles and boundary alone."""
+    rim = set(disc.boundary)
+    return [e for e, ts in edge_triangles(disc.triangles).items()
+            if len(ts) == 2 and rim.issuperset(e)]
+
+
+def reference_interior_count(disc) -> int:
+    """The vertices of ``disc`` off its rim, from its triangles and
+    boundary alone."""
+    return len({v for t in disc.triangles for v in t}) - len(disc.boundary)
+
+
 def reference_gluings(base: frozenset, cycle, disc):
     """``base`` with ``disc`` glued onto ``cycle`` in every rotation and
     direction that adds no edge ``base`` has, each distinct triangle set
@@ -353,8 +367,7 @@ def reference_gluings(base: frozenset, cycle, disc):
             if v not in rim and v not in inner:
                 fresh += 1
                 inner[v] = fresh
-    chords = [e for e, ts in edge_triangles(disc.triangles).items()
-              if len(ts) == 2 and rim.issuperset(e)]
+    chords = reference_chords(disc)
     images = set()
     for reflect in (False, True):
         for offset in range(L):
@@ -374,25 +387,29 @@ def reference_gluings(base: frozenset, cycle, disc):
 def reference_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Code]]:
     """``enumerate_roots`` with every gluing of :func:`reference_gluings`
     built, valence-checked and keyed, with no orbit pruning and no valence
-    precheck: the reference for the gluing stage."""
+    precheck: the reference for the gluing stage.  It reads no disc's
+    stored rim data: m is the hub valence each main disc was grown for."""
     roots: dict[tuple[int, SurfaceClass], set[Code]] = {}
     if cfg.max_vertices >= 4 and cfg.surface in (None, SPHERE):
         roots[4, SPHERE] = {listing.TETRAHEDRON}
-    main_discs, extra_discs = _index_discs(cfg)
+    main_discs = [(m, disc) for m in range(4, cfg.max_vertices)
+                  for disc in listing.enumerate_main_discs(m, cfg.max_vertices)]
+    _main, extra_discs = _index_discs(cfg)
     for g in enumerate_genus_surfaces(cfg):
         for cycle, others in _host_splits(g.boundary, cfg):
             bases = {frozenset(g.triangles)}
             for other in others:
                 bases = {glued for base in bases
-                         for disc, _rim in extra_discs.get(len(other), ())
+                         for disc in extra_discs.get(len(other), ())
                          if (max(v for t in base for v in t)
-                             + disc.interior_count + 1 <= cfg.max_vertices)
+                             + reference_interior_count(disc) + 1
+                             <= cfg.max_vertices)
                          for glued in reference_gluings(base, other, disc)}
             for base in bases:
                 n_base = max(v for t in base for v in t)
-                for m, disc, _rim in main_discs.get(len(cycle), ()):
-                    total = n_base + disc.interior_count
-                    if total > cfg.max_vertices:
+                for m, disc in main_discs:
+                    total = n_base + reference_interior_count(disc)
+                    if len(disc.boundary) != len(cycle) or total > cfg.max_vertices:
                         continue
                     for glued in reference_gluings(base, cycle, disc):
                         vals = valences(glued).values()

@@ -257,7 +257,7 @@ def test_criterion_09_table2_genus_surface_counts(pipeline9):
     search = _GenusSurfaceSearch(SearchConfig(max_vertices=11))
     search.max_v = 7
     got = Counter((g.vertex_count, g.capped_class.name)
-                  for g in search.run().emitted.values()
+                  for g in search.run().emitted
                   if g.capped_class != SPHERE)
     if dict(got) == TABLE2_V7:
         print("criterion 9: PASS — Table 2 V<=7 exact")

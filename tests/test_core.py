@@ -46,6 +46,17 @@ class TestTriangulation:
         with pytest.raises(ValueError):
             Triangulation([(1, 2, 5)])
 
+    def test_pickle_round_trip(self):
+        import pickle
+
+        t = Triangulation([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t)
+        assert back.triangles == t.triangles
+        # the slot is still read-only after the round trip
+        with pytest.raises(AttributeError):
+            back.triangles = ()
+
 
 class TestValidate:
     def test_closed(self, tetra, octa, rp2_six):

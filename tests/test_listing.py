@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import (Decomposition, cone_and_classify, reference_nonroots,
-                      reference_roots, relabel, state_key,
+from conftest import (Decomposition, cone_and_classify, reference_chords,
+                      reference_nonroots, reference_roots, relabel, state_key,
                       validate_decomposition)
 from surfenum.canon import Code, Isomorphs, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
@@ -28,7 +28,6 @@ from surfenum.listing import (
     GenusSurface,
     SearchConfig,
     _disc_children,
-    _disc_rim,
     _GenusSurfaceSearch,
     _gluings,
     _index_discs,
@@ -236,6 +235,60 @@ class TestGenusSurfaces:
         assert five[0].capped_class == PROJECTIVE_PLANE
 
 
+class TestPieceRecords:
+    """Each decomposition piece carries what the gluing reads."""
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_main_discs_carry_their_rim_data(self, m):
+        discs = enumerate_main_discs(m, 9)
+        assert discs
+        for disc in discs:
+            assert disc.max_interior_valence == m
+            assert disc.valences == valences(disc.triangles)
+            assert sorted(disc.chords) == sorted(reference_chords(disc))
+
+    def test_extra_discs_have_no_interior_valence(self):
+        cfg = SearchConfig(max_vertices=9)
+        _main, extra = _index_discs(cfg)
+        assert sorted(len(d.triangles) for ds in extra.values() for d in ds) == [1, 2]
+        for discs in extra.values():
+            for disc in discs:
+                assert disc.max_interior_valence == 0
+                assert disc.interior_count == 0
+        # the square's diagonal is its one chord
+        [square] = extra[4]
+        assert square.chords == ((1, 3),)
+
+    def test_genus_surfaces_carry_their_automorphisms(self):
+        rng = random.Random(1998)
+        gs = enumerate_genus_surfaces(SearchConfig(max_vertices=8))
+        assert len(gs) == 25
+        for g in gs:
+            tris = set(g.triangles)
+            for p in g.automorphisms:
+                assert {tuple(sorted(p[v] for v in t)) for t in tris} == tris
+            _code, witnesses = minimal_code(g.triangles, with_witnesses=True)
+            assert len(g.automorphisms) == len(set(g.automorphisms)) == len(witnesses)
+            moved, _mapping = relabel(Triangulation(g.triangles), rng)
+            h = GenusSurface.from_triangles(moved.triangles)
+            assert h == g
+            assert set(h.automorphisms) == set(g.automorphisms)
+
+    def test_records_survive_pickling(self):
+        import pickle
+
+        for disc in enumerate_main_discs(5, 8):
+            back = pickle.loads(pickle.dumps(disc))
+            assert back == disc
+            assert back.valences == disc.valences
+            assert back.max_interior_valence == disc.max_interior_valence == 5
+            assert back.chords == disc.chords
+        for g in enumerate_genus_surfaces(SearchConfig(max_vertices=7)):
+            back = pickle.loads(pickle.dumps(g))
+            assert back == g
+            assert back.automorphisms == g.automorphisms
+
+
 def icosahedron() -> Code:
     """Poles 1 and 12, upper ring 2 .. 6 and lower ring 7 .. 11."""
     tris = []
@@ -252,7 +305,7 @@ class TestGluing:
         star = Disc.from_triangles(closed_star(5))
         results = {minimal_code(glued)
                    for glued in _gluings(frozenset(g.triangles), g.boundary[0], star,
-                                         _disc_rim(star), edge_triangles(g.triangles))
+                                         edge_triangles(g.triangles))
                    if validate(Triangulation(glued)).kind is SurfaceKind.CLOSED_SURFACE}
         assert results == {minimal_code(rp2_six.triangles)}
 
@@ -263,7 +316,7 @@ class TestGluing:
         cycle = GenusSurface.from_triangles(mobius.triangles).boundary[0]
         cone = {tuple(sorted((6, cycle[i - 1], cycle[i]))) for i in range(5)}
         star = Disc.from_triangles(closed_star(5))
-        assert list(_gluings(base, cycle, star, _disc_rim(star),
+        assert list(_gluings(base, cycle, star,
                              edge_triangles(base))) == [base | cone]
 
     def test_boundary_length_mismatch(self, mobius):
@@ -271,7 +324,7 @@ class TestGluing:
         star4 = Disc.from_triangles(closed_star(4))
         with pytest.raises(ValueError, match="cycle length 5 vs disc boundary length 4"):
             next(_gluings(frozenset(g.triangles), g.boundary[0], star4,
-                          _disc_rim(star4), edge_triangles(g.triangles)))
+                          edge_triangles(g.triangles)))
 
     def test_extra_disc_interior_counts_towards_the_root(self):
         # the annulus between the stars of two antipodal vertices, capped by
@@ -284,13 +337,12 @@ class TestGluing:
             minimal_code([t for t in ico if 1 not in t and 12 not in t]))
         assert [len(c) for c in g.boundary] == [5, 5]
         star = Disc.from_triangles(closed_star(5))
-        rim = _disc_rim(star)
-        discs = ({5: [(5, star, rim)]}, {5: [(star, rim)]})
+        discs = ({5: [star]}, {5: [star]})
         # g's automorphisms do not act once an extra disc is glued
         assert _roots_from_genus_surface(
-            g, SearchConfig(12), discs, ()) == {(12, SPHERE, ico)}
+            g, SearchConfig(12), discs) == {(12, SPHERE, ico)}
         assert _roots_from_genus_surface(
-            g, SearchConfig(11, specialized=False), discs, ()) == set()
+            g, SearchConfig(11, specialized=False), discs) == set()
 
     def test_triangle_extra_disc(self):
         # a 9-vertex sphere root whose 5-valent star at vertex 1 and the
@@ -302,7 +354,7 @@ class TestGluing:
             minimal_code([t for t in root if 1 not in t and t != (7, 8, 9)]))
         assert sorted(len(c) for c in g.boundary) == [3, 5]
         cfg = SearchConfig(9)
-        assert _roots_from_genus_surface(g, cfg, _index_discs(cfg), ()) == {
+        assert _roots_from_genus_surface(g, cfg, _index_discs(cfg)) == {
             (9, SPHERE, minimal_code(root))}
 
     @pytest.mark.parametrize("specialized", [True, False])
@@ -331,7 +383,7 @@ class TestGluing:
             assert g.capped_class.name == name
             assert genus_surface_admissible(g, cfg)
             yields[0] = 0
-            assert _roots_from_genus_surface(g, cfg, discs, ()) == set()
+            assert _roots_from_genus_surface(g, cfg, discs) == set()
             assert yields[0] == glued
 
 
@@ -381,9 +433,9 @@ class TestGluingChecks:
     @pytest.mark.parametrize("specialized", [True, False])
     def test_two_cycle_gluings_cap_their_cycles(self, monkeypatch, specialized):
         cfg = SearchConfig(max_vertices=9, specialized=specialized)
-        candidates = {GenusSurface.from_triangles(
-            parse_triangulation_text(text).triangles): ()
-            for text, _lengths, _name, _glued in TWO_CYCLE_CANDIDATES_V9}
+        candidates = [GenusSurface.from_triangles(
+            parse_triangulation_text(text).triangles)
+            for text, _lengths, _name, _glued in TWO_CYCLE_CANDIDATES_V9]
         # their 2 yields glue the extra disc; 2 more glued the main disc
         # when each rotation was built before its valence test
         assert _check_gluings(monkeypatch, cfg, candidates) == 0
@@ -391,7 +443,7 @@ class TestGluingChecks:
         root = parse_triangulation_text(TRIANGLE_EXTRA_DISC_ROOT).triangles
         g = GenusSurface.from_triangles(
             minimal_code([t for t in root if 1 not in t and t != (7, 8, 9)]))
-        assert _check_gluings(monkeypatch, cfg, {g: ()}) == 1
+        assert _check_gluings(monkeypatch, cfg, [g]) == 1
 
     @pytest.mark.parametrize("v", [7, 8])
     @pytest.mark.parametrize("specialized", [True, False])
@@ -471,9 +523,8 @@ class TestGluingChecks:
         assert 0 < calls <= 7
 
 
-def _check_gluings(monkeypatch, cfg: SearchConfig, candidates: dict) -> int:
-    """Run :func:`_roots_from_genus_surface` on each candidate, with its
-    automorphisms (``candidates`` maps one to the other), with every
+def _check_gluings(monkeypatch, cfg: SearchConfig, candidates: list) -> int:
+    """Run :func:`_roots_from_genus_surface` on each candidate, with every
     ``_gluings`` yield checked: it is its base with the glued cycle capped,
     a closed surface of the candidate's capped class once no other cycle
     is left.  Returns the closed yields."""
@@ -497,8 +548,8 @@ def _check_gluings(monkeypatch, cfg: SearchConfig, candidates: dict) -> int:
 
     monkeypatch.setattr(listing, "_gluings", checking)
     discs = _index_discs(cfg)
-    for g, autos in candidates.items():
-        _roots_from_genus_surface(g, cfg, discs, autos)
+    for g in candidates:
+        _roots_from_genus_surface(g, cfg, discs)
     return closed
 
 
@@ -745,6 +796,26 @@ class TestGenusSearchDedup:
         # every leaf of the pruned search is emitted
         assert len(leaves) == candidates
 
+    @pytest.mark.parametrize("v", [5, 6, 7, 8])
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_each_leaf_is_emitted_once(self, monkeypatch, v, specialized):
+        # no two leaves are isomorphic, so emit needs no duplicate check
+        from surfenum import listing
+
+        leaves = []
+        real = listing._GenusSurfaceSearch.emit
+
+        def counting(search, tris):
+            leaves.append(tris)
+            return real(search, tris)
+
+        monkeypatch.setattr(listing._GenusSurfaceSearch, "emit", counting)
+        search = _GenusSurfaceSearch(
+            SearchConfig(max_vertices=v, specialized=specialized)).run()
+        assert len(leaves) == len(search.emitted) == {5: 1, 6: 2, 7: 5, 8: 25}[v]
+        assert len({minimal_code(tris) for tris in leaves}) == len(leaves)
+        assert len(set(search.emitted)) == len(search.emitted)
+
     def test_flag_key_splits_states_like_state_key(self, monkeypatch):
         states = search_states(monkeypatch, 8)
         assert len(states) == 829
@@ -885,16 +956,16 @@ class TestGenusSearchShortcuts:
     def test_emitted_genus_surfaces_match_from_triangles(self, v, specialized):
         search = _GenusSurfaceSearch(
             SearchConfig(max_vertices=v, specialized=specialized)).run()
-        for code, g in search.emitted.items():
-            assert g == GenusSurface.from_triangles(code)
-            assert g.capped_class == cone_and_classify(code)
+        for g in search.emitted:
+            assert g == GenusSurface.from_triangles(g.triangles)
+            assert g.capped_class == cone_and_classify(g.triangles)
 
 
 def emitted_digest(emitted) -> str:
     """sha256 of the sorted (code, boundary, capped class) of a search's
     emitted candidates."""
     rows = sorted((g.triangles, g.boundary, g.capped_class.name)
-                  for g in emitted.values())
+                  for g in emitted)
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
