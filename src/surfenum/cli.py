@@ -188,7 +188,7 @@ def read_results(out_dir: Path) -> CountsTable:
                 continue
             t = parse_triangulation_text(line)
             v, cls = t.vertex_count, classify(t)
-            if _removable_vertices(t):
+            if _removable_vertices(t.triangles):
                 table.add_nonroot(v, cls)
             else:
                 table.add_root(v, cls)

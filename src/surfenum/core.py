@@ -26,7 +26,8 @@ class Triangulation:
     Vertex labels must be the contiguous range 1..V.  The structural
     invariants (distinct labels per triple, no duplicate triangles) are
     enforced here; whether the complex is a surface is decided by
-    :func:`validate`.
+    :func:`validate`.  The package builds one from outside input and around
+    a public function's result; inside, complexes pass as triangle tuples.
     """
 
     __slots__ = ("triangles",)
@@ -258,11 +259,6 @@ def _validate(tris: tuple[Triangle, ...],
     return ValidationReport(SurfaceKind.CLOSED_SURFACE)
 
 
-def euler_characteristic(t: Triangulation) -> int:
-    """V - E + T."""
-    return _euler(t.triangles, edge_triangles(t.triangles))
-
-
 def _euler(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]]) -> int:
     """V - E + T, given :func:`edge_triangles` of ``tris``."""
     verts = {v for tri in tris for v in tri}
@@ -315,15 +311,11 @@ PROJECTIVE_PLANE = SurfaceClass(False, 1)
 KLEIN_BOTTLE = SurfaceClass(False, 2)
 
 
-def orientable_triangles(tris: tuple[Triangle, ...]) -> bool:
-    """Propagate a coherent orientation across shared edges; a conflict
-    means the (connected, closed or bounded) surface is non-orientable."""
-    return _orientable(tris, edge_triangles(tris))
-
-
 def _orientable(tris: tuple[Triangle, ...],
                 by_edge: dict[Edge, list[Triangle]]) -> bool:
-    """:func:`orientable_triangles`, given :func:`edge_triangles` of ``tris``.
+    """Propagate a coherent orientation across shared edges, given
+    :func:`edge_triangles` of ``tris``; a conflict means the (connected,
+    closed or bounded) surface is non-orientable.
 
     Each triangle gets a sign: +1 orients a sorted triangle (a, b, c) as
     a -> b -> c, along its edges (a, b) and (b, c) and against (a, c), and
@@ -353,12 +345,12 @@ def _orientable(tris: tuple[Triangle, ...],
     return True
 
 
-def surface_class(t: Triangulation, holes: int = 0) -> SurfaceClass:
+def surface_class(tris: tuple[Triangle, ...], holes: int = 0) -> SurfaceClass:
     """Class of the closed surface obtained by capping each of the ``holes``
-    boundary cycles of the connected surface ``t`` with a disc, with no
-    check that ``t`` is one.  Capping keeps orientability and adds 1 to chi
-    per hole."""
-    return _surface_class(t.triangles, edge_triangles(t.triangles), holes)
+    boundary cycles of the connected surface ``tris`` with a disc, with no
+    check that ``tris`` is one.  Capping keeps orientability and adds 1 to
+    chi per hole."""
+    return _surface_class(tris, edge_triangles(tris), holes)
 
 
 def _surface_class(tris: tuple[Triangle, ...],
@@ -385,11 +377,8 @@ def classify(t: Triangulation) -> SurfaceClass:
     return _surface_class(tris, by_edge)
 
 
-def boundary_edges(tris: Iterable[Triangle]) -> list[Edge]:
-    return sorted(e for e, ts in edge_triangles(tris).items() if len(ts) == 1)
-
-
 def boundary_cycles(tris: Iterable[Triangle]) -> list[list[int]] | None:
     """Boundary cycles of a raw triangle collection (no validity check);
     None when some vertex has more than two boundary edges."""
-    return closed_cycles(boundary_edges(tris))
+    return closed_cycles(e for e, ts in edge_triangles(tris).items()
+                         if len(ts) == 1)

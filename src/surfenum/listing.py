@@ -150,7 +150,7 @@ class GenusSurface:
     def from_triangles(cls, triangles: Iterable[Triangle]) -> "GenusSurface":
         code, witnesses = minimal_code(triangles, with_witnesses=True)
         cycles = tuple(tuple(c) for c in boundary_cycles(code))
-        capped = surface_class(Triangulation(code), len(cycles))
+        capped = surface_class(code, len(cycles))
         return cls(triangles=code, boundary=cycles, capped_class=capped,
                    automorphisms=tuple(automorphisms(witnesses)))
 
@@ -759,13 +759,13 @@ def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Cod
 # Step 4: non-roots
 # --------------------------------------------------------------------------
 
-def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulation]:
-    """Every non-root within the vertex budget whose root is ``root``,
-    found by breadth-first vertex-adding moves.  Each triangulation is
-    coned from its minimal code, on one triangle per orbit of its
-    automorphisms: the least, as the code's triangles ascend.  This loses
-    nothing, as the cone on s(t) is the cone on t relabeled by s with the
-    new vertex fixed."""
+def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Code]:
+    """The minimal codes of every non-root within the vertex budget whose
+    root is ``root``, found by breadth-first vertex-adding moves.  Each
+    triangulation is coned from its minimal code, on one triangle per orbit
+    of its automorphisms: the least, as the code's triangles ascend.  This
+    loses nothing, as the cone on s(t) is the cone on t relabeled by s with
+    the new vertex fixed."""
     if not is_root(root):
         raise ValueError("enumerate_nonroots needs a root")
     found: set[Code] = set()
@@ -777,7 +777,6 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
         nxt = []
         for code, witnesses in frontier:
             autos = automorphisms(witnesses)
-            t = Triangulation(code)
             coned = set()
             for tri in code:
                 if tri in coned:
@@ -785,7 +784,7 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
                 a, b, c = tri
                 coned.update(tuple(sorted((p[a], p[b], p[c]))) for p in autos)
                 # closed: the root was checked
-                cone = _cone(t, tri).triangles
+                cone = _cone(code, tri, v)
                 if v < cfg.max_vertices:
                     moved, wits = minimal_code(cone, with_witnesses=True)
                 else:
@@ -794,7 +793,7 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Triangulat
                     found.add(moved)
                     nxt.append((moved, wits))
         frontier = nxt
-    return {Triangulation(code) for code in found}
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -828,8 +827,9 @@ def enumerate_all(cfg: SearchConfig) -> EnumerationResult:
     nonroots: dict[tuple[int, SurfaceClass], set[Code]] = {}
     grown = _map_maybe_parallel(enumerate_nonroots, tasks, cfg.workers)
     for cls, found in zip(classes, grown):
-        for t in found:
-            nonroots.setdefault((t.vertex_count, cls), set()).add(t.triangles)
+        for code in found:
+            v = max(x for t in code for x in t)
+            nonroots.setdefault((v, cls), set()).add(code)
     counts = CountsTable()
     for (v, cls), codes in roots.items():
         counts.add_root(v, cls, len(codes))

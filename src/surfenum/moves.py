@@ -9,7 +9,9 @@ removal order.
 
 from __future__ import annotations
 
-from .canon import canonical_form
+from typing import Sequence
+
+from .canon import minimal_code
 from .core import (
     SurfaceKind,
     Triangle,
@@ -44,17 +46,17 @@ def t_move(t: Triangulation, tri: Triangle) -> Triangulation:
     tri = tuple(sorted(tri))
     if tri not in t.triangles:
         raise MoveError(f"triangle {tri} not in triangulation")
-    return _cone(t, tri)
+    return Triangulation(_cone(t.triangles, tri, t.vertex_count + 1))
 
 
-def _cone(t: Triangulation, tri: Triangle) -> Triangulation:
-    """:func:`t_move` without its checks: ``tri`` must be a sorted triangle
-    of ``t``.  The move keeps a closed surface closed."""
+def _cone(tris: Sequence[Triangle], tri: Triangle, w: int) -> list[Triangle]:
+    """:func:`t_move` on a triangle list without its checks: ``tri`` must
+    be a sorted triangle of ``tris`` and ``w`` the label after the largest.
+    The move keeps a closed surface closed."""
     a, b, c = tri
-    w = t.vertex_count + 1
-    tris = [u for u in t.triangles if u != tri]
-    tris += [(a, b, w), (a, c, w), (b, c, w)]
-    return Triangulation(tris)
+    out = [u for u in tris if u != tri]
+    out += [(a, b, w), (a, c, w), (b, c, w)]
+    return out
 
 
 def inverse_t_move(t: Triangulation, v: int) -> Triangulation:
@@ -69,26 +71,28 @@ def inverse_t_move(t: Triangulation, v: int) -> Triangulation:
         raise LinkBoundsTriangleError(
             f"link of vertex {v} already bounds a triangle"
         )
-    return _remove_vertex(t, v)
+    return Triangulation(_remove_vertex(t.triangles, v))
 
 
-def _remove_vertex(t: Triangulation, v: int) -> Triangulation:
-    """:func:`inverse_t_move` without its checks: ``v`` must be a removable
-    vertex of ``t``.  The move keeps a closed surface closed."""
-    tris = [u for u in t.triangles if v not in u]
-    tris.append(tuple(sorted({x for u in t.triangles if v in u
-                              for x in u if x != v})))
+def _remove_vertex(tris: Sequence[Triangle], v: int) -> list[Triangle]:
+    """:func:`inverse_t_move` on a list of sorted triangles without its
+    checks: ``v`` must be a removable vertex of ``tris``.  The move keeps a
+    closed surface closed, and every triangle stays sorted."""
+    out = [u for u in tris if v not in u]
+    out.append(tuple(sorted({x for u in tris if v in u for x in u if x != v})))
     compact = lambda x: x - 1 if x > v else x
-    return Triangulation([tuple(compact(x) for x in tri) for tri in tris])
+    return [tuple(compact(x) for x in tri) for tri in out]
 
 
-def _removable_vertices(t: Triangulation) -> list[int]:
+def _removable_vertices(tris: Sequence[Triangle]) -> list[int]:
+    """The vertices of the sorted triangles ``tris`` that an inverse move
+    removes, ascending."""
     out = []
-    for v, at_v in vertex_triangles(t.triangles).items():
+    for v, at_v in vertex_triangles(tris).items():
         if len(at_v) != 3:
             continue
         neighbours = tuple(sorted({x for tri in at_v for x in tri if x != v}))
-        if neighbours not in t.triangles:
+        if neighbours not in tris:
             out.append(v)
     return sorted(out)
 
@@ -97,15 +101,17 @@ def is_root(t: Triangulation) -> bool:
     """True when no inverse move applies: either no 3-valent vertex exists
     or the triangulation is the boundary of the tetrahedron."""
     _require_closed(t)
-    return not _removable_vertices(t)
+    return not _removable_vertices(t.triangles)
 
 
 def compute_root(t: Triangulation) -> Triangulation:
     """Apply inverse moves (lowest removable vertex first, for a
-    reproducible trace) until none applies; return the canonical form."""
+    reproducible trace) until none applies; return the root's minimal
+    code."""
     _require_closed(t)
+    tris = t.triangles
     while True:
-        removable = _removable_vertices(t)
+        removable = _removable_vertices(tris)
         if not removable:
-            return canonical_form(t).triangulation()
-        t = _remove_vertex(t, removable[0])
+            return Triangulation(minimal_code(tris))
+        tris = _remove_vertex(tris, removable[0])

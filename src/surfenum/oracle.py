@@ -41,11 +41,10 @@ from .core import (
     SurfaceClass,
     SurfaceKind,
     Triangle,
-    Triangulation,
+    _validate,
     edge_triangles,
     link_shape,
     surface_class,
-    validate,
     vertex_triangles,
 )
 from .listing import CountsTable, _map_maybe_parallel
@@ -108,7 +107,7 @@ def _enumerate_with_max_valence(m: int, max_vertices: int) -> set[Code]:
         # every edge is in two: 2E = 3T
         if 2 * len(by_edge) == 3 * len(tris):
             code = minimal_code(tris)
-            if (code not in leaves and validate(Triangulation(tris)).kind
+            if (code not in leaves and _validate(tris, by_edge).kind
                     is SurfaceKind.CLOSED_SURFACE):
                 leaves.add(code)
         elif seen.add(tris, by_edge, by_vertex):
@@ -152,12 +151,10 @@ def brute_force_enumerate(max_vertices: int, workers: int = 1) -> OracleResult:
         for code in batch:
             v = max(x for t in code for x in t)
             # validated as a closed surface where it was found
-            cls = surface_class(Triangulation(code))
-            key = (v, cls)
-            bucket = result.codes.setdefault(key, set())
-            if code in bucket:
-                continue
-            bucket.add(code)
+            cls = surface_class(code)
+            # no two tasks share a code: each task's codes have their own
+            # largest valence
+            result.codes.setdefault((v, cls), set()).add(code)
             if _code_is_root(code):
                 result.counts.add_root(v, cls)
             else:

@@ -9,8 +9,8 @@ from surfenum.canon import Code, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (KLEIN_BOTTLE, SPHERE, Edge, SurfaceClass,
                            SurfaceKind, Triangle, Triangulation,
-                           boundary_cycles, classify, closed_cycles,
-                           edge_triangles, euler_characteristic, link_graph,
+                           _euler, boundary_cycles, classify, closed_cycles,
+                           edge_triangles, link_graph,
                            normalize_triangles, valences, validate)
 from surfenum import listing
 from surfenum.listing import (SearchConfig, _host_splits, _index_discs,
@@ -258,7 +258,8 @@ def _is_disc(tris: tuple[Triangle, ...]) -> bool:
         return False
     if validate(t).kind is not SurfaceKind.SURFACE_WITH_BOUNDARY:
         return False
-    return euler_characteristic(t) == 1 and len(boundary_cycles(t.triangles)) == 1
+    tris = t.triangles
+    return _euler(tris, edge_triangles(tris)) == 1 and len(boundary_cycles(tris)) == 1
 
 
 def _relabel_contiguous(tris: Iterable[Triangle]) -> list[Triangle]:
@@ -330,7 +331,7 @@ def reference_nonroots(root: Triangulation, max_vertices: int) -> set[Code]:
             if t.vertex_count >= max_vertices:
                 continue
             for tri in t.triangles:
-                moved = _cone(t, tri)
+                moved = Triangulation(_cone(t.triangles, tri, t.vertex_count + 1))
                 code = minimal_code(moved.triangles)
                 if code not in found:
                     found.add(code)

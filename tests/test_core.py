@@ -14,17 +14,28 @@ from surfenum.core import (
     SurfaceClass,
     SurfaceKind,
     Triangulation,
+    _euler,
+    _orientable,
     boundary_cycles,
     classify,
     closed_cycles,
-    euler_characteristic,
+    edge_triangles,
     link_shape as fast_link_shape,
-    orientable_triangles,
     surface_class,
     valences,
     validate,
 )
+from surfenum.listing import SearchConfig, enumerate_all
+from surfenum.moves import compute_root, t_move
 from surfenum.oracle import brute_force_enumerate
+
+
+def euler_characteristic(t: Triangulation) -> int:
+    return _euler(t.triangles, edge_triangles(t.triangles))
+
+
+def orientable_triangles(tris) -> bool:
+    return _orientable(tris, edge_triangles(tris))
 
 
 class TestTriangulation:
@@ -56,6 +67,46 @@ class TestTriangulation:
         # the slot is still read-only after the round trip
         with pytest.raises(AttributeError):
             back.triangles = ()
+
+
+class TestTriangulationConstructions:
+    """A Triangulation checks outside input; inside the package complexes
+    pass as triangle tuples, and only a public function's input and result
+    are wrapped."""
+
+    @staticmethod
+    def _count(monkeypatch) -> list[int]:
+        calls = [0]
+        init = Triangulation.__init__
+
+        def counting(self, triangles):
+            calls[0] += 1
+            init(self, triangles)
+
+        monkeypatch.setattr(Triangulation, "__init__", counting)
+        return calls
+
+    def test_enumerate_all_wraps_each_root_it_grows(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        enumerate_all(SearchConfig(max_vertices=8))
+        # one per root with V < 8, which enumerate_nonroots checks with
+        # is_root (106 when each cone and each result was wrapped)
+        assert calls == [7]
+
+    def test_oracle_wraps_nothing(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        brute_force_enumerate(8)
+        # 114 when each closed leaf and each code was wrapped
+        assert calls == [0]
+
+    def test_compute_root_wraps_only_its_result(self, monkeypatch, octa, rp2_six):
+        grown = [t_move(t_move(t_move(octa, (1, 2, 3)), (2, 4, 6)), (1, 2, 7)),
+                 t_move(t_move(rp2_six, (1, 2, 3)), (2, 4, 5))]
+        calls = self._count(monkeypatch)
+        for t in grown:
+            compute_root(t)
+        # one wrap per call, not one per inverse move on the way
+        assert calls == [len(grown)]
 
 
 class TestValidate:
@@ -174,16 +225,18 @@ class TestBoundary:
 
     # the capped class from chi and the number of holes, against coning
     def test_cap_mobius_gives_projective_plane(self, mobius):
-        assert surface_class(mobius, 1) == cone_and_classify(mobius.triangles)
-        assert surface_class(mobius, 1) == PROJECTIVE_PLANE
+        tris = mobius.triangles
+        assert surface_class(tris, 1) == cone_and_classify(tris)
+        assert surface_class(tris, 1) == PROJECTIVE_PLANE
 
     def test_cap_annulus_gives_sphere(self, annulus):
-        assert surface_class(annulus, 2) == cone_and_classify(annulus.triangles)
-        assert surface_class(annulus, 2) == SPHERE
+        tris = annulus.triangles
+        assert surface_class(tris, 2) == cone_and_classify(tris)
+        assert surface_class(tris, 2) == SPHERE
 
     def test_cap_triangle_gives_sphere(self):
-        t = Triangulation([(1, 2, 3)])
-        assert surface_class(t, 1) == cone_and_classify(t.triangles) == SPHERE
+        tris = Triangulation([(1, 2, 3)]).triangles
+        assert surface_class(tris, 1) == cone_and_classify(tris) == SPHERE
 
     def test_closed_surface_has_no_boundary(self, octa):
         assert boundary_cycles(octa.triangles) == []

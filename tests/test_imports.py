@@ -30,14 +30,10 @@ def test_no_unused_module_level_import(path):
     assert sorted(imported - used) == []
 
 
-# module-level names that only tests use, each with the test that uses it;
-# the two moves stay in the package because their tests test their input
-# checks, and the pipeline runs the unchecked kernels behind them; the two
-# surface predicates are public, while surface_class computes both from one
-# edge index
+# module-level names that only tests use, each with the test that uses it:
+# the two checked moves on a Triangulation; the pipeline runs the unchecked
+# kernels behind them on triangle lists
 TEST_ONLY_NAMES = {
-    "euler_characteristic": "test_core.py::TestClassification::test_euler_characteristics",
-    "orientable_triangles": "test_core.py::TestClassification::test_orientable_triangles",
     "inverse_t_move": "test_moves.py::TestTMove::test_round_trip",
     "t_move": "test_moves.py::TestTMove::test_five_vertex_sphere",
 }

@@ -594,7 +594,8 @@ class TestRootsAndNonRoots:
         assert roots == want
 
     def test_nonroots_of_tetrahedron(self, tetra):
-        grown = enumerate_nonroots(tetra, SearchConfig(max_vertices=6))
+        grown = [Triangulation(code) for code in
+                 enumerate_nonroots(tetra, SearchConfig(max_vertices=6))]
         by_v = Counter(t.vertex_count for t in grown)
         assert by_v == {5: 1, 6: 1}
         assert all(classify(t) == SPHERE and not is_root(t) for t in grown)
@@ -646,7 +647,7 @@ class TestOrbitPruning:
             want = reference_nonroots(root, 8)
             # the root as its minimal code and relabeled
             for t in (root, relabel(root, rng)[0]):
-                assert {u.triangles for u in enumerate_nonroots(t, cfg)} == want
+                assert enumerate_nonroots(t, cfg) == want
 
     @pytest.mark.parametrize("v", [7, 8])
     @pytest.mark.parametrize("specialized", [True, False])
@@ -664,7 +665,7 @@ class TestOrbitPruning:
             for code in codes:
                 if v < 9:
                     root = Triangulation(code)
-                    assert ({u.triangles for u in enumerate_nonroots(root, cfg)}
+                    assert (enumerate_nonroots(root, cfg)
                             == reference_nonroots(root, 9))
 
 

@@ -95,7 +95,7 @@ class TestRoots:
             for _ in range(5):
                 cur = t
                 while True:
-                    removable = _removable_vertices(cur)
+                    removable = _removable_vertices(cur.triangles)
                     if not removable:
                         break
                     cur = inverse_t_move(cur, rng.choice(removable))

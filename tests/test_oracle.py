@@ -8,7 +8,7 @@ from conftest import relabel
 from surfenum import oracle
 from surfenum.canon import Isomorphs, minimal_code
 from surfenum.core import (SurfaceKind, Triangulation, edge_triangles,
-                           validate, vertex_triangles)
+                           valences, validate, vertex_triangles)
 from surfenum.listing import SearchConfig
 from surfenum.oracle import brute_force_enumerate, cross_validate
 
@@ -82,6 +82,15 @@ class TestBruteForce:
             SearchConfig(max_vertices=8, workers=workers)
         with pytest.raises(ValueError, match="workers must be positive"):
             brute_force_enumerate(8, workers=workers)
+
+    def test_valence_tasks_are_disjoint(self):
+        # each task keeps the codes whose largest valence is its own m, so
+        # no two tasks share a code and the merge keeps no duplicate check
+        tasks = {m: oracle._enumerate_with_max_valence(m, 8) for m in range(3, 8)}
+        assert [len(codes) for codes in tasks.values()] == [1, 2, 6, 20, 28]
+        assert len(set().union(*tasks.values())) == 57
+        for m, codes in tasks.items():
+            assert all(max(valences(code).values()) == m for code in codes)
 
     def test_minimal_code_calls(self, monkeypatch):
         calls = 0
