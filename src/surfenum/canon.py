@@ -356,12 +356,16 @@ class CanonicalForm:
 
     triangles: Code
 
-    def triangulation(self) -> Triangulation:
-        return Triangulation(self.triangles)
-
 
 def canonical_form(t: Triangulation) -> CanonicalForm:
-    return CanonicalForm(minimal_code(t.triangles))
+    """The canonical form of ``t``.  Its code is computed by
+    :func:`minimal_code` on the first call and kept on ``t``; later calls
+    return the same code object."""
+    code = t._code
+    if code is None:
+        code = minimal_code(t.triangles)
+        object.__setattr__(t, "_code", code)
+    return CanonicalForm(code)
 
 
 def _flag_walk(sides: dict[Edge, list[tuple[int, int]]], n: int,

@@ -225,7 +225,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_canon(args) -> int:
     t = _read_input(args.file)
-    print(render_triangulation(canonical_form(t).triangulation()))
+    print(render_triangulation(canonical_form(t).triangles))
     return 0
 
 

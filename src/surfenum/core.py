@@ -1,8 +1,11 @@
 """Simplicial surface representation, validation and topological classification.
 
 A triangulation is stored as its triangle list: a sorted tuple of sorted
-vertex triples with labels 1..V.  All operations are pure; indices are
-rebuilt from the triangle list rather than patched incrementally.
+vertex triples with labels 1..V.  Indices are rebuilt from the triangle
+list rather than patched incrementally.  The operations are pure except
+that a :class:`Triangulation` keeps the answers that depend on its
+triangles alone once they are computed: its validation report (written
+here) and its canonical code (written by ``canon.canonical_form``).
 """
 
 from __future__ import annotations
@@ -28,9 +31,16 @@ class Triangulation:
     enforced here; whether the complex is a surface is decided by
     :func:`validate`.  The package builds one from outside input and around
     a public function's result; inside, complexes pass as triangle tuples.
+
+    The object also keeps its :class:`ValidationReport` and its canonical
+    code once the first :func:`validate`/:func:`classify` and
+    ``canonical_form`` call has computed them, so the queries on one object
+    run each at most once.  Both depend on ``triangles`` alone, which never
+    changes; equality, hashing and pickling read ``triangles`` alone, so an
+    unpickled copy starts with neither and computes its own.
     """
 
-    __slots__ = ("triangles",)
+    __slots__ = ("triangles", "_report", "_code")
 
     def __init__(self, triangles: Iterable[Iterable[int]]):
         tris = normalize_triangles(triangles)
@@ -50,12 +60,15 @@ class Triangulation:
         if labels != set(range(1, len(labels) + 1)):
             raise ValueError("vertex labels must be contiguous 1..V")
         object.__setattr__(self, "triangles", tris)
+        object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_code", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Triangulation is immutable")
 
     def __reduce__(self):
         # unpickling rebuilds through __init__, which checks the labels again
+        # and starts with no stored report or code
         return Triangulation, (self.triangles,)
 
     def __eq__(self, other):
@@ -231,8 +244,18 @@ def _connected(tris: tuple[Triangle, ...],
 
 def validate(t: Triangulation) -> ValidationReport:
     """Decide whether the complex is a closed surface, a surface with
-    boundary, or not a surface at all (with the offending vertices)."""
-    return _validate(t.triangles, edge_triangles(t.triangles))
+    boundary, or not a surface at all (with the offending vertices).  The
+    report is computed on the first call and kept on ``t``."""
+    return t._report or _stored_report(t, edge_triangles(t.triangles))
+
+
+def _stored_report(t: Triangulation,
+                   by_edge: dict[Edge, list[Triangle]]) -> ValidationReport:
+    """Validate ``t`` given :func:`edge_triangles` of its triangles, and keep
+    the report on ``t``."""
+    report = _validate(t.triangles, by_edge)
+    object.__setattr__(t, "_report", report)
+    return report
 
 
 def _validate(tris: tuple[Triangle, ...],
@@ -368,10 +391,11 @@ def _surface_class(tris: tuple[Triangle, ...],
 def classify(t: Triangulation) -> SurfaceClass:
     """Surface type of a closed triangulation, validated first: orientable
     with genus (2 - chi) / 2, or non-orientable with genus 2 - chi (see
-    :func:`surface_class`)."""
+    :func:`surface_class`).  The validation report is the one kept on ``t``
+    (see :func:`validate`); one edge index serves both steps."""
     tris = t.triangles
     by_edge = edge_triangles(tris)
-    report = _validate(tris, by_edge)
+    report = t._report or _stored_report(t, by_edge)
     if report.kind is not SurfaceKind.CLOSED_SURFACE:
         raise ValueError(f"classify needs a closed surface, got {report.kind.value}")
     return _surface_class(tris, by_edge)

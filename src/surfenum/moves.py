@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .canon import minimal_code
+from .canon import canonical_form, minimal_code
 from .core import (
     SurfaceKind,
     Triangle,
@@ -107,11 +107,15 @@ def is_root(t: Triangulation) -> bool:
 def compute_root(t: Triangulation) -> Triangulation:
     """Apply inverse moves (lowest removable vertex first, for a
     reproducible trace) until none applies; return the root's minimal
-    code."""
+    code.  A root input's code is its canonical form (kept on ``t``, see
+    :func:`canonical_form`), so only a root reached by inverse moves is
+    labeled here."""
     _require_closed(t)
     tris = t.triangles
-    while True:
-        removable = _removable_vertices(tris)
-        if not removable:
-            return Triangulation(minimal_code(tris))
+    removable = _removable_vertices(tris)
+    if not removable:
+        return Triangulation(canonical_form(t).triangles)
+    while removable:
         tris = _remove_vertex(tris, removable[0])
+        removable = _removable_vertices(tris)
+    return Triangulation(minimal_code(tris))

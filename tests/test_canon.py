@@ -96,6 +96,26 @@ PINNED_DIGEST = "699d0dd92124adb90bb5ee3ece865b4dc496c9d8f5e2a4664a9e9f044d76836
 GROWTH_STATES_DIGEST = "1ae1d85d58f1d90f24730b43599025a845006b81185a2dc2b834330934a38d8d"
 
 
+# sha256 of minimal_code(tris) and minimal_code(tris, with_witnesses=True)
+# over _small_complexes(): one-triangle complexes, bowties, fans, strips and
+# disconnected pairs, where a branching step with two fresh labels often
+# reaches an optimal labeling through both orders, so the digest changes if
+# a branch drops an order or takes them the other way round
+BRANCH_ORDER_DIGEST = "59a1811db67f5b68106ea3d9be822043eb46008f8ee1ae6dbf2f16ca93aa1a97"
+
+
+def _small_complexes() -> list:
+    """Every complex of one to three triangles on the labels 1..V, V <= 6."""
+    triples = list(itertools.combinations(range(1, 7), 3))
+    out = []
+    for k in (1, 2, 3):
+        for tris in itertools.combinations(triples, k):
+            labels = {v for t in tris for v in t}
+            if labels == set(range(1, len(labels) + 1)):
+                out.append(tris)
+    return out
+
+
 def _reversed_labels(t: Triangulation) -> Triangulation:
     v = t.vertex_count
     return Triangulation([tuple(v + 1 - x for x in tri) for tri in t.triangles])
@@ -235,6 +255,17 @@ class TestWitness:
             digest.update(repr((code, wcode,
                                 [sorted(w.items()) for w in wits])).encode())
         assert digest.hexdigest() == GROWTH_STATES_DIGEST
+
+    def test_branch_orders_are_pinned(self):
+        digest = hashlib.sha256()
+        inputs = _small_complexes()
+        assert len(inputs) == 616
+        for tris in inputs:
+            code = minimal_code(tris)
+            wcode, wits = minimal_code(tris, with_witnesses=True)
+            digest.update(repr((code, wcode,
+                                [sorted(w.items()) for w in wits])).encode())
+        assert digest.hexdigest() == BRANCH_ORDER_DIGEST
 
     def test_code_alone_equals_the_full_search(self, tetra, octa, rp2_six):
         # only the code-alone search stops a seed at its first tie; the

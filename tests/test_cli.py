@@ -252,6 +252,23 @@ class TestCommands:
         assert parse_triangulation_text(out).triangles == minimal_code(
             parse_triangulation_text(f.read_text()).triangles)
 
+    @pytest.mark.parametrize("text, expected", [
+        # the output at a commit that rendered a Triangulation built around
+        # the code, byte for byte
+        ("123 124 134 235 245 345", "1,2,3 1,2,4 1,3,5 1,4,5 2,3,4 3,4,5\n"),
+        (MOBIUS, "1,2,3 1,2,4 1,3,5 2,4,5 3,4,5\n"),
+        ("1,3,5 1,3,6 1,4,5 1,4,6 2,3,5 2,3,6 2,4,5 2,4,6",
+         "1,2,3 1,2,4 1,3,5 1,4,5 2,3,6 2,4,6 3,5,6 4,5,6\n"),
+    ], ids=["sphere", "mobius", "octahedron"])
+    def test_canon_output_bytes(self, text, expected, tmp_path, capsys):
+        f = tmp_path / "t.txt"
+        f.write_text(text)
+        assert main(["canon", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        code = minimal_code(parse_triangulation_text(text).triangles)
+        assert out == render_triangulation(Triangulation(code)) + "\n"
+
     def test_validate_nonsurface_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_text("123 124 125")

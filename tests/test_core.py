@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (cone_and_classify, heawood_min_vertices, link_shape,
                       orientable, relabel)
+from surfenum.canon import canonical_form
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     KLEIN_BOTTLE,
@@ -67,6 +68,21 @@ class TestTriangulation:
         # the slot is still read-only after the round trip
         with pytest.raises(AttributeError):
             back.triangles = ()
+
+    def test_stored_values_are_read_only_and_not_pickled(self):
+        import pickle
+
+        t = Triangulation([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+        with pytest.raises(AttributeError):
+            t._report = validate(t)
+        with pytest.raises(AttributeError):
+            t._code = canonical_form(t).triangles
+        assert t._report is not None and t._code is not None
+        # a copy carries only the triangles and computes its own answers
+        back = pickle.loads(pickle.dumps(t))
+        assert back._report is None and back._code is None
+        assert validate(back) == validate(t)
+        assert canonical_form(back) == canonical_form(t)
 
 
 class TestTriangulationConstructions:
@@ -146,6 +162,29 @@ class TestValidate:
         report = validate(t)
         assert report.kind is SurfaceKind.NOT_A_SURFACE
         assert report.offending_vertices == ()
+
+    def test_report_is_computed_once(self, monkeypatch, rp2_six, mobius):
+        from surfenum import core
+
+        calls = []
+        real = core._validate
+
+        def counting(tris, by_edge):
+            calls.append(tris)
+            return real(tris, by_edge)
+
+        monkeypatch.setattr(core, "_validate", counting)
+        report = validate(rp2_six)
+        assert validate(rp2_six) is report
+        assert classify(rp2_six) == PROJECTIVE_PLANE
+        assert len(calls) == 1
+        # classify stores the report that validate then reads, and raises
+        # again on a bounded surface
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                classify(mobius)
+        assert validate(mobius).kind is SurfaceKind.SURFACE_WITH_BOUNDARY
+        assert len(calls) == 2
 
 
 class TestClassification:

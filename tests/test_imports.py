@@ -63,3 +63,39 @@ def test_test_only_names_are_used_by_their_tests(name):
     text = (Path(__file__).resolve().parent / path).read_text()
     body = text[text.index(f"def {test}("):].split("\n    def ", 1)[0]
     assert f"{name}(" in body
+
+
+def _slot_writes(node):
+    """(slot, value node) for an attribute store or a ``setattr`` or
+    ``object.__setattr__`` call with a constant name; else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        return node.attr, None
+    if (isinstance(node, ast.Call) and len(node.args) == 3
+            and isinstance(node.args[1], ast.Constant)
+            and (getattr(node.func, "attr", None) == "__setattr__"
+                 or getattr(node.func, "id", None) == "setattr")):
+        return node.args[1].value, node.args[2]
+    return None
+
+
+def test_stored_answers_have_one_writer_each():
+    # a Triangulation keeps its validation report and its canonical code:
+    # __init__ sets both to None, only core stores a report and only
+    # canon.canonical_form a code
+    writers = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                write = _slot_writes(node)
+                if write is None or write[0] not in ("_report", "_code"):
+                    continue
+                slot, value = write
+                if isinstance(value, ast.Constant) and value.value is None:
+                    slot += " = None"
+                writers.add((path.stem, top.name, slot))
+    assert writers == {
+        ("core", "Triangulation", "_report = None"),
+        ("core", "Triangulation", "_code = None"),
+        ("core", "_stored_report", "_report"),
+        ("canon", "canonical_form", "_code"),
+    }

@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import edge_expand_4valent, is_isomorphic, relabel
-from surfenum.canon import minimal_code
+from conftest import RP2_SIX, edge_expand_4valent, is_isomorphic, relabel
+from surfenum.canon import canonical_form, minimal_code
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import SPHERE, Triangulation, classify, valences
+from surfenum.core import (SPHERE, SurfaceKind, Triangulation, classify, valences,
+                           validate)
 from surfenum.moves import (
     LinkBoundsTriangleError,
     MoveError,
@@ -124,6 +126,92 @@ class TestRoots:
         for _ in range(10):
             shuffled, _ = relabel(t, rng)
             assert compute_root(shuffled) == reference
+
+
+def _count_calls(monkeypatch) -> dict[str, int]:
+    """Route every package binding of ``canon.minimal_code`` and
+    ``core._validate`` through a counter; returns the counts by name."""
+    import sys
+
+    from surfenum import canon, core
+
+    counts = {"minimal_code": 0, "_validate": 0}
+    for name, fn in (("minimal_code", canon.minimal_code),
+                     ("_validate", core._validate)):
+        def counting(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "surfenum" and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    return counts
+
+
+QUERIES = (("canonical_form", lambda t: canonical_form(t).triangles),
+           ("classify", classify),
+           ("compute_root", lambda t: compute_root(t).triangles))
+EVERY_ORDER = pytest.mark.parametrize(
+    "order", list(itertools.permutations(range(3))),
+    ids=lambda order: "-".join(QUERIES[i][0] for i in order))
+
+
+class TestStoredAnswers:
+    """A Triangulation keeps its validation report and its canonical code,
+    so the queries on one object label and validate it once."""
+
+    def test_canonical_form_labels_once(self, monkeypatch, rp2_six):
+        counts = _count_calls(monkeypatch)
+        first = canonical_form(rp2_six)
+        second = canonical_form(rp2_six)
+        assert first == second and first.triangles is second.triangles
+        assert counts["minimal_code"] == 1
+
+    @EVERY_ORDER
+    def test_queries_on_a_root(self, monkeypatch, order):
+        t = relabel(parse_triangulation_text(RP2_SIX), random.Random(5))[0]
+        counts = _count_calls(monkeypatch)
+        for i in order:
+            QUERIES[i][1](t)
+        assert counts == {"minimal_code": 1, "_validate": 1}
+
+    @EVERY_ORDER
+    def test_queries_on_a_nonroot(self, monkeypatch, order):
+        t = t_move(t_move(parse_triangulation_text(RP2_SIX), (1, 2, 3)), (2, 4, 5))
+        t = relabel(t, random.Random(6))[0]
+        counts = _count_calls(monkeypatch)
+        for i in order:
+            QUERIES[i][1](t)
+        # the input and the root reached by inverse moves are labeled once each
+        assert counts == {"minimal_code": 2, "_validate": 1}
+
+    def test_answers_equal_those_of_fresh_objects(self):
+        rng = random.Random(2026)
+        codes = [code for bucket in brute_force_enumerate(8).codes.values()
+                 for code in bucket]
+        assert len(codes) == 57
+        for code in codes:
+            t = relabel(Triangulation(code), rng)[0]
+            # a root and a non-root of each class
+            for u in (t, t_move(t, t.triangles[0])):
+                fresh = [query(Triangulation(u.triangles)) for _n, query in QUERIES]
+                for order in itertools.permutations(range(3)):
+                    kept = Triangulation(u.triangles)
+                    got = {i: QUERIES[i][1](kept) for i in order}
+                    assert [got[i] for i in range(3)] == fresh
+                    # the second round reads the stored answers
+                    assert [query(kept) for _n, query in QUERIES] == fresh
+
+    def test_bounded_input_is_rejected_after_validate(self, mobius):
+        assert validate(mobius).kind is SurfaceKind.SURFACE_WITH_BOUNDARY
+        for move in (compute_root, is_root, lambda t: t_move(t, t.triangles[0]),
+                     lambda t: inverse_t_move(t, 1)):
+            with pytest.raises(MoveError):
+                move(mobius)
+        with pytest.raises(ValueError):
+            classify(mobius)
+        # the canonical form of a bounded complex is still defined
+        assert canonical_form(mobius).triangles == minimal_code(mobius.triangles)
 
 
 class TestEdgeExpansion:
