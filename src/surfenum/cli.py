@@ -31,7 +31,7 @@ from .core import (
     validate,
 )
 from .listing import CountsTable, SearchConfig, enumerate_all
-from .moves import _removable_vertices, compute_root
+from .moves import compute_root, is_root
 from .oracle import brute_force_enumerate, cross_validate
 
 
@@ -179,8 +179,9 @@ def _shard_text(out_dir: Path, name: str, info: dict) -> str:
 def read_results(out_dir: Path) -> CountsTable:
     """Rebuild the counts table from persisted shards; the root/non-root
     split is recomputed from the stored triangle lists, each validated once
-    (by :func:`core.classify`).  ``ValueError`` when a shard's sha256
-    differs from the manifest's, before that shard is parsed."""
+    (by :func:`core.classify`, whose report ``moves.is_root`` reads).
+    ``ValueError`` when a shard's sha256 differs from the manifest's, before
+    that shard is parsed."""
     table = CountsTable()
     for name, info in _read_manifest(out_dir)["shards"].items():
         for line in _shard_text(out_dir, name, info).splitlines():
@@ -188,10 +189,10 @@ def read_results(out_dir: Path) -> CountsTable:
                 continue
             t = parse_triangulation_text(line)
             v, cls = t.vertex_count, classify(t)
-            if _removable_vertices(t.triangles):
-                table.add_nonroot(v, cls)
-            else:
+            if is_root(t):
                 table.add_root(v, cls)
+            else:
+                table.add_nonroot(v, cls)
     return table
 
 

@@ -6,6 +6,10 @@ list rather than patched incrementally.  The operations are pure except
 that a :class:`Triangulation` keeps the answers that depend on its
 triangles alone once they are computed: its validation report (written
 here) and its canonical code (written by ``canon.canonical_form``).
+
+One walk decides connectivity and orientability (:func:`_orientation`);
+the report keeps the orientability, so :func:`classify` reads a closed
+surface's class off it.
 """
 
 from __future__ import annotations
@@ -218,43 +222,63 @@ class SurfaceKind(Enum):
 class ValidationReport:
     kind: SurfaceKind
     offending_vertices: tuple[int, ...] = ()
+    orientable: bool | None = None  # None for a non-surface
 
     @property
     def is_surface(self) -> bool:
         return self.kind is not SurfaceKind.NOT_A_SURFACE
 
 
-def _connected(tris: tuple[Triangle, ...],
-               by_edge: dict[Edge, list[Triangle]]) -> bool:
-    """Edge-connectivity, given :func:`edge_triangles` of ``tris``; pieces
-    that meet only at a vertex split that vertex's link, which
-    :func:`validate` reports before asking."""
-    seen = {tris[0]}
-    stack = [tris[0]]
-    while stack:
-        t = stack.pop()
-        a, b, c = t
-        for e in ((a, b), (a, c), (b, c)):
-            for u in by_edge[e]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return len(seen) == len(tris)
+def _orientation(tris: tuple[Triangle, ...],
+                 by_edge: dict[Edge, list[Triangle]]) -> tuple[int, bool]:
+    """The number of edge-components of ``tris`` and whether it has a
+    coherent orientation, in one walk, given :func:`edge_triangles` of
+    ``tris`` (no edge in three triangles).  Pieces that meet only at a
+    vertex split that vertex's link, which :func:`validate` reports before
+    asking; one component is a surface.
+
+    Each triangle gets a sign: +1 orients a sorted triangle (a, b, c) as
+    a -> b -> c, along its edges (a, b) and (b, c) and against (a, c), and
+    -1 the other way; two triangles on an edge must run it opposite ways.
+    A conflict makes the complex non-orientable; the walk still covers
+    every component, to count them."""
+    sign: dict[Triangle, int] = {}
+    components = 0
+    orientable = True
+    for start in tris:
+        if start in sign:
+            continue
+        components += 1
+        sign[start] = 1
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            a, b, c = t
+            s = sign[t]
+            for e, along in (((a, b), s), ((b, c), s), ((a, c), -s)):
+                for u in by_edge[e]:
+                    if u is t or u == t:
+                        continue
+                    # u runs e the other way; its edge (first, last) is against
+                    want = along if (u[0], u[2]) == e else -along
+                    have = sign.get(u)
+                    if have is None:
+                        sign[u] = want
+                        stack.append(u)
+                    elif have != want:
+                        orientable = False
+    return components, orientable
 
 
 def validate(t: Triangulation) -> ValidationReport:
     """Decide whether the complex is a closed surface, a surface with
-    boundary, or not a surface at all (with the offending vertices).  The
-    report is computed on the first call and kept on ``t``."""
-    return t._report or _stored_report(t, edge_triangles(t.triangles))
-
-
-def _stored_report(t: Triangulation,
-                   by_edge: dict[Edge, list[Triangle]]) -> ValidationReport:
-    """Validate ``t`` given :func:`edge_triangles` of its triangles, and keep
-    the report on ``t``."""
-    report = _validate(t.triangles, by_edge)
-    object.__setattr__(t, "_report", report)
+    boundary, or not a surface at all (with the offending vertices), and
+    whether a surface is orientable.  The report is computed on the first
+    call and kept on ``t``."""
+    report = t._report
+    if report is None:
+        report = _validate(t.triangles, edge_triangles(t.triangles))
+        object.__setattr__(t, "_report", report)
     return report
 
 
@@ -275,11 +299,12 @@ def _validate(tris: tuple[Triangle, ...],
             has_boundary = True
     if offending:
         return ValidationReport(SurfaceKind.NOT_A_SURFACE, tuple(sorted(offending)))
-    if not _connected(tris, by_edge):
-        return ValidationReport(SurfaceKind.NOT_A_SURFACE, ())
-    if has_boundary:
-        return ValidationReport(SurfaceKind.SURFACE_WITH_BOUNDARY)
-    return ValidationReport(SurfaceKind.CLOSED_SURFACE)
+    components, orientable = _orientation(tris, by_edge)
+    if components > 1:
+        return ValidationReport(SurfaceKind.NOT_A_SURFACE)
+    kind = (SurfaceKind.SURFACE_WITH_BOUNDARY if has_boundary
+            else SurfaceKind.CLOSED_SURFACE)
+    return ValidationReport(kind, orientable=orientable)
 
 
 def _euler(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]]) -> int:
@@ -334,38 +359,14 @@ PROJECTIVE_PLANE = SurfaceClass(False, 1)
 KLEIN_BOTTLE = SurfaceClass(False, 2)
 
 
-def _orientable(tris: tuple[Triangle, ...],
-                by_edge: dict[Edge, list[Triangle]]) -> bool:
-    """Propagate a coherent orientation across shared edges, given
-    :func:`edge_triangles` of ``tris``; a conflict means the (connected,
-    closed or bounded) surface is non-orientable.
-
-    Each triangle gets a sign: +1 orients a sorted triangle (a, b, c) as
-    a -> b -> c, along its edges (a, b) and (b, c) and against (a, c), and
-    -1 the other way; two triangles on an edge must run it opposite ways."""
-    sign: dict[Triangle, int] = {}
-    for start in tris:
-        if start in sign:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            a, b, c = t
-            s = sign[t]
-            for e, along in (((a, b), s), ((b, c), s), ((a, c), -s)):
-                for u in by_edge[e]:
-                    if u is t or u == t:
-                        continue
-                    # u runs e the other way; its edge (first, last) is against
-                    want = along if (u[0], u[2]) == e else -along
-                    have = sign.get(u)
-                    if have is None:
-                        sign[u] = want
-                        stack.append(u)
-                    elif have != want:
-                        return False
-    return True
+def _surface_class(chi: int, orientable: bool) -> SurfaceClass:
+    """The closed surface with Euler characteristic ``chi``: orientable
+    with genus (2 - chi) / 2, or non-orientable with genus 2 - chi."""
+    if orientable:
+        if chi % 2 != 0:
+            raise AssertionError("orientable surface with odd Euler characteristic")
+        return SurfaceClass(True, (2 - chi) // 2)
+    return SurfaceClass(False, 2 - chi)
 
 
 def surface_class(tris: tuple[Triangle, ...], holes: int = 0) -> SurfaceClass:
@@ -373,32 +374,19 @@ def surface_class(tris: tuple[Triangle, ...], holes: int = 0) -> SurfaceClass:
     boundary cycles of the connected surface ``tris`` with a disc, with no
     check that ``tris`` is one.  Capping keeps orientability and adds 1 to
     chi per hole."""
-    return _surface_class(tris, edge_triangles(tris), holes)
-
-
-def _surface_class(tris: tuple[Triangle, ...],
-                   by_edge: dict[Edge, list[Triangle]],
-                   holes: int = 0) -> SurfaceClass:
-    """:func:`surface_class`, given :func:`edge_triangles` of ``tris``."""
-    chi = _euler(tris, by_edge) + holes
-    if _orientable(tris, by_edge):
-        if chi % 2 != 0:
-            raise AssertionError("orientable surface with odd Euler characteristic")
-        return SurfaceClass(True, (2 - chi) // 2)
-    return SurfaceClass(False, 2 - chi)
+    by_edge = edge_triangles(tris)
+    return _surface_class(_euler(tris, by_edge) + holes,
+                          _orientation(tris, by_edge)[1])
 
 
 def classify(t: Triangulation) -> SurfaceClass:
-    """Surface type of a closed triangulation, validated first: orientable
-    with genus (2 - chi) / 2, or non-orientable with genus 2 - chi (see
-    :func:`surface_class`).  The validation report is the one kept on ``t``
-    (see :func:`validate`); one edge index serves both steps."""
-    tris = t.triangles
-    by_edge = edge_triangles(tris)
-    report = t._report or _stored_report(t, by_edge)
+    """Surface type of a closed triangulation, read off its validation
+    report (see :func:`validate`): a closed surface has 3T/2 edges, so
+    chi = V - T/2, and the report records orientability."""
+    report = validate(t)
     if report.kind is not SurfaceKind.CLOSED_SURFACE:
         raise ValueError(f"classify needs a closed surface, got {report.kind.value}")
-    return _surface_class(tris, by_edge)
+    return _surface_class(t.vertex_count - len(t.triangles) // 2, report.orientable)
 
 
 def boundary_cycles(tris: Iterable[Triangle]) -> list[list[int]] | None:

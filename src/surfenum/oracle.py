@@ -28,7 +28,8 @@ oracle independent: a wrong invariant could split isomorphic states into
 different buckets, which costs extra work but loses nothing, and it can
 never merge two classes, as only the certificate does that, here the
 reference code.  Closed states never enter the buckets: each is coded
-where it is found, and the codes are a set.
+where it is found and, when its code is new, validated, and its class is
+read off that validation report.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from .core import (
     SurfaceClass,
     SurfaceKind,
     Triangle,
+    _surface_class,
     _validate,
     edge_triangles,
     link_shape,
-    surface_class,
     vertex_triangles,
 )
-from .listing import CountsTable, _map_maybe_parallel
+from .listing import CountsTable, SearchConfig, _map_maybe_parallel, enumerate_all
 
 # a growth state: its triangles in the order they were glued
 State = tuple[Triangle, ...]
@@ -93,11 +94,12 @@ def _children(tris: State, by_edge: dict[Edge, list[Triangle]],
     return out
 
 
-def _enumerate_with_max_valence(m: int, max_vertices: int) -> set[Code]:
-    """Canonical codes of all closed triangulations with maximal valence
-    exactly m and at most max_vertices vertices."""
+def _enumerate_with_max_valence(m: int,
+                                max_vertices: int) -> dict[Code, SurfaceClass]:
+    """Canonical code -> class of every closed triangulation with maximal
+    valence exactly m and at most max_vertices vertices."""
     seen = Isomorphs(lambda tris, _marked: minimal_code(tris))
-    leaves: set[Code] = set()
+    leaves: dict[Code, SurfaceClass] = {}
     stack = [_m_fan(m)]
     while stack:
         tris = stack.pop()
@@ -107,9 +109,12 @@ def _enumerate_with_max_valence(m: int, max_vertices: int) -> set[Code]:
         # every edge is in two: 2E = 3T
         if 2 * len(by_edge) == 3 * len(tris):
             code = minimal_code(tris)
-            if (code not in leaves and _validate(tris, by_edge).kind
-                    is SurfaceKind.CLOSED_SURFACE):
-                leaves.add(code)
+            if code not in leaves:
+                report = _validate(tris, by_edge)
+                if report.kind is SurfaceKind.CLOSED_SURFACE:
+                    # chi = V - E + T with 2E = 3T
+                    leaves[code] = _surface_class(
+                        len(by_vertex) - len(tris) // 2, report.orientable)
         elif seen.add(tris, by_edge, by_vertex):
             stack.extend(_children(tris, by_edge, by_vertex, m, max_vertices))
     return leaves
@@ -148,10 +153,9 @@ def brute_force_enumerate(max_vertices: int, workers: int = 1) -> OracleResult:
     tasks = [(m, max_vertices) for m in range(3, max_vertices)]
     result = OracleResult(CountsTable())
     for batch in _map_maybe_parallel(_enumerate_with_max_valence, tasks, workers):
-        for code in batch:
+        # each code validated and classified where it was found
+        for code, cls in batch.items():
             v = max(x for t in code for x in t)
-            # validated as a closed surface where it was found
-            cls = surface_class(code)
             # no two tasks share a code: each task's codes have their own
             # largest valence
             result.codes.setdefault((v, cls), set()).add(code)
@@ -181,8 +185,6 @@ class CrossCheckReport:
 def cross_validate(max_vertices: int, workers: int = 1) -> CrossCheckReport:
     """Compare the decomposition pipeline against the brute-force oracle as
     sets of canonical forms, not just counts."""
-    from .listing import SearchConfig, enumerate_all
-
     cfg = SearchConfig(max_vertices=max_vertices, workers=workers)
     oracle = brute_force_enumerate(max_vertices, workers=workers)
     pipeline = enumerate_all(cfg)

@@ -123,7 +123,7 @@ def link_shape(tris_at_v: Iterable[Triangle], v: int) -> str:
 def orientable(tris: tuple[Triangle, ...]) -> bool:
     """Propagate a chosen cyclic vertex order per triangle across shared
     edges, as directed-edge sets; a conflict means non-orientable.  The
-    reference that ``core._orientable`` is compared with."""
+    reference that ``core._orientation`` is compared with."""
     by_edge = edge_triangles(tris)
     orient: dict[Triangle, tuple[int, int, int]] = {}
     for start in tris:
@@ -153,6 +153,29 @@ def orientable(tris: tuple[Triangle, ...]) -> bool:
                         orient[u] = target
                         stack.append(u)
     return True
+
+
+def edge_components(tris: tuple[Triangle, ...]) -> int:
+    """The number of components of ``tris`` joined along shared edges, by a
+    plain depth-first search; the reference for the count of
+    ``core._orientation``."""
+    by_edge = edge_triangles(tris)
+    seen: set[Triangle] = set()
+    components = 0
+    for start in tris:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            a, b, c = stack.pop()
+            for e in ((a, b), (a, c), (b, c)):
+                for u in by_edge[e]:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+    return components
 
 
 def mixed_lex_compare(a: Sequence[Triangle], b: Sequence[Triangle]) -> int:

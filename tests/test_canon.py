@@ -198,6 +198,26 @@ class TestMinimalCode:
 
         assert deeper(100) == code
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_tie_stop_on_torus_grids(self, n, monkeypatch):
+        # the translations of the n x n grid take any vertex to any other,
+        # so every seed after the first ties with the first seed's code and
+        # stops there: n^2 - 1 stops (without them the 8 x 8 grid labels
+        # about ten times slower, which no end-to-end timing shows)
+        from surfenum import canon
+
+        raises = 0
+
+        class CountingTie(canon._Tie):
+            def __init__(self, *args):
+                nonlocal raises
+                raises += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(canon, "_Tie", CountingTie)
+        minimal_code(torus_grid(n))
+        assert raises == n * n - 1
+
 
 class TestWitness:
     def test_witnesses_are_every_realizing_relabeling(self, mobius, annulus):

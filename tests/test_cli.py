@@ -62,9 +62,8 @@ class TestParsing:
 
 def count_validate_calls(monkeypatch) -> list:
     """Route every validation in the package through a counter: each runs
-    ``core._validate``, from ``validate`` or from a caller that shares one
-    edge index with ``surface_class``; returns the list of triangle tuples
-    it was called with."""
+    ``core._validate``, from ``validate`` or from a caller with its own
+    edge index; returns the list of triangle tuples it was called with."""
     from surfenum.core import _validate
 
     calls = []
@@ -109,7 +108,8 @@ class TestPersistence:
         read_results(tmp_path)
         lines = [parse_triangulation_text(line).triangles
                  for p in tmp_path.glob("*.txt") for line in p.read_text().splitlines()]
-        # two a line when is_root validated each line again after classify
+        # classify validates each line and stores the report, which is_root
+        # reads
         assert sorted(calls) == sorted(lines)
         assert len(calls) == 5
 
@@ -284,8 +284,8 @@ class TestCommands:
         assert len(calls) == 1
 
     def test_classify_builds_one_edge_index(self, tmp_path, capsys, monkeypatch):
-        # validate and surface_class share it in core.classify, which the
-        # command calls
+        # core.classify builds it for the validation of a fresh input and
+        # reads the class off the report; the command calls core.classify
         from surfenum import core
 
         builds = []
@@ -295,7 +295,13 @@ class TestCommands:
             return edge_triangles(tris)
 
         monkeypatch.setattr(core, "edge_triangles", counting)
-        assert core.classify(parse_triangulation_text(RP2_SIX)).name == "RP2"
+        t = parse_triangulation_text(RP2_SIX)
+        assert core.classify(t).name == "RP2"
+        assert len(builds) == 1
+        # on a stored report classify is chi = V - T/2 and the recorded
+        # orientability, with no edge index (one when it walked again)
+        core.validate(t)
+        assert core.classify(t).name == "RP2"
         assert len(builds) == 1
         f = tmp_path / "t.txt"
         f.write_text(RP2_SIX)

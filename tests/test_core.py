@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import (cone_and_classify, heawood_min_vertices, link_shape,
-                      orientable, relabel)
+from conftest import (MOBIUS, cone_and_classify, edge_components,
+                      heawood_min_vertices, link_shape, orientable, relabel)
 from surfenum.canon import canonical_form
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
@@ -16,7 +16,7 @@ from surfenum.core import (
     SurfaceKind,
     Triangulation,
     _euler,
-    _orientable,
+    _orientation,
     boundary_cycles,
     classify,
     closed_cycles,
@@ -36,7 +36,7 @@ def euler_characteristic(t: Triangulation) -> int:
 
 
 def orientable_triangles(tris) -> bool:
-    return _orientable(tris, edge_triangles(tris))
+    return _orientation(tris, edge_triangles(tris))[1]
 
 
 class TestTriangulation:
@@ -163,6 +163,26 @@ class TestValidate:
         assert report.kind is SurfaceKind.NOT_A_SURFACE
         assert report.offending_vertices == ()
 
+    def test_report_records_orientability(self, mobius, annulus):
+        codes = [c for cs in brute_force_enumerate(8).codes.values() for c in cs]
+        assert len(codes) == 57
+        verdicts = set()
+        for tris in codes + [mobius.triangles, annulus.triangles]:
+            verdict = validate(Triangulation(tris)).orientable
+            assert verdict == orientable(tris), tris
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_non_surfaces_record_no_orientability(self):
+        # an overloaded edge, two pinches, and two components: two
+        # tetrahedra, and a Moebius band whose conflict the walk meets before
+        # the second component
+        for text in ("123 124 125", "123 145", "123 124 134 234 156 157 167 567",
+                     "123 124 134 234 567 568 578 678", MOBIUS + " 678"):
+            report = validate(parse_triangulation_text(text))
+            assert report.kind is SurfaceKind.NOT_A_SURFACE
+            assert report.orientable is None
+
     def test_report_is_computed_once(self, monkeypatch, rp2_six, mobius):
         from surfenum import core
 
@@ -208,16 +228,25 @@ class TestClassification:
         for tris in (rp2_six.triangles, mobius.triangles, klein):
             assert not orientable_triangles(tris)
             assert not orientable(tris)
-        # every prefix of every V <= 8 oracle code: discs, pinched and
-        # bounded pieces, and the closed surfaces themselves
+        # every prefix of every V <= 8 oracle code and of one seeded
+        # relabelling of it: discs, pinched, disconnected and bounded pieces,
+        # and the closed surfaces themselves; the walk also counts the
+        # edge-components (a code's own prefixes are all connected)
+        rng = random.Random(27)
         verdicts = set()
+        counts = set()
         for cs in codes.values():
             for code in cs:
-                for k in range(1, len(code) + 1):
-                    verdict = orientable_triangles(code[:k])
-                    assert verdict == orientable(code[:k]), code[:k]
-                    verdicts.add(verdict)
+                for tris in (code, relabel(Triangulation(code), rng)[0].triangles):
+                    for k in range(1, len(tris) + 1):
+                        components, verdict = _orientation(
+                            tris[:k], edge_triangles(tris[:k]))
+                        assert verdict == orientable(tris[:k]), tris[:k]
+                        assert components == edge_components(tris[:k]), tris[:k]
+                        verdicts.add(verdict)
+                        counts.add(components)
         assert verdicts == {True, False}
+        assert 1 in counts and max(counts) > 1
 
     def test_classify(self, tetra, octa, rp2_six):
         assert classify(tetra) == SPHERE

@@ -96,6 +96,6 @@ def test_stored_answers_have_one_writer_each():
     assert writers == {
         ("core", "Triangulation", "_report = None"),
         ("core", "Triangulation", "_code = None"),
-        ("core", "_stored_report", "_report"),
+        ("core", "validate", "_report"),
         ("canon", "canonical_form", "_code"),
     }

@@ -7,7 +7,7 @@ import pytest
 from conftest import relabel
 from surfenum import oracle
 from surfenum.canon import Isomorphs, minimal_code
-from surfenum.core import (SurfaceKind, Triangulation, edge_triangles,
+from surfenum.core import (SurfaceKind, Triangulation, classify, edge_triangles,
                            valences, validate, vertex_triangles)
 from surfenum.listing import SearchConfig
 from surfenum.oracle import brute_force_enumerate, cross_validate
@@ -91,6 +91,9 @@ class TestBruteForce:
         assert len(set().union(*tasks.values())) == 57
         for m, codes in tasks.items():
             assert all(max(valences(code).values()) == m for code in codes)
+            # each class is read off the report of the leaf's validation
+            for code, cls in codes.items():
+                assert cls == classify(Triangulation(code)), code
 
     def test_minimal_code_calls(self, monkeypatch):
         calls = 0
