@@ -87,8 +87,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .core import (Edge, Triangle, Triangulation, normalize_triangles,
-                   vertex_triangles)
+from .core import Edge, Triangle, Triangulation, normalize_triangles
 
 Code = tuple[Triangle, ...]
 
@@ -307,16 +306,10 @@ def _search(
     return best[0]
 
 
-def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
-    """Mixed-lex minimal relabeled triangle list of a raw triangle
-    collection; optionally also every labeling achieving it.
-
-    Raises ValueError when the search branches more times in a row than
-    the interpreter's recursion limit leaves room for: it recurses once per
-    branching step, not once per triangle."""
-    tris = normalize_triangles(tris)
-    # vertex -> (triangle index, the two other vertices), indices ascending;
-    # edge -> (triangle index, the third vertex)
+def _index(tris: Sequence[Triangle]):
+    """The vertex and edge index of the sorted triples ``tris`` that both
+    keys read: vertex -> (triangle index, the two other vertices) and edge
+    -> (triangle index, the third vertex), indices ascending."""
     star: dict[int, list[tuple[int, int, int]]] = {}
     apexes: dict[Edge, list[tuple[int, int]]] = {}
     for i, (a, b, c) in enumerate(tris):
@@ -326,6 +319,18 @@ def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
         apexes.setdefault((a, b), []).append((i, c))
         apexes.setdefault((a, c), []).append((i, b))
         apexes.setdefault((b, c), []).append((i, a))
+    return star, apexes
+
+
+def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
+    """Mixed-lex minimal relabeled triangle list of a raw triangle
+    collection; optionally also every labeling achieving it.
+
+    Raises ValueError when the search branches more times in a row than
+    the interpreter's recursion limit leaves room for: it recurses once per
+    branching step, not once per triangle."""
+    tris = normalize_triangles(tris)
+    star, apexes = _index(tris)
     max_val = max(len(s) for s in star.values())
     witnesses: list | None = [] if with_witnesses else None
     seeds = sorted(x for x, s in star.items() if len(s) == max_val)
@@ -368,7 +373,7 @@ def canonical_form(t: Triangulation) -> CanonicalForm:
     return CanonicalForm(code)
 
 
-def _flag_walk(sides: dict[Edge, list[tuple[int, int]]], n: int,
+def _flag_walk(apexes: dict[Edge, list[tuple[int, int]]], n: int,
                start: Triangle, start_index: int, best: Code | None):
     """Breadth-first relabeling of ``n`` triangles from the start flag
     ``start`` (triangle number ``start_index``): the walk code and the
@@ -385,10 +390,10 @@ def _flag_walk(sides: dict[Edge, list[tuple[int, int]]], n: int,
         # leave through the edges in order of their label pairs
         for x, y, z, lx, ly in ((p, q, r, lp, lq), (p, r, q, lp, lr),
                                 (q, r, p, lq, lr)):
-            pair = sides[(x, y) if x < y else (y, x)]
+            pair = apexes[(x, y) if x < y else (y, x)]
             if len(pair) == 1:
                 continue
-            w, i = pair[1] if pair[0][0] == z else pair[0]
+            i, w = pair[1] if pair[0][1] == z else pair[0]
             if reached[i]:
                 continue
             reached[i] = True
@@ -451,16 +456,12 @@ def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] =
     the triangles are edge-connected; only then is the walk complete.
     """
     tris = [tuple(sorted(t)) for t in tris]
-    # edge -> (third vertex, triangle number) of each triangle on it
-    sides: dict[Edge, list[tuple[int, int]]] = {}
-    for i, (a, b, c) in enumerate(tris):
-        for e, w in (((a, b), c), ((a, c), b), ((b, c), a)):
-            pair = sides.setdefault(e, [])
-            pair.append((w, i))
-            if len(pair) > 2:
-                raise ValueError(f"edge {e} lies in more than two triangles")
+    star, apexes = _index(tris)
+    for e, pair in apexes.items():
+        if len(pair) > 2:
+            raise ValueError(f"edge {e} lies in more than two triangles")
     marked = list(marked_edges)
-    inv = _vertex_ranks(tris, sides, vertex_triangles(tris), marked)
+    inv = _vertex_ranks(tris, apexes, star, marked)
     sigs = [sorted((inv[a], inv[b], inv[c]), reverse=True) for a, b, c in tris]
     top = max(sigs)
     starts = [(f, i) for i, t in enumerate(tris) if sigs[i] == top
@@ -468,7 +469,7 @@ def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] =
               if [inv[f[0]], inv[f[1]], inv[f[2]]] == top]
     best = best_marks = None
     for start, i in starts:
-        walk = _flag_walk(sides, len(tris), start, i, best)
+        walk = _flag_walk(apexes, len(tris), start, i, best)
         if walk is None:
             continue
         code, label = walk

@@ -59,8 +59,7 @@ def parse_triangulation_text(s: str) -> Triangulation:
     return Triangulation(triangles)
 
 
-def render_triangulation(t: Triangulation | Sequence[Triangle]) -> str:
-    tris = t.triangles if isinstance(t, Triangulation) else t
+def render_triangulation(tris: Sequence[Triangle]) -> str:
     return " ".join(",".join(str(v) for v in tri) for tri in tris)
 
 
@@ -233,7 +232,7 @@ def _cmd_canon(args) -> int:
 def _cmd_root(args) -> int:
     t = _read_input(args.file)
     root = compute_root(t)
-    print(render_triangulation(root))
+    print(render_triangulation(root.triangles))
     return 0
 
 
@@ -298,14 +297,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_crosscheck(args) -> int:
     report = cross_validate(_max_vertices(args), workers=_default_workers(args))
     print(report.summary())
-    if not report.equal:
-        for key, codes in sorted(report.missing.items()):
+    for side, rows in (("missing", report.missing), ("extra", report.extra)):
+        for key, codes in sorted(rows.items()):
             for code in sorted(codes):
-                print(f"missing\t{key[0]}\t{key[1].name}\t"
-                      f"{render_triangulation(code)}")
-        for key, codes in sorted(report.extra.items()):
-            for code in sorted(codes):
-                print(f"extra\t{key[0]}\t{key[1].name}\t"
+                print(f"{side}\t{key[0]}\t{key[1].name}\t"
                       f"{render_triangulation(code)}")
     return 0 if report.equal else 1
 

@@ -88,16 +88,6 @@ class Triangulation:
     def vertex_count(self) -> int:
         return max(v for t in self.triangles for v in t)
 
-    @property
-    def triangle_count(self) -> int:
-        return len(self.triangles)
-
-    def vertices(self) -> range:
-        return range(1, self.vertex_count + 1)
-
-    def edges(self) -> list[Edge]:
-        return sorted(edge_triangles(self.triangles))
-
 
 def edge_triangles(tris: Iterable[Triangle]) -> dict[Edge, list[Triangle]]:
     """Edge -> incident triangles."""

@@ -46,7 +46,6 @@ from .core import (
     Edge,
     SurfaceClass,
     Triangle,
-    Triangulation,
     boundary_cycles,
     closed_cycles,
     edge_triangles,
@@ -54,10 +53,9 @@ from .core import (
     normalize_triangles,
     surface_class,
     valences,
-    validate,
     vertex_triangles,
 )
-from .moves import _cone, is_root
+from .moves import _cone, _removable_vertices
 
 TETRAHEDRON: Code = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
@@ -260,15 +258,10 @@ def enumerate_discs(cfg: SearchConfig) -> set[Disc]:
 # Step 2: genus-surfaces
 # --------------------------------------------------------------------------
 
-def genus_surface_admissible(g: GenusSurface | Triangulation,
-                             cfg: SearchConfig) -> bool:
+def genus_surface_admissible(g: GenusSurface, cfg: SearchConfig) -> bool:
     """Necessary conditions for a candidate to be the genus-surface of a
     minimal decomposition of a root within the configured vertex budget,
     and of the configured surface if there is one."""
-    if isinstance(g, Triangulation):
-        if not validate(g).is_surface:
-            raise ValueError("genus_surface_admissible needs a surface")
-        g = GenusSurface.from_triangles(g.triangles)
     if not g.boundary:
         return False
     if cfg.surface is not None and g.capped_class != cfg.surface:
@@ -759,21 +752,23 @@ def enumerate_roots(cfg: SearchConfig) -> dict[tuple[int, SurfaceClass], set[Cod
 # Step 4: non-roots
 # --------------------------------------------------------------------------
 
-def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Code]:
+def enumerate_nonroots(root: Sequence[Triangle], cfg: SearchConfig) -> set[Code]:
     """The minimal codes of every non-root within the vertex budget whose
-    root is ``root``, found by breadth-first vertex-adding moves.  Each
-    triangulation is coned from its minimal code, on one triangle per orbit
-    of its automorphisms: the least, as the code's triangles ascend.  This
-    loses nothing, as the cone on s(t) is the cone on t relabeled by s with
-    the new vertex fixed."""
-    if not is_root(root):
+    root is ``root``, the triangles of a closed surface in any labelling
+    (a code of :func:`enumerate_roots` is one, see :func:`_gluings`), found
+    by breadth-first vertex-adding moves.  Each triangulation is coned from
+    its minimal code, on one triangle per orbit of its automorphisms: the
+    least, as the code's triangles ascend.  This loses nothing, as the cone
+    on s(t) is the cone on t relabeled by s with the new vertex fixed."""
+    code, witnesses = minimal_code(root, with_witnesses=True)
+    if _removable_vertices(code):
         raise ValueError("enumerate_nonroots needs a root")
     found: set[Code] = set()
     # (code, witnesses) of each triangulation the next level cones
-    frontier = [minimal_code(root.triangles, with_witnesses=True)]
+    frontier = [(code, witnesses)]
     # each level of cones has one vertex more than the last; the last
     # level is never coned, so its cones are coded without witnesses
-    for v in range(root.vertex_count + 1, cfg.max_vertices + 1):
+    for v in range(max(x for t in code for x in t) + 1, cfg.max_vertices + 1):
         nxt = []
         for code, witnesses in frontier:
             autos = automorphisms(witnesses)
@@ -783,7 +778,7 @@ def enumerate_nonroots(root: Triangulation, cfg: SearchConfig) -> set[Code]:
                     continue
                 a, b, c = tri
                 coned.update(tuple(sorted((p[a], p[b], p[c]))) for p in autos)
-                # closed: the root was checked
+                # the move keeps the root's surface closed
                 cone = _cone(code, tri, v)
                 if v < cfg.max_vertices:
                     moved, wits = minimal_code(cone, with_witnesses=True)
@@ -822,7 +817,7 @@ def enumerate_all(cfg: SearchConfig) -> EnumerationResult:
     for (v, cls), codes in roots.items():
         if v < cfg.max_vertices:
             for code in codes:
-                tasks.append((Triangulation(code), cfg))
+                tasks.append((code, cfg))
                 classes.append(cls)
     nonroots: dict[tuple[int, SurfaceClass], set[Code]] = {}
     grown = _map_maybe_parallel(enumerate_nonroots, tasks, cfg.workers)

@@ -122,12 +122,8 @@ def _enumerate_with_max_valence(m: int,
 
 def _code_is_root(code: Code) -> bool:
     # a 3-valent vertex is removable unless its link bounds a triangle;
-    # computed from scratch so the oracle does not lean on the move module
-    by_vertex: dict[int, list[Triangle]] = {}
-    for t in code:
-        for v in t:
-            by_vertex.setdefault(v, []).append(t)
-    for v, at_v in by_vertex.items():
+    # decided here so the oracle does not lean on the move module
+    for v, at_v in vertex_triangles(code).items():
         if len(at_v) == 3:
             link = tuple(sorted({x for t in at_v for x in t if x != v}))
             if link not in code:
@@ -148,8 +144,6 @@ def brute_force_enumerate(max_vertices: int, workers: int = 1) -> OracleResult:
         raise ValueError("max_vertices must be at least 3")
     if workers < 1:
         raise ValueError("workers must be positive")
-    if max_vertices < 4:
-        return OracleResult(CountsTable())
     tasks = [(m, max_vertices) for m in range(3, max_vertices)]
     result = OracleResult(CountsTable())
     for batch in _map_maybe_parallel(_enumerate_with_max_valence, tasks, workers):

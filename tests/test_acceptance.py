@@ -20,6 +20,7 @@ from conftest import (Decomposition, _relabel_contiguous, canonical_witness,
 from surfenum.canon import flag_key, minimal_code
 from surfenum.core import SPHERE, SurfaceClass, Triangulation, classify
 from surfenum.listing import (
+    GenusSurface,
     SearchConfig,
     _GenusSurfaceSearch,
     enumerate_all,
@@ -362,7 +363,8 @@ def test_criterion_10_admissibility_keeps_a_minimal_decomposition():
         minimal = minimal_decomposition_genus_surfaces(t)
         assert minimal, f"no decomposition found for {t}"
         assert any(
-            genus_surface_admissible(Triangulation(_relabel_contiguous(g)), cfg)
+            genus_surface_admissible(
+                GenusSurface.from_triangles(_relabel_contiguous(g)), cfg)
             for g in minimal
         ), f"every minimal genus-surface filtered out for {t}"
     elapsed = time.monotonic() - start

@@ -17,7 +17,7 @@ from surfenum.cli import (
     results_complete,
     write_results,
 )
-from surfenum.core import SPHERE, Triangulation, edge_triangles
+from surfenum.core import PROJECTIVE_PLANE, SPHERE, Triangulation, edge_triangles
 from surfenum.listing import CountsTable, SearchConfig
 from surfenum.oracle import brute_force_enumerate
 
@@ -56,8 +56,8 @@ class TestParsing:
         corpus = brute_force_enumerate(7)
         for codes in corpus.codes.values():
             for code in codes:
-                t = Triangulation(code)
-                assert parse_triangulation_text(render_triangulation(t)) == t
+                assert (parse_triangulation_text(render_triangulation(code))
+                        == Triangulation(code))
 
 
 def count_validate_calls(monkeypatch) -> list:
@@ -117,7 +117,8 @@ class TestPersistence:
         write_results(tmp_path, SearchConfig(max_vertices=6),
                       brute_force_enumerate(6).codes, 0.0)
         shard = next(p for p in tmp_path.iterdir() if p.suffix == ".txt")
-        text = render_triangulation(parse_triangulation_text(MOBIUS)) + "\n"
+        tris = parse_triangulation_text(MOBIUS).triangles
+        text = render_triangulation(tris) + "\n"
         shard.write_text(text)
         # a manifest that matches the edited shard, so the line reaches classify
         path = tmp_path / "manifest.json"
@@ -267,7 +268,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out == expected
         code = minimal_code(parse_triangulation_text(text).triangles)
-        assert out == render_triangulation(Triangulation(code)) + "\n"
+        assert out == render_triangulation(code) + "\n"
 
     def test_validate_nonsurface_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
@@ -390,6 +391,25 @@ class TestCommands:
         assert "5\tS2\t1\t0\t1" in capsys.readouterr().out
         assert main(["crosscheck", "--max-vertices", "6"]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_crosscheck_prints_each_mismatch(self, monkeypatch, capsys):
+        from surfenum import cli
+        from surfenum.oracle import CrossCheckReport
+
+        tetra = parse_triangulation_text(TETRAHEDRON).triangles
+        rp2 = parse_triangulation_text(RP2_SIX).triangles
+        report = CrossCheckReport(
+            equal=False, total=1,
+            missing={(4, SPHERE): {tetra}},
+            extra={(6, PROJECTIVE_PLANE): {rp2}})
+        monkeypatch.setattr(cli, "cross_validate", lambda *args, **kwargs: report)
+        assert main(["crosscheck", "--max-vertices", "6"]) == 1
+        assert capsys.readouterr().out == (
+            "cross-check FAILED: 1 missing from the pipeline, "
+            "1 not found by the oracle\n"
+            "missing\t4\tS2\t1,2,3 1,2,4 1,3,4 2,3,4\n"
+            "extra\t6\tRP2\t1,2,3 1,2,4 1,3,5 1,4,6 1,5,6 2,3,6 2,4,5 "
+            "2,5,6 3,4,5 3,4,6\n")
 
 
 @pytest.fixture

@@ -30,6 +30,16 @@ def test_no_unused_module_level_import(path):
     assert sorted(imported - used) == []
 
 
+def test_pipeline_and_oracle_import_no_triangulation():
+    # the stages and the oracle pass triangle tuples; a Triangulation is
+    # built from outside input and around a public function's result
+    for name in ("listing", "oracle"):
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
+        imported = {a.asname or a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for a in node.names}
+        assert "Triangulation" not in imported, name
+
+
 # module-level names that only tests use, each with the test that uses it:
 # the two checked moves on a Triangulation; the pipeline runs the unchecked
 # kernels behind them on triangle lists

@@ -193,30 +193,26 @@ class TestDiscEnumeration:
 
 class TestAdmissibility:
     def test_mobius_strip_is_admissible(self, mobius):
-        assert genus_surface_admissible(mobius, SearchConfig(max_vertices=6))
+        g = GenusSurface.from_triangles(mobius.triangles)
+        assert genus_surface_admissible(g, SearchConfig(max_vertices=6))
 
     def test_annulus_is_not_admissible(self, annulus):
         # planar, and not the single triangle
-        assert not genus_surface_admissible(annulus, SearchConfig(max_vertices=11))
+        g = GenusSurface.from_triangles(annulus.triangles)
+        assert not genus_surface_admissible(g, SearchConfig(max_vertices=11))
 
     def test_single_triangle_is_admissible(self):
-        t = Triangulation([(1, 2, 3)])
-        assert genus_surface_admissible(t, SearchConfig(max_vertices=7))
+        g = GenusSurface.from_triangles([(1, 2, 3)])
+        assert genus_surface_admissible(g, SearchConfig(max_vertices=7))
 
     def test_two_triangle_square_is_not(self):
-        t = Triangulation([(1, 2, 3), (1, 3, 4)])
-        assert not genus_surface_admissible(t, SearchConfig(max_vertices=7))
-
-    def test_non_surface_is_refused(self):
-        # two tetrahedra joined at vertex 1
-        t = Triangulation([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
-                           (1, 5, 6), (1, 5, 7), (1, 6, 7), (5, 6, 7)])
-        with pytest.raises(ValueError):
-            genus_surface_admissible(t, SearchConfig(max_vertices=9))
+        g = GenusSurface.from_triangles([(1, 2, 3), (1, 3, 4)])
+        assert not genus_surface_admissible(g, SearchConfig(max_vertices=7))
 
     def test_mobius_needs_enough_budget(self, mobius):
         # the vertex budget: a root on the five-vertex strip needs a sixth
-        assert not genus_surface_admissible(mobius, SearchConfig(max_vertices=5))
+        g = GenusSurface.from_triangles(mobius.triangles)
+        assert not genus_surface_admissible(g, SearchConfig(max_vertices=5))
 
 
 class TestGenusSurfaces:
@@ -517,10 +513,11 @@ class TestGluingChecks:
         for mod in _package_modules_holding(real):
             monkeypatch.setattr(mod, "validate", counting)
         enumerate_all(SearchConfig(max_vertices=8))
-        # the 7 roots that is_root checks in the non-roots; 46 when the
-        # gluing validated each glued class, 133 when each capped
-        # genus-surface was built and validated twice
-        assert 0 < calls <= 7
+        # the stages pass triangle tuples and validate none (7 when the
+        # non-roots checked each root with is_root, 46 when the gluing
+        # validated each glued class, 133 when each capped genus-surface was
+        # built and validated twice)
+        assert calls == 0
 
 
 def _check_gluings(monkeypatch, cfg: SearchConfig, candidates: list) -> int:
@@ -595,26 +592,28 @@ class TestRootsAndNonRoots:
 
     def test_nonroots_of_tetrahedron(self, tetra):
         grown = [Triangulation(code) for code in
-                 enumerate_nonroots(tetra, SearchConfig(max_vertices=6))]
+                 enumerate_nonroots(tetra.triangles, SearchConfig(max_vertices=6))]
         by_v = Counter(t.vertex_count for t in grown)
         assert by_v == {5: 1, 6: 1}
         assert all(classify(t) == SPHERE and not is_root(t) for t in grown)
 
-    def test_nonroots_validate_only_the_root(self, monkeypatch, octa):
-        from surfenum import moves
-
-        calls = Counter()
-        real = moves.validate
+    def test_nonroots_validate_nothing(self, monkeypatch, octa):
+        calls = 0
+        real = validate
 
         def counting(t):
-            calls[t.vertex_count] += 1
+            nonlocal calls
+            calls += 1
             return real(t)
 
-        monkeypatch.setattr(moves, "validate", counting)
-        grown = enumerate_nonroots(octa, SearchConfig(max_vertices=8))
+        for mod in _package_modules_holding(real):
+            monkeypatch.setattr(mod, "validate", counting)
+        grown = enumerate_nonroots(octa.triangles, SearchConfig(max_vertices=8))
         assert len(grown) > 1
-        # is_root checks the root; the moves from it keep the surface closed
-        assert calls == {6: 1}
+        # the root is checked for removable vertices alone, and the moves
+        # from it keep the surface closed (the root was validated once when
+        # the check was is_root)
+        assert calls == 0
 
     def test_nonroots_key_once_per_orbit(self, monkeypatch):
         calls = _count_calls_below(monkeypatch, minimal_code,
@@ -628,9 +627,9 @@ class TestRootsAndNonRoots:
 
     def test_nonroots_requires_root(self, tetra):
         from surfenum.moves import t_move
-        with pytest.raises(ValueError):
-            enumerate_nonroots(t_move(tetra, (1, 2, 3)),
-                               SearchConfig(max_vertices=7))
+        code = minimal_code(t_move(tetra, (1, 2, 3)).triangles)
+        with pytest.raises(ValueError, match="needs a root"):
+            enumerate_nonroots(code, SearchConfig(max_vertices=7))
 
 
 class TestOrbitPruning:
@@ -647,7 +646,7 @@ class TestOrbitPruning:
             want = reference_nonroots(root, 8)
             # the root as its minimal code and relabeled
             for t in (root, relabel(root, rng)[0]):
-                assert enumerate_nonroots(t, cfg) == want
+                assert enumerate_nonroots(t.triangles, cfg) == want
 
     @pytest.mark.parametrize("v", [7, 8])
     @pytest.mark.parametrize("specialized", [True, False])
@@ -664,9 +663,8 @@ class TestOrbitPruning:
         for (v, _cls), codes in roots.items():
             for code in codes:
                 if v < 9:
-                    root = Triangulation(code)
-                    assert (enumerate_nonroots(root, cfg)
-                            == reference_nonroots(root, 9))
+                    assert (enumerate_nonroots(code, cfg)
+                            == reference_nonroots(Triangulation(code), 9))
 
 
 class TestCountsTable:
@@ -1047,7 +1045,8 @@ class TestGenusSearchPruning:
             if out is not None:
                 stack.extend(out)
             elif (boundary_cycles(tris)
-                  and genus_surface_admissible(Triangulation(tris), cfg)):
+                  and genus_surface_admissible(
+                      GenusSurface.from_triangles(tris), cfg)):
                 admissible.add(minimal_code(tris))
         # the one-triangle candidate, which the search emits directly, is
         # the only admissible leaf below a pruned child

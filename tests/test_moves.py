@@ -6,8 +6,8 @@ import pytest
 from conftest import RP2_SIX, edge_expand_4valent, is_isomorphic, relabel
 from surfenum.canon import canonical_form, minimal_code
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import (SPHERE, SurfaceKind, Triangulation, classify, valences,
-                           validate)
+from surfenum.core import (SPHERE, SurfaceKind, Triangulation, classify,
+                           edge_triangles, valences, validate)
 from surfenum.moves import (
     LinkBoundsTriangleError,
     MoveError,
@@ -217,7 +217,7 @@ class TestStoredAnswers:
 class TestEdgeExpansion:
     def test_expansion_keeps_root_and_class(self, octa, rp2_six):
         for base in (octa, rp2_six):
-            for e in base.edges():
+            for e in sorted(edge_triangles(base.triangles)):
                 grown = edge_expand_4valent(base, e)
                 assert grown.vertex_count == base.vertex_count + 1
                 assert classify(grown) == classify(base)
