@@ -50,7 +50,7 @@ def parse_triangulation_text(s: str) -> Triangulation:
         if len(parts) != 3:
             raise ValueError(f"triangle {tok!r} does not have three vertices")
         try:
-            tri = tuple(int(p) for p in parts)
+            tri = tuple(map(int, parts))
         except ValueError:
             raise ValueError(f"triangle {tok!r} has a non-numeric vertex") from None
         if any(v < 1 for v in tri):
@@ -180,18 +180,25 @@ def read_results(out_dir: Path) -> CountsTable:
     split is recomputed from the stored triangle lists, each validated once
     (by :func:`core.classify`, whose report ``moves.is_root`` reads).
     ``ValueError`` when a shard's sha256 differs from the manifest's, before
-    that shard is parsed."""
+    that shard is parsed, or when a line's V or class differs from its
+    shard's name or its line count from the manifest entry's."""
     table = CountsTable()
     for name, info in _read_manifest(out_dir)["shards"].items():
-        for line in _shard_text(out_dir, name, info).splitlines():
-            if not line.strip():
-                continue
+        lines = [line for line in _shard_text(out_dir, name, info).splitlines()
+                 if line.strip()]
+        for line in lines:
             t = parse_triangulation_text(line)
             v, cls = t.vertex_count, classify(t)
+            if _shard_name(v, cls) != name:
+                raise ValueError(f"{out_dir / name} holds a triangulation of "
+                                 f"{cls.name} with {v} vertices")
             if is_root(t):
                 table.add_root(v, cls)
             else:
                 table.add_nonroot(v, cls)
+        if len(lines) != info.get("count"):
+            raise ValueError(f"{out_dir / name} has {len(lines)} lines, its "
+                             f"manifest entry counts {info.get('count')}")
     return table
 
 

@@ -7,9 +7,12 @@ that a :class:`Triangulation` keeps the answers that depend on its
 triangles alone once they are computed: its validation report (written
 here) and its canonical code (written by ``canon.canonical_form``).
 
-One walk decides connectivity and orientability (:func:`_orientation`);
-the report keeps the orientability, so :func:`classify` reads a closed
-surface's class off it.
+Validation is one walk round each vertex star (:func:`_validate`): link
+shapes, boundary, components and orientability together.  With no vertex
+offending each star is joined across its edges, so components by shared
+vertex are components by shared edge, and every interior edge is crossed,
+so every sign conflict is seen.  :func:`classify` and
+:func:`surface_class` read orientability off the report.
 """
 
 from __future__ import annotations
@@ -50,17 +53,18 @@ class Triangulation:
         tris = normalize_triangles(triangles)
         if not tris:
             raise ValueError("a triangulation needs at least one triangle")
-        seen = set()
-        labels = set()
-        for t in tris:
-            if len(set(t)) != 3:
-                raise ValueError(f"degenerate triangle {t}")
-            if t in seen:
-                raise ValueError(f"duplicate triangle {t}")
-            if t[0] < 1:
-                raise ValueError(f"vertex labels must be positive, got {t}")
-            seen.add(t)
-            labels.update(t)
+        if (len(set(tris)) < len(tris) or set(map(len, map(set, tris))) != {3}
+                or tris[0][0] < 1):  # then name the first bad triangle
+            seen = set()
+            for t in tris:
+                if len(set(t)) != 3:
+                    raise ValueError(f"degenerate triangle {t}")
+                if t in seen:
+                    raise ValueError(f"duplicate triangle {t}")
+                if t[0] < 1:
+                    raise ValueError(f"vertex labels must be positive, got {t}")
+                seen.add(t)
+        labels = set().union(*tris)
         if labels != set(range(1, len(labels) + 1)):
             raise ValueError("vertex labels must be contiguous 1..V")
         object.__setattr__(self, "triangles", tris)
@@ -219,47 +223,6 @@ class ValidationReport:
         return self.kind is not SurfaceKind.NOT_A_SURFACE
 
 
-def _orientation(tris: tuple[Triangle, ...],
-                 by_edge: dict[Edge, list[Triangle]]) -> tuple[int, bool]:
-    """The number of edge-components of ``tris`` and whether it has a
-    coherent orientation, in one walk, given :func:`edge_triangles` of
-    ``tris`` (no edge in three triangles).  Pieces that meet only at a
-    vertex split that vertex's link, which :func:`validate` reports before
-    asking; one component is a surface.
-
-    Each triangle gets a sign: +1 orients a sorted triangle (a, b, c) as
-    a -> b -> c, along its edges (a, b) and (b, c) and against (a, c), and
-    -1 the other way; two triangles on an edge must run it opposite ways.
-    A conflict makes the complex non-orientable; the walk still covers
-    every component, to count them."""
-    sign: dict[Triangle, int] = {}
-    components = 0
-    orientable = True
-    for start in tris:
-        if start in sign:
-            continue
-        components += 1
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            a, b, c = t
-            s = sign[t]
-            for e, along in (((a, b), s), ((b, c), s), ((a, c), -s)):
-                for u in by_edge[e]:
-                    if u is t or u == t:
-                        continue
-                    # u runs e the other way; its edge (first, last) is against
-                    want = along if (u[0], u[2]) == e else -along
-                    have = sign.get(u)
-                    if have is None:
-                        sign[u] = want
-                        stack.append(u)
-                    elif have != want:
-                        orientable = False
-    return components, orientable
-
-
 def validate(t: Triangulation) -> ValidationReport:
     """Decide whether the complex is a closed surface, a surface with
     boundary, or not a surface at all (with the offending vertices), and
@@ -274,22 +237,64 @@ def validate(t: Triangulation) -> ValidationReport:
 
 def _validate(tris: tuple[Triangle, ...],
               by_edge: dict[Edge, list[Triangle]]) -> ValidationReport:
-    """:func:`validate`, given :func:`edge_triangles` of ``tris``."""
-    offending: set[int] = set()
-    for e, ts in by_edge.items():
-        if len(ts) > 2:
-            offending.update(e)
+    """:func:`validate`, given :func:`edge_triangles` of ``tris``: one walk
+    round each vertex star.  Vertices come off a stack with a signed
+    triangle of their star (+1 orients a sorted (a, b, c) as a -> b -> c);
+    a vertex no walk has reached starts a new component.  The walk at ``v``
+    turns across the edges at ``v`` one way and, from an edge in one
+    triangle (boundary), the other way, carrying the orientation into each
+    triangle it enters; a sign there that differs is a conflict.  ``v`` is
+    offending when the walk, which stops at an edge in three triangles,
+    covers fewer triangles than ``v`` has: its link is neither a circle
+    nor an interval.  With none offending each star is joined across its edges,
+    so the components by shared vertex are those by shared edge, and every
+    interior edge is crossed, so a conflict-free surface is orientable."""
     by_vertex = vertex_triangles(tris)
+    sign: dict[Triangle, int] = {}
+    seen: set[int] = set()
+    offending = []
     has_boundary = False
-    for v, ts in by_vertex.items():
-        shape = link_shape(ts, v)
-        if shape in ("bad", "paths"):
-            offending.add(v)
-        elif shape == "interval":
-            has_boundary = True
+    orientable = True
+    components = 0
+    for root, at_root in by_vertex.items():
+        if root in seen:
+            continue
+        components += 1
+        seen.add(root)
+        sign[at_root[0]] = 1
+        stack = [(root, at_root[0])]
+        while stack:
+            v, start = stack.pop()
+            a, b, c = start
+            # start is v -> p -> q when its sign is +1
+            p, q = (b, c) if v == a else (c, a) if v == b else (a, b)
+            covered = 1
+            # the walk turns v -> y -> r in u: sign s if (v, y, r) rotates u, else -s
+            for s, y in ((sign[start], q), (-sign[start], p)):
+                t = start
+                while True:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append((y, t))
+                    ts = by_edge[(v, y) if v < y else (y, v)]
+                    if len(ts) != 2:
+                        break
+                    u = ts[1] if ts[0] == t else ts[0]
+                    r = u[0] + u[1] + u[2] - v - y
+                    want = s if (v < y) + (y < r) + (r < v) == 2 else -s
+                    if sign.setdefault(u, want) != want:
+                        orientable = False
+                    if u == start:
+                        break
+                    covered += 1
+                    t, y = u, r
+                if len(ts) != 1:
+                    break  # round the circle, or stopped at a 3-edge
+                has_boundary = True
+            if covered < len(by_vertex[v]):
+                offending.append(v)
     if offending:
         return ValidationReport(SurfaceKind.NOT_A_SURFACE, tuple(sorted(offending)))
-    components, orientable = _orientation(tris, by_edge)
     if components > 1:
         return ValidationReport(SurfaceKind.NOT_A_SURFACE)
     kind = (SurfaceKind.SURFACE_WITH_BOUNDARY if has_boundary
@@ -361,12 +366,15 @@ def _surface_class(chi: int, orientable: bool) -> SurfaceClass:
 
 def surface_class(tris: tuple[Triangle, ...], holes: int = 0) -> SurfaceClass:
     """Class of the closed surface obtained by capping each of the ``holes``
-    boundary cycles of the connected surface ``tris`` with a disc, with no
-    check that ``tris`` is one.  Capping keeps orientability and adds 1 to
+    boundary cycles of the connected surface ``tris`` with a disc, with
+    orientability read off its validation report; ``ValueError`` when
+    ``tris`` is not a surface.  Capping keeps orientability and adds 1 to
     chi per hole."""
     by_edge = edge_triangles(tris)
-    return _surface_class(_euler(tris, by_edge) + holes,
-                          _orientation(tris, by_edge)[1])
+    report = _validate(tris, by_edge)
+    if not report.is_surface:
+        raise ValueError("surface_class needs a surface, got NotASurface")
+    return _surface_class(_euler(tris, by_edge) + holes, report.orientable)
 
 
 def classify(t: Triangulation) -> SurfaceClass:

@@ -136,8 +136,8 @@ class GenusSurface:
     automorphism group (:func:`canon.automorphisms`), which equality leaves
     out.  Capping a cycle with a disc keeps orientability and adds 1 to
     chi, so the capped class comes from the piece's own orientability, chi
-    and number of holes.  ``from_triangles`` does not check that its input
-    is a connected surface."""
+    and number of holes.  ``from_triangles`` raises ``ValueError`` when its
+    input is not a connected surface (:func:`core.surface_class`)."""
 
     triangles: Code
     boundary: tuple[tuple[int, ...], ...]

@@ -9,6 +9,7 @@ removal order.
 
 from __future__ import annotations
 
+import heapq
 from typing import Sequence
 
 from .canon import canonical_form, minimal_code
@@ -87,12 +88,13 @@ def _remove_vertex(tris: Sequence[Triangle], v: int) -> list[Triangle]:
 def _removable_vertices(tris: Sequence[Triangle]) -> list[int]:
     """The vertices of the sorted triangles ``tris`` that an inverse move
     removes, ascending."""
+    present = set(tris)
     out = []
     for v, at_v in vertex_triangles(tris).items():
         if len(at_v) != 3:
             continue
         neighbours = tuple(sorted({x for tri in at_v for x in tri if x != v}))
-        if neighbours not in tris:
+        if neighbours not in present:
             out.append(v)
     return sorted(out)
 
@@ -109,13 +111,24 @@ def compute_root(t: Triangulation) -> Triangulation:
     reproducible trace) until none applies; return the root's minimal
     code.  A root input's code is its canonical form (kept on ``t``, see
     :func:`canonical_form`), so only a root reached by inverse moves is
-    labeled here."""
+    labeled here.  The moves leave the labels with gaps (compacting keeps
+    their order, so the lowest removable vertex is the same) and re-check
+    only the removed vertex's neighbours, whose stars alone change."""
     _require_closed(t)
-    tris = t.triangles
-    removable = _removable_vertices(tris)
+    removable = _removable_vertices(t.triangles)  # sorted, so a heap
     if not removable:
         return Triangulation(canonical_form(t).triangles)
+    star = {v: set(at_v) for v, at_v in vertex_triangles(t.triangles).items()}
     while removable:
-        tris = _remove_vertex(tris, removable[0])
-        removable = _removable_vertices(tris)
-    return Triangulation(minimal_code(tris))
+        v = heapq.heappop(removable)
+        at_v = star.get(v, ())
+        link = tuple(sorted({x for tri in at_v for x in tri if x != v}))
+        if len(at_v) != 3 or link in star[link[0]]:
+            continue
+        del star[v]
+        for x in link:
+            star[x] -= at_v
+            star[x].add(link)
+            if len(star[x]) == 3:
+                heapq.heappush(removable, x)
+    return Triangulation(minimal_code(set().union(*star.values())))

@@ -10,8 +10,9 @@ from surfenum.cli import parse_triangulation_text
 from surfenum.core import (KLEIN_BOTTLE, SPHERE, Edge, SurfaceClass,
                            SurfaceKind, Triangle, Triangulation,
                            _euler, boundary_cycles, classify, closed_cycles,
-                           edge_triangles, link_graph,
-                           normalize_triangles, valences, validate)
+                           ValidationReport, edge_triangles, link_graph,
+                           normalize_triangles, valences, validate,
+                           vertex_triangles)
 from surfenum import listing
 from surfenum.listing import (SearchConfig, _host_splits, _index_discs,
                               enumerate_genus_surfaces)
@@ -123,7 +124,7 @@ def link_shape(tris_at_v: Iterable[Triangle], v: int) -> str:
 def orientable(tris: tuple[Triangle, ...]) -> bool:
     """Propagate a chosen cyclic vertex order per triangle across shared
     edges, as directed-edge sets; a conflict means non-orientable.  The
-    reference that ``core._orientation`` is compared with."""
+    reference for the orientability in ``core.validate``'s report."""
     by_edge = edge_triangles(tris)
     orient: dict[Triangle, tuple[int, int, int]] = {}
     for start in tris:
@@ -157,8 +158,8 @@ def orientable(tris: tuple[Triangle, ...]) -> bool:
 
 def edge_components(tris: tuple[Triangle, ...]) -> int:
     """The number of components of ``tris`` joined along shared edges, by a
-    plain depth-first search; the reference for the count of
-    ``core._orientation``."""
+    plain depth-first search; the reference for the connectivity in
+    ``core.validate``'s report."""
     by_edge = edge_triangles(tris)
     seen: set[Triangle] = set()
     components = 0
@@ -176,6 +177,27 @@ def edge_components(tris: tuple[Triangle, ...]) -> int:
                         seen.add(u)
                         stack.append(u)
     return components
+
+
+def reference_report(tris: tuple[Triangle, ...]) -> ValidationReport:
+    """The validation report of ``tris`` from the references above: the
+    ends of an edge in three triangles and the vertices whose link is
+    'bad' or 'paths' are offending; with none, more than one
+    edge-component is not a surface, and a vertex with an 'interval' link
+    puts the surface's boundary there.  The reference for
+    ``core._validate``, which finds all of it in one walk."""
+    offending = {v for e, ts in edge_triangles(tris).items() if len(ts) > 2
+                 for v in e}
+    shapes = {v: link_shape(ts, v) for v, ts in vertex_triangles(tris).items()}
+    offending.update(v for v, shape in shapes.items()
+                     if shape in ("bad", "paths"))
+    if offending:
+        return ValidationReport(SurfaceKind.NOT_A_SURFACE, tuple(sorted(offending)))
+    if edge_components(tris) > 1:
+        return ValidationReport(SurfaceKind.NOT_A_SURFACE)
+    kind = (SurfaceKind.SURFACE_WITH_BOUNDARY if "interval" in shapes.values()
+            else SurfaceKind.CLOSED_SURFACE)
+    return ValidationReport(kind, orientable=orientable(tris))
 
 
 def mixed_lex_compare(a: Sequence[Triangle], b: Sequence[Triangle]) -> int:

@@ -143,6 +143,49 @@ class TestPersistence:
         assert captured.out == ""
         assert "v06_S2.txt does not match its manifest checksum" in captured.err
 
+    @staticmethod
+    def _rewrite(out_dir, texts, counts=False):
+        """Write each shard text of ``texts`` and put its sha256 (and, with
+        ``counts``, its line count) in the manifest."""
+        path = out_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for name, text in texts.items():
+            (out_dir / name).write_text(text)
+            entry = manifest["shards"][name]
+            entry["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+            if counts:
+                entry["count"] = len(text.splitlines())
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_misfiled_line_exits_2(self, tmp_path, capsys, counts):
+        # one S2 line moved into the RP2 shard of the same vertex count,
+        # with both checksums (and, the second time, both counts) made to
+        # match: the line differs from its shard's name
+        write_results(tmp_path, SearchConfig(max_vertices=6),
+                      brute_force_enumerate(6).codes, 0.0)
+        s2 = (tmp_path / "v06_S2.txt").read_text().splitlines()
+        rp2 = (tmp_path / "v06_RP2.txt").read_text().splitlines()
+        self._rewrite(tmp_path, {"v06_S2.txt": s2[1] + "\n",
+                                 "v06_RP2.txt": "\n".join(rp2 + s2[:1]) + "\n"},
+                      counts)
+        capsys.readouterr()
+        assert main(["counts", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if counts:
+            assert "v06_RP2.txt holds a triangulation of S2 with 6 vertices" in err
+
+    def test_shard_count_mismatch_exits_2(self, tmp_path, capsys):
+        write_results(tmp_path, SearchConfig(max_vertices=6),
+                      brute_force_enumerate(6).codes, 0.0)
+        lines = (tmp_path / "v06_S2.txt").read_text().splitlines()
+        self._rewrite(tmp_path, {"v06_S2.txt": lines[0] + "\n"})
+        capsys.readouterr()
+        assert main(["counts", str(tmp_path)]) == 2
+        assert ("v06_S2.txt has 1 lines, its manifest entry counts 2"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("schema", [None, 1, 3])
     def test_other_manifest_schema_recomputes(self, tmp_path, capsys, schema):
         out_dir = tmp_path / "run"
@@ -363,6 +406,21 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "error: 300 triangles are too many to label: the canonical "
             "search recurses once per branching step\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty triangulation text"),
+        ("123 12", "triangle '12' does not have three vertices"),
+        ("1,2,x 1,2,3", "triangle '1,2,x' has a non-numeric vertex"),
+        ("1,2,3 0,1,2", "triangle '0,1,2' has a label below 1"),
+        ("123 112", "degenerate triangle (1, 1, 2)"),
+        ("123 124 321", "duplicate triangle (1, 2, 3)"),
+        ("123 125", "vertex labels must be contiguous 1..V"),
+    ])
+    def test_parse_error_messages(self, tmp_path, capsys, text, message):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        assert main(["validate", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"

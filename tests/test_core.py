@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import (MOBIUS, cone_and_classify, edge_components,
-                      heawood_min_vertices, link_shape, orientable, relabel)
+from conftest import (MOBIUS, cone_and_classify, heawood_min_vertices,
+                      link_shape, orientable, reference_report, relabel)
 from surfenum.canon import canonical_form
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
@@ -16,7 +16,7 @@ from surfenum.core import (
     SurfaceKind,
     Triangulation,
     _euler,
-    _orientation,
+    _validate,
     boundary_cycles,
     classify,
     closed_cycles,
@@ -36,7 +36,7 @@ def euler_characteristic(t: Triangulation) -> int:
 
 
 def orientable_triangles(tris) -> bool:
-    return _orientation(tris, edge_triangles(tris))[1]
+    return _validate(tris, edge_triangles(tris)).orientable
 
 
 class TestTriangulation:
@@ -53,6 +53,20 @@ class TestTriangulation:
     def test_duplicate_triangle_rejected(self):
         with pytest.raises(ValueError):
             Triangulation([(1, 2, 3), (3, 2, 1)])
+
+    @pytest.mark.parametrize("triangles, message", [
+        ([], "a triangulation needs at least one triangle"),
+        ([(1, 2), (1, 2, 3)], "degenerate triangle (1, 2)"),
+        ([(1, 2, 3), (2, 4, 4), (3, 2, 1)], "duplicate triangle (1, 2, 3)"),
+        ([(1, 2, 3), (3, 2, 1), (1, 1, 2)], "degenerate triangle (1, 1, 2)"),
+        ([(0, 1, 2), (1, 2, 3)], "vertex labels must be positive, got (0, 1, 2)"),
+        ([(1, 2, 3), (1, 2, 5)], "vertex labels must be contiguous 1..V"),
+    ])
+    def test_construction_messages(self, triangles, message):
+        # the first bad triangle in sorted order is named
+        with pytest.raises(ValueError) as exc:
+            Triangulation(triangles)
+        assert str(exc.value) == message
 
     def test_noncontiguous_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -184,6 +198,39 @@ class TestValidate:
             assert report.kind is SurfaceKind.NOT_A_SURFACE
             assert report.orientable is None
 
+    def test_report_matches_reference(self):
+        # the closed surfaces with V <= 7, seeded random triangle subsets of
+        # them, and unions of two relabelled complexes that are disjoint,
+        # share a vertex or share an edge
+        codes = [c for cs in brute_force_enumerate(7).codes.values() for c in cs]
+        assert len(codes) == 14
+        rng = random.Random(29)
+        complexes = list(codes)
+        for code in codes:
+            for _ in range(20):
+                complexes.append(tuple(sorted(
+                    rng.sample(code, rng.randint(1, len(code))))))
+        for shared in (0, 1, 2) * 100:
+            a, b = rng.choice(complexes), rng.choice(complexes)
+            labels = sorted({v for t in b for v in t})
+            fresh = max(v for t in a for v in t) + 1
+            images = list(range(fresh, fresh + len(labels)))
+            rng.shuffle(images)
+            image = dict(zip(labels, images))
+            (x, y, _z), (p, q, _r) = rng.choice(b), rng.choice(a)
+            image.update(list(zip((x, y), (p, q)))[:shared])
+            complexes.append(tuple(sorted(
+                set(a) | {tuple(sorted(image[v] for v in t)) for t in b})))
+        kinds = set()
+        for tris in complexes:
+            report = _validate(tris, edge_triangles(tris))
+            assert report == reference_report(tris), tris
+            kinds.add((report.kind, bool(report.offending_vertices)))
+        assert kinds == {(SurfaceKind.CLOSED_SURFACE, False),
+                         (SurfaceKind.SURFACE_WITH_BOUNDARY, False),
+                         (SurfaceKind.NOT_A_SURFACE, False),
+                         (SurfaceKind.NOT_A_SURFACE, True)}
+
     def test_report_is_computed_once(self, monkeypatch, rp2_six, mobius):
         from surfenum import core
 
@@ -231,23 +278,22 @@ class TestClassification:
             assert not orientable(tris)
         # every prefix of every V <= 8 oracle code and of one seeded
         # relabelling of it: discs, pinched, disconnected and bounded pieces,
-        # and the closed surfaces themselves; the walk also counts the
-        # edge-components (a code's own prefixes are all connected)
+        # and the closed surfaces themselves; the whole report matches the
+        # reference (a code's own prefixes are all connected)
         rng = random.Random(27)
         verdicts = set()
-        counts = set()
+        disconnected = 0
         for cs in codes.values():
             for code in cs:
                 for tris in (code, relabel(Triangulation(code), rng)[0].triangles):
                     for k in range(1, len(tris) + 1):
-                        components, verdict = _orientation(
-                            tris[:k], edge_triangles(tris[:k]))
-                        assert verdict == orientable(tris[:k]), tris[:k]
-                        assert components == edge_components(tris[:k]), tris[:k]
-                        verdicts.add(verdict)
-                        counts.add(components)
-        assert verdicts == {True, False}
-        assert 1 in counts and max(counts) > 1
+                        report = _validate(tris[:k], edge_triangles(tris[:k]))
+                        assert report == reference_report(tris[:k]), tris[:k]
+                        verdicts.add(report.orientable)
+                        disconnected += (not report.is_surface
+                                         and not report.offending_vertices)
+        assert verdicts == {True, False, None}
+        assert disconnected > 0
 
     def test_classify(self, tetra, octa, rp2_six):
         assert classify(tetra) == SPHERE
@@ -306,6 +352,12 @@ class TestBoundary:
     def test_cap_triangle_gives_sphere(self):
         tris = Triangulation([(1, 2, 3)]).triangles
         assert surface_class(tris, 1) == cone_and_classify(tris) == SPHERE
+
+    def test_surface_class_refuses_a_non_surface(self):
+        # an edge in three triangles, a pinch, and two components
+        for text in ("123 124 125", "123 145", "123 456"):
+            with pytest.raises(ValueError, match="needs a surface"):
+                surface_class(parse_triangulation_text(text).triangles)
 
     def test_closed_surface_has_no_boundary(self, octa):
         assert boundary_cycles(octa.triangles) == []

@@ -40,6 +40,20 @@ def test_pipeline_and_oracle_import_no_triangulation():
         assert "Triangulation" not in imported, name
 
 
+def test_link_shape_is_called_only_from_the_oracle():
+    # validation walks each vertex star once over the edge index; a link
+    # graph per vertex is built only for the oracle's growth test
+    callers = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "link_shape":
+                    callers.add(path.stem)
+    assert callers == {"oracle"}
+
+
 # module-level names that only tests use, each with the test that uses it:
 # the two checked moves on a Triangulation; the pipeline runs the unchecked
 # kernels behind them on triangle lists

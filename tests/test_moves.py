@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import RP2_SIX, edge_expand_4valent, is_isomorphic, relabel
+from conftest import (RP2_SIX, edge_expand_4valent, is_isomorphic, relabel,
+                      torus_grid)
 from surfenum.canon import canonical_form, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (SPHERE, SurfaceKind, Triangulation, classify,
@@ -12,6 +13,7 @@ from surfenum.moves import (
     LinkBoundsTriangleError,
     MoveError,
     NotThreeValentError,
+    _cone,
     _removable_vertices,
     compute_root,
     inverse_t_move,
@@ -103,6 +105,22 @@ class TestRoots:
                     cur = inverse_t_move(cur, rng.choice(removable))
                 roots.add(minimal_code(cur.triangles))
             assert len(roots) == 1
+
+    @pytest.mark.parametrize("start", ["tetrahedron", "torus"])
+    def test_long_growth_reduces_to_the_start(self, tetra, start):
+        # hundreds of seeded cones, each on any triangle, cones on cones
+        # too; relabelled, the removable vertices are scattered among the
+        # labels and each move can make a neighbour removable
+        base = tetra.triangles if start == "tetrahedron" else minimal_code(torus_grid(4))
+        rng = random.Random(29)
+        n0 = max(v for t in base for v in t)
+        for n in (200, 400):
+            tris = list(base)
+            for w in range(n0 + 1, n0 + n + 1):
+                tris = _cone(tris, rng.choice(tris), w)
+            grown = Triangulation(tris)
+            for t in (grown, relabel(grown, rng)[0]):
+                assert compute_root(t) == Triangulation(minimal_code(base))
 
     def test_compute_root_validates_once(self, monkeypatch, octa):
         from surfenum import moves
