@@ -278,10 +278,16 @@ def _cmd_enum(args) -> int:
     )
     out_dir = Path(args.out) if args.out else None
     if out_dir and results_complete(out_dir, cfg):
-        print(f"results in {out_dir} are complete for this config; skipping",
-              file=sys.stderr)
-        print(format_counts_table(read_results(out_dir)))
-        return 0
+        try:
+            table = read_results(out_dir)
+        except ValueError as exc:
+            print(f"results in {out_dir} are unreadable ({exc}); recomputing",
+                  file=sys.stderr)
+        else:
+            print(f"results in {out_dir} are complete for this config; skipping",
+                  file=sys.stderr)
+            print(format_counts_table(table))
+            return 0
     if out_dir:
         # a bad path fails here, not after the enumeration
         out_dir.mkdir(parents=True, exist_ok=True)

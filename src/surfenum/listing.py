@@ -333,12 +333,12 @@ def _link_after(link, p: int, q: int) -> str:
     return "interval" if paths == 1 else "paths"
 
 
-def _splits_boundary(cycles, bedges, edge_map) -> bool:
+def _splits_boundary(cycles, bedges, edge_map, starts=None) -> bool:
     """Whether two edge-adjacent triangles touch boundary edges ``bedges``
     of different boundary components, ``cycles`` the closed cycles of
-    ``bedges``.  In a growth state ``bedges`` are the frozen edges: a closed
-    cycle of them is a whole final component, so no frozen edge off it can
-    join it."""
+    ``bedges``, one on an edge of ``starts`` (default ``bedges``).  In a
+    growth state ``bedges`` are the frozen edges: a closed cycle of them is
+    a whole final component, so no frozen edge off it can join it."""
     if not cycles:
         return False
     # boundary edge -> its closed cycle, or None while its path is open
@@ -351,7 +351,7 @@ def _splits_boundary(cycles, bedges, edge_map) -> bool:
         a, b, c = t
         return {comp.get(f) for f in ((a, b), (a, c), (b, c)) if f in bedges}
 
-    for f in bedges:
+    for f in bedges if starts is None else starts:
         t = edge_map[f][0]
         mine = touched(t)
         a, b, c = t
@@ -393,6 +393,14 @@ class _GenusSurfaceSearch:
     fires only on three or more cycles (at least 9 vertices) or on two of
     length 5 or more (at least 10), so never below a budget of 10 vertices.
 
+    A state carries, updated from its parent's, its edge and vertex indices,
+    each vertex's frozen ends (far ends of its frozen edges), the vertices
+    opposite frozen edges and the closed cycles of frozen edges.  No stacked
+    state has a pair R3 rejects (induction: a cover child adds no frozen
+    edge).  A freeze child whose edge closes no cycle keeps its parent's
+    cycles, which passed R4, and only its edge's triangle touches a new
+    frozen edge (no cycle vertex takes a third): R3 tests that one's pairs.
+
     The open edge decided next is the one at the most advanced vertex: the
     larger valence of its two ends, then the frozen edges at both ends, both
     descending, then the least edge by label.  This is the fail-first rule
@@ -421,40 +429,33 @@ class _GenusSurfaceSearch:
         # the one-triangle candidate is emitted directly: its vertices close
         # with valence 1, which ``_dead_end`` rejects in every other state;
         # its three vertices need max_v >= 3
+        start = frozenset({(1, 2, 3)})
         if self.max_v >= 3:
-            self.emit(frozenset({(1, 2, 3)}))
+            self.emit(start)
         seen = Isomorphs(flag_key)
-        stack = [(frozenset({(1, 2, 3)}), frozenset())]
+        # each state with the fields it carries (class docstring)
+        stack = [(start, frozenset(), edge_triangles(start),
+                  vertex_triangles(start), {}, frozenset(), [])]
         while stack:
-            tris, frozen = stack.pop()
-            # one edge and one vertex index per state; the rest is read off them
-            edge_map = edge_triangles(tris)
-            by_vertex = vertex_triangles(tris)
+            state = stack.pop()
+            tris, frozen, edge_map, by_vertex = state[:4]
             if not seen.add(tris, edge_map, by_vertex, frozen):
                 continue
             self.expanded += 1
-            children = self.children(tris, frozen, edge_map, by_vertex)
+            children = self.children(*state)
             if children is None:
                 self.emit(tris)
             else:
                 stack.extend(children)
         return self
 
-    def children(self, tris: frozenset, frozen: frozenset, edge_map, by_vertex):
+    def children(self, tris: frozenset, frozen: frozenset, edge_map, by_vertex,
+                 frozen_ends: dict, opposite: frozenset, cycles: list):
         bedges = [e for e, ts in edge_map.items() if len(ts) == 1]
         open_edges = [e for e in bedges if e not in frozen]
         if not open_edges:
             return None
         vals = {v: len(ts) for v, ts in by_vertex.items()}
-        # the far ends of each vertex's frozen edges, and the vertex opposite
-        # each frozen edge in its one triangle
-        frozen_ends: dict[int, list[int]] = {}
-        opposite = set()
-        for f in frozen:
-            x, y = f
-            frozen_ends.setdefault(x, []).append(y)
-            frozen_ends.setdefault(y, []).append(x)
-            opposite.add(next(w for w in edge_map[f][0] if w != x and w != y))
         # fail first: the open edge at the most advanced vertex (docstring)
         e = min(open_edges, key=lambda e: (
             -max(vals[e[0]], vals[e[1]]),
@@ -469,22 +470,30 @@ class _GenusSurfaceSearch:
         # freezing e leaves a vertex on at most two frozen edges, and the
         # opposite vertex of a boundary edge must end up on the boundary
         apex = next(x for x in edge_map[e][0] if x != a and x != b)
-        if (len(frozen_ends.get(a, ())) < 2 and len(frozen_ends.get(b, ())) < 2
-                and apex in bverts):
+        ends_a, ends_b = frozen_ends.get(a, ()), frozen_ends.get(b, ())
+        if len(ends_a) < 2 and len(ends_b) < 2 and apex in bverts:
             changes = []
-            for v, w in ((a, b), (b, a)):
+            for v, w, ends in ((a, b, ends_a), (b, a, ends_b)):
                 # freezing e makes w a frozen end of v; the link is unchanged
-                ends = frozen_ends.get(v, ())
                 partner = links[v][1]
                 changes.append((v, vals[v],
                                 "interval" if len(partner) == 2 else "paths",
                                 len(ends) == 1 and partner.get(ends[0]) == w))
             child = frozen | {e}
-            # not None: each vertex is on at most two frozen edges
-            cycles = closed_cycles(child)
-            if self._dead_end(changes, opposite, cycles,
-                              _splits_boundary(cycles, child, edge_map)) is None:
-                out.append((tris, child))
+            # e closes a cycle exactly when the frozen path from a ends at b
+            prev, end = None, a
+            while nxt := [w for w in frozen_ends.get(end, ()) if w != prev]:
+                prev, end = end, nxt[0]
+            if end == b:  # not None: no vertex is on three frozen edges
+                new_cycles = closed_cycles(child)
+                split = _splits_boundary(new_cycles, child, edge_map)
+            else:  # the parent's cycles stand: R3 round e only (docstring)
+                new_cycles = []
+                split = _splits_boundary(cycles, child, edge_map, (e,))
+            if self._dead_end(changes, opposite, new_cycles, split) is None:
+                child_ends = {**frozen_ends, a: ends_a + (b,), b: ends_b + (a,)}
+                out.append((tris, child, edge_map, by_vertex, child_ends,
+                            opposite | {apex}, new_cycles or cycles))
         n_v = len(vals)
         cands = [x for x in range(1, n_v + 1) if x != a and x != b]
         if n_v < self.max_v:
@@ -526,7 +535,14 @@ class _GenusSurfaceSearch:
             # the new triangle has no frozen edge and closes no cycle of
             # them, so it splits no boundary
             if self._dead_end(changes, opposite, [], False) is None:
-                out.append((tris | {new_tri}, frozen))
+                # new lists where the new triangle goes; the parent's stay
+                sides, star = dict(edge_map), dict(by_vertex)
+                for f in (e, ea, eb):
+                    sides[f] = sides.get(f, []) + [new_tri]
+                for v in new_tri:
+                    star[v] = star.get(v, []) + [new_tri]
+                out.append((tris | {new_tri}, frozen, sides, star, frozen_ends,
+                            opposite, cycles))
         return out
 
     def _dead_end(self, changes, opposite, cycles, split: bool) -> str | None:
@@ -536,9 +552,9 @@ class _GenusSurfaceSearch:
         vertex v the child changes, (v, valence, link shape, closed) after
         the change, where closed means that one link path joins the far ends
         of v's two frozen edges; ``opposite`` holds the vertices opposite a
-        frozen edge, ``cycles`` the closed cycles of a freeze child's frozen
-        edges (none for a cover child, whose cycles its parent had), and
-        ``split`` is :func:`_splits_boundary` of the child."""
+        frozen edge, ``cycles`` the closed cycles of a freeze child whose
+        edge closes one (else none: the parent's passed R4), and ``split``
+        is :func:`_splits_boundary` of the child."""
         for v, k, shape, closed in changes:
             # R1: a frozen edge keeps its one triangle and a finished vertex
             # stays interior, so that boundary edge's link stays off the boundary

@@ -435,9 +435,9 @@ class TestFlagKey:
         states = []
         real = listing._GenusSurfaceSearch.children
 
-        def recording(search, tris, frozen, edge_map, by_vertex):
+        def recording(search, tris, frozen, *carried):
             states.append((tris, frozen))
-            return real(search, tris, frozen, edge_map, by_vertex)
+            return real(search, tris, frozen, *carried)
 
         monkeypatch.setattr(listing._GenusSurfaceSearch, "children", recording)
         listing._GenusSurfaceSearch(listing.SearchConfig(max_vertices=8)).run()

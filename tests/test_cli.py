@@ -186,6 +186,33 @@ class TestPersistence:
         assert ("v06_S2.txt has 1 lines, its manifest entry counts 2"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("damage", ["cut", "misfiled"])
+    def test_unreadable_results_are_recomputed(self, tmp_path, capsys, damage):
+        # checksums made to match: results_complete passes the directory,
+        # read_results refuses it, and enum recomputes it
+        args = ["enum", "--max-vertices", "7", "--out", str(tmp_path)]
+        assert main(args) == 0
+        table = capsys.readouterr().out
+        s2 = (tmp_path / "v06_S2.txt").read_text().splitlines()
+        if damage == "cut":
+            self._rewrite(tmp_path, {"v06_S2.txt": s2[0] + "\n"})
+        else:
+            rp2 = (tmp_path / "v06_RP2.txt").read_text().splitlines()
+            self._rewrite(tmp_path, {"v06_S2.txt": s2[1] + "\n",
+                                     "v06_RP2.txt": "\n".join(rp2 + s2[:1]) + "\n"},
+                          counts=True)
+        assert results_complete(tmp_path, SearchConfig(max_vertices=7))
+        assert main(["counts", str(tmp_path)]) == 2
+        capsys.readouterr()
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == table
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"results in {tmp_path} are unreadable (")
+        assert line.endswith("); recomputing")
+        assert main(["counts", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == table
+
     @pytest.mark.parametrize("schema", [None, 1, 3])
     def test_other_manifest_schema_recomputes(self, tmp_path, capsys, schema):
         out_dir = tmp_path / "run"

@@ -54,6 +54,29 @@ def test_link_shape_is_called_only_from_the_oracle():
     assert callers == {"oracle"}
 
 
+def test_search_builds_its_indices_once():
+    # a search state's edge and vertex indices are its parent's, updated
+    # round the new triangle: children builds neither, and run builds one
+    # of each, for the start triangle, outside its loop
+    tree = ast.parse((PACKAGE_DIR / "listing.py").read_text())
+    search = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+                  and n.name == "_GenusSurfaceSearch")
+    builds = []
+    for method in search.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        in_loop = {id(n) for loop in ast.walk(method)
+                   if isinstance(loop, (ast.For, ast.While))
+                   for n in ast.walk(loop)}
+        for node in ast.walk(method):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in ("edge_triangles",
+                                                           "vertex_triangles")):
+                builds.append((method.name, node.func.id, id(node) in in_loop))
+    assert sorted(builds) == [("run", "edge_triangles", False),
+                              ("run", "vertex_triangles", False)]
+
+
 # module-level names that only tests use, each with the test that uses it:
 # the two checked moves on a Triangulation; the pipeline runs the unchecked
 # kernels behind them on triangle lists

@@ -761,9 +761,9 @@ def search_states(monkeypatch, v: int) -> list:
     states = []
     real = listing._GenusSurfaceSearch.children
 
-    def recording(search, tris, frozen, edge_map, by_vertex):
+    def recording(search, tris, frozen, *carried):
         states.append((tris, frozen))
-        return real(search, tris, frozen, edge_map, by_vertex)
+        return real(search, tris, frozen, *carried)
 
     monkeypatch.setattr(listing._GenusSurfaceSearch, "children", recording)
     _GenusSurfaceSearch(SearchConfig(max_vertices=v)).run()
@@ -890,9 +890,11 @@ class TestGenusSearchShortcuts:
             verdicts[verdict] += 1
             return verdict
 
-        def checking_children(search, tris, frozen, edge_map, by_vertex):
+        def checking_children(search, tris, frozen, edge_map, by_vertex,
+                              *carried):
             nonlocal states
-            out = real_children(search, tris, frozen, edge_map, by_vertex)
+            out = real_children(search, tris, frozen, edge_map, by_vertex,
+                                *carried)
             if out is None:
                 return None
             states += 1
@@ -906,7 +908,7 @@ class TestGenusSearchShortcuts:
                 # the valence caps that the vertex cap implies
                 assert len(star) <= (n - 3 if v in bverts else n - 2)
             # the frozen-edge cap that the vertex cap implies
-            assert all(len(child) <= search.max_v for _tris, child in out)
+            assert all(len(child[1]) <= search.max_v for child in out)
             return out
 
         monkeypatch.setattr(listing, "_link_ends", recording_ends)
@@ -1014,9 +1016,9 @@ class TestGenusSearchPruning:
             verdicts.append(real_dead_end(search, changes, opposite, cycles, split))
             return None  # the rules patched out: every child is listed
 
-        def pruning(search, tris, frozen, edge_map, by_vertex):
+        def pruning(search, *state):
             verdicts.clear()
-            out = real_children(search, tris, frozen, edge_map, by_vertex)
+            out = real_children(search, *state)
             if out is None:
                 return None
             assert len(out) == len(verdicts)
@@ -1035,13 +1037,13 @@ class TestGenusSearchPruning:
         stack = [c for c, _rule in pruned]
         admissible = set()
         while stack:
-            tris, frozen = stack.pop()
+            state = stack.pop()
+            tris, frozen = state[:2]
             key = flag_key(tris, frozen)
             if key in seen:
                 continue
             seen.add(key)
-            out = real_children(search, tris, frozen, edge_triangles(tris),
-                                vertex_triangles(tris))
+            out = real_children(search, *state)
             if out is not None:
                 stack.extend(out)
             elif (boundary_cycles(tris)
@@ -1082,10 +1084,73 @@ class TestGenusSearchPruning:
             monkeypatch.setattr(mod, "closed_cycles", counting)
         _GenusSurfaceSearch(SearchConfig(max_vertices=8,
                                          specialized=specialized)).run()
-        # one per freeze child and one per emitted candidate's boundary;
-        # 1,256 and 665 when the specialized host rule and the split rule
-        # each walked the frozen cycles, and emit built two candidates
-        assert calls[0] <= 616
+        # one per freeze child whose edge closes a cycle (156) and one per
+        # emitted candidate's boundary (25); 616 when every freeze child
+        # walked its frozen edges, 1,256 and 665 when the specialized host
+        # rule and the split rule each walked the frozen cycles, and emit
+        # built two candidates
+        assert calls[0] <= 181
+
+    @pytest.mark.parametrize("v", [6, 7, 8])
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_carried_state_matches_a_rebuild(self, monkeypatch, v, specialized):
+        from surfenum import listing
+        from surfenum.core import closed_cycles
+
+        def as_sets(index):
+            return {k: sorted(ts) for k, ts in index.items()}
+
+        def rebuilt(tris, frozen):
+            # the carried fields of a state, built from its triangles and
+            # frozen edges alone
+            edge_map = edge_triangles(tris)
+            ends = {}
+            for x, y in frozen:
+                ends.setdefault(x, []).append(y)
+                ends.setdefault(y, []).append(x)
+            opposite = {next(w for w in edge_map[f][0] if w not in f)
+                        for f in frozen}
+            return (as_sets(edge_map), as_sets(vertex_triangles(tris)),
+                    as_sets(ends), opposite, closed_cycles(frozen))
+
+        def carried(edge_map, by_vertex, ends, opposite, cycles):
+            return (as_sets(edge_map), as_sets(by_vertex), as_sets(ends),
+                    set(opposite), cycles)
+
+        states = 0
+        real_children = listing._GenusSurfaceSearch.children
+
+        def checking(search, tris, frozen, *fields):
+            nonlocal states
+            states += 1
+            reference = rebuilt(tris, frozen)
+            assert carried(*fields) == reference
+            out = real_children(search, tris, frozen, *fields)
+            # a child's fields are new objects: the parent's are unchanged
+            assert carried(*fields) == reference
+            return out
+
+        local = Counter()
+        real_splits = listing._splits_boundary
+
+        def checking_splits(cycles, bedges, edge_map, starts=None):
+            verdict = real_splits(cycles, bedges, edge_map, starts)
+            if starts is not None:
+                # a freeze child whose edge closes no cycle: R3 round it
+                # alone agrees with R3 over every frozen edge
+                local[verdict] += 1
+                assert verdict == real_splits(closed_cycles(bedges), bedges,
+                                              edge_map)
+            return verdict
+
+        monkeypatch.setattr(listing._GenusSurfaceSearch, "children", checking)
+        monkeypatch.setattr(listing, "_splits_boundary", checking_splits)
+        search = _GenusSurfaceSearch(
+            SearchConfig(max_vertices=v, specialized=specialized)).run()
+        assert states == search.expanded == {6: 15, 7: 78, 8: 829}[v]
+        assert sum(local.values()) > 0
+        if v == 8:
+            assert set(local) == {True, False}
 
 
 class TestWorkerPools:
