@@ -495,7 +495,8 @@ class _GenusSurfaceSearch:
                 out.append((tris, child, edge_map, by_vertex, child_ends,
                             opposite | {apex}, new_cycles or cycles))
         n_v = len(vals)
-        cands = [x for x in range(1, n_v + 1) if x != a and x != b]
+        # an interior vertex has a circle link, so ``_link_after`` says "bad"
+        cands = sorted(bverts - {a, b})
         if n_v < self.max_v:
             cands.append(n_v + 1)
         for x in cands:

@@ -21,6 +21,18 @@ surfaces.  Each pruning rule holds for good, whatever is decided later,
 because a glued triangle stays: an edge in three triangles, a valence above
 m or a bad link is never repaired, and the vertex cap only binds harder.
 
+A growth state carries its edge and vertex indices.  Each valence task
+builds them once, for its m-fan; a child copies its parent's two dicts and
+gives its new triangle's three edges and three vertices new lists, so a
+parent's lists never change.  The third vertex x of a new triangle on the
+edge (a, b) is tried only among the boundary vertices (the ends of the
+uncovered edges) and the one fresh vertex.  Every link of a state passed
+the link test, so a vertex on no uncovered edge, each of its link vertices
+on two link edges, has a circle for its link; the new link edge (a, b)
+either meets that circle, giving a link vertex three link edges, or lies
+apart from it, and either link is bad.  A fresh x has valence 1 and the one
+link edge (a, b), so only a and b are tested.
+
 Open states are deduplicated by :class:`canon.Isomorphs`, the filter the
 genus-surface search uses too, with ``minimal_code`` as the certificate;
 its docstring argues that this is exact.  Sharing the buckets keeps the
@@ -50,18 +62,20 @@ from .core import (
 )
 from .listing import CountsTable, SearchConfig, _map_maybe_parallel, enumerate_all
 
-# a growth state: its triangles in the order they were glued
-State = tuple[Triangle, ...]
+# a growth state: its triangles in the order they were glued, with its edge
+# and vertex indices
+State = tuple[tuple[Triangle, ...], dict[Edge, list[Triangle]],
+              dict[int, list[Triangle]]]
 
 
-def _m_fan(m: int) -> State:
+def _m_fan(m: int) -> tuple[Triangle, ...]:
     rim = list(range(2, m + 2))
     return tuple(
         tuple(sorted((1, rim[i], rim[(i + 1) % m]))) for i in range(m)
     )
 
 
-def _children(tris: State, by_edge: dict[Edge, list[Triangle]],
+def _children(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]],
               by_vertex: dict[int, list[Triangle]], m: int,
               max_vertices: int) -> list[State]:
     open_edges = [e for e, ts in by_edge.items() if len(ts) == 1]
@@ -73,8 +87,10 @@ def _children(tris: State, by_edge: dict[Edge, list[Triangle]],
         -min(len(by_vertex[e[0]]), len(by_vertex[e[1]])), e))
     # (a, b, taken) is the one triangle already on (a, b)
     taken = next(x for x in by_edge[(a, b)][0] if x not in (a, b))
+    # an interior vertex is on no open edge and takes no triangle (module
+    # docstring): the third vertex is a boundary vertex or the fresh one
+    cands = sorted({v for e in open_edges for v in e} - {a, b, taken})
     n_v = len(by_vertex)
-    cands = [x for x in range(1, n_v + 1) if x not in (a, b, taken)]
     if n_v < max_vertices:
         cands.append(n_v + 1)
     out = []
@@ -83,14 +99,19 @@ def _children(tris: State, by_edge: dict[Edge, list[Triangle]],
         ea, eb = tuple(sorted((a, x))), tuple(sorted((b, x)))
         if len(by_edge.get(ea, ())) > 1 or len(by_edge.get(eb, ())) > 1:
             continue
-        ok = True
-        for v in (a, b, x):
-            at_v = by_vertex.get(v, [])
+        # a fresh x has the one link edge (a, b): only a and b are tested
+        for v in (a, b, x) if x <= n_v else (a, b):
+            at_v = by_vertex[v]
             if len(at_v) + 1 > m or link_shape(at_v + [new_tri], v) == "bad":
-                ok = False
                 break
-        if ok:
-            out.append(tris + (new_tri,))
+        else:
+            # new lists where the new triangle goes; the parent's stay
+            sides, star = dict(by_edge), dict(by_vertex)
+            for f in ((a, b), ea, eb):
+                sides[f] = sides.get(f, []) + [new_tri]
+            for v in new_tri:
+                star[v] = star.get(v, []) + [new_tri]
+            out.append((tris + (new_tri,), sides, star))
     return out
 
 
@@ -100,11 +121,10 @@ def _enumerate_with_max_valence(m: int,
     valence exactly m and at most max_vertices vertices."""
     seen = Isomorphs(lambda tris, _marked: minimal_code(tris))
     leaves: dict[Code, SurfaceClass] = {}
-    stack = [_m_fan(m)]
+    fan = _m_fan(m)
+    stack = [(fan, edge_triangles(fan), vertex_triangles(fan))]
     while stack:
-        tris = stack.pop()
-        by_edge = edge_triangles(tris)
-        by_vertex = vertex_triangles(tris)
+        tris, by_edge, by_vertex = stack.pop()
         # no edge is in three triangles, so the state is closed exactly when
         # every edge is in two: 2E = 3T
         if 2 * len(by_edge) == 3 * len(tris):

@@ -131,20 +131,23 @@ def _pinned_inputs() -> list[Triangulation]:
                      for s in (MOBIUS, ANNULUS) + UNUSUAL_COMPLEXES]
 
 
-def _growth_states(monkeypatch) -> list:
-    """The 108 growth states the oracle pops at V <= 7, in popping order."""
+def _growth_states() -> list:
+    """The 108 growth states the oracle pops at V <= 7, in popping order:
+    its loop replayed over its own m-fans and children."""
     from surfenum import oracle
 
     states = []
-    real = oracle.edge_triangles
-
-    def recording(tris):
-        states.append(tris)
-        return real(tris)
-
-    monkeypatch.setattr(oracle, "edge_triangles", recording)
-    brute_force_enumerate(7)
-    monkeypatch.undo()
+    for m in range(3, 7):
+        seen = Isomorphs(lambda tris, _marked: minimal_code(tris))
+        fan = oracle._m_fan(m)
+        stack = [(fan, edge_triangles(fan), vertex_triangles(fan))]
+        while stack:
+            tris, by_edge, by_vertex = stack.pop()
+            states.append(tris)
+            # a closed state is a leaf; an open one is expanded once per class
+            if (2 * len(by_edge) > 3 * len(tris)
+                    and seen.add(tris, by_edge, by_vertex)):
+                stack.extend(oracle._children(tris, by_edge, by_vertex, m, 7))
     assert len(states) == 108
     return states
 
@@ -267,9 +270,9 @@ class TestWitness:
             digest.update(repr((code, [sorted(w.items()) for w in wits])).encode())
         assert digest.hexdigest() == PINNED_DIGEST
 
-    def test_growth_state_codes_and_witness_order_are_pinned(self, monkeypatch):
+    def test_growth_state_codes_and_witness_order_are_pinned(self):
         digest = hashlib.sha256()
-        for tris in _growth_states(monkeypatch):
+        for tris in _growth_states():
             code = minimal_code(tris)
             wcode, wits = minimal_code(tris, with_witnesses=True)
             digest.update(repr((code, wcode,

@@ -54,6 +54,24 @@ def test_link_shape_is_called_only_from_the_oracle():
     assert callers == {"oracle"}
 
 
+def _index_builds(functions) -> list:
+    """(function, builder, whether inside a loop) for each ``edge_triangles``
+    or ``vertex_triangles`` call in ``functions``."""
+    builds = []
+    for function in functions:
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        in_loop = {id(n) for loop in ast.walk(function)
+                   if isinstance(loop, (ast.For, ast.While))
+                   for n in ast.walk(loop)}
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in ("edge_triangles",
+                                                           "vertex_triangles")):
+                builds.append((function.name, node.func.id, id(node) in in_loop))
+    return sorted(builds)
+
+
 def test_search_builds_its_indices_once():
     # a search state's edge and vertex indices are its parent's, updated
     # round the new triangle: children builds neither, and run builds one
@@ -61,20 +79,21 @@ def test_search_builds_its_indices_once():
     tree = ast.parse((PACKAGE_DIR / "listing.py").read_text())
     search = next(n for n in tree.body if isinstance(n, ast.ClassDef)
                   and n.name == "_GenusSurfaceSearch")
-    builds = []
-    for method in search.body:
-        if not isinstance(method, ast.FunctionDef):
-            continue
-        in_loop = {id(n) for loop in ast.walk(method)
-                   if isinstance(loop, (ast.For, ast.While))
-                   for n in ast.walk(loop)}
-        for node in ast.walk(method):
-            if (isinstance(node, ast.Call)
-                    and getattr(node.func, "id", None) in ("edge_triangles",
-                                                           "vertex_triangles")):
-                builds.append((method.name, node.func.id, id(node) in in_loop))
-    assert sorted(builds) == [("run", "edge_triangles", False),
-                              ("run", "vertex_triangles", False)]
+    assert _index_builds(search.body) == [("run", "edge_triangles", False),
+                                          ("run", "vertex_triangles", False)]
+
+
+def test_oracle_builds_its_growth_indices_once_per_task():
+    # an oracle growth state carries its parent's indices, updated round the
+    # new triangle: _children builds neither, and each valence task builds
+    # one of each, for its m-fan, outside its loop
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
+    growth = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+              and n.name in ("_children", "_enumerate_with_max_valence")]
+    assert len(growth) == 2
+    assert _index_builds(growth) == [
+        ("_enumerate_with_max_valence", "edge_triangles", False),
+        ("_enumerate_with_max_valence", "vertex_triangles", False)]
 
 
 # module-level names that only tests use, each with the test that uses it:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import relabel
+from conftest import link_shape, relabel
 from surfenum import oracle
 from surfenum.canon import Isomorphs, minimal_code
 from surfenum.core import (SurfaceKind, Triangulation, classify, edge_triangles,
@@ -116,16 +116,16 @@ def _growth_states(max_vertices: int) -> dict:
     expands at this budget (deduplicated by code alone)."""
     states = {}
     for m in range(3, max_vertices):
-        stack = [oracle._m_fan(m)]
+        fan = oracle._m_fan(m)
+        stack = [(fan, edge_triangles(fan), vertex_triangles(fan))]
         while stack:
-            tris = stack.pop()
+            tris, by_edge, by_vertex = stack.pop()
             code = minimal_code(tris)
             if code in states:
                 continue
             states[code] = tris
-            stack.extend(oracle._children(
-                tris, edge_triangles(tris), vertex_triangles(tris), m,
-                max_vertices))
+            stack.extend(oracle._children(tris, by_edge, by_vertex, m,
+                                          max_vertices))
     return states
 
 
@@ -155,6 +155,95 @@ class TestInvariant:
         first, second = star + ((2, 5, 7),), star + ((2, 5, 8),)
         assert _invariant(first) == _invariant(second)
         assert minimal_code(first) != minimal_code(second)
+
+
+def _reference_children(tris, m: int, max_vertices: int) -> list:
+    """The triangle tuples of a growth state's children, from indices built
+    afresh, with every labelled vertex and the fresh one tried as the third
+    vertex and the reference link shape tested at a, b and x."""
+    by_edge, by_vertex = edge_triangles(tris), vertex_triangles(tris)
+    open_edges = [e for e, ts in by_edge.items() if len(ts) == 1]
+    if not open_edges:
+        return []
+    # the oracle's fail-first edge
+    a, b = min(open_edges, key=lambda e: (
+        -max(len(by_vertex[e[0]]), len(by_vertex[e[1]])),
+        -min(len(by_vertex[e[0]]), len(by_vertex[e[1]])), e))
+    n_v = len(by_vertex)
+    out = []
+    for x in range(1, n_v + 2 if n_v < max_vertices else n_v + 1):
+        new_tri = tuple(sorted((a, b, x)))
+        # (a, b, taken) is already glued
+        if x in (a, b) or new_tri in tris:
+            continue
+        if any(len(by_edge.get(tuple(sorted((v, x))), ())) > 1 for v in (a, b)):
+            continue
+        if all(len(by_vertex.get(v, [])) < m
+               and link_shape(by_vertex.get(v, []) + [new_tri], v) != "bad"
+               for v in (a, b, x)):
+            out.append(tris + (new_tri,))
+    return out
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("v", [6, 7, 8])
+    def test_children_match_a_reference(self, monkeypatch, v):
+        real_children, real_link_shape = oracle._children, oracle.link_shape
+        pushed = []
+        tested = []
+
+        def recording(star, x):
+            tested.append(x)
+            return real_link_shape(star, x)
+
+        def checking(tris, by_edge, by_vertex, m, max_vertices):
+            assert by_edge == edge_triangles(tris)
+            assert by_vertex == vertex_triangles(tris)
+            tested.clear()
+            out = real_children(tris, by_edge, by_vertex, m, max_vertices)
+            # the parent's indices are unchanged by its children's
+            assert by_edge == edge_triangles(tris)
+            assert by_vertex == vertex_triangles(tris)
+            assert [child[0] for child in out] == _reference_children(
+                tris, m, max_vertices)
+            # links are tested only at boundary vertices, never at a fresh one
+            boundary = {x for e, ts in by_edge.items() if len(ts) == 1 for x in e}
+            assert set(tested) <= boundary
+            pushed.extend(out)
+            return out
+
+        monkeypatch.setattr(oracle, "_children", checking)
+        monkeypatch.setattr(oracle, "link_shape", recording)
+        result = brute_force_enumerate(v)
+        assert sum(map(len, result.codes.values())) == {6: 5, 7: 14, 8: 57}[v]
+        # every state pushed is popped once its siblings and their subtrees
+        # are grown: its indices are still those of its triangles
+        assert pushed
+        for tris, by_edge, by_vertex in pushed:
+            assert by_edge == edge_triangles(tris)
+            assert by_vertex == vertex_triangles(tris)
+
+    def test_growth_work_at_eight(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(oracle, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in ("edge_triangles", "vertex_triangles", "link_shape"):
+            monkeypatch.setattr(oracle, name, counting(name))
+        result = brute_force_enumerate(8)
+        # one index of each per valence task m = 3..7, and one vertex index
+        # per code in _code_is_root; 819 of each when every popped state
+        # built its own
+        assert calls["edge_triangles"] == 5
+        assert calls["vertex_triangles"] == 5 + sum(map(len, result.codes.values()))
+        # 2,777 when every labelled vertex was tried as the third vertex
+        assert 0 < calls["link_shape"] <= 2543
 
 
 class TestCrossValidate:
