@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -136,13 +137,19 @@ def write_results(
 
 
 def _read_manifest(out_dir: Path) -> dict:
-    """The manifest of ``out_dir``; ``ValueError`` unless it is a JSON
-    object whose ``shards`` maps each shard name to an object."""
-    manifest = json.loads((out_dir / "manifest.json").read_text())
+    """The manifest of ``out_dir``; ``ValueError``, before any shard is
+    opened, unless it is a JSON object whose ``shards`` maps each shard
+    name, a bare ``vNN_CLASS.txt`` as :func:`_shard_name` writes it, to an
+    object."""
+    path = out_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
     shards = manifest.get("shards") if isinstance(manifest, dict) else None
     if not (isinstance(shards, dict)
             and all(isinstance(info, dict) for info in shards.values())):
-        raise ValueError(f"{out_dir / 'manifest.json'} is not a results manifest")
+        raise ValueError(f"{path} is not a results manifest")
+    for name in shards:
+        if not re.fullmatch(r"v[0-9]{2,}_[A-Z0-9+-]+\.txt", name):
+            raise ValueError(f"{path} names {name!r}, which is not a shard file")
     return manifest
 
 

@@ -1,11 +1,13 @@
 """Simplicial surface representation, validation and topological classification.
 
 A triangulation is stored as its triangle list: a sorted tuple of sorted
-vertex triples with labels 1..V.  Indices are rebuilt from the triangle
-list rather than patched incrementally.  The operations are pure except
-that a :class:`Triangulation` keeps the answers that depend on its
-triangles alone once they are computed: its validation report (written
-here) and its canonical code (written by ``canon.canonical_form``).
+vertex triples with labels 1..V.  Its edge and vertex indices are built
+from the list; in a growth search a child gets its parent's through
+:func:`with_triangle`, and its new links are tested by :func:`link_after`.
+The operations are pure except that a :class:`Triangulation` keeps the
+answers that depend on its triangles alone once they are computed: its
+validation report (written here) and its canonical code (written by
+``canon.canonical_form``).
 
 Validation is one walk round each vertex star (:func:`_validate`): link
 shapes, boundary, components and orientability together.  With no vertex
@@ -164,46 +166,64 @@ def link_graph(tris_at_v: Iterable[Triangle], v: int) -> dict[int, list[int]]:
     return adj
 
 
-def link_shape(tris_at_v: Iterable[Triangle], v: int) -> str:
-    """Classify the link of ``v``: 'circle', 'interval', 'paths' or 'bad'.
+def link_ends(star: Iterable[Triangle],
+              v: int) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """The link of ``v`` in a growth state, given its star, as
+    :func:`link_after` reads it: link vertex -> neighbours, and path end ->
+    the other end of its path."""
+    adj = link_graph(star, v)
+    partner: dict[int, int] = {}
+    for end, nbrs in adj.items():
+        if len(nbrs) == 1 and end not in partner:
+            prev, cur = end, nbrs[0]
+            while len(adj[cur]) == 2:
+                x, y = adj[cur]
+                prev, cur = cur, (y if x == prev else x)
+            partner[end] = cur
+            partner[cur] = end
+    return adj, partner
 
-    'paths' means two or more disjoint simple paths (a pinch for a finished
-    surface but an acceptable intermediate state during growth searches).
-    An empty star, a link vertex on more than two link edges and a
-    repeated link edge (a repeated triangle) are 'bad'.  Otherwise every link vertex is
-    on one or two link edges, so each component is a path or a circle; one
-    walk along each path from one end, or round the circle from any vertex
-    when there are no ends, decides the shape: it is 'bad' exactly when
-    the walks miss a link vertex, which lies on another circle.
+
+def link_after(link, p: int, q: int) -> str:
+    """The shape of the link ``link`` (from :func:`link_ends`) once the new
+    link edge (p, q), not in it yet, is added: 'circle', 'interval',
+    'paths' (two or more disjoint simple paths, a pinch for a finished
+    surface but acceptable while growing) or 'bad'.
+
+    This is the link test of both growth searches, the genus-surface search
+    and the oracle.  Each adds one triangle at a time and keeps a state only
+    when no link it changes turns 'bad', so every link of a state is empty
+    (a fresh vertex), a circle or disjoint paths, as this test assumes.  A
+    vertex on no boundary edge has each link vertex on two link edges, so
+    its link is a circle, and it takes no further triangle: the new link
+    edge either meets the circle, giving a link vertex three link edges, or
+    lies apart from it, and either link is 'bad'.  So a search tries only
+    the boundary vertices and one fresh vertex as a new triangle's third
+    vertex.
     """
-    adj = link_graph(tris_at_v, v)
-    ends = []
-    for x, nbrs in adj.items():
-        if len(nbrs) == 1:
-            ends.append(x)
-        elif len(nbrs) > 2 or nbrs[0] == nbrs[1]:
-            return "bad"
-    if not adj:
+    adj, partner = link
+    # a circle link, or a link vertex already on two link edges, is closed off
+    if (adj and not partner) or len(adj.get(p, ())) == 2 or len(adj.get(q, ())) == 2:
         return "bad"
-    walked = 0
-    far = set()  # path ends reached from the other end
-    for start in ends or [next(iter(adj))]:
-        if start in far:
-            continue
-        prev, cur = start, adj[start][0]
-        walked += 1
-        while cur != start:
-            walked += 1
-            nbrs = adj[cur]
-            if len(nbrs) == 1:
-                far.add(cur)
-                break
-            prev, cur = cur, (nbrs[1] if nbrs[0] == prev else nbrs[0])
-    if walked != len(adj):
-        return "bad"
-    if not ends:
-        return "circle"
-    return "interval" if len(ends) == 2 else "paths"
+    if partner.get(p) == q:
+        # the edge closes its path: a circle only if no other path remains
+        return "circle" if len(partner) == 2 else "bad"
+    # each of p, q already in the link is a path end, which the edge joins
+    paths = len(partner) // 2 + 1 - (p in adj) - (q in adj)
+    return "interval" if paths == 1 else "paths"
+
+
+def with_triangle(by_edge: dict, by_vertex: dict, tri: Triangle) -> tuple[dict, dict]:
+    """Copies of the edge and vertex indices with the sorted triangle
+    ``tri`` added, with new lists on its edges and vertices: the given
+    indices and their lists never change."""
+    a, b, c = tri
+    sides, star = dict(by_edge), dict(by_vertex)
+    for f in ((a, b), (a, c), (b, c)):
+        sides[f] = sides.get(f, []) + [tri]
+    for v in tri:
+        star[v] = star.get(v, []) + [tri]
+    return sides, star
 
 
 class SurfaceKind(Enum):

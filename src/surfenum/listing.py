@@ -49,11 +49,13 @@ from .core import (
     boundary_cycles,
     closed_cycles,
     edge_triangles,
-    link_graph,
+    link_after,
+    link_ends,
     normalize_triangles,
     surface_class,
     valences,
     vertex_triangles,
+    with_triangle,
 )
 from .moves import _cone, _removable_vertices
 
@@ -301,38 +303,6 @@ def genus_surface_admissible(g: GenusSurface, cfg: SearchConfig) -> bool:
     return bool(_host_splits(comps, cfg))
 
 
-def _link_ends(star: Iterable[Triangle],
-               v: int) -> tuple[dict[int, list[int]], dict[int, int]]:
-    """The link of ``v`` in a growth state, whose links are circles or
-    disjoint paths: link vertex -> neighbours, and path end -> other end."""
-    adj = link_graph(star, v)
-    partner: dict[int, int] = {}
-    for end, nbrs in adj.items():
-        if len(nbrs) == 1 and end not in partner:
-            prev, cur = end, nbrs[0]
-            while len(adj[cur]) == 2:
-                x, y = adj[cur]
-                prev, cur = cur, (y if x == prev else x)
-            partner[end] = cur
-            partner[cur] = end
-    return adj, partner
-
-
-def _link_after(link, p: int, q: int) -> str:
-    """:func:`core.link_shape` of the link ``link`` (from :func:`_link_ends`)
-    with the new link edge (p, q), which is not in it yet."""
-    adj, partner = link
-    # a circle link, or a link vertex already on two link edges, is closed off
-    if (adj and not partner) or len(adj.get(p, ())) == 2 or len(adj.get(q, ())) == 2:
-        return "bad"
-    if partner.get(p) == q:
-        # the edge closes its path: a circle only if no other path remains
-        return "circle" if len(partner) == 2 else "bad"
-    # each of p, q already in the link is a path end, which the edge joins
-    paths = len(partner) // 2 + 1 - (p in adj) - (q in adj)
-    return "interval" if paths == 1 else "paths"
-
-
 def _splits_boundary(cycles, bedges, edge_map, starts=None) -> bool:
     """Whether two edge-adjacent triangles touch boundary edges ``bedges``
     of different boundary components, ``cycles`` the closed cycles of
@@ -373,16 +343,17 @@ class _GenusSurfaceSearch:
 
     Partial states are checked only for what growth cannot undo: a triangle
     once added and an edge once frozen are permanent, and a vertex once
-    interior (circle link) gets no further triangle.  ``children`` caps
-    the vertices at ``max_v``, the only size bound: it bounds every
-    valence, the number of frozen edges and, with each edge in at most two
-    triangles, the number of triangles.  ``children`` gives a finished
-    vertex valence >= 4 and a triangle a vertex off the interior, allows a
-    vertex at most two frozen edges and keeps the opposite vertex of a
-    frozen edge on the boundary.  ``_dead_end`` rejects a child that breaks
-    a leaf condition of :func:`genus_surface_admissible` for good (rules
-    R1-R4).  The leaves get the rest in ``emit``: the valence floors and
-    the capped surface class.
+    interior gets no further triangle (the link test,
+    :func:`core.link_after`, says why).  ``children`` caps the vertices at
+    ``max_v``, the only size bound: it bounds every valence, the number of
+    frozen edges and, with each edge in at most two triangles, the number
+    of triangles.  ``children`` gives a finished vertex valence >= 4 and a
+    triangle a vertex off the interior, allows a vertex at most two frozen
+    edges and keeps the opposite vertex of a frozen edge on the boundary.
+    ``_dead_end`` rejects a child that breaks a leaf condition of
+    :func:`genus_surface_admissible` for good (rules R1-R4).  The leaves
+    get the rest in ``emit``: the valence floors and the capped surface
+    class.
 
     R4 is the at-most-11 host rule of :func:`_host_splits`, read off the
     closed cycles of frozen edges that a freeze child has: each is a final
@@ -465,7 +436,7 @@ class _GenusSurfaceSearch:
         # link (is interior) exactly when no boundary edge meets it
         bverts = {v for edge in bedges for v in edge}
         a, b = e
-        links = {a: _link_ends(by_vertex[a], a), b: _link_ends(by_vertex[b], b)}
+        links = {a: link_ends(by_vertex[a], a), b: link_ends(by_vertex[b], b)}
         out = []
         # freezing e leaves a vertex on at most two frozen edges, and the
         # opposite vertex of a boundary edge must end up on the boundary
@@ -495,7 +466,8 @@ class _GenusSurfaceSearch:
                 out.append((tris, child, edge_map, by_vertex, child_ends,
                             opposite | {apex}, new_cycles or cycles))
         n_v = len(vals)
-        # an interior vertex has a circle link, so ``_link_after`` says "bad"
+        # an interior vertex takes no triangle (``core.link_after``): the
+        # third vertex is a boundary vertex or the fresh one
         cands = sorted(bverts - {a, b})
         if n_v < self.max_v:
             cands.append(n_v + 1)
@@ -511,8 +483,8 @@ class _GenusSurfaceSearch:
             for v, p, q in ((a, b, x), (b, a, x), (x, a, b)):
                 k = vals.get(v, 0) + 1
                 ends = frozen_ends.get(v, ())
-                link = links.get(v) or _link_ends(by_vertex.get(v, ()), v)
-                shape = _link_after(link, p, q)
+                link = links.get(v) or link_ends(by_vertex.get(v, ()), v)
+                shape = link_after(link, p, q)
                 # a finished interior vertex needs valence >= 4
                 if shape == "bad" or (shape == "circle" and k < 4):
                     break
@@ -536,12 +508,7 @@ class _GenusSurfaceSearch:
             # the new triangle has no frozen edge and closes no cycle of
             # them, so it splits no boundary
             if self._dead_end(changes, opposite, [], False) is None:
-                # new lists where the new triangle goes; the parent's stay
-                sides, star = dict(edge_map), dict(by_vertex)
-                for f in (e, ea, eb):
-                    sides[f] = sides.get(f, []) + [new_tri]
-                for v in new_tri:
-                    star[v] = star.get(v, []) + [new_tri]
+                sides, star = with_triangle(edge_map, by_vertex, new_tri)
                 out.append((tris | {new_tri}, frozen, sides, star, frozen_ends,
                             opposite, cycles))
         return out

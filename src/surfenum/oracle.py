@@ -5,9 +5,9 @@ genus-surfaces or root moves: for each target maximal valence m it starts
 from the closed star of an m-valent vertex and glues one triangle at a time
 onto one uncovered boundary edge, trying every admissible third vertex.  A
 state isomorphic to one already expanded is dropped.  Only the basic surface
-predicates, the canonical labeling and the buckets of the isomorph filter
-are shared with the pipeline, so agreement of the two results is
-meaningful evidence.
+predicates (the link test among them), the canonical labeling and the
+buckets of the isomorph filter are shared with the pipeline, so agreement
+of the two results is meaningful evidence.
 
 The edge decided next is the one whose ends have the most triangles: the
 larger star of its two ends, then the smaller, both descending, then the
@@ -22,16 +22,14 @@ because a glued triangle stays: an edge in three triangles, a valence above
 m or a bad link is never repaired, and the vertex cap only binds harder.
 
 A growth state carries its edge and vertex indices.  Each valence task
-builds them once, for its m-fan; a child copies its parent's two dicts and
-gives its new triangle's three edges and three vertices new lists, so a
-parent's lists never change.  The third vertex x of a new triangle on the
-edge (a, b) is tried only among the boundary vertices (the ends of the
-uncovered edges) and the one fresh vertex.  Every link of a state passed
-the link test, so a vertex on no uncovered edge, each of its link vertices
-on two link edges, has a circle for its link; the new link edge (a, b)
-either meets that circle, giving a link vertex three link edges, or lies
-apart from it, and either link is bad.  A fresh x has valence 1 and the one
-link edge (a, b), so only a and b are tested.
+builds them once, for its m-fan; a child gets its parent's through
+``core.with_triangle``, so a parent's lists never change.  The link test
+is ``core.link_after``, on the links of a and b built once per state.  Its
+docstring argues that an interior vertex takes no further triangle, so the
+third vertex x of a new triangle on the edge (a, b) is tried only among
+the boundary vertices (the ends of the uncovered edges) and the one fresh
+vertex.  A fresh x has valence 1 and the one link edge (a, b), so only a
+and b are tested.
 
 Open states are deduplicated by :class:`canon.Isomorphs`, the filter the
 genus-surface search uses too, with ``minimal_code`` as the certificate;
@@ -57,8 +55,10 @@ from .core import (
     _surface_class,
     _validate,
     edge_triangles,
-    link_shape,
+    link_after,
+    link_ends,
     vertex_triangles,
+    with_triangle,
 )
 from .listing import CountsTable, SearchConfig, _map_maybe_parallel, enumerate_all
 
@@ -87,30 +87,30 @@ def _children(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]],
         -min(len(by_vertex[e[0]]), len(by_vertex[e[1]])), e))
     # (a, b, taken) is the one triangle already on (a, b)
     taken = next(x for x in by_edge[(a, b)][0] if x not in (a, b))
-    # an interior vertex is on no open edge and takes no triangle (module
-    # docstring): the third vertex is a boundary vertex or the fresh one
+    # an interior vertex takes no triangle (``core.link_after``): the third
+    # vertex is a boundary vertex or the fresh one
     cands = sorted({v for e in open_edges for v in e} - {a, b, taken})
     n_v = len(by_vertex)
     if n_v < max_vertices:
         cands.append(n_v + 1)
+    links = {a: link_ends(by_vertex[a], a), b: link_ends(by_vertex[b], b)}
     out = []
     for x in cands:
         new_tri = tuple(sorted((a, b, x)))
         ea, eb = tuple(sorted((a, x))), tuple(sorted((b, x)))
         if len(by_edge.get(ea, ())) > 1 or len(by_edge.get(eb, ())) > 1:
             continue
-        # a fresh x has the one link edge (a, b): only a and b are tested
-        for v in (a, b, x) if x <= n_v else (a, b):
-            at_v = by_vertex[v]
-            if len(at_v) + 1 > m or link_shape(at_v + [new_tri], v) == "bad":
+        # the new triangle adds the link edge (p, q) at v; a fresh x has the
+        # one link edge (a, b), so only a and b are tested
+        tests = ((a, b, x), (b, a, x), (x, a, b))
+        for v, p, q in tests if x <= n_v else tests[:2]:
+            if len(by_vertex[v]) + 1 > m:
+                break
+            link = links.get(v) or link_ends(by_vertex[v], v)
+            if link_after(link, p, q) == "bad":
                 break
         else:
-            # new lists where the new triangle goes; the parent's stay
-            sides, star = dict(by_edge), dict(by_vertex)
-            for f in ((a, b), ea, eb):
-                sides[f] = sides.get(f, []) + [new_tri]
-            for v in new_tri:
-                star[v] = star.get(v, []) + [new_tri]
+            sides, star = with_triangle(by_edge, by_vertex, new_tri)
             out.append((tris + (new_tri,), sides, star))
     return out
 

@@ -93,7 +93,7 @@ def link_shape(tris_at_v: Iterable[Triangle], v: int) -> str:
 
     'paths' means two or more disjoint simple paths (a pinch for a finished
     surface but an acceptable intermediate state during growth searches).
-    The reference that ``core.link_shape`` is compared with.
+    The reference that ``core.link_after`` is compared with.
     """
     adj = link_graph(tris_at_v, v)
     if any(len(nbrs) > 2 or len(set(nbrs)) != len(nbrs) for nbrs in adj.values()):

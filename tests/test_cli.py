@@ -186,6 +186,33 @@ class TestPersistence:
         assert ("v06_S2.txt has 1 lines, its manifest entry counts 2"
                 in capsys.readouterr().err)
 
+    def test_shard_name_outside_the_directory_exits_2(self, tmp_path, capsys,
+                                                       monkeypatch):
+        from surfenum import cli
+
+        # an entry naming a file beside the results directory, with that
+        # file's sha256 and line count: refused before any shard is read
+        out_dir = tmp_path / "run"
+        cfg = SearchConfig(max_vertices=6)
+        write_results(out_dir, cfg, brute_force_enumerate(6).codes, 0.0)
+        text = (out_dir / "v06_S2.txt").read_text()
+        (tmp_path / "outside.txt").write_text(text)
+        path = out_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["shards"]["../outside.txt"] = {
+            "count": 2, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        path.write_text(json.dumps(manifest))
+        opened = []
+        real_shard_text = cli._shard_text
+        monkeypatch.setattr(cli, "_shard_text", lambda out_dir, name, info: (
+            opened.append(name) or real_shard_text(out_dir, name, info)))
+        assert not results_complete(out_dir, cfg)
+        assert main(["counts", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "names '../outside.txt', which is not a shard file" in captured.err
+        assert opened == []
+
     @pytest.mark.parametrize("damage", ["cut", "misfiled"])
     def test_unreadable_results_are_recomputed(self, tmp_path, capsys, damage):
         # checksums made to match: results_complete passes the directory,

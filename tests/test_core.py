@@ -21,7 +21,8 @@ from surfenum.core import (
     classify,
     closed_cycles,
     edge_triangles,
-    link_shape as fast_link_shape,
+    link_after,
+    link_ends,
     surface_class,
     valences,
     validate,
@@ -415,6 +416,8 @@ class TestAdjacency:
 
 
 class TestLinkShape:
+    """The growth link test: ``link_after`` on ``link_ends`` of a star."""
+
     # v = 4 sits first, in the middle and last in the sorted star triangles
     V = 4
     LINK_VERTICES = (1, 2, 3, 5, 6, 7, 8)
@@ -423,29 +426,37 @@ class TestLinkShape:
         return [tuple(sorted((self.V, a, b))) for a, b in edges]
 
     def test_verdicts(self):
-        def shape(edges):
-            return fast_link_shape(self.star(edges), self.V)
+        def shape(edges, p, q):
+            return link_after(link_ends(self.star(edges), self.V), p, q)
 
-        assert shape([]) == "bad"
-        assert shape([(1, 2), (2, 3), (1, 3)]) == "circle"
-        assert shape([(1, 2), (2, 5)]) == "interval"
-        assert shape([(1, 2), (5, 6)]) == "paths"
-        assert shape([(1, 2), (2, 3), (1, 3), (5, 6)]) == "bad"
-        assert shape([(1, 2), (2, 3), (1, 3), (5, 6), (6, 7), (5, 7)]) == "bad"
-        assert shape([(1, 2), (1, 3), (1, 5)]) == "bad"
-        assert shape([(1, 2), (1, 2)]) == "bad"
+        assert shape([], 1, 2) == "interval"
+        assert shape([(1, 2)], 2, 5) == "interval"
+        assert shape([(1, 2)], 5, 6) == "paths"
+        assert shape([(1, 2), (5, 6)], 2, 5) == "interval"
+        assert shape([(1, 2), (5, 6)], 6, 7) == "paths"
+        assert shape([(1, 2), (2, 3)], 1, 3) == "circle"
+        # a circle beside a path
+        assert shape([(1, 2), (2, 3), (5, 6)], 1, 3) == "bad"
+        # a link vertex on three link edges
+        assert shape([(1, 2), (2, 3)], 2, 5) == "bad"
+        # a circle is closed off, whether the edge meets it or not
+        assert shape([(1, 2), (2, 3), (1, 3)], 1, 5) == "bad"
+        assert shape([(1, 2), (2, 3), (1, 3)], 5, 6) == "bad"
 
     def test_agrees_with_reference_on_small_stars(self):
+        # every growth link of up to 6 link edges (empty, a circle or
+        # disjoint paths) with every new link edge not in it
         edges = list(itertools.combinations(self.LINK_VERTICES, 2))
         checked = 0
         for k in range(7):
             for sub in itertools.combinations(edges, k):
                 star = self.star(sub)
-                assert fast_link_shape(star, self.V) == link_shape(star, self.V), star
-                checked += 1
-                if k <= 4:
-                    for t in star:
-                        twice = star + [t]
-                        assert (fast_link_shape(twice, self.V)
-                                == link_shape(twice, self.V)), twice
-        assert checked == 82160
+                if star and link_shape(star, self.V) == "bad":
+                    continue
+                link = link_ends(star, self.V)
+                for p, q in edges:
+                    if (p, q) not in sub:
+                        after = star + self.star([(p, q)])
+                        assert link_after(link, p, q) == link_shape(after, self.V), after
+                        checked += 1
+        assert checked == 215313

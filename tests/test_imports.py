@@ -40,18 +40,59 @@ def test_pipeline_and_oracle_import_no_triangulation():
         assert "Triangulation" not in imported, name
 
 
-def test_link_shape_is_called_only_from_the_oracle():
-    # validation walks each vertex star once over the edge index; a link
-    # graph per vertex is built only for the oracle's growth test
+def _functions(path) -> dict:
+    """Name -> node of each module-level function of ``path``, and
+    ``Class.name`` -> node of each method of a module-level class."""
+    out = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update((f"{node.name}.{f.name}", f) for f in node.body
+                       if isinstance(f, ast.FunctionDef))
+    return out
+
+
+def _called(node) -> set:
+    """The names called anywhere in ``node``, as ``f(...)`` or ``x.f(...)``."""
+    return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
+def test_only_link_ends_builds_a_link_graph():
+    # validation walks each vertex star over the edge index; both growth
+    # searches test a link with core.link_after on the graph core.link_ends
+    # builds, so no other code builds a link graph
     callers = set()
     for path in PACKAGE_DIR.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name == "link_shape":
-                    callers.add(path.stem)
-    assert callers == {"oracle"}
+        for top in ast.parse(path.read_text()).body:
+            if "link_graph" in _called(top):
+                callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("core", "link_ends")}
+
+
+def test_oracle_growth_uses_nothing_from_listing():
+    # the oracle's growth shares core predicates and canon's isomorph filter
+    # with the pipeline, and nothing of listing's
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
+    from_listing = {a.asname or a.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.module == "listing"
+                    for a in node.names}
+    assert "enumerate_all" in from_listing
+    functions = _functions(PACKAGE_DIR / "oracle.py")
+    for name in ("_children", "_enumerate_with_max_valence"):
+        used = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        assert not used & from_listing, name
+
+
+def test_growth_children_copy_indices_through_with_triangle():
+    # a child's edge and vertex indices are its parent's, copied with the
+    # new triangle added by core.with_triangle, in both growth searches
+    for module, name in (("oracle", "_children"),
+                         ("listing", "_GenusSurfaceSearch.children")):
+        called = _called(_functions(PACKAGE_DIR / f"{module}.py")[name])
+        assert "with_triangle" in called, name
+        assert not called & {"dict", "copy"}, name
 
 
 def _index_builds(functions) -> list:

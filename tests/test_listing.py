@@ -5,9 +5,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import (Decomposition, cone_and_classify, reference_chords,
-                      reference_nonroots, reference_roots, relabel, state_key,
-                      validate_decomposition)
+from conftest import (Decomposition, cone_and_classify, link_shape,
+                      reference_chords, reference_nonroots, reference_roots,
+                      relabel, state_key, validate_decomposition)
 from surfenum.canon import Code, Isomorphs, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
@@ -867,14 +867,14 @@ class TestGenusSearchShortcuts:
     @pytest.mark.parametrize("specialized", [True, False])
     def test_link_verdicts_match_link_shape(self, monkeypatch, specialized):
         from surfenum import listing
-        from surfenum.core import link_shape, vertex_triangles
+        from surfenum.core import vertex_triangles
 
         # id -> (link, its vertex's star, the vertex); holding the link
         # keeps its id from being reused
         links = {}
         verdicts = Counter()
         states = 0
-        real_ends, real_after = listing._link_ends, listing._link_after
+        real_ends, real_after = listing.link_ends, listing.link_after
         real_children = listing._GenusSurfaceSearch.children
 
         def recording_ends(star, v):
@@ -911,8 +911,8 @@ class TestGenusSearchShortcuts:
             assert all(len(child[1]) <= search.max_v for child in out)
             return out
 
-        monkeypatch.setattr(listing, "_link_ends", recording_ends)
-        monkeypatch.setattr(listing, "_link_after", checking_after)
+        monkeypatch.setattr(listing, "link_ends", recording_ends)
+        monkeypatch.setattr(listing, "link_after", checking_after)
         monkeypatch.setattr(listing._GenusSurfaceSearch, "children",
                             checking_children)
         _GenusSurfaceSearch(SearchConfig(max_vertices=8, specialized=specialized)).run()

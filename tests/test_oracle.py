@@ -188,13 +188,22 @@ def _reference_children(tris, m: int, max_vertices: int) -> list:
 class TestGrowth:
     @pytest.mark.parametrize("v", [6, 7, 8])
     def test_children_match_a_reference(self, monkeypatch, v):
-        real_children, real_link_shape = oracle._children, oracle.link_shape
+        real_children = oracle._children
+        real_ends, real_after = oracle.link_ends, oracle.link_after
         pushed = []
+        # id -> (link, its vertex); holding the link keeps its id from
+        # being reused
+        links = {}
         tested = []
 
-        def recording(star, x):
-            tested.append(x)
-            return real_link_shape(star, x)
+        def recording_ends(star, x):
+            link = real_ends(star, x)
+            links[id(link)] = (link, x)
+            return link
+
+        def recording_after(link, p, q):
+            tested.append(links[id(link)][1])
+            return real_after(link, p, q)
 
         def checking(tris, by_edge, by_vertex, m, max_vertices):
             assert by_edge == edge_triangles(tris)
@@ -213,7 +222,8 @@ class TestGrowth:
             return out
 
         monkeypatch.setattr(oracle, "_children", checking)
-        monkeypatch.setattr(oracle, "link_shape", recording)
+        monkeypatch.setattr(oracle, "link_ends", recording_ends)
+        monkeypatch.setattr(oracle, "link_after", recording_after)
         result = brute_force_enumerate(v)
         assert sum(map(len, result.codes.values())) == {6: 5, 7: 14, 8: 57}[v]
         # every state pushed is popped once its siblings and their subtrees
@@ -234,7 +244,8 @@ class TestGrowth:
                 return real(*args)
             return wrapper
 
-        for name in ("edge_triangles", "vertex_triangles", "link_shape"):
+        for name in ("edge_triangles", "vertex_triangles", "link_ends",
+                     "link_after"):
             monkeypatch.setattr(oracle, name, counting(name))
         result = brute_force_enumerate(8)
         # one index of each per valence task m = 3..7, and one vertex index
@@ -242,8 +253,11 @@ class TestGrowth:
         # built its own
         assert calls["edge_triangles"] == 5
         assert calls["vertex_triangles"] == 5 + sum(map(len, result.codes.values()))
-        # 2,777 when every labelled vertex was tried as the third vertex
-        assert 0 < calls["link_shape"] <= 2543
+        # 2,777 link tests when every labelled vertex was tried as the third
+        # vertex; 2,543 link graphs, one per test, before a and b got theirs
+        # once per state
+        assert calls["link_after"] == 2543
+        assert 0 < calls["link_ends"] <= 1920
 
 
 class TestCrossValidate:
