@@ -78,7 +78,10 @@ returned as a canonical form.
 Both growth searches, the genus-surface search and the brute-force oracle,
 drop isomorphs through :class:`Isomorphs`: it buckets states by the vertex
 ranks that :func:`flag_key` starts from, and calls the caller's certificate
-(``flag_key``, ``minimal_code``) only where two states share a bucket.
+(``flag_key``, ``minimal_code``) only where two states share a bucket.  A
+state carries its ranks in base V, its vertex budget (a link has at most
+V - 1 vertices, so no entry reaches V), each child's updated from its
+parent's (:func:`_ranks_with` for a new triangle).
 """
 
 from __future__ import annotations
@@ -419,14 +422,12 @@ def _flag_walk(apexes: dict[Edge, list[tuple[int, int]]], n: int,
     return tuple(code), label
 
 
-def _vertex_ranks(tris: Collection[Triangle], sides: dict[Edge, list],
-                  by_vertex: dict[int, list], marked: Iterable[Edge]) -> dict[int, int]:
+def _vertex_ranks(sides: dict[Edge, list], by_vertex: dict[int, list],
+                  marked: Iterable[Edge], base: int) -> dict[int, int]:
     """Each vertex's triple (valence, boundary edges at it, marked edges at
-    it) as one number in base 3T, T the number of triangles (no vertex meets
-    3T edges), so the numbers compare as the triples do.  ``sides`` and
-    ``by_vertex`` map each edge and each vertex to a list with one entry per
-    triangle on it."""
-    base = 3 * len(tris)
+    it) as one number in base ``base``, which must exceed every entry, so
+    the numbers compare as the triples do.  ``sides`` and ``by_vertex`` map
+    each edge and each vertex to a list with one entry per triangle on it."""
     rank = {v: len(ts) * base * base for v, ts in by_vertex.items()}
     for (a, b), pair in sides.items():
         if len(pair) == 1:
@@ -435,6 +436,23 @@ def _vertex_ranks(tris: Collection[Triangle], sides: dict[Edge, list],
     for a, b in marked:
         rank[a] += 1
         rank[b] += 1
+    return rank
+
+
+def _ranks_with(rank: dict[int, int], base: int, sides: dict[Edge, list],
+                tri: Triangle) -> dict[int, int]:
+    """A copy of the :func:`_vertex_ranks` ``rank`` of a growth state with
+    edge index ``sides`` once the sorted triangle ``tri``, no edge of it in
+    two triangles there, is added: changed at its vertices only."""
+    a, b, c = tri
+    rank = {**rank}
+    for v in tri:
+        rank[v] = rank.get(v, 0) + base * base
+    for x, y in ((a, b), (a, c), (b, c)):
+        # a boundary edge turns interior, a new edge is a boundary edge
+        step = -base if (x, y) in sides else base
+        rank[x] += step
+        rank[y] += step
     return rank
 
 
@@ -461,7 +479,8 @@ def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] =
         if len(pair) > 2:
             raise ValueError(f"edge {e} lies in more than two triangles")
     marked = list(marked_edges)
-    inv = _vertex_ranks(tris, apexes, star, marked)
+    # no vertex meets 3T edges
+    inv = _vertex_ranks(apexes, star, marked, 3 * len(tris))
     sigs = [sorted((inv[a], inv[b], inv[c]), reverse=True) for a, b, c in tris]
     top = max(sigs)
     starts = [(f, i) for i, t in enumerate(tris) if sigs[i] == top
@@ -493,9 +512,10 @@ class Isomorphs:
     generation", J. Algorithms 26 (1998)).  A state alone in its
     :meth:`bucket` gets no certificate; once a second one lands there,
     every member gets one, and a state is a repeat only when its
-    certificate equals a member's.  An isomorphism that carries the marks
-    along keeps every vertex rank (:func:`_vertex_ranks`), so isomorphic
-    states share a bucket and compare by certificate: no state is lost.
+    certificate equals a member's.  The caller's ranks may be any rank map
+    that an isomorphism carrying the marks along preserves, such as
+    :func:`_vertex_ranks` in one base for every state, so isomorphic states
+    share a bucket and compare by certificate: no state is lost.
     Non-isomorphic states in one bucket, by equal invariants or a hash
     collision, cost certificates, never a merge.  So the states found new,
     and their order, are those of certifying every state.
@@ -509,20 +529,17 @@ class Isomorphs:
         self._certified: dict[int, set] = {}
 
     @staticmethod
-    def bucket(tris: Collection[Triangle], sides: dict[Edge, list],
-               by_vertex: dict[int, list], marked: Collection[Edge] = ()) -> int:
+    def bucket(tris: Collection[Triangle], rank: dict[int, int]) -> int:
         """The hash of a state's sorted triangles, each the sorted triple of
-        its vertices' ranks; ``sides`` and ``by_vertex`` index its edges and
-        vertices as for :func:`_vertex_ranks`."""
-        rank = _vertex_ranks(tris, sides, by_vertex, marked)
+        its vertices' ranks ``rank``."""
         return hash(tuple(sorted(
             tuple(sorted((rank[a], rank[b], rank[c]))) for a, b, c in tris)))
 
-    def add(self, tris: Collection[Triangle], sides: dict[Edge, list],
-            by_vertex: dict[int, list], marked: Collection[Edge] = ()) -> bool:
+    def add(self, tris: Collection[Triangle], rank: dict[int, int],
+            marked: Collection[Edge] = ()) -> bool:
         """Whether the state ``tris`` with marked edges ``marked`` is new;
-        the other arguments are as for :meth:`bucket`."""
-        bucket = self.bucket(tris, sides, by_vertex, marked)
+        ``rank`` maps its vertices to their ranks (class docstring)."""
+        bucket = self.bucket(tris, rank)
         certs = self._certified.get(bucket)
         if certs is None:
             if bucket not in self._lone:

@@ -2,8 +2,8 @@
 
 A triangulation is stored as its triangle list: a sorted tuple of sorted
 vertex triples with labels 1..V.  Its edge and vertex indices are built
-from the list; in a growth search a child gets its parent's through
-:func:`with_triangle`, and its new links are tested by :func:`link_after`.
+from the list; in a growth search a child gets its parent's, and its
+boundary vertices' links (:func:`link_ends`), through :func:`with_triangle`.
 The operations are pure except that a :class:`Triangulation` keeps the
 answers that depend on its triangles alone once they are computed: its
 validation report (written here) and its canonical code (written by
@@ -199,7 +199,8 @@ def link_after(link, p: int, q: int) -> str:
     edge either meets the circle, giving a link vertex three link edges, or
     lies apart from it, and either link is 'bad'.  So a search tries only
     the boundary vertices and one fresh vertex as a new triangle's third
-    vertex.
+    vertex, and a state carries the links of its boundary vertices alone,
+    each child's updated from its parent's (:func:`with_triangle`).
     """
     adj, partner = link
     # a circle link, or a link vertex already on two link edges, is closed off
@@ -213,17 +214,37 @@ def link_after(link, p: int, q: int) -> str:
     return "interval" if paths == 1 else "paths"
 
 
-def with_triangle(by_edge: dict, by_vertex: dict, tri: Triangle) -> tuple[dict, dict]:
-    """Copies of the edge and vertex indices with the sorted triangle
-    ``tri`` added, with new lists on its edges and vertices: the given
-    indices and their lists never change."""
+def link_with(link, p: int, q: int):
+    """The link ``link`` (from :func:`link_ends`) once the new link edge
+    (p, q), which :func:`link_after` does not call 'bad', is added: a new
+    pair of dicts, with new lists at p and q."""
+    adj, partner = link
+    adj = {**adj, p: adj.get(p, []) + [q], q: adj.get(q, []) + [p]}
+    if partner.get(p) == q:
+        return adj, {}  # the edge closes its path into a circle
+    # it joins the paths ending in p and q (a new link vertex is one) at p, q
+    partner = {**partner}
+    far_p, far_q = partner.pop(p, p), partner.pop(q, q)
+    partner[far_p], partner[far_q] = far_q, far_p
+    return adj, partner
+
+
+def with_triangle(by_edge: dict, by_vertex: dict, links: dict,
+                  tri: Triangle) -> tuple[dict, dict, dict]:
+    """Copies of a growth state's edge and vertex indices and its boundary
+    vertices' links (:func:`link_ends`) with the sorted triangle ``tri``,
+    which :func:`link_after` passes, added; a vertex whose link closes into
+    a circle drops it.  The given dicts and their lists never change."""
     a, b, c = tri
-    sides, star = dict(by_edge), dict(by_vertex)
+    sides, star, links = dict(by_edge), dict(by_vertex), dict(links)
     for f in ((a, b), (a, c), (b, c)):
         sides[f] = sides.get(f, []) + [tri]
-    for v in tri:
+    for v, p, q in ((a, b, c), (b, a, c), (c, a, b)):
         star[v] = star.get(v, []) + [tri]
-    return sides, star
+        links[v] = link_with(links.get(v, ({}, {})), p, q)
+        if not links[v][1]:
+            del links[v]  # a circle
+    return sides, star, links
 
 
 class SurfaceKind(Enum):

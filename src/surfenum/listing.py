@@ -40,7 +40,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .canon import Code, Isomorphs, automorphisms, flag_key, minimal_code
+from .canon import (Code, Isomorphs, _ranks_with, _vertex_ranks, automorphisms,
+                    flag_key, minimal_code)
 from .core import (
     SPHERE,
     Edge,
@@ -366,7 +367,11 @@ class _GenusSurfaceSearch:
 
     A state carries, updated from its parent's, its edge and vertex indices,
     each vertex's frozen ends (far ends of its frozen edges), the vertices
-    opposite frozen edges and the closed cycles of frozen edges.  No stacked
+    opposite frozen edges, the closed cycles of frozen edges, its boundary
+    edges, its vertex ranks (in the base of the vertex budget) and the
+    links of its boundary vertices, keyed by them (a vertex is interior
+    exactly when its link is a circle).  A freeze child shares them but
+    for the ranks of its edge's ends.  No stacked
     state has a pair R3 rejects (induction: a cover child adds no frozen
     edge).  A freeze child whose edge closes no cycle keeps its parent's
     cycles, which passed R4, and only its edge's triangle touches a new
@@ -404,13 +409,17 @@ class _GenusSurfaceSearch:
         if self.max_v >= 3:
             self.emit(start)
         seen = Isomorphs(flag_key)
-        # each state with the fields it carries (class docstring)
-        stack = [(start, frozenset(), edge_triangles(start),
-                  vertex_triangles(start), {}, frozenset(), [])]
+        edge_map, by_vertex = edge_triangles(start), vertex_triangles(start)
+        # each state with the fields it carries (class docstring); every
+        # edge of one triangle is a boundary edge
+        stack = [(start, frozenset(), edge_map, by_vertex,
+                  {v: link_ends(star, v) for v, star in by_vertex.items()},
+                  {}, frozenset(), [], frozenset(edge_map),
+                  _vertex_ranks(edge_map, by_vertex, (), self.cfg.max_vertices))]
         while stack:
             state = stack.pop()
-            tris, frozen, edge_map, by_vertex = state[:4]
-            if not seen.add(tris, edge_map, by_vertex, frozen):
+            tris, frozen = state[:2]
+            if not seen.add(tris, state[-1], frozen):
                 continue
             self.expanded += 1
             children = self.children(*state)
@@ -421,33 +430,28 @@ class _GenusSurfaceSearch:
         return self
 
     def children(self, tris: frozenset, frozen: frozenset, edge_map, by_vertex,
-                 frozen_ends: dict, opposite: frozenset, cycles: list):
-        bedges = [e for e, ts in edge_map.items() if len(ts) == 1]
-        open_edges = [e for e in bedges if e not in frozen]
+                 links: dict, frozen_ends: dict, opposite: frozenset,
+                 cycles: list, bedges: frozenset, rank: dict):
+        open_edges = bedges - frozen
         if not open_edges:
             return None
-        vals = {v: len(ts) for v, ts in by_vertex.items()}
         # fail first: the open edge at the most advanced vertex (docstring)
         e = min(open_edges, key=lambda e: (
-            -max(vals[e[0]], vals[e[1]]),
+            -max(len(by_vertex[e[0]]), len(by_vertex[e[1]])),
             -len(frozen_ends.get(e[0], ())) - len(frozen_ends.get(e[1], ())),
             e))
-        # no bad link and no edge in three triangles: a vertex has a circle
-        # link (is interior) exactly when no boundary edge meets it
-        bverts = {v for edge in bedges for v in edge}
         a, b = e
-        links = {a: link_ends(by_vertex[a], a), b: link_ends(by_vertex[b], b)}
         out = []
         # freezing e leaves a vertex on at most two frozen edges, and the
         # opposite vertex of a boundary edge must end up on the boundary
         apex = next(x for x in edge_map[e][0] if x != a and x != b)
         ends_a, ends_b = frozen_ends.get(a, ()), frozen_ends.get(b, ())
-        if len(ends_a) < 2 and len(ends_b) < 2 and apex in bverts:
+        if len(ends_a) < 2 and len(ends_b) < 2 and apex in links:
             changes = []
             for v, w, ends in ((a, b, ends_a), (b, a, ends_b)):
                 # freezing e makes w a frozen end of v; the link is unchanged
                 partner = links[v][1]
-                changes.append((v, vals[v],
+                changes.append((v, len(by_vertex[v]),
                                 "interval" if len(partner) == 2 else "paths",
                                 len(ends) == 1 and partner.get(ends[0]) == w))
             child = frozen | {e}
@@ -463,12 +467,14 @@ class _GenusSurfaceSearch:
                 split = _splits_boundary(cycles, child, edge_map, (e,))
             if self._dead_end(changes, opposite, new_cycles, split) is None:
                 child_ends = {**frozen_ends, a: ends_a + (b,), b: ends_b + (a,)}
-                out.append((tris, child, edge_map, by_vertex, child_ends,
-                            opposite | {apex}, new_cycles or cycles))
-        n_v = len(vals)
+                # a marked edge counts 1 in a rank (``canon._vertex_ranks``)
+                out.append((tris, child, edge_map, by_vertex, links, child_ends,
+                            opposite | {apex}, new_cycles or cycles, bedges,
+                            {**rank, a: rank[a] + 1, b: rank[b] + 1}))
+        n_v = len(by_vertex)
         # an interior vertex takes no triangle (``core.link_after``): the
         # third vertex is a boundary vertex or the fresh one
-        cands = sorted(bverts - {a, b})
+        cands = sorted(links.keys() - {a, b})
         if n_v < self.max_v:
             cands.append(n_v + 1)
         for x in cands:
@@ -481,9 +487,9 @@ class _GenusSurfaceSearch:
             changes = []
             # the new triangle adds the link edge (p, q) at v
             for v, p, q in ((a, b, x), (b, a, x), (x, a, b)):
-                k = vals.get(v, 0) + 1
+                k = len(by_vertex.get(v, ())) + 1
                 ends = frozen_ends.get(v, ())
-                link = links.get(v) or link_ends(by_vertex.get(v, ()), v)
+                link = links.get(v, ({}, {}))
                 shape = link_after(link, p, q)
                 # a finished interior vertex needs valence >= 4
                 if shape == "bad" or (shape == "circle" and k < 4):
@@ -500,7 +506,7 @@ class _GenusSurfaceSearch:
             finished = {v: shape == "circle" for v, _k, shape, _c in changes}
             # no triangle may end up with all three vertices interior; such a
             # triangle meets a, b or x, so one of them has just been finished
-            if any(all(finished[u] if u in finished else u not in bverts
+            if any(all(finished[u] if u in finished else u not in links
                        for u in t)
                    for v in (a, b, x) if finished[v]
                    for t in itertools.chain(by_vertex.get(v, ()), (new_tri,))):
@@ -508,9 +514,11 @@ class _GenusSurfaceSearch:
             # the new triangle has no frozen edge and closes no cycle of
             # them, so it splits no boundary
             if self._dead_end(changes, opposite, [], False) is None:
-                sides, star = with_triangle(edge_map, by_vertex, new_tri)
-                out.append((tris | {new_tri}, frozen, sides, star, frozen_ends,
-                            opposite, cycles))
+                out.append((tris | {new_tri}, frozen,
+                            *with_triangle(edge_map, by_vertex, links, new_tri),
+                            frozen_ends, opposite, cycles, bedges ^ {e, ea, eb},
+                            _ranks_with(rank, self.cfg.max_vertices, edge_map,
+                                        new_tri)))
         return out
 
     def _dead_end(self, changes, opposite, cycles, split: bool) -> str | None:

@@ -6,8 +6,8 @@ from the closed star of an m-valent vertex and glues one triangle at a time
 onto one uncovered boundary edge, trying every admissible third vertex.  A
 state isomorphic to one already expanded is dropped.  Only the basic surface
 predicates (the link test among them), the canonical labeling and the
-buckets of the isomorph filter are shared with the pipeline, so agreement
-of the two results is meaningful evidence.
+buckets of the isomorph filter, with their ranks, are shared with the
+pipeline, so agreement of the two results is meaningful evidence.
 
 The edge decided next is the one whose ends have the most triangles: the
 larger star of its two ends, then the smaller, both descending, then the
@@ -21,15 +21,15 @@ surfaces.  Each pruning rule holds for good, whatever is decided later,
 because a glued triangle stays: an edge in three triangles, a valence above
 m or a bad link is never repaired, and the vertex cap only binds harder.
 
-A growth state carries its edge and vertex indices.  Each valence task
-builds them once, for its m-fan; a child gets its parent's through
-``core.with_triangle``, so a parent's lists never change.  The link test
-is ``core.link_after``, on the links of a and b built once per state.  Its
-docstring argues that an interior vertex takes no further triangle, so the
-third vertex x of a new triangle on the edge (a, b) is tried only among
-the boundary vertices (the ends of the uncovered edges) and the one fresh
-vertex.  A fresh x has valence 1 and the one link edge (a, b), so only a
-and b are tested.
+A growth state carries its edge and vertex indices, its vertex ranks and
+its boundary vertices' links.  Each valence task builds them once, for
+its m-fan; a child gets its parent's through ``core.with_triangle`` and
+``canon._ranks_with``, so a parent's dicts and lists never change.  The
+link test is ``core.link_after`` on the carried links.  Its docstring
+argues that an interior vertex takes no further triangle, so the third
+vertex x of a new triangle on the edge (a, b) is tried only among the
+boundary vertices (those with a link) and the one fresh vertex.  A fresh
+x has valence 1 and the one link edge (a, b), so only a and b are tested.
 
 Open states are deduplicated by :class:`canon.Isomorphs`, the filter the
 genus-surface search uses too, with ``minimal_code`` as the certificate;
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import Code, Isomorphs, minimal_code
+from .canon import Code, Isomorphs, _ranks_with, _vertex_ranks, minimal_code
 from .core import (
     Edge,
     SurfaceClass,
@@ -63,9 +63,9 @@ from .core import (
 from .listing import CountsTable, SearchConfig, _map_maybe_parallel, enumerate_all
 
 # a growth state: its triangles in the order they were glued, with its edge
-# and vertex indices
+# and vertex indices, boundary vertices' links and vertex ranks
 State = tuple[tuple[Triangle, ...], dict[Edge, list[Triangle]],
-              dict[int, list[Triangle]]]
+              dict[int, list[Triangle]], dict[int, tuple], dict[int, int]]
 
 
 def _m_fan(m: int) -> tuple[Triangle, ...]:
@@ -76,8 +76,8 @@ def _m_fan(m: int) -> tuple[Triangle, ...]:
 
 
 def _children(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]],
-              by_vertex: dict[int, list[Triangle]], m: int,
-              max_vertices: int) -> list[State]:
+              by_vertex: dict[int, list[Triangle]], links: dict[int, tuple],
+              rank: dict[int, int], m: int, max_vertices: int) -> list[State]:
     open_edges = [e for e, ts in by_edge.items() if len(ts) == 1]
     if not open_edges:
         return []  # closed: a leaf
@@ -89,11 +89,10 @@ def _children(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]],
     taken = next(x for x in by_edge[(a, b)][0] if x not in (a, b))
     # an interior vertex takes no triangle (``core.link_after``): the third
     # vertex is a boundary vertex or the fresh one
-    cands = sorted({v for e in open_edges for v in e} - {a, b, taken})
+    cands = sorted(links.keys() - {a, b, taken})
     n_v = len(by_vertex)
     if n_v < max_vertices:
         cands.append(n_v + 1)
-    links = {a: link_ends(by_vertex[a], a), b: link_ends(by_vertex[b], b)}
     out = []
     for x in cands:
         new_tri = tuple(sorted((a, b, x)))
@@ -106,12 +105,12 @@ def _children(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]],
         for v, p, q in tests if x <= n_v else tests[:2]:
             if len(by_vertex[v]) + 1 > m:
                 break
-            link = links.get(v) or link_ends(by_vertex[v], v)
-            if link_after(link, p, q) == "bad":
+            if link_after(links[v], p, q) == "bad":
                 break
         else:
-            sides, star = with_triangle(by_edge, by_vertex, new_tri)
-            out.append((tris + (new_tri,), sides, star))
+            out.append((tris + (new_tri,),
+                        *with_triangle(by_edge, by_vertex, links, new_tri),
+                        _ranks_with(rank, max_vertices, by_edge, new_tri)))
     return out
 
 
@@ -122,9 +121,14 @@ def _enumerate_with_max_valence(m: int,
     seen = Isomorphs(lambda tris, _marked: minimal_code(tris))
     leaves: dict[Code, SurfaceClass] = {}
     fan = _m_fan(m)
-    stack = [(fan, edge_triangles(fan), vertex_triangles(fan))]
+    by_edge, by_vertex = edge_triangles(fan), vertex_triangles(fan)
+    # the rim vertices 2..m+1 are the fan's boundary vertices
+    stack = [(fan, by_edge, by_vertex,
+              {v: link_ends(by_vertex[v], v) for v in range(2, m + 2)},
+              _vertex_ranks(by_edge, by_vertex, (), max_vertices))]
     while stack:
-        tris, by_edge, by_vertex = stack.pop()
+        state = stack.pop()
+        tris, by_edge, by_vertex = state[:3]
         # no edge is in three triangles, so the state is closed exactly when
         # every edge is in two: 2E = 3T
         if 2 * len(by_edge) == 3 * len(tris):
@@ -135,8 +139,8 @@ def _enumerate_with_max_valence(m: int,
                     # chi = V - E + T with 2E = 3T
                     leaves[code] = _surface_class(
                         len(by_vertex) - len(tris) // 2, report.orientable)
-        elif seen.add(tris, by_edge, by_vertex):
-            stack.extend(_children(tris, by_edge, by_vertex, m, max_vertices))
+        elif seen.add(tris, state[-1]):
+            stack.extend(_children(*state, m, max_vertices))
     return leaves
 
 

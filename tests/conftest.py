@@ -5,15 +5,15 @@ from typing import Iterable, Sequence
 
 import pytest
 
-from surfenum.canon import Code, minimal_code
+from surfenum.canon import Code, _vertex_ranks, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (KLEIN_BOTTLE, SPHERE, Edge, SurfaceClass,
                            SurfaceKind, Triangle, Triangulation,
                            _euler, boundary_cycles, classify, closed_cycles,
-                           ValidationReport, edge_triangles, link_graph,
-                           normalize_triangles, valences, validate,
+                           ValidationReport, edge_triangles, link_ends,
+                           link_graph, normalize_triangles, valences, validate,
                            vertex_triangles)
-from surfenum import listing
+from surfenum import listing, oracle
 from surfenum.listing import (SearchConfig, _host_splits, _index_discs,
                               enumerate_genus_surfaces)
 from surfenum.moves import MoveError, _cone, _require_closed
@@ -119,6 +119,34 @@ def link_shape(tris_at_v: Iterable[Triangle], v: int) -> str:
     if endpoints == 2 * components:
         return "interval" if components == 1 else "paths"
     return "bad"
+
+
+def sorted_links(links: dict) -> dict:
+    """Vertex -> ``core.link_ends`` link with each neighbour list sorted, so
+    that links compare up to neighbour order."""
+    return {v: ({x: sorted(nbrs) for x, nbrs in adj.items()}, partner)
+            for v, (adj, partner) in links.items()}
+
+
+def rebuilt_links(tris) -> dict:
+    """The links a growth state carries, rebuilt from its triangles in the
+    form of :func:`sorted_links`: boundary vertex -> ``core.link_ends`` of
+    its star; no interior vertex has one."""
+    boundary = {v for e, ts in edge_triangles(tris).items() if len(ts) == 1
+                for v in e}
+    return sorted_links({v: link_ends(star, v)
+                         for v, star in vertex_triangles(tris).items()
+                         if v in boundary})
+
+
+def oracle_start(m: int, max_vertices: int) -> tuple:
+    """The growth state from which the oracle's valence task m starts: its
+    m-fan with the indices, ranks and rim links that it carries."""
+    fan = oracle._m_fan(m)
+    by_edge, by_vertex = edge_triangles(fan), vertex_triangles(fan)
+    return (fan, by_edge, by_vertex,
+            {v: link_ends(by_vertex[v], v) for v in range(2, m + 2)},
+            _vertex_ranks(by_edge, by_vertex, (), max_vertices))
 
 
 def orientable(tris: tuple[Triangle, ...]) -> bool:

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from conftest import (ANNULUS, MOBIUS, canonical_witness, is_isomorphic,
-                      mixed_lex_compare, relabel, state_key, torus_grid)
-from surfenum.canon import (Isomorphs, automorphisms, canonical_form, flag_key,
-                            minimal_code)
+                      mixed_lex_compare, oracle_start, relabel, state_key,
+                      torus_grid)
+from surfenum.canon import (Isomorphs, _vertex_ranks, automorphisms,
+                            canonical_form, flag_key, minimal_code)
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (TORUS, Triangulation, classify, edge_triangles,
                            vertex_triangles)
@@ -139,15 +140,14 @@ def _growth_states() -> list:
     states = []
     for m in range(3, 7):
         seen = Isomorphs(lambda tris, _marked: minimal_code(tris))
-        fan = oracle._m_fan(m)
-        stack = [(fan, edge_triangles(fan), vertex_triangles(fan))]
+        stack = [oracle_start(m, 7)]
         while stack:
-            tris, by_edge, by_vertex = stack.pop()
+            state = stack.pop()
+            tris, by_edge = state[:2]
             states.append(tris)
             # a closed state is a leaf; an open one is expanded once per class
-            if (2 * len(by_edge) > 3 * len(tris)
-                    and seen.add(tris, by_edge, by_vertex)):
-                stack.extend(oracle._children(tris, by_edge, by_vertex, m, 7))
+            if 2 * len(by_edge) > 3 * len(tris) and seen.add(tris, state[-1]):
+                stack.extend(oracle._children(*state, m, 7))
     assert len(states) == 108
     return states
 
@@ -477,7 +477,10 @@ class TestFlagKey:
 
 
 def _add(seen: Isomorphs, tris, marked=()) -> bool:
-    return seen.add(tris, edge_triangles(tris), vertex_triangles(tris), marked)
+    # one base for every state of a filter, above every entry of these
+    # inputs of at most 8 vertices
+    rank = _vertex_ranks(edge_triangles(tris), vertex_triangles(tris), marked, 9)
+    return seen.add(tris, rank, marked)
 
 
 class TestIsomorphs:

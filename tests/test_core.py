@@ -4,7 +4,8 @@ import random
 import pytest
 
 from conftest import (MOBIUS, cone_and_classify, heawood_min_vertices,
-                      link_shape, orientable, reference_report, relabel)
+                      link_shape, orientable, reference_report, relabel,
+                      sorted_links)
 from surfenum.canon import canonical_form
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
@@ -23,6 +24,7 @@ from surfenum.core import (
     edge_triangles,
     link_after,
     link_ends,
+    link_with,
     surface_class,
     valences,
     validate,
@@ -443,20 +445,41 @@ class TestLinkShape:
         assert shape([(1, 2), (2, 3), (1, 3)], 1, 5) == "bad"
         assert shape([(1, 2), (2, 3), (1, 3)], 5, 6) == "bad"
 
-    def test_agrees_with_reference_on_small_stars(self):
-        # every growth link of up to 6 link edges (empty, a circle or
-        # disjoint paths) with every new link edge not in it
+    def growth_links(self):
+        """(star, link edges not in it) for every growth link of up to 6
+        link edges (empty, a circle or disjoint paths) on LINK_VERTICES."""
         edges = list(itertools.combinations(self.LINK_VERTICES, 2))
-        checked = 0
         for k in range(7):
             for sub in itertools.combinations(edges, k):
                 star = self.star(sub)
-                if star and link_shape(star, self.V) == "bad":
-                    continue
-                link = link_ends(star, self.V)
-                for p, q in edges:
-                    if (p, q) not in sub:
-                        after = star + self.star([(p, q)])
-                        assert link_after(link, p, q) == link_shape(after, self.V), after
-                        checked += 1
+                if not star or link_shape(star, self.V) != "bad":
+                    yield star, [e for e in edges if e not in sub]
+
+    def test_agrees_with_reference_on_small_stars(self):
+        # every growth link with every new link edge not in it
+        checked = 0
+        for star, new_edges in self.growth_links():
+            link = link_ends(star, self.V)
+            for p, q in new_edges:
+                after = star + self.star([(p, q)])
+                assert link_after(link, p, q) == link_shape(after, self.V), after
+                checked += 1
         assert checked == 215313
+
+    def test_link_with_matches_a_rebuild(self):
+        # every growth link with every new link edge that link_after passes:
+        # the updated link is the rebuilt one, and the given one is unchanged
+        updated = 0
+        for star, new_edges in self.growth_links():
+            link = link_ends(star, self.V)
+            before = sorted_links({self.V: link})
+            for p, q in new_edges:
+                if link_after(link, p, q) == "bad":
+                    continue
+                after = link_ends(star + self.star([(p, q)]), self.V)
+                assert (sorted_links({self.V: link_with(link, p, q)})
+                        == sorted_links({self.V: after})), (star, p, q)
+                assert sorted_links({self.V: link}) == before
+                updated += 1
+        # the 215,313 pairs less those link_after calls bad
+        assert updated == 64911

@@ -85,14 +85,26 @@ def test_oracle_growth_uses_nothing_from_listing():
         assert not used & from_listing, name
 
 
+GROWTH_CHILDREN = (("oracle", "_children"),
+                   ("listing", "_GenusSurfaceSearch.children"))
+
+
 def test_growth_children_copy_indices_through_with_triangle():
-    # a child's edge and vertex indices are its parent's, copied with the
-    # new triangle added by core.with_triangle, in both growth searches
-    for module, name in (("oracle", "_children"),
-                         ("listing", "_GenusSurfaceSearch.children")):
+    # a child's edge and vertex indices and boundary links are its
+    # parent's, copied with the new triangle added by core.with_triangle,
+    # in both growth searches
+    for module, name in GROWTH_CHILDREN:
         called = _called(_functions(PACKAGE_DIR / f"{module}.py")[name])
         assert "with_triangle" in called, name
         assert not called & {"dict", "copy"}, name
+
+
+def test_growth_children_build_no_link_and_no_ranks():
+    # a state carries its boundary vertices' links and its vertex ranks, and
+    # a child updates its parent's round the new triangle or frozen edge
+    for module, name in GROWTH_CHILDREN:
+        called = _called(_functions(PACKAGE_DIR / f"{module}.py")[name])
+        assert not called & {"link_ends", "_vertex_ranks"}, name
 
 
 def _index_builds(functions) -> list:

@@ -6,9 +6,10 @@ from collections import Counter
 import pytest
 
 from conftest import (Decomposition, cone_and_classify, link_shape,
-                      reference_chords, reference_nonroots, reference_roots,
-                      relabel, state_key, validate_decomposition)
-from surfenum.canon import Code, Isomorphs, flag_key, minimal_code
+                      rebuilt_links, reference_chords, reference_nonroots,
+                      reference_roots, relabel, sorted_links, state_key,
+                      validate_decomposition)
+from surfenum.canon import Code, Isomorphs, _vertex_ranks, flag_key, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     PROJECTIVE_PLANE,
@@ -771,8 +772,9 @@ def search_states(monkeypatch, v: int) -> list:
 
 
 def invariant(tris, frozen) -> int:
-    return Isomorphs.bucket(tris, edge_triangles(tris), vertex_triangles(tris),
-                            frozen)
+    # the ranks rebuilt in the base of an eight-vertex budget
+    return Isomorphs.bucket(tris, _vertex_ranks(
+        edge_triangles(tris), vertex_triangles(tris), frozen, 8))
 
 
 class TestGenusSearchDedup:
@@ -829,9 +831,9 @@ class TestGenusSearchDedup:
         popped = []
         real = Isomorphs.add
 
-        def recording(seen, tris, sides, by_vertex, marked=()):
+        def recording(seen, tris, rank, marked=()):
             popped.append((tris, marked))
-            return real(seen, tris, sides, by_vertex, marked)
+            return real(seen, tris, rank, marked)
 
         monkeypatch.setattr(Isomorphs, "add", recording)
         states = search_states(monkeypatch, 8)
@@ -869,22 +871,23 @@ class TestGenusSearchShortcuts:
         from surfenum import listing
         from surfenum.core import vertex_triangles
 
-        # id -> (link, its vertex's star, the vertex); holding the link
-        # keeps its id from being reused
-        links = {}
+        # id -> (link, its vertex's star, the vertex) for the carried links
+        # of the state being expanded; holding the link keeps its id from
+        # being reused.  A fresh vertex has none: its link is empty.
+        links_of = {}
+        fresh = [None]
         verdicts = Counter()
         states = 0
-        real_ends, real_after = listing.link_ends, listing.link_after
+        real_after = listing.link_after
         real_children = listing._GenusSurfaceSearch.children
-
-        def recording_ends(star, v):
-            link = real_ends(star, v)
-            links[id(link)] = (link, list(star), v)
-            return link
 
         def checking_after(link, p, q):
             verdict = real_after(link, p, q)
-            _link, star, v = links[id(link)]
+            if id(link) in links_of:
+                _link, star, v = links_of[id(link)]
+            else:
+                assert link == ({}, {})
+                star, v = [], fresh[0]
             new_tri = tuple(sorted((v, p, q)))
             assert verdict == link_shape(star + [new_tri], v), (star, new_tri)
             verdicts[verdict] += 1
@@ -893,6 +896,11 @@ class TestGenusSearchShortcuts:
         def checking_children(search, tris, frozen, edge_map, by_vertex,
                               *carried):
             nonlocal states
+            links = carried[0]
+            links_of.clear()
+            links_of.update((id(link), (link, by_vertex[v], v))
+                            for v, link in links.items())
+            fresh[0] = len(by_vertex) + 1
             out = real_children(search, tris, frozen, edge_map, by_vertex,
                                 *carried)
             if out is None:
@@ -900,7 +908,7 @@ class TestGenusSearchShortcuts:
             states += 1
             # the boundary vertex set behind the finished, opposite-vertex
             # and all-interior-triangle tests of this state, as children
-            # reads it off the boundary edges
+            # reads it off the carried links
             bverts = {v for e, ts in edge_map.items() if len(ts) == 1 for v in e}
             n = search.cfg.max_vertices
             for v, star in vertex_triangles(tris).items():
@@ -911,7 +919,6 @@ class TestGenusSearchShortcuts:
             assert all(len(child[1]) <= search.max_v for child in out)
             return out
 
-        monkeypatch.setattr(listing, "link_ends", recording_ends)
         monkeypatch.setattr(listing, "link_after", checking_after)
         monkeypatch.setattr(listing._GenusSurfaceSearch, "children",
                             checking_children)
@@ -1102,20 +1109,23 @@ class TestGenusSearchPruning:
 
         def rebuilt(tris, frozen):
             # the carried fields of a state, built from its triangles and
-            # frozen edges alone
-            edge_map = edge_triangles(tris)
+            # frozen edges alone; the links' keys are the boundary vertices
+            edge_map, by_vertex = edge_triangles(tris), vertex_triangles(tris)
             ends = {}
             for x, y in frozen:
                 ends.setdefault(x, []).append(y)
                 ends.setdefault(y, []).append(x)
             opposite = {next(w for w in edge_map[f][0] if w not in f)
                         for f in frozen}
-            return (as_sets(edge_map), as_sets(vertex_triangles(tris)),
-                    as_sets(ends), opposite, closed_cycles(frozen))
+            bedges = {e for e, ts in edge_map.items() if len(ts) == 1}
+            return (as_sets(edge_map), as_sets(by_vertex), rebuilt_links(tris),
+                    as_sets(ends), opposite, closed_cycles(frozen), bedges,
+                    _vertex_ranks(edge_map, by_vertex, frozen, v))
 
-        def carried(edge_map, by_vertex, ends, opposite, cycles):
-            return (as_sets(edge_map), as_sets(by_vertex), as_sets(ends),
-                    set(opposite), cycles)
+        def carried(edge_map, by_vertex, links, ends, opposite, cycles, bedges,
+                    rank):
+            return (as_sets(edge_map), as_sets(by_vertex), sorted_links(links),
+                    as_sets(ends), set(opposite), cycles, set(bedges), rank)
 
         states = 0
         real_children = listing._GenusSurfaceSearch.children

@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 
-from conftest import link_shape, relabel
+from conftest import (link_shape, oracle_start, rebuilt_links, relabel,
+                      sorted_links)
 from surfenum import oracle
-from surfenum.canon import Isomorphs, minimal_code
+from surfenum.canon import Isomorphs, _vertex_ranks, minimal_code
 from surfenum.core import (SurfaceKind, Triangulation, classify, edge_triangles,
                            valences, validate, vertex_triangles)
 from surfenum.listing import SearchConfig
@@ -116,21 +117,21 @@ def _growth_states(max_vertices: int) -> dict:
     expands at this budget (deduplicated by code alone)."""
     states = {}
     for m in range(3, max_vertices):
-        fan = oracle._m_fan(m)
-        stack = [(fan, edge_triangles(fan), vertex_triangles(fan))]
+        stack = [oracle_start(m, max_vertices)]
         while stack:
-            tris, by_edge, by_vertex = stack.pop()
-            code = minimal_code(tris)
+            state = stack.pop()
+            code = minimal_code(state[0])
             if code in states:
                 continue
-            states[code] = tris
-            stack.extend(oracle._children(tris, by_edge, by_vertex, m,
-                                          max_vertices))
+            states[code] = state[0]
+            stack.extend(oracle._children(*state, m, max_vertices))
     return states
 
 
 def _invariant(tris) -> int:
-    return Isomorphs.bucket(tris, edge_triangles(tris), vertex_triangles(tris))
+    # the ranks rebuilt in the base of an eight-vertex budget
+    return Isomorphs.bucket(tris, _vertex_ranks(
+        edge_triangles(tris), vertex_triangles(tris), (), 8))
 
 
 class TestInvariant:
@@ -189,49 +190,58 @@ class TestGrowth:
     @pytest.mark.parametrize("v", [6, 7, 8])
     def test_children_match_a_reference(self, monkeypatch, v):
         real_children = oracle._children
-        real_ends, real_after = oracle.link_ends, oracle.link_after
+        real_after = oracle.link_after
         pushed = []
-        # id -> (link, its vertex); holding the link keeps its id from
-        # being reused
-        links = {}
+        # id -> (link, its vertex, its star) for the links of the state
+        # being expanded; holding the link keeps its id from being reused
+        links_of = {}
         tested = []
 
-        def recording_ends(star, x):
-            link = real_ends(star, x)
-            links[id(link)] = (link, x)
-            return link
+        def rebuilt(tris):
+            # the carried fields, built from the triangles alone
+            by_edge, by_vertex = edge_triangles(tris), vertex_triangles(tris)
+            return (by_edge, by_vertex, rebuilt_links(tris),
+                    _vertex_ranks(by_edge, by_vertex, (), v))
+
+        def carried(by_edge, by_vertex, links, rank):
+            return by_edge, by_vertex, sorted_links(links), rank
 
         def recording_after(link, p, q):
-            tested.append(links[id(link)][1])
-            return real_after(link, p, q)
+            verdict = real_after(link, p, q)
+            _link, x, star = links_of[id(link)]
+            new_tri = tuple(sorted((x, p, q)))
+            assert verdict == link_shape(star + [new_tri], x), (star, new_tri)
+            tested.append(x)
+            return verdict
 
-        def checking(tris, by_edge, by_vertex, m, max_vertices):
-            assert by_edge == edge_triangles(tris)
-            assert by_vertex == vertex_triangles(tris)
+        def checking(tris, by_edge, by_vertex, links, rank, m, max_vertices):
+            fields = (by_edge, by_vertex, links, rank)
+            reference = rebuilt(tris)
+            assert carried(*fields) == reference
+            links_of.clear()
+            links_of.update((id(link), (link, x, by_vertex[x]))
+                            for x, link in links.items())
             tested.clear()
-            out = real_children(tris, by_edge, by_vertex, m, max_vertices)
-            # the parent's indices are unchanged by its children's
-            assert by_edge == edge_triangles(tris)
-            assert by_vertex == vertex_triangles(tris)
+            out = real_children(tris, *fields, m, max_vertices)
+            # the parent's fields are unchanged by its children's
+            assert carried(*fields) == reference
             assert [child[0] for child in out] == _reference_children(
                 tris, m, max_vertices)
-            # links are tested only at boundary vertices, never at a fresh one
-            boundary = {x for e, ts in by_edge.items() if len(ts) == 1 for x in e}
-            assert set(tested) <= boundary
+            # links are tested only at boundary vertices, never at a fresh
+            # one, and always on the state's carried links
+            assert set(tested) <= set(reference[2])
             pushed.extend(out)
             return out
 
         monkeypatch.setattr(oracle, "_children", checking)
-        monkeypatch.setattr(oracle, "link_ends", recording_ends)
         monkeypatch.setattr(oracle, "link_after", recording_after)
         result = brute_force_enumerate(v)
         assert sum(map(len, result.codes.values())) == {6: 5, 7: 14, 8: 57}[v]
         # every state pushed is popped once its siblings and their subtrees
-        # are grown: its indices are still those of its triangles
+        # are grown: its fields are still those of its triangles
         assert pushed
-        for tris, by_edge, by_vertex in pushed:
-            assert by_edge == edge_triangles(tris)
-            assert by_vertex == vertex_triangles(tris)
+        for tris, *fields in pushed:
+            assert carried(*fields) == rebuilt(tris)
 
     def test_growth_work_at_eight(self, monkeypatch):
         calls = Counter()
@@ -255,9 +265,10 @@ class TestGrowth:
         assert calls["vertex_triangles"] == 5 + sum(map(len, result.codes.values()))
         # 2,777 link tests when every labelled vertex was tried as the third
         # vertex; 2,543 link graphs, one per test, before a and b got theirs
-        # once per state
+        # once per state, and 1,920 before each state carried its links:
+        # only the rims of the m-fans, m = 3..7, are built
         assert calls["link_after"] == 2543
-        assert 0 < calls["link_ends"] <= 1920
+        assert calls["link_ends"] == 3 + 4 + 5 + 6 + 7
 
 
 class TestCrossValidate:
