@@ -35,7 +35,7 @@ label, so the star's d triples are (1,2,3), (1,2,4), (1,3,5), (1,4,6), ...,
 the best list once per seed; each flag then labels its link in one walk and
 the search goes on from triangle d.  Other seeds (boundary vertices,
 pinches, non-manifold or disconnected inputs) search from label 1.  The
-link is walked along the seed's spokes: :func:`minimal_code` indexes each
+link is walked along the seed's spokes: ``core.build_index`` indexes each
 edge's triangles with their third vertices, and the apexes of the spoke
 from the seed to a link vertex are that vertex's link neighbours.
 
@@ -82,6 +82,34 @@ ranks that :func:`flag_key` starts from, and calls the caller's certificate
 state carries its ranks in base V, its vertex budget (a link has at most
 V - 1 vertices, so no entry reaches V), each child's updated from its
 parent's (:func:`_ranks_with` for a new triangle).
+
+A state also carries its triangles as a tuple in the order they were glued,
+with their ``core.build_index``, the one index both keys read.  Each public
+key builds that index from its input and runs its kernel
+(:func:`_minimal_code`, :func:`_flag_key`); :class:`Isomorphs` runs the
+kernel on an arriving state's tuple, carried index and carried ranks, and
+so builds nothing.  The kernel returns the public key there for two
+reasons.
+
+With no witnesses, the minimal code does not depend on the order or the
+positions of the triangles.  Positions only name the triangles (the used
+marks, the candidate lists) and set the order in which a star's triangles
+and a seed's flags are tried.  The seeds are sorted by label; every seed,
+every flag and every branch is still tried; every cut compares label
+triples alone (a list already larger than the best, or the flag filter
+above); and the tie stop (above) fires only at a full labeling equal to an
+earlier seed's best, which proves the seed's minimum equal to it.  So the
+search returns the minimum over all labelings from the seeds, whatever the
+order.  The order of the witnesses does follow the triangle order, which
+is why :func:`minimal_code` sorts its input.
+
+The flag key's start flags depend only on the order of the rank values: a
+flag starts a walk when its ranks, sorted descending, form the largest such
+list.  Any base above every entry of the vertex triples maps them to
+numbers in the same order.  So the carried ranks in base V (the budget)
+pick the same start flags as :func:`flag_key`'s own in base 3T, as no
+entry reaches V.  The walk codes, and their minimum, do not depend on the
+triangle order either.
 """
 
 from __future__ import annotations
@@ -90,7 +118,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .core import Edge, Triangle, Triangulation, normalize_triangles
+from .core import Edge, Triangle, Triangulation, build_index, normalize_triangles
 
 Code = tuple[Triangle, ...]
 
@@ -309,20 +337,18 @@ def _search(
     return best[0]
 
 
-def _index(tris: Sequence[Triangle]):
-    """The vertex and edge index of the sorted triples ``tris`` that both
-    keys read: vertex -> (triangle index, the two other vertices) and edge
-    -> (triangle index, the third vertex), indices ascending."""
-    star: dict[int, list[tuple[int, int, int]]] = {}
-    apexes: dict[Edge, list[tuple[int, int]]] = {}
-    for i, (a, b, c) in enumerate(tris):
-        star.setdefault(a, []).append((i, b, c))
-        star.setdefault(b, []).append((i, a, c))
-        star.setdefault(c, []).append((i, a, b))
-        apexes.setdefault((a, b), []).append((i, c))
-        apexes.setdefault((a, c), []).append((i, b))
-        apexes.setdefault((b, c), []).append((i, a))
-    return star, apexes
+def _minimal_code(tris: Sequence[Triangle], by_edge: dict, by_vertex: dict,
+                  witnesses: list | None = None) -> Code:
+    """:func:`minimal_code` of the sorted triples ``tris``, in any order,
+    given their ``core.build_index``; ``witnesses``, when given, collects
+    every optimal labeling."""
+    max_val = max(map(len, by_vertex.values()))
+    seeds = sorted(x for x, s in by_vertex.items() if len(s) == max_val)
+    try:
+        return _search(tris, by_vertex, by_edge, seeds, witnesses)
+    except RecursionError:
+        raise ValueError(f"{len(tris)} triangles are too many to label: the "
+                         "canonical search recurses once per branching step") from None
 
 
 def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
@@ -333,15 +359,8 @@ def minimal_code(tris: Iterable[Triangle], with_witnesses: bool = False):
     the interpreter's recursion limit leaves room for: it recurses once per
     branching step, not once per triangle."""
     tris = normalize_triangles(tris)
-    star, apexes = _index(tris)
-    max_val = max(len(s) for s in star.values())
     witnesses: list | None = [] if with_witnesses else None
-    seeds = sorted(x for x, s in star.items() if len(s) == max_val)
-    try:
-        code = _search(tris, star, apexes, seeds, witnesses)
-    except RecursionError:
-        raise ValueError(f"{len(tris)} triangles are too many to label: the "
-                         "canonical search recurses once per branching step") from None
+    code = _minimal_code(tris, *build_index(tris), witnesses)
     if with_witnesses:
         return code, witnesses
     return code
@@ -456,6 +475,33 @@ def _ranks_with(rank: dict[int, int], base: int, sides: dict[Edge, list],
     return rank
 
 
+def _flag_key(tris: Sequence[Triangle], by_edge: dict, _by_vertex: dict,
+              rank: dict[int, int], marked: Collection[Edge]):
+    """:func:`flag_key` of the sorted triples ``tris``, in any order, given
+    their ``core.build_index`` and ranks ``rank`` of the vertex triples in
+    any base above every entry (see :func:`_vertex_ranks`); every edge must
+    lie in at most two triangles."""
+    sigs = [sorted((rank[a], rank[b], rank[c]), reverse=True) for a, b, c in tris]
+    top = max(sigs)
+    starts = [(f, i) for i, t in enumerate(tris) if sigs[i] == top
+              for f in itertools.permutations(t)
+              if [rank[f[0]], rank[f[1]], rank[f[2]]] == top]
+    best = best_marks = None
+    for start, i in starts:
+        walk = _flag_walk(by_edge, len(tris), start, i, best)
+        if walk is None:
+            continue
+        code, label = walk
+        if len(code) != len(tris):
+            # the first walk is never pruned, so a disconnected input stops here
+            raise ValueError("triangles are not edge-connected")
+        marks = tuple(sorted((label[a], label[b]) if label[a] < label[b]
+                             else (label[b], label[a]) for a, b in marked))
+        if code != best or marks < best_marks:
+            best, best_marks = code, marks
+    return best, best_marks
+
+
 def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] = ()):
     """Relabeling-invariant key of a complex with a set of marked edges,
     equal for two inputs exactly when an isomorphism maps one complex and
@@ -474,39 +520,25 @@ def flag_key(tris: Iterable[Triangle], marked_edges: Iterable[tuple[int, int]] =
     the triangles are edge-connected; only then is the walk complete.
     """
     tris = [tuple(sorted(t)) for t in tris]
-    star, apexes = _index(tris)
-    for e, pair in apexes.items():
+    by_edge, by_vertex = build_index(tris)
+    for e, pair in by_edge.items():
         if len(pair) > 2:
             raise ValueError(f"edge {e} lies in more than two triangles")
     marked = list(marked_edges)
     # no vertex meets 3T edges
-    inv = _vertex_ranks(apexes, star, marked, 3 * len(tris))
-    sigs = [sorted((inv[a], inv[b], inv[c]), reverse=True) for a, b, c in tris]
-    top = max(sigs)
-    starts = [(f, i) for i, t in enumerate(tris) if sigs[i] == top
-              for f in itertools.permutations(t)
-              if [inv[f[0]], inv[f[1]], inv[f[2]]] == top]
-    best = best_marks = None
-    for start, i in starts:
-        walk = _flag_walk(apexes, len(tris), start, i, best)
-        if walk is None:
-            continue
-        code, label = walk
-        if len(code) != len(tris):
-            # the first walk is never pruned, so a disconnected input stops here
-            raise ValueError("triangles are not edge-connected")
-        marks = tuple(sorted((label[a], label[b]) if label[a] < label[b]
-                             else (label[b], label[a]) for a, b in marked))
-        if code != best or marks < best_marks:
-            best, best_marks = code, marks
-    return best, best_marks
+    rank = _vertex_ranks(by_edge, by_vertex, marked, 3 * len(tris))
+    return _flag_key(tris, by_edge, by_vertex, rank, marked)
 
 
 class Isomorphs:
     """The isomorph filter of an exhaustive growth search: :meth:`add`
     tells whether a state is new, isomorphic to no state added before by a
     map that carries the marked edges along.  ``certificate(tris, marked)``
-    is the caller's complete invariant and the only equality test.
+    is the caller's complete invariant and the only equality test, and
+    ``carried(tris, by_edge, by_vertex, rank, marked)`` the same invariant
+    read off a state's carried ``core.build_index`` and ranks
+    (:func:`_minimal_code` behind :func:`minimal_code`, :func:`_flag_key`
+    behind :func:`flag_key`).
 
     This is McKay's isomorph rejection ("Isomorph-free exhaustive
     generation", J. Algorithms 26 (1998)).  A state alone in its
@@ -519,10 +551,16 @@ class Isomorphs:
     Non-isomorphic states in one bucket, by equal invariants or a hash
     collision, cost certificates, never a merge.  So the states found new,
     and their order, are those of certifying every state.
+
+    The arriving state is certified from its carried fields, and the lone
+    member of a bucket from its stored triangles, so the filter keeps no
+    index or ranks: a certificate is the same either way (module
+    docstring).
     """
 
-    def __init__(self, certificate):
+    def __init__(self, certificate, carried):
         self.certificate = certificate
+        self.carried = carried
         # bucket -> its one state with no certificate yet
         self._lone: dict[int, tuple] = {}
         # bucket -> the certificates of its states, once it has two
@@ -535,20 +573,20 @@ class Isomorphs:
         return hash(tuple(sorted(
             tuple(sorted((rank[a], rank[b], rank[c]))) for a, b, c in tris)))
 
-    def add(self, tris: Collection[Triangle], rank: dict[int, int],
-            marked: Collection[Edge] = ()) -> bool:
+    def add(self, tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
+            rank: dict[int, int], marked: Collection[Edge] = ()) -> bool:
         """Whether the state ``tris`` with marked edges ``marked`` is new;
+        ``by_edge`` and ``by_vertex`` are its ``core.build_index`` and
         ``rank`` maps its vertices to their ranks (class docstring)."""
         bucket = self.bucket(tris, rank)
         certs = self._certified.get(bucket)
         if certs is None:
             if bucket not in self._lone:
-                # a tuple takes about half the memory of a frozenset
-                self._lone[bucket] = (tuple(tris), marked)
+                self._lone[bucket] = (tris, marked)
                 return True
             certs = self._certified[bucket] = {
                 self.certificate(*self._lone.pop(bucket))}
-        cert = self.certificate(tris, marked)
+        cert = self.carried(tris, by_edge, by_vertex, rank, marked)
         if cert in certs:
             return False
         certs.add(cert)

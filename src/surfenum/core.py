@@ -1,9 +1,13 @@
 """Simplicial surface representation, validation and topological classification.
 
 A triangulation is stored as its triangle list: a sorted tuple of sorted
-vertex triples with labels 1..V.  Its edge and vertex indices are built
-from the list; in a growth search a child gets its parent's, and its
-boundary vertices' links (:func:`link_ends`), through :func:`with_triangle`.
+vertex triples with labels 1..V.  Validation reads an edge index of the
+triangles (:func:`edge_triangles`).  The growth searches and the canonical
+labeling read one other index, by triangle position (:func:`build_index`):
+a growth state carries its triangles as a tuple in the order they were
+glued, with that index and its boundary vertices' links
+(:func:`link_ends`), and a child gets its parent's through
+:func:`with_triangle`, its new triangle at the next position.
 The operations are pure except that a :class:`Triangulation` keeps the
 answers that depend on its triangles alone once they are computed: its
 validation report (written here) and its canonical code (written by
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Triangle = tuple[int, int, int]
 Edge = tuple[int, int]
@@ -156,22 +160,38 @@ def closed_cycles(edges: Iterable[Edge]) -> list[list[int]] | None:
     return cycles
 
 
-def link_graph(tris_at_v: Iterable[Triangle], v: int) -> dict[int, list[int]]:
-    """Adjacency of the link of ``v``: one link edge per triangle at ``v``."""
+def build_index(tris: Sequence[Triangle]) -> tuple[dict, dict]:
+    """The edge and vertex index of the sorted triples ``tris``, by position
+    in ``tris``: edge -> [(position, apex)] and vertex -> [(position, the
+    two other vertices, ascending)], each list ascending by position."""
+    by_edge: dict[Edge, list[tuple[int, int]]] = {}
+    by_vertex: dict[int, list[tuple[int, int, int]]] = {}
+    for i, (a, b, c) in enumerate(tris):
+        by_edge.setdefault((a, b), []).append((i, c))
+        by_edge.setdefault((a, c), []).append((i, b))
+        by_edge.setdefault((b, c), []).append((i, a))
+        by_vertex.setdefault(a, []).append((i, b, c))
+        by_vertex.setdefault(b, []).append((i, a, c))
+        by_vertex.setdefault(c, []).append((i, a, b))
+    return by_edge, by_vertex
+
+
+def link_graph(star: Iterable[tuple[int, int, int]]) -> dict[int, list[int]]:
+    """Adjacency of a vertex's link, given its star entries from
+    :func:`build_index`: one link edge (p, q) per entry (position, p, q)."""
     adj: dict[int, list[int]] = {}
-    for a, b, c in tris_at_v:
-        p, q = (b, c) if v == a else (a, c) if v == b else (a, b)
+    for _i, p, q in star:
         adj.setdefault(p, []).append(q)
         adj.setdefault(q, []).append(p)
     return adj
 
 
-def link_ends(star: Iterable[Triangle],
-              v: int) -> tuple[dict[int, list[int]], dict[int, int]]:
-    """The link of ``v`` in a growth state, given its star, as
-    :func:`link_after` reads it: link vertex -> neighbours, and path end ->
-    the other end of its path."""
-    adj = link_graph(star, v)
+def link_ends(star: Iterable[tuple[int, int, int]]
+              ) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """The link of a vertex in a growth state, given its star entries from
+    :func:`build_index`, as :func:`link_after` reads it: link vertex ->
+    neighbours, and path end -> the other end of its path."""
+    adj = link_graph(star)
     partner: dict[int, int] = {}
     for end, nbrs in adj.items():
         if len(nbrs) == 1 and end not in partner:
@@ -229,22 +249,24 @@ def link_with(link, p: int, q: int):
     return adj, partner
 
 
-def with_triangle(by_edge: dict, by_vertex: dict, links: dict,
-                  tri: Triangle) -> tuple[dict, dict, dict]:
-    """Copies of a growth state's edge and vertex indices and its boundary
-    vertices' links (:func:`link_ends`) with the sorted triangle ``tri``,
-    which :func:`link_after` passes, added; a vertex whose link closes into
-    a circle drops it.  The given dicts and their lists never change."""
+def with_triangle(tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
+                  links: dict, tri: Triangle) -> tuple[tuple, dict, dict, dict]:
+    """A growth state's triangles with the sorted triangle ``tri``, which
+    :func:`link_after` passes, appended at position ``len(tris)``, and
+    copies of its :func:`build_index` indices and its boundary vertices'
+    links (:func:`link_ends`) with ``tri`` added; a vertex whose link closes
+    into a circle drops it.  The given dicts and their lists never change."""
     a, b, c = tri
+    i = len(tris)
     sides, star, links = dict(by_edge), dict(by_vertex), dict(links)
-    for f in ((a, b), (a, c), (b, c)):
-        sides[f] = sides.get(f, []) + [tri]
+    for f, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
+        sides[f] = sides.get(f, []) + [(i, apex)]
     for v, p, q in ((a, b, c), (b, a, c), (c, a, b)):
-        star[v] = star.get(v, []) + [tri]
+        star[v] = star.get(v, []) + [(i, p, q)]
         links[v] = link_with(links.get(v, ({}, {})), p, q)
         if not links[v][1]:
             del links[v]  # a circle
-    return sides, star, links
+    return tris + (tri,), sides, star, links
 
 
 class SurfaceKind(Enum):

@@ -30,7 +30,8 @@ the gluing reads (a Disc its valences, chords and largest interior valence,
 m for a main disc; a GenusSurface its automorphisms), so the stages pass
 plain lists.  Discs and closed surfaces are keyed by their minimal code.
 The genus-surface search drops isomorphic states, frozen edges marked,
-through canon.Isomorphs with canon.flag_key as the certificate.
+through canon.Isomorphs with canon.flag_key as the certificate, read off
+each state's carried index and ranks.
 """
 
 from __future__ import annotations
@@ -40,14 +41,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .canon import (Code, Isomorphs, _ranks_with, _vertex_ranks, automorphisms,
-                    flag_key, minimal_code)
+from .canon import (Code, Isomorphs, _flag_key, _ranks_with, _vertex_ranks,
+                    automorphisms, flag_key, minimal_code)
 from .core import (
     SPHERE,
     Edge,
     SurfaceClass,
     Triangle,
     boundary_cycles,
+    build_index,
     closed_cycles,
     edge_triangles,
     link_after,
@@ -55,7 +57,6 @@ from .core import (
     normalize_triangles,
     surface_class,
     valences,
-    vertex_triangles,
     with_triangle,
 )
 from .moves import _cone, _removable_vertices
@@ -285,31 +286,32 @@ def genus_surface_admissible(g: GenusSurface, cfg: SearchConfig) -> bool:
     if not any(vals[v] >= 3 for v in bverts):
         return False
     # the link of every boundary edge lies on the boundary
-    edge_map = edge_triangles(tris)
+    by_edge = build_index(tris)[0]
     bedges = set()
-    for e, ts in edge_map.items():
+    for e, ts in by_edge.items():
         if len(ts) == 1:
             bedges.add(e)
-            opposite = next(x for x in ts[0] if x not in e)
-            if opposite not in bverts:
+            if ts[0][1] not in bverts:
                 return False
     # every triangle meets the boundary
     for t in tris:
         if not any(v in bverts for v in t):
             return False
     # no edge-adjacent triangle pair touching two different boundary comps
-    if _splits_boundary(comps, bedges, edge_map):
+    if _splits_boundary(comps, bedges, tris, by_edge):
         return False
     # some boundary cycle can take the main disc
     return bool(_host_splits(comps, cfg))
 
 
-def _splits_boundary(cycles, bedges, edge_map, starts=None) -> bool:
-    """Whether two edge-adjacent triangles touch boundary edges ``bedges``
-    of different boundary components, ``cycles`` the closed cycles of
-    ``bedges``, one on an edge of ``starts`` (default ``bedges``).  In a
-    growth state ``bedges`` are the frozen edges: a closed cycle of them is
-    a whole final component, so no frozen edge off it can join it."""
+def _splits_boundary(cycles, bedges, tris, by_edge, starts=None) -> bool:
+    """Whether two edge-adjacent triangles of ``tris`` (with its
+    ``core.build_index`` edge index ``by_edge``) touch boundary edges
+    ``bedges`` of different boundary components, ``cycles`` the closed
+    cycles of ``bedges``, one on an edge of ``starts`` (default
+    ``bedges``).  In a growth state ``bedges`` are the frozen edges: a
+    closed cycle of them is a whole final component, so no frozen edge off
+    it can join it."""
     if not cycles:
         return False
     # boundary edge -> its closed cycle, or None while its path is open
@@ -323,13 +325,14 @@ def _splits_boundary(cycles, bedges, edge_map, starts=None) -> bool:
         return {comp.get(f) for f in ((a, b), (a, c), (b, c)) if f in bedges}
 
     for f in bedges if starts is None else starts:
-        t = edge_map[f][0]
+        i = by_edge[f][0][0]
+        t = tris[i]
         mine = touched(t)
         a, b, c = t
         for g in ((a, b), (a, c), (b, c)):
-            ts = edge_map[g]
+            ts = by_edge[g]
             if len(ts) == 2:
-                theirs = touched(ts[1] if ts[0] == t else ts[0])
+                theirs = touched(tris[ts[1][0] if ts[0][0] == i else ts[0][0]])
                 # None against None is open: two open paths may still join
                 if any(x != y for x in mine for y in theirs):
                     return True
@@ -365,13 +368,16 @@ class _GenusSurfaceSearch:
     fires only on three or more cycles (at least 9 vertices) or on two of
     length 5 or more (at least 10), so never below a budget of 10 vertices.
 
-    A state carries, updated from its parent's, its edge and vertex indices,
-    each vertex's frozen ends (far ends of its frozen edges), the vertices
-    opposite frozen edges, the closed cycles of frozen edges, its boundary
-    edges, its vertex ranks (in the base of the vertex budget) and the
-    links of its boundary vertices, keyed by them (a vertex is interior
-    exactly when its link is a circle).  A freeze child shares them but
-    for the ranks of its edge's ends.  No stacked
+    A state carries, updated from its parent's, its triangles as a tuple in
+    the order they were glued with their ``core.build_index`` (edge and
+    vertex index by position; a triangle is read off the tuple by its
+    position), each vertex's frozen ends (far ends of its frozen edges), the
+    vertices opposite frozen edges, the closed cycles of frozen edges, its
+    boundary edges, its vertex ranks (in the base of the vertex budget) and
+    the links of its boundary vertices, keyed by them (a vertex is interior
+    exactly when its link is a circle).  A cover child appends its triangle
+    through ``core.with_triangle``; a freeze child shares all of it but for
+    the ranks of its edge's ends.  No stacked
     state has a pair R3 rejects (induction: a cover child adds no frozen
     edge).  A freeze child whose edge closes no cycle keeps its parent's
     cycles, which passed R4, and only its edge's triangle touches a new
@@ -392,7 +398,11 @@ class _GenusSurfaceSearch:
     A popped state isomorphic to one already expanded, frozen edges
     included, is dropped by :class:`canon.Isomorphs` with ``flag_key`` as
     the certificate; its docstring argues that the states expanded, their
-    order and the candidates emitted are those of keying every state.
+    order and the candidates emitted are those of keying every state.  The
+    filter certifies a popped state from its carried tuple, index and ranks
+    (``canon._flag_key``) and a bucket's lone member from its stored
+    triangles; the ``canon`` module docstring argues that both give
+    ``flag_key``.
     """
 
     def __init__(self, cfg: SearchConfig):
@@ -405,21 +415,21 @@ class _GenusSurfaceSearch:
         # the one-triangle candidate is emitted directly: its vertices close
         # with valence 1, which ``_dead_end`` rejects in every other state;
         # its three vertices need max_v >= 3
-        start = frozenset({(1, 2, 3)})
+        start = ((1, 2, 3),)
         if self.max_v >= 3:
             self.emit(start)
-        seen = Isomorphs(flag_key)
-        edge_map, by_vertex = edge_triangles(start), vertex_triangles(start)
+        seen = Isomorphs(flag_key, _flag_key)
+        by_edge, by_vertex = build_index(start)
         # each state with the fields it carries (class docstring); every
         # edge of one triangle is a boundary edge
-        stack = [(start, frozenset(), edge_map, by_vertex,
-                  {v: link_ends(star, v) for v, star in by_vertex.items()},
-                  {}, frozenset(), [], frozenset(edge_map),
-                  _vertex_ranks(edge_map, by_vertex, (), self.cfg.max_vertices))]
+        stack = [(start, frozenset(), by_edge, by_vertex,
+                  {v: link_ends(star) for v, star in by_vertex.items()},
+                  {}, frozenset(), [], frozenset(by_edge),
+                  _vertex_ranks(by_edge, by_vertex, (), self.cfg.max_vertices))]
         while stack:
             state = stack.pop()
-            tris, frozen = state[:2]
-            if not seen.add(tris, state[-1], frozen):
+            tris, frozen, by_edge, by_vertex = state[:4]
+            if not seen.add(tris, by_edge, by_vertex, state[-1], frozen):
                 continue
             self.expanded += 1
             children = self.children(*state)
@@ -429,9 +439,10 @@ class _GenusSurfaceSearch:
                 stack.extend(children)
         return self
 
-    def children(self, tris: frozenset, frozen: frozenset, edge_map, by_vertex,
-                 links: dict, frozen_ends: dict, opposite: frozenset,
-                 cycles: list, bedges: frozenset, rank: dict):
+    def children(self, tris: tuple, frozen: frozenset, by_edge: dict,
+                 by_vertex: dict, links: dict, frozen_ends: dict,
+                 opposite: frozenset, cycles: list, bedges: frozenset,
+                 rank: dict):
         open_edges = bedges - frozen
         if not open_edges:
             return None
@@ -444,7 +455,7 @@ class _GenusSurfaceSearch:
         out = []
         # freezing e leaves a vertex on at most two frozen edges, and the
         # opposite vertex of a boundary edge must end up on the boundary
-        apex = next(x for x in edge_map[e][0] if x != a and x != b)
+        apex = by_edge[e][0][1]
         ends_a, ends_b = frozen_ends.get(a, ()), frozen_ends.get(b, ())
         if len(ends_a) < 2 and len(ends_b) < 2 and apex in links:
             changes = []
@@ -461,26 +472,25 @@ class _GenusSurfaceSearch:
                 prev, end = end, nxt[0]
             if end == b:  # not None: no vertex is on three frozen edges
                 new_cycles = closed_cycles(child)
-                split = _splits_boundary(new_cycles, child, edge_map)
+                split = _splits_boundary(new_cycles, child, tris, by_edge)
             else:  # the parent's cycles stand: R3 round e only (docstring)
                 new_cycles = []
-                split = _splits_boundary(cycles, child, edge_map, (e,))
+                split = _splits_boundary(cycles, child, tris, by_edge, (e,))
             if self._dead_end(changes, opposite, new_cycles, split) is None:
                 child_ends = {**frozen_ends, a: ends_a + (b,), b: ends_b + (a,)}
                 # a marked edge counts 1 in a rank (``canon._vertex_ranks``)
-                out.append((tris, child, edge_map, by_vertex, links, child_ends,
+                out.append((tris, child, by_edge, by_vertex, links, child_ends,
                             opposite | {apex}, new_cycles or cycles, bedges,
                             {**rank, a: rank[a] + 1, b: rank[b] + 1}))
         n_v = len(by_vertex)
         # an interior vertex takes no triangle (``core.link_after``): the
-        # third vertex is a boundary vertex or the fresh one
-        cands = sorted(links.keys() - {a, b})
+        # third vertex is a boundary vertex or the fresh one, not the apex
+        # of e's one triangle
+        cands = sorted(links.keys() - {a, b, apex})
         if n_v < self.max_v:
             cands.append(n_v + 1)
         for x in cands:
             new_tri = tuple(sorted((a, b, x)))
-            if new_tri in tris:
-                continue
             ea, eb = tuple(sorted((a, x))), tuple(sorted((b, x)))
             if ea in frozen or eb in frozen:
                 continue
@@ -509,15 +519,18 @@ class _GenusSurfaceSearch:
             if any(all(finished[u] if u in finished else u not in links
                        for u in t)
                    for v in (a, b, x) if finished[v]
-                   for t in itertools.chain(by_vertex.get(v, ()), (new_tri,))):
+                   for t in itertools.chain(
+                       (tris[i] for i, _p, _q in by_vertex.get(v, ())),
+                       (new_tri,))):
                 continue
             # the new triangle has no frozen edge and closes no cycle of
             # them, so it splits no boundary
             if self._dead_end(changes, opposite, [], False) is None:
-                out.append((tris | {new_tri}, frozen,
-                            *with_triangle(edge_map, by_vertex, links, new_tri),
-                            frozen_ends, opposite, cycles, bedges ^ {e, ea, eb},
-                            _ranks_with(rank, self.cfg.max_vertices, edge_map,
+                child_tris, *fields = with_triangle(tris, by_edge, by_vertex,
+                                                   links, new_tri)
+                out.append((child_tris, frozen, *fields, frozen_ends, opposite,
+                            cycles, bedges ^ {e, ea, eb},
+                            _ranks_with(rank, self.cfg.max_vertices, by_edge,
                                         new_tri)))
         return out
 
@@ -552,7 +565,7 @@ class _GenusSurfaceSearch:
             return "R4"
         return None
 
-    def emit(self, tris: frozenset) -> None:
+    def emit(self, tris: tuple[Triangle, ...]) -> None:
         # a state is edge-connected with circle or path links, and no leaf
         # has a vertex on three frozen edges, so a leaf with boundary edges
         # is a surface with boundary.  No two leaves are isomorphic: a

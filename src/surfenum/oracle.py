@@ -5,7 +5,8 @@ genus-surfaces or root moves: for each target maximal valence m it starts
 from the closed star of an m-valent vertex and glues one triangle at a time
 onto one uncovered boundary edge, trying every admissible third vertex.  A
 state isomorphic to one already expanded is dropped.  Only the basic surface
-predicates (the link test among them), the canonical labeling and the
+predicates (the link test among them), the index that the growth and the
+labeling read (``core.build_index``), the canonical labeling and the
 buckets of the isomorph filter, with their ranks, are shared with the
 pipeline, so agreement of the two results is meaningful evidence.
 
@@ -21,32 +22,40 @@ surfaces.  Each pruning rule holds for good, whatever is decided later,
 because a glued triangle stays: an edge in three triangles, a valence above
 m or a bad link is never repaired, and the vertex cap only binds harder.
 
-A growth state carries its edge and vertex indices, its vertex ranks and
-its boundary vertices' links.  Each valence task builds them once, for
-its m-fan; a child gets its parent's through ``core.with_triangle`` and
-``canon._ranks_with``, so a parent's dicts and lists never change.  The
-link test is ``core.link_after`` on the carried links.  Its docstring
+A growth state carries its triangles as a tuple in the order they were
+glued, their ``core.build_index`` (edge and vertex index by position), its
+vertex ranks and its boundary vertices' links.  Each valence task builds
+them once, for its m-fan; a child gets its parent's through
+``core.with_triangle``, which appends the new triangle, and
+``canon._ranks_with``, so a parent's tuple, dicts and lists never change.
+The link test is ``core.link_after`` on the carried links.  Its docstring
 argues that an interior vertex takes no further triangle, so the third
 vertex x of a new triangle on the edge (a, b) is tried only among the
 boundary vertices (those with a link) and the one fresh vertex.  A fresh
 x has valence 1 and the one link edge (a, b), so only a and b are tested.
 
 Open states are deduplicated by :class:`canon.Isomorphs`, the filter the
-genus-surface search uses too, with ``minimal_code`` as the certificate;
-its docstring argues that this is exact.  Sharing the buckets keeps the
-oracle independent: a wrong invariant could split isomorphic states into
-different buckets, which costs extra work but loses nothing, and it can
-never merge two classes, as only the certificate does that, here the
-reference code.  Closed states never enter the buckets: each is coded
-where it is found and, when its code is new, validated, and its class is
-read off that validation report.
+genus-surface search uses too, with the minimal code as the certificate:
+an arriving state's from its carried tuple and index
+(``canon._minimal_code``), a bucket's lone member's from its stored
+triangles (``minimal_code``, which builds the index and runs the same
+kernel).  The ``canon`` module docstring argues that both give the same
+code, and the ``Isomorphs`` docstring that the filter is exact.  Sharing
+the buckets keeps the oracle independent: a wrong invariant could split
+isomorphic states into different buckets, which costs extra work but loses
+nothing, and it can never merge two classes, as only the certificate does
+that, here the reference code.  Closed states never enter the buckets:
+each is coded from its carried index where it is found and, when its code
+is new, validated on an edge index built for it, and its class is read off
+that validation report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import Code, Isomorphs, _ranks_with, _vertex_ranks, minimal_code
+from .canon import (Code, Isomorphs, _minimal_code, _ranks_with, _vertex_ranks,
+                    minimal_code)
 from .core import (
     Edge,
     SurfaceClass,
@@ -54,6 +63,7 @@ from .core import (
     Triangle,
     _surface_class,
     _validate,
+    build_index,
     edge_triangles,
     link_after,
     link_ends,
@@ -62,10 +72,12 @@ from .core import (
 )
 from .listing import CountsTable, SearchConfig, _map_maybe_parallel, enumerate_all
 
-# a growth state: its triangles in the order they were glued, with its edge
-# and vertex indices, boundary vertices' links and vertex ranks
-State = tuple[tuple[Triangle, ...], dict[Edge, list[Triangle]],
-              dict[int, list[Triangle]], dict[int, tuple], dict[int, int]]
+# a growth state: its triangles in the order they were glued, with their
+# ``core.build_index`` (edge and vertex index by position), its boundary
+# vertices' links and its vertex ranks
+State = tuple[tuple[Triangle, ...], dict[Edge, list[tuple[int, int]]],
+              dict[int, list[tuple[int, int, int]]], dict[int, tuple],
+              dict[int, int]]
 
 
 def _m_fan(m: int) -> tuple[Triangle, ...]:
@@ -75,9 +87,9 @@ def _m_fan(m: int) -> tuple[Triangle, ...]:
     )
 
 
-def _children(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]],
-              by_vertex: dict[int, list[Triangle]], links: dict[int, tuple],
-              rank: dict[int, int], m: int, max_vertices: int) -> list[State]:
+def _children(tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
+              links: dict[int, tuple], rank: dict[int, int], m: int,
+              max_vertices: int) -> list[State]:
     open_edges = [e for e, ts in by_edge.items() if len(ts) == 1]
     if not open_edges:
         return []  # closed: a leaf
@@ -86,7 +98,7 @@ def _children(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]],
         -max(len(by_vertex[e[0]]), len(by_vertex[e[1]])),
         -min(len(by_vertex[e[0]]), len(by_vertex[e[1]])), e))
     # (a, b, taken) is the one triangle already on (a, b)
-    taken = next(x for x in by_edge[(a, b)][0] if x not in (a, b))
+    taken = by_edge[(a, b)][0][1]
     # an interior vertex takes no triangle (``core.link_after``): the third
     # vertex is a boundary vertex or the fresh one
     cands = sorted(links.keys() - {a, b, taken})
@@ -108,8 +120,7 @@ def _children(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]],
             if link_after(links[v], p, q) == "bad":
                 break
         else:
-            out.append((tris + (new_tri,),
-                        *with_triangle(by_edge, by_vertex, links, new_tri),
+            out.append((*with_triangle(tris, by_edge, by_vertex, links, new_tri),
                         _ranks_with(rank, max_vertices, by_edge, new_tri)))
     return out
 
@@ -118,13 +129,16 @@ def _enumerate_with_max_valence(m: int,
                                 max_vertices: int) -> dict[Code, SurfaceClass]:
     """Canonical code -> class of every closed triangulation with maximal
     valence exactly m and at most max_vertices vertices."""
-    seen = Isomorphs(lambda tris, _marked: minimal_code(tris))
+    # the reference code, from the triangles or from a state's carried index
+    seen = Isomorphs(lambda tris, _marked: minimal_code(tris),
+                     lambda tris, by_edge, by_vertex, _rank, _marked:
+                     _minimal_code(tris, by_edge, by_vertex))
     leaves: dict[Code, SurfaceClass] = {}
     fan = _m_fan(m)
-    by_edge, by_vertex = edge_triangles(fan), vertex_triangles(fan)
+    by_edge, by_vertex = build_index(fan)
     # the rim vertices 2..m+1 are the fan's boundary vertices
     stack = [(fan, by_edge, by_vertex,
-              {v: link_ends(by_vertex[v], v) for v in range(2, m + 2)},
+              {v: link_ends(by_vertex[v]) for v in range(2, m + 2)},
               _vertex_ranks(by_edge, by_vertex, (), max_vertices))]
     while stack:
         state = stack.pop()
@@ -132,14 +146,14 @@ def _enumerate_with_max_valence(m: int,
         # no edge is in three triangles, so the state is closed exactly when
         # every edge is in two: 2E = 3T
         if 2 * len(by_edge) == 3 * len(tris):
-            code = minimal_code(tris)
+            code = _minimal_code(tris, by_edge, by_vertex)
             if code not in leaves:
-                report = _validate(tris, by_edge)
+                report = _validate(tris, edge_triangles(tris))
                 if report.kind is SurfaceKind.CLOSED_SURFACE:
                     # chi = V - E + T with 2E = 3T
                     leaves[code] = _surface_class(
                         len(by_vertex) - len(tris) // 2, report.orientable)
-        elif seen.add(tris, state[-1]):
+        elif seen.add(tris, by_edge, by_vertex, state[-1]):
             stack.extend(_children(*state, m, max_vertices))
     return leaves
 

@@ -5,13 +5,14 @@ from typing import Iterable, Sequence
 
 import pytest
 
-from surfenum.canon import Code, _vertex_ranks, minimal_code
+from surfenum.canon import (Code, Isomorphs, _minimal_code, _vertex_ranks,
+                            minimal_code)
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (KLEIN_BOTTLE, SPHERE, Edge, SurfaceClass,
                            SurfaceKind, Triangle, Triangulation,
                            _euler, boundary_cycles, classify, closed_cycles,
-                           ValidationReport, edge_triangles, link_ends,
-                           link_graph, normalize_triangles, valences, validate,
+                           ValidationReport, build_index, edge_triangles,
+                           link_ends, normalize_triangles, valences, validate,
                            vertex_triangles)
 from surfenum import listing, oracle
 from surfenum.listing import (SearchConfig, _host_splits, _index_discs,
@@ -95,7 +96,11 @@ def link_shape(tris_at_v: Iterable[Triangle], v: int) -> str:
     surface but an acceptable intermediate state during growth searches).
     The reference that ``core.link_after`` is compared with.
     """
-    adj = link_graph(tris_at_v, v)
+    adj: dict[int, list[int]] = {}
+    for t in tris_at_v:
+        p, q = (x for x in t if x != v)
+        adj.setdefault(p, []).append(q)
+        adj.setdefault(q, []).append(p)
     if any(len(nbrs) > 2 or len(set(nbrs)) != len(nbrs) for nbrs in adj.values()):
         return "bad"
     endpoints = sum(1 for nbrs in adj.values() if len(nbrs) == 1)
@@ -134,18 +139,38 @@ def rebuilt_links(tris) -> dict:
     its star; no interior vertex has one."""
     boundary = {v for e, ts in edge_triangles(tris).items() if len(ts) == 1
                 for v in e}
-    return sorted_links({v: link_ends(star, v)
-                         for v, star in vertex_triangles(tris).items()
+    return sorted_links({v: link_ends(star)
+                         for v, star in build_index(tris)[1].items()
                          if v in boundary})
+
+
+def star_entries(tris_at_v: Iterable[Triangle], v: int) -> list:
+    """The ``core.build_index`` star entries (position, the two other
+    vertices) of ``v`` in the triangle list ``tris_at_v``."""
+    return [(i, *(x for x in t if x != v)) for i, t in enumerate(tris_at_v)]
+
+
+def star_triangles(tris, entries) -> list:
+    """The triangles of ``core.build_index`` star entries, read off the
+    triangle tuple ``tris`` by position."""
+    return [tris[entry[0]] for entry in entries]
+
+
+def code_isomorphs() -> Isomorphs:
+    """An isomorph filter that certifies by the minimal code, as the
+    oracle's does: from the triangles, or from a state's carried index."""
+    return Isomorphs(lambda tris, _marked: minimal_code(tris),
+                     lambda tris, by_edge, by_vertex, _rank, _marked:
+                     _minimal_code(tris, by_edge, by_vertex))
 
 
 def oracle_start(m: int, max_vertices: int) -> tuple:
     """The growth state from which the oracle's valence task m starts: its
     m-fan with the indices, ranks and rim links that it carries."""
     fan = oracle._m_fan(m)
-    by_edge, by_vertex = edge_triangles(fan), vertex_triangles(fan)
+    by_edge, by_vertex = build_index(fan)
     return (fan, by_edge, by_vertex,
-            {v: link_ends(by_vertex[v], v) for v in range(2, m + 2)},
+            {v: link_ends(by_vertex[v]) for v in range(2, m + 2)},
             _vertex_ranks(by_edge, by_vertex, (), max_vertices))
 
 

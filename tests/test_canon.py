@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from conftest import (ANNULUS, MOBIUS, canonical_witness, is_isomorphic,
-                      mixed_lex_compare, oracle_start, relabel, state_key,
-                      torus_grid)
-from surfenum.canon import (Isomorphs, _vertex_ranks, automorphisms,
-                            canonical_form, flag_key, minimal_code)
+from conftest import (ANNULUS, MOBIUS, canonical_witness, code_isomorphs,
+                      is_isomorphic, mixed_lex_compare, oracle_start, relabel,
+                      state_key, torus_grid)
+from surfenum.canon import (Isomorphs, _flag_key, _minimal_code, _vertex_ranks,
+                            automorphisms, canonical_form, flag_key,
+                            minimal_code)
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import (TORUS, Triangulation, classify, edge_triangles,
-                           vertex_triangles)
+from surfenum.core import (TORUS, Triangulation, build_index, classify,
+                           edge_triangles)
 from surfenum.oracle import brute_force_enumerate
 
 
@@ -133,20 +134,22 @@ def _pinned_inputs() -> list[Triangulation]:
 
 
 def _growth_states() -> list:
-    """The 108 growth states the oracle pops at V <= 7, in popping order:
-    its loop replayed over its own m-fans and children."""
+    """The 108 growth states the oracle pops at V <= 7, in popping order,
+    each with the fields it carries: its loop replayed over its own m-fans
+    and children."""
     from surfenum import oracle
 
     states = []
     for m in range(3, 7):
-        seen = Isomorphs(lambda tris, _marked: minimal_code(tris))
+        seen = code_isomorphs()
         stack = [oracle_start(m, 7)]
         while stack:
             state = stack.pop()
-            tris, by_edge = state[:2]
-            states.append(tris)
+            tris, by_edge, by_vertex = state[:3]
+            states.append(state)
             # a closed state is a leaf; an open one is expanded once per class
-            if 2 * len(by_edge) > 3 * len(tris) and seen.add(tris, state[-1]):
+            if (2 * len(by_edge) > 3 * len(tris)
+                    and seen.add(tris, by_edge, by_vertex, state[-1])):
                 stack.extend(oracle._children(*state, m, 7))
     assert len(states) == 108
     return states
@@ -272,7 +275,7 @@ class TestWitness:
 
     def test_growth_state_codes_and_witness_order_are_pinned(self):
         digest = hashlib.sha256()
-        for tris in _growth_states():
+        for tris, *_fields in _growth_states():
             code = minimal_code(tris)
             wcode, wits = minimal_code(tris, with_witnesses=True)
             digest.update(repr((code, wcode,
@@ -312,6 +315,49 @@ class TestWitness:
                 image = tuple(sorted(tuple(sorted(w[v] for v in tri))
                                      for tri in shuffled.triangles))
                 assert image == minimal_code(shuffled.triangles)
+
+
+class TestIndexedKernels:
+    """The certificates of the isomorph filter read a growth state's
+    carried index and ranks; they equal the public keys (the exactness
+    arguments of the module docstring)."""
+
+    def test_minimal_code_in_any_glue_order(self):
+        rng = random.Random(34)
+        codes = sorted(code for codes in brute_force_enumerate(7).codes.values()
+                       for code in codes)
+        assert len(codes) == 14
+        for code in codes:
+            for _ in range(20):
+                tris = list(relabel(Triangulation(code), rng)[0].triangles)
+                rng.shuffle(tris)
+                tris = tuple(tris)
+                assert _minimal_code(tris, *build_index(tris)) == code
+
+    def test_minimal_code_of_every_oracle_growth_state(self):
+        for tris, by_edge, by_vertex, *_rest in _growth_states():
+            assert _minimal_code(tris, by_edge, by_vertex) == minimal_code(tris)
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_flag_key_from_the_carried_ranks(self, monkeypatch, specialized):
+        from surfenum import listing
+
+        checked = []
+
+        def checking(tris, by_edge, by_vertex, rank, marked):
+            key = _flag_key(tris, by_edge, by_vertex, rank, marked)
+            assert key == flag_key(tris, marked)
+            checked.append(tris)
+            return key
+
+        monkeypatch.setattr(listing, "_flag_key", checking)
+        for v in (5, 6, 7, 8):
+            listing._GenusSurfaceSearch(
+                listing.SearchConfig(v, specialized=specialized)).run()
+        # the states certified from their carried ranks at V = 5..8; the
+        # other 127 of the 298 flag keys at V=8 are the lone members of
+        # buckets, certified from their stored triangles
+        assert len(checked) == 1 + 2 + 11 + 171
 
 
 class TestAutomorphisms:
@@ -479,40 +525,51 @@ class TestFlagKey:
 def _add(seen: Isomorphs, tris, marked=()) -> bool:
     # one base for every state of a filter, above every entry of these
     # inputs of at most 8 vertices
-    rank = _vertex_ranks(edge_triangles(tris), vertex_triangles(tris), marked, 9)
-    return seen.add(tris, rank, marked)
+    tris = tuple(tris)
+    by_edge, by_vertex = build_index(tris)
+    rank = _vertex_ranks(by_edge, by_vertex, marked, 9)
+    return seen.add(tris, by_edge, by_vertex, rank, marked)
 
 
 class TestIsomorphs:
     @staticmethod
-    def counting(certificate):
+    def counting(seen):
+        """The filter ``seen`` with both certificates recording ("stored",
+        tris) or ("carried", tris) in the returned list."""
         calls = []
+        stored, carried = seen.certificate, seen.carried
 
-        def counted(tris, marked):
-            calls.append(tris)
-            return certificate(tris, marked)
+        def from_stored(tris, marked):
+            calls.append(("stored", tris))
+            return stored(tris, marked)
 
-        return Isomorphs(counted), calls
+        def from_carried(tris, *fields):
+            calls.append(("carried", tris))
+            return carried(tris, *fields)
+
+        return Isomorphs(from_stored, from_carried), calls
 
     def test_a_lone_state_gets_no_certificate(self, mobius):
-        seen, calls = self.counting(flag_key)
+        seen, calls = self.counting(Isomorphs(flag_key, _flag_key))
         assert _add(seen, mobius.triangles, [(1, 4)])
         assert calls == []
 
     def test_relabeled_state_with_its_marks_is_a_repeat(self, mobius):
         rng = random.Random(37)
         marked = [(1, 4), (2, 5)]
-        seen, calls = self.counting(flag_key)
+        seen, calls = self.counting(Isomorphs(flag_key, _flag_key))
         assert _add(seen, mobius.triangles, marked)
         for _ in range(5):
             shuffled, mapping = relabel(mobius, rng)
             image = [tuple(sorted((mapping[a], mapping[b]))) for a, b in marked]
             assert not _add(seen, shuffled.triangles, image)
-        # the first state is certified when the second lands in its bucket
-        assert len(calls) == 6
+        # the first state is certified from its stored triangles when the
+        # second lands in its bucket, the others from their carried index
+        assert calls[0] == ("stored", mobius.triangles)
+        assert [path for path, _tris in calls] == ["stored"] + 5 * ["carried"]
 
     def test_same_triangles_with_other_marks_are_new(self, mobius):
-        seen, _calls = self.counting(flag_key)
+        seen = Isomorphs(flag_key, _flag_key)
         assert _add(seen, mobius.triangles, [(1, 4)])
         assert _add(seen, mobius.triangles, [(1, 2)])
         assert _add(seen, mobius.triangles, [])
@@ -523,7 +580,7 @@ class TestIsomorphs:
         star = ((1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
                 (2, 3, 7), (2, 4, 8))
         first, second = star + ((2, 5, 7),), star + ((2, 5, 8),)
-        seen, calls = self.counting(lambda tris, _marked: minimal_code(tris))
+        seen, calls = self.counting(code_isomorphs())
         assert _add(seen, first)
         assert _add(seen, second)
-        assert calls == [first, second]
+        assert calls == [("stored", first), ("carried", second)]

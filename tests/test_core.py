@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (MOBIUS, cone_and_classify, heawood_min_vertices,
                       link_shape, orientable, reference_report, relabel,
-                      sorted_links)
+                      sorted_links, star_entries)
 from surfenum.canon import canonical_form
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
@@ -427,9 +427,13 @@ class TestLinkShape:
     def star(self, edges):
         return [tuple(sorted((self.V, a, b))) for a, b in edges]
 
+    def link(self, star):
+        # link_ends reads the star entries that core.build_index gives V
+        return link_ends(star_entries(star, self.V))
+
     def test_verdicts(self):
         def shape(edges, p, q):
-            return link_after(link_ends(self.star(edges), self.V), p, q)
+            return link_after(self.link(self.star(edges)), p, q)
 
         assert shape([], 1, 2) == "interval"
         assert shape([(1, 2)], 2, 5) == "interval"
@@ -459,7 +463,7 @@ class TestLinkShape:
         # every growth link with every new link edge not in it
         checked = 0
         for star, new_edges in self.growth_links():
-            link = link_ends(star, self.V)
+            link = self.link(star)
             for p, q in new_edges:
                 after = star + self.star([(p, q)])
                 assert link_after(link, p, q) == link_shape(after, self.V), after
@@ -471,12 +475,12 @@ class TestLinkShape:
         # the updated link is the rebuilt one, and the given one is unchanged
         updated = 0
         for star, new_edges in self.growth_links():
-            link = link_ends(star, self.V)
+            link = self.link(star)
             before = sorted_links({self.V: link})
             for p, q in new_edges:
                 if link_after(link, p, q) == "bad":
                     continue
-                after = link_ends(star + self.star([(p, q)]), self.V)
+                after = self.link(star + self.star([(p, q)]))
                 assert (sorted_links({self.V: link_with(link, p, q)})
                         == sorted_links({self.V: after})), (star, p, q)
                 assert sorted_links({self.V: link}) == before

@@ -107,9 +107,12 @@ def test_growth_children_build_no_link_and_no_ranks():
         assert not called & {"link_ends", "_vertex_ranks"}, name
 
 
+INDEX_BUILDERS = ("build_index", "edge_triangles", "vertex_triangles")
+
+
 def _index_builds(functions) -> list:
-    """(function, builder, whether inside a loop) for each ``edge_triangles``
-    or ``vertex_triangles`` call in ``functions``."""
+    """(function, builder, whether inside a loop) for each call of an index
+    builder of ``core`` in ``functions``."""
     builds = []
     for function in functions:
         if not isinstance(function, ast.FunctionDef):
@@ -119,34 +122,55 @@ def _index_builds(functions) -> list:
                    for n in ast.walk(loop)}
         for node in ast.walk(function):
             if (isinstance(node, ast.Call)
-                    and getattr(node.func, "id", None) in ("edge_triangles",
-                                                           "vertex_triangles")):
+                    and getattr(node.func, "id", None) in INDEX_BUILDERS):
                 builds.append((function.name, node.func.id, id(node) in in_loop))
     return sorted(builds)
 
 
 def test_search_builds_its_indices_once():
-    # a search state's edge and vertex indices are its parent's, updated
-    # round the new triangle: children builds neither, and run builds one
-    # of each, for the start triangle, outside its loop
+    # a search state's index is its parent's, updated round the new
+    # triangle: children builds none, and run builds one, for the start
+    # triangle, outside its loop
     tree = ast.parse((PACKAGE_DIR / "listing.py").read_text())
     search = next(n for n in tree.body if isinstance(n, ast.ClassDef)
                   and n.name == "_GenusSurfaceSearch")
-    assert _index_builds(search.body) == [("run", "edge_triangles", False),
-                                          ("run", "vertex_triangles", False)]
+    assert _index_builds(search.body) == [("run", "build_index", False)]
 
 
 def test_oracle_builds_its_growth_indices_once_per_task():
-    # an oracle growth state carries its parent's indices, updated round the
-    # new triangle: _children builds neither, and each valence task builds
-    # one of each, for its m-fan, outside its loop
+    # an oracle growth state carries its parent's index, updated round the
+    # new triangle: _children builds none, and each valence task builds one,
+    # for its m-fan, outside its loop; in the loop, only the validation of
+    # a new closed leaf builds its edge index
     tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
     growth = [n for n in tree.body if isinstance(n, ast.FunctionDef)
               and n.name in ("_children", "_enumerate_with_max_valence")]
     assert len(growth) == 2
     assert _index_builds(growth) == [
-        ("_enumerate_with_max_valence", "edge_triangles", False),
-        ("_enumerate_with_max_valence", "vertex_triangles", False)]
+        ("_enumerate_with_max_valence", "build_index", False),
+        ("_enumerate_with_max_valence", "edge_triangles", True)]
+
+
+def test_one_index_builder_for_labeling_and_growth():
+    # core.build_index is the one layout that the canonical labeling and
+    # both growth searches read: the public keys build it from their input,
+    # the searches once per start state and genus_surface_admissible for its
+    # boundary tests.  Isomorphs.add hands an arriving state's carried index
+    # to the certificate and builds none; the kernels build none either
+    callers = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for name, function in _functions(path).items():
+            if "build_index" in _called(function):
+                callers.add((path.stem, name))
+    assert callers == {("canon", "minimal_code"), ("canon", "flag_key"),
+                       ("listing", "genus_surface_admissible"),
+                       ("listing", "_GenusSurfaceSearch.run"),
+                       ("oracle", "_enumerate_with_max_valence")}
+    canon = _functions(PACKAGE_DIR / "canon.py")
+    assert "carried" in _called(canon["Isomorphs.add"])
+    for name in ("Isomorphs.add", "_minimal_code", "_flag_key", "_search",
+                 "_flag_walk"):
+        assert not _called(canon[name]) & {*INDEX_BUILDERS, "_vertex_ranks"}, name
 
 
 # module-level names that only tests use, each with the test that uses it:

@@ -7,9 +7,10 @@ import pytest
 
 from conftest import (Decomposition, cone_and_classify, link_shape,
                       rebuilt_links, reference_chords, reference_nonroots,
-                      reference_roots, relabel, sorted_links, state_key,
-                      validate_decomposition)
-from surfenum.canon import Code, Isomorphs, _vertex_ranks, flag_key, minimal_code
+                      reference_roots, relabel, sorted_links, star_triangles,
+                      state_key, validate_decomposition)
+from surfenum.canon import (Code, Isomorphs, _flag_key, _vertex_ranks, flag_key,
+                            minimal_code)
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     PROJECTIVE_PLANE,
@@ -17,6 +18,7 @@ from surfenum.core import (
     SurfaceKind,
     Triangulation,
     boundary_cycles,
+    build_index,
     classify,
     edge_triangles,
     valences,
@@ -487,20 +489,28 @@ class TestGluingChecks:
         import sys
 
         callers = Counter()
-        real = flag_key
 
-        def recording(*args):
-            callers[sys._getframe(1).f_code.co_qualname] += 1
-            return real(*args)
+        def recording(real):
+            def wrapper(*args):
+                caller = sys._getframe(1).f_code.co_qualname
+                callers[real.__name__, caller] += 1
+                return real(*args)
+            return wrapper
 
-        for mod in _package_modules_holding(real):
-            monkeypatch.setattr(mod, "flag_key", recording)
+        for real in (flag_key, _flag_key):
+            for mod in _package_modules_holding(real):
+                monkeypatch.setattr(mod, real.__name__, recording(real))
         enumerate_all(SearchConfig(max_vertices=8, specialized=specialized))
-        # all from the search's isomorph filter; 324 more from the disc
-        # growth, the gluing and the non-roots when they keyed discs and
-        # closed surfaces by flag_key; 997 in the search when it keyed every
-        # popped state, not only those whose invariant collides
-        assert callers == {"Isomorphs.add": 298}
+        # all 298 certificates from the search's isomorph filter: the 127
+        # lone members of a bucket through flag_key, which builds their
+        # index and runs the kernel _flag_key, and the 171 arriving states
+        # through _flag_key on their carried index and ranks.  324 more from
+        # the disc growth, the gluing and the non-roots when they keyed discs
+        # and closed surfaces by flag_key; 997 in the search when it keyed
+        # every popped state, not only those whose invariant collides
+        assert callers == {("flag_key", "Isomorphs.add"): 127,
+                           ("_flag_key", "flag_key"): 127,
+                           ("_flag_key", "Isomorphs.add"): 171}
 
     def test_enumerate_all_validate_calls(self, monkeypatch):
         calls = 0
@@ -831,9 +841,9 @@ class TestGenusSearchDedup:
         popped = []
         real = Isomorphs.add
 
-        def recording(seen, tris, rank, marked=()):
+        def recording(seen, tris, by_edge, by_vertex, rank, marked=()):
             popped.append((tris, marked))
-            return real(seen, tris, rank, marked)
+            return real(seen, tris, by_edge, by_vertex, rank, marked)
 
         monkeypatch.setattr(Isomorphs, "add", recording)
         states = search_states(monkeypatch, 8)
@@ -898,7 +908,8 @@ class TestGenusSearchShortcuts:
             nonlocal states
             links = carried[0]
             links_of.clear()
-            links_of.update((id(link), (link, by_vertex[v], v))
+            links_of.update((id(link),
+                             (link, star_triangles(tris, by_vertex[v]), v))
                             for v, link in links.items())
             fresh[0] = len(by_vertex) + 1
             out = real_children(search, tris, frozen, edge_map, by_vertex,
@@ -1108,24 +1119,24 @@ class TestGenusSearchPruning:
             return {k: sorted(ts) for k, ts in index.items()}
 
         def rebuilt(tris, frozen):
-            # the carried fields of a state, built from its triangles and
-            # frozen edges alone; the links' keys are the boundary vertices
-            edge_map, by_vertex = edge_triangles(tris), vertex_triangles(tris)
+            # the carried fields of a state, built from its triangle tuple
+            # and frozen edges alone: its index by position, and the links
+            # keyed by the boundary vertices
+            by_edge, by_vertex = build_index(tris)
             ends = {}
             for x, y in frozen:
                 ends.setdefault(x, []).append(y)
                 ends.setdefault(y, []).append(x)
-            opposite = {next(w for w in edge_map[f][0] if w not in f)
-                        for f in frozen}
-            bedges = {e for e, ts in edge_map.items() if len(ts) == 1}
-            return (as_sets(edge_map), as_sets(by_vertex), rebuilt_links(tris),
-                    as_sets(ends), opposite, closed_cycles(frozen), bedges,
-                    _vertex_ranks(edge_map, by_vertex, frozen, v))
+            opposite = {by_edge[f][0][1] for f in frozen}
+            bedges = {e for e, ts in by_edge.items() if len(ts) == 1}
+            return (by_edge, by_vertex, rebuilt_links(tris), as_sets(ends),
+                    opposite, closed_cycles(frozen), bedges,
+                    _vertex_ranks(by_edge, by_vertex, frozen, v))
 
-        def carried(edge_map, by_vertex, links, ends, opposite, cycles, bedges,
+        def carried(by_edge, by_vertex, links, ends, opposite, cycles, bedges,
                     rank):
-            return (as_sets(edge_map), as_sets(by_vertex), sorted_links(links),
-                    as_sets(ends), set(opposite), cycles, set(bedges), rank)
+            return (by_edge, by_vertex, sorted_links(links), as_sets(ends),
+                    set(opposite), cycles, set(bedges), rank)
 
         states = 0
         real_children = listing._GenusSurfaceSearch.children
@@ -1133,6 +1144,8 @@ class TestGenusSearchPruning:
         def checking(search, tris, frozen, *fields):
             nonlocal states
             states += 1
+            # a state carries its triangles as a tuple in glue order
+            assert type(tris) is tuple
             reference = rebuilt(tris, frozen)
             assert carried(*fields) == reference
             out = real_children(search, tris, frozen, *fields)
@@ -1143,14 +1156,14 @@ class TestGenusSearchPruning:
         local = Counter()
         real_splits = listing._splits_boundary
 
-        def checking_splits(cycles, bedges, edge_map, starts=None):
-            verdict = real_splits(cycles, bedges, edge_map, starts)
+        def checking_splits(cycles, bedges, tris, by_edge, starts=None):
+            verdict = real_splits(cycles, bedges, tris, by_edge, starts)
             if starts is not None:
                 # a freeze child whose edge closes no cycle: R3 round it
                 # alone agrees with R3 over every frozen edge
                 local[verdict] += 1
                 assert verdict == real_splits(closed_cycles(bedges), bedges,
-                                              edge_map)
+                                              tris, by_edge)
             return verdict
 
         monkeypatch.setattr(listing._GenusSurfaceSearch, "children", checking)

@@ -5,11 +5,11 @@ from collections import Counter
 import pytest
 
 from conftest import (link_shape, oracle_start, rebuilt_links, relabel,
-                      sorted_links)
-from surfenum import oracle
+                      sorted_links, star_triangles)
+from surfenum import canon, oracle
 from surfenum.canon import Isomorphs, _vertex_ranks, minimal_code
-from surfenum.core import (SurfaceKind, Triangulation, classify, edge_triangles,
-                           valences, validate, vertex_triangles)
+from surfenum.core import (SurfaceKind, Triangulation, build_index, classify,
+                           edge_triangles, valences, validate, vertex_triangles)
 from surfenum.listing import SearchConfig
 from surfenum.oracle import brute_force_enumerate, cross_validate
 
@@ -97,19 +97,32 @@ class TestBruteForce:
                 assert cls == classify(Triangulation(code)), code
 
     def test_minimal_code_calls(self, monkeypatch):
-        calls = 0
+        calls = Counter()
 
-        def counting(tris):
-            nonlocal calls
-            calls += 1
-            return minimal_code(tris)
+        def counting(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(oracle, "minimal_code", counting)
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        # the certificates from stored triangles and from a carried index,
+        # and the index builds of the oracle's fans and of minimal_code
+        counting(oracle, "minimal_code")
+        counting(oracle, "_minimal_code")
+        counting(oracle, "build_index")
+        counting(canon, "build_index")
         brute_force_enumerate(8)
-        # one call per growth state whose invariant another state shares,
-        # and per closed leaf; 1,267 when every popped state was coded, 546
-        # when the open edge decided next was the least by label
-        assert 0 < calls <= 381
+        # one certificate per growth state whose invariant another state
+        # shares, and per closed leaf; 1,267 when every popped state was
+        # coded, 546 when the open edge decided next was the least by label
+        assert calls["minimal_code"] + calls["_minimal_code"] == 381
+        # only the 121 lone members of buckets are coded from their stored
+        # triangles, each building an index, and each valence task builds
+        # one for its m-fan; 381 builds when every certificate built one
+        assert calls["minimal_code"] == 121
+        assert calls["build_index"] == 5 + 121
 
 
 def _growth_states(max_vertices: int) -> dict:
@@ -198,8 +211,9 @@ class TestGrowth:
         tested = []
 
         def rebuilt(tris):
-            # the carried fields, built from the triangles alone
-            by_edge, by_vertex = edge_triangles(tris), vertex_triangles(tris)
+            # the carried fields, built from the triangle tuple alone: its
+            # index by position, its boundary links and its ranks
+            by_edge, by_vertex = build_index(tris)
             return (by_edge, by_vertex, rebuilt_links(tris),
                     _vertex_ranks(by_edge, by_vertex, (), v))
 
@@ -219,7 +233,8 @@ class TestGrowth:
             reference = rebuilt(tris)
             assert carried(*fields) == reference
             links_of.clear()
-            links_of.update((id(link), (link, x, by_vertex[x]))
+            links_of.update((id(link),
+                             (link, x, star_triangles(tris, by_vertex[x])))
                             for x, link in links.items())
             tested.clear()
             out = real_children(tris, *fields, m, max_vertices)
@@ -254,15 +269,19 @@ class TestGrowth:
                 return real(*args)
             return wrapper
 
-        for name in ("edge_triangles", "vertex_triangles", "link_ends",
-                     "link_after"):
+        for name in ("build_index", "edge_triangles", "vertex_triangles",
+                     "link_ends", "link_after"):
             monkeypatch.setattr(oracle, name, counting(name))
         result = brute_force_enumerate(8)
-        # one index of each per valence task m = 3..7, and one vertex index
-        # per code in _code_is_root; 819 of each when every popped state
-        # built its own
-        assert calls["edge_triangles"] == 5
-        assert calls["vertex_triangles"] == 5 + sum(map(len, result.codes.values()))
+        codes = sum(map(len, result.codes.values()))
+        # one growth index per valence task m = 3..7; an edge index for the
+        # validation of each new closed leaf, and a vertex index per code in
+        # _code_is_root.  5 edge and 5 + 57 vertex indices when the states
+        # carried the validation's layout, 819 of each when every popped
+        # state built its own
+        assert calls["build_index"] == 5
+        assert calls["edge_triangles"] == codes == 57
+        assert calls["vertex_triangles"] == codes
         # 2,777 link tests when every labelled vertex was tried as the third
         # vertex; 2,543 link graphs, one per test, before a and b got theirs
         # once per state, and 1,920 before each state carried its links:
