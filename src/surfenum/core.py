@@ -1,13 +1,13 @@
 """Simplicial surface representation, validation and topological classification.
 
 A triangulation is stored as its triangle list: a sorted tuple of sorted
-vertex triples with labels 1..V.  Validation reads an edge index of the
-triangles (:func:`edge_triangles`).  The growth searches and the canonical
-labeling read one other index, by triangle position (:func:`build_index`):
-a growth state carries its triangles as a tuple in the order they were
-glued, with that index and its boundary vertices' links
-(:func:`link_ends`), and a child gets its parent's through
-:func:`with_triangle`, its new triangle at the next position.
+vertex triples with labels 1..V.  Validation, the surface classes, the
+canonical labeling and the growth searches read one edge and vertex index,
+by triangle position (:func:`build_index`): a growth state carries its
+triangles as a tuple in the order they were glued, with that index and its
+boundary vertices' links (:func:`link_ends`), and a child gets its parent's
+through :func:`with_triangle`, its new triangle at the next position.  The
+moves read vertex stars as triangle lists (:func:`vertex_triangles`).
 The operations are pure except that a :class:`Triangulation` keeps the
 answers that depend on its triangles alone once they are computed: its
 validation report (written here) and its canonical code (written by
@@ -99,16 +99,6 @@ class Triangulation:
         return max(v for t in self.triangles for v in t)
 
 
-def edge_triangles(tris: Iterable[Triangle]) -> dict[Edge, list[Triangle]]:
-    """Edge -> incident triangles."""
-    out: dict[Edge, list[Triangle]] = {}
-    for t in tris:
-        a, b, c = t
-        for e in ((a, b), (a, c), (b, c)):
-            out.setdefault(e, []).append(t)
-    return out
-
-
 def vertex_triangles(tris: Iterable[Triangle]) -> dict[int, list[Triangle]]:
     """Vertex -> incident triangles."""
     out: dict[int, list[Triangle]] = {}
@@ -116,15 +106,6 @@ def vertex_triangles(tris: Iterable[Triangle]) -> dict[int, list[Triangle]]:
         for v in t:
             out.setdefault(v, []).append(t)
     return out
-
-
-def valences(tris: Iterable[Triangle]) -> dict[int, int]:
-    """Vertex -> number of incident triangles."""
-    val: dict[int, int] = {}
-    for t in tris:
-        for v in t:
-            val[v] = val.get(v, 0) + 1
-    return val
 
 
 def closed_cycles(edges: Iterable[Edge]) -> list[list[int]] | None:
@@ -176,22 +157,16 @@ def build_index(tris: Sequence[Triangle]) -> tuple[dict, dict]:
     return by_edge, by_vertex
 
 
-def link_graph(star: Iterable[tuple[int, int, int]]) -> dict[int, list[int]]:
-    """Adjacency of a vertex's link, given its star entries from
-    :func:`build_index`: one link edge (p, q) per entry (position, p, q)."""
-    adj: dict[int, list[int]] = {}
-    for _i, p, q in star:
-        adj.setdefault(p, []).append(q)
-        adj.setdefault(q, []).append(p)
-    return adj
-
-
 def link_ends(star: Iterable[tuple[int, int, int]]
               ) -> tuple[dict[int, list[int]], dict[int, int]]:
     """The link of a vertex in a growth state, given its star entries from
     :func:`build_index`, as :func:`link_after` reads it: link vertex ->
-    neighbours, and path end -> the other end of its path."""
-    adj = link_graph(star)
+    neighbours, one link edge (p, q) per entry (position, p, q), and path
+    end -> the other end of its path."""
+    adj: dict[int, list[int]] = {}
+    for _i, p, q in star:
+        adj.setdefault(p, []).append(q)
+        adj.setdefault(q, []).append(p)
     partner: dict[int, int] = {}
     for end, nbrs in adj.items():
         if len(nbrs) == 1 and end not in partner:
@@ -293,27 +268,29 @@ def validate(t: Triangulation) -> ValidationReport:
     call and kept on ``t``."""
     report = t._report
     if report is None:
-        report = _validate(t.triangles, edge_triangles(t.triangles))
+        report = _validate(t.triangles, *build_index(t.triangles))
         object.__setattr__(t, "_report", report)
     return report
 
 
-def _validate(tris: tuple[Triangle, ...],
-              by_edge: dict[Edge, list[Triangle]]) -> ValidationReport:
-    """:func:`validate`, given :func:`edge_triangles` of ``tris``: one walk
-    round each vertex star.  Vertices come off a stack with a signed
-    triangle of their star (+1 orients a sorted (a, b, c) as a -> b -> c);
-    a vertex no walk has reached starts a new component.  The walk at ``v``
-    turns across the edges at ``v`` one way and, from an edge in one
-    triangle (boundary), the other way, carrying the orientation into each
-    triangle it enters; a sign there that differs is a conflict.  ``v`` is
-    offending when the walk, which stops at an edge in three triangles,
-    covers fewer triangles than ``v`` has: its link is neither a circle
-    nor an interval.  With none offending each star is joined across its edges,
-    so the components by shared vertex are those by shared edge, and every
-    interior edge is crossed, so a conflict-free surface is orientable."""
-    by_vertex = vertex_triangles(tris)
-    sign: dict[Triangle, int] = {}
+def _validate(tris: Sequence[Triangle], by_edge: dict,
+              by_vertex: dict) -> ValidationReport:
+    """:func:`validate`, given :func:`build_index` of the sorted triples
+    ``tris`` in any order: one walk round each vertex star.  Vertices come
+    off a stack with the position of a signed triangle of their star (+1
+    orients a sorted (a, b, c) as a -> b -> c); a vertex no walk has reached
+    starts a new component.  The walk at ``v`` turns across the edges at
+    ``v`` one way and, from an edge in one triangle (boundary), the other
+    way, carrying the orientation into each triangle it enters, whose apex
+    on the edge is the walk's next edge end; a sign there that differs is a
+    conflict.  ``v`` is offending when the walk, which stops at an edge in
+    three triangles, covers fewer triangles than ``v`` has: its link is
+    neither a circle nor an interval.  With none offending each star is
+    joined across its edges, so the components by shared vertex are those
+    by shared edge, and every interior edge is crossed, so a conflict-free
+    surface is orientable.  None of this depends on the order of ``tris``,
+    so the report does not either."""
+    sign = [0] * len(tris)
     seen: set[int] = set()
     offending = []
     has_boundary = False
@@ -324,11 +301,11 @@ def _validate(tris: tuple[Triangle, ...],
             continue
         components += 1
         seen.add(root)
-        sign[at_root[0]] = 1
-        stack = [(root, at_root[0])]
+        sign[at_root[0][0]] = 1
+        stack = [(root, at_root[0][0])]
         while stack:
             v, start = stack.pop()
-            a, b, c = start
+            a, b, c = tris[start]
             # start is v -> p -> q when its sign is +1
             p, q = (b, c) if v == a else (c, a) if v == b else (a, b)
             covered = 1
@@ -342,10 +319,11 @@ def _validate(tris: tuple[Triangle, ...],
                     ts = by_edge[(v, y) if v < y else (y, v)]
                     if len(ts) != 2:
                         break
-                    u = ts[1] if ts[0] == t else ts[0]
-                    r = u[0] + u[1] + u[2] - v - y
+                    u, r = ts[1] if ts[0][0] == t else ts[0]
                     want = s if (v < y) + (y < r) + (r < v) == 2 else -s
-                    if sign.setdefault(u, want) != want:
+                    if not sign[u]:
+                        sign[u] = want
+                    elif sign[u] != want:
                         orientable = False
                     if u == start:
                         break
@@ -365,8 +343,9 @@ def _validate(tris: tuple[Triangle, ...],
     return ValidationReport(kind, orientable=orientable)
 
 
-def _euler(tris: tuple[Triangle, ...], by_edge: dict[Edge, list[Triangle]]) -> int:
-    """V - E + T, given :func:`edge_triangles` of ``tris``."""
+def _euler(tris: Sequence[Triangle], by_edge: dict) -> int:
+    """V - E + T, given the edge index ``by_edge`` of ``tris`` (from
+    :func:`build_index`; only its keys are read)."""
     verts = {v for tri in tris for v in tri}
     return len(verts) - len(by_edge) + len(tris)
 
@@ -433,8 +412,8 @@ def surface_class(tris: tuple[Triangle, ...], holes: int = 0) -> SurfaceClass:
     orientability read off its validation report; ``ValueError`` when
     ``tris`` is not a surface.  Capping keeps orientability and adds 1 to
     chi per hole."""
-    by_edge = edge_triangles(tris)
-    report = _validate(tris, by_edge)
+    by_edge, by_vertex = build_index(tris)
+    report = _validate(tris, by_edge, by_vertex)
     if not report.is_surface:
         raise ValueError("surface_class needs a surface, got NotASurface")
     return _surface_class(_euler(tris, by_edge) + holes, report.orientable)
@@ -453,5 +432,5 @@ def classify(t: Triangulation) -> SurfaceClass:
 def boundary_cycles(tris: Iterable[Triangle]) -> list[list[int]] | None:
     """Boundary cycles of a raw triangle collection (no validity check);
     None when some vertex has more than two boundary edges."""
-    return closed_cycles(e for e, ts in edge_triangles(tris).items()
+    return closed_cycles(e for e, ts in build_index(tris)[0].items()
                          if len(ts) == 1)

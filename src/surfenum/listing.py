@@ -51,12 +51,10 @@ from .core import (
     boundary_cycles,
     build_index,
     closed_cycles,
-    edge_triangles,
     link_after,
     link_ends,
     normalize_triangles,
     surface_class,
-    valences,
     with_triangle,
 )
 from .moves import _cone, _removable_vertices
@@ -114,14 +112,15 @@ class Disc:
     @classmethod
     def from_triangles(cls, triangles: Iterable[Triangle]) -> "Disc":
         tris = normalize_triangles(triangles)
-        edges = edge_triangles(tris)
-        cycles = closed_cycles(e for e, ts in edges.items() if len(ts) == 1)
+        by_edge, by_vertex = build_index(tris)
+        cycles = closed_cycles(e for e, ts in by_edge.items() if len(ts) == 1)
         if cycles is None or len(cycles) != 1:
             raise ValueError("a disc has exactly one boundary component")
-        rim, vals = set(cycles[0]), valences(tris)
+        rim = set(cycles[0])
+        vals = {v: len(star) for v, star in by_vertex.items()}
         return cls(tris, tuple(cycles[0]), vals,
                    max((k for v, k in vals.items() if v not in rim), default=0),
-                   tuple(e for e, ts in edges.items()
+                   tuple(e for e, ts in by_edge.items()
                          if len(ts) == 2 and rim.issuperset(e)))
 
     @property
@@ -151,9 +150,13 @@ class GenusSurface:
     @classmethod
     def from_triangles(cls, triangles: Iterable[Triangle]) -> "GenusSurface":
         code, witnesses = minimal_code(triangles, with_witnesses=True)
-        cycles = tuple(tuple(c) for c in boundary_cycles(code))
+        cycles = boundary_cycles(code)
+        if cycles is None:
+            raise ValueError("not a surface: a vertex on more than two "
+                             "boundary edges")
         capped = surface_class(code, len(cycles))
-        return cls(triangles=code, boundary=cycles, capped_class=capped,
+        return cls(triangles=code, boundary=tuple(map(tuple, cycles)),
+                   capped_class=capped,
                    automorphisms=tuple(automorphisms(witnesses)))
 
     @property
@@ -201,23 +204,24 @@ def _disc_children(tris: frozenset, bnd: tuple[int, ...], m: float,
     ``bnd`` that keep boundary valences at most m-1 and make no interior
     vertex of valence outside [4, m]: a fresh vertex on a boundary edge, or
     a closed corner that becomes interior with a new far edge."""
-    vals = valences(tris)
-    n_v = len(vals)  # labels are 1..n_v
-    edges = edge_triangles(tris)
+    by_edge, by_vertex = build_index(tris)
+    n_v = len(by_vertex)  # labels are 1..n_v
     n = len(bnd)
     out = []
     for i in range(n):
         a, b, c = bnd[i], bnd[(i + 1) % n], bnd[(i + 2) % n]
+        # the valences of a, b and c with one more triangle
+        ka, kb, kc = (len(by_vertex[v]) + 1 for v in (a, b, c))
         # a fresh vertex on the edge (a, b): both endpoints stay on the boundary
-        if n_v < max_vertices and vals[a] + 1 <= m - 1 and vals[b] + 1 <= m - 1:
+        if n_v < max_vertices and ka <= m - 1 and kb <= m - 1:
             w = n_v + 1
             out.append((tris | {tuple(sorted((a, b, w)))},
                         bnd[:i + 1] + (w,) + bnd[i + 1:]))
         # close the corner at b with the triangle (a, b, c): b becomes
         # interior and (a, c) a boundary edge, which must be new (on a
         # 3-cycle boundary it is already one)
-        if (4 <= vals[b] + 1 <= m and vals[a] + 1 <= m - 1
-                and vals[c] + 1 <= m - 1 and tuple(sorted((a, c))) not in edges):
+        if (4 <= kb <= m and ka <= m - 1 and kc <= m - 1
+                and tuple(sorted((a, c))) not in by_edge):
             j = (i + 1) % n
             out.append((tris | {tuple(sorted((a, b, c)))}, bnd[:j] + bnd[j + 1:]))
     return out
@@ -275,18 +279,17 @@ def genus_surface_admissible(g: GenusSurface, cfg: SearchConfig) -> bool:
         return len(g.triangles) == 1
     tris, comps = g.triangles, g.boundary
     bverts = {v for c in comps for v in c}
-    vals = valences(tris)
     # vertex budget (the root needs at least one more vertex)
     if g.vertex_count > cfg.max_vertices - 1:
         return False
     # valence floors, and at least one boundary vertex of valence >= 3; the
     # vertex budget bounds every valence from above
-    if any(k < (2 if v in bverts else 4) for v, k in vals.items()):
+    by_edge, by_vertex = build_index(tris)
+    if any(len(star) < (2 if v in bverts else 4) for v, star in by_vertex.items()):
         return False
-    if not any(vals[v] >= 3 for v in bverts):
+    if not any(len(by_vertex[v]) >= 3 for v in bverts):
         return False
     # the link of every boundary edge lies on the boundary
-    by_edge = build_index(tris)[0]
     bedges = set()
     for e, ts in by_edge.items():
         if len(ts) == 1:
@@ -697,7 +700,7 @@ def _roots_from_genus_surface(
             glued_bases = set()
             for base in bases:
                 n_base = max(v for t in base for v in t)
-                base_edges = edge_triangles(base)
+                base_edges = build_index(base)[0]
                 for disc in extra_discs.get(len(other), ()):
                     if n_base + disc.interior_count + 1 <= cfg.max_vertices:
                         glued_bases.update(_gluings(base, other, disc, base_edges))
@@ -707,11 +710,10 @@ def _roots_from_genus_surface(
         base_autos = () if others else g.automorphisms
         for base in bases:
             n_base = max(v for t in base for v in t)
-            base_edges = edge_triangles(base)
-            vals = valences(base)
+            base_edges, by_vertex = build_index(base)
             # the vertices off the host cycle keep their valence, and a main
             # disc's inner vertices are in [4, m] (see Disc)
-            off = [k for v, k in vals.items() if v not in cycle]
+            off = [len(star) for v, star in by_vertex.items() if v not in cycle]
             if off and min(off) < 4:
                 continue
             for disc in main_discs.get(len(cycle), ()):
@@ -719,7 +721,8 @@ def _roots_from_genus_surface(
                 total = n_base + disc.interior_count
                 if total > cfg.max_vertices or m < max(off, default=0):
                     continue
-                room = {c: range(4 - vals[c], m - vals[c] + 1) for c in cycle}
+                room = {c: range(4 - len(by_vertex[c]), m - len(by_vertex[c]) + 1)
+                        for c in cycle}
                 for glued in _gluings(base, cycle, disc, base_edges, room,
                                       base_autos):
                     # a closed surface of g's capped class (see _gluings);

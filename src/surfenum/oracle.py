@@ -46,8 +46,8 @@ isomorphic states into different buckets, which costs extra work but loses
 nothing, and it can never merge two classes, as only the certificate does
 that, here the reference code.  Closed states never enter the buckets:
 each is coded from its carried index where it is found and, when its code
-is new, validated on an edge index built for it, and its class is read off
-that validation report.
+is new, validated on that carried index too (``core._validate`` reads it in
+glue order), and its class is read off that validation report.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .core import (
     _surface_class,
     _validate,
     build_index,
-    edge_triangles,
     link_after,
     link_ends,
     vertex_triangles,
@@ -148,7 +147,7 @@ def _enumerate_with_max_valence(m: int,
         if 2 * len(by_edge) == 3 * len(tris):
             code = _minimal_code(tris, by_edge, by_vertex)
             if code not in leaves:
-                report = _validate(tris, edge_triangles(tris))
+                report = _validate(tris, by_edge, by_vertex)
                 if report.kind is SurfaceKind.CLOSED_SURFACE:
                     # chi = V - E + T with 2E = 3T
                     leaves[code] = _surface_class(

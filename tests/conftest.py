@@ -11,9 +11,8 @@ from surfenum.cli import parse_triangulation_text
 from surfenum.core import (KLEIN_BOTTLE, SPHERE, Edge, SurfaceClass,
                            SurfaceKind, Triangle, Triangulation,
                            _euler, boundary_cycles, classify, closed_cycles,
-                           ValidationReport, build_index, edge_triangles,
-                           link_ends, normalize_triangles, valences, validate,
-                           vertex_triangles)
+                           ValidationReport, build_index, link_ends,
+                           normalize_triangles, validate, vertex_triangles)
 from surfenum import listing, oracle
 from surfenum.listing import (SearchConfig, _host_splits, _index_discs,
                               enumerate_genus_surfaces)
@@ -51,6 +50,26 @@ def mobius() -> Triangulation:
 @pytest.fixture
 def annulus() -> Triangulation:
     return parse_triangulation_text(ANNULUS)
+
+
+def edge_triangles(tris: Iterable[Triangle]) -> dict[Edge, list[Triangle]]:
+    """Edge -> incident triangles of the sorted triples ``tris``: the edge
+    map the references read, apart from ``core.build_index``."""
+    out: dict[Edge, list[Triangle]] = {}
+    for t in tris:
+        a, b, c = t
+        for e in ((a, b), (a, c), (b, c)):
+            out.setdefault(e, []).append(t)
+    return out
+
+
+def valences(tris: Iterable[Triangle]) -> dict[int, int]:
+    """Vertex -> number of incident triangles."""
+    val: dict[int, int] = {}
+    for t in tris:
+        for v in t:
+            val[v] = val.get(v, 0) + 1
+    return val
 
 
 def relabel(t: Triangulation, rng: random.Random) -> tuple[Triangulation, dict]:

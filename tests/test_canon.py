@@ -5,14 +5,13 @@ import random
 import pytest
 
 from conftest import (ANNULUS, MOBIUS, canonical_witness, code_isomorphs,
-                      is_isomorphic, mixed_lex_compare, oracle_start, relabel,
+                      edge_triangles, is_isomorphic, mixed_lex_compare, oracle_start, relabel,
                       state_key, torus_grid)
 from surfenum.canon import (Isomorphs, _flag_key, _minimal_code, _vertex_ranks,
                             automorphisms, canonical_form, flag_key,
                             minimal_code)
 from surfenum.cli import parse_triangulation_text
-from surfenum.core import (TORUS, Triangulation, build_index, classify,
-                           edge_triangles)
+from surfenum.core import TORUS, Triangulation, build_index, classify
 from surfenum.oracle import brute_force_enumerate
 
 

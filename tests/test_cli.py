@@ -17,7 +17,7 @@ from surfenum.cli import (
     results_complete,
     write_results,
 )
-from surfenum.core import PROJECTIVE_PLANE, SPHERE, Triangulation, edge_triangles
+from surfenum.core import PROJECTIVE_PLANE, SPHERE, Triangulation
 from surfenum.listing import CountsTable, SearchConfig
 from surfenum.oracle import brute_force_enumerate
 
@@ -63,14 +63,14 @@ class TestParsing:
 def count_validate_calls(monkeypatch) -> list:
     """Route every validation in the package through a counter: each runs
     ``core._validate``, from ``validate`` or from a caller with its own
-    edge index; returns the list of triangle tuples it was called with."""
+    index; returns the list of triangle tuples it was called with."""
     from surfenum.core import _validate
 
     calls = []
 
-    def counting(tris, by_edge):
+    def counting(tris, by_edge, by_vertex):
         calls.append(tris)
-        return _validate(tris, by_edge)
+        return _validate(tris, by_edge, by_vertex)
 
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "surfenum" and vars(mod).get("_validate") is _validate:
@@ -387,12 +387,13 @@ class TestCommands:
         from surfenum import core
 
         builds = []
+        real = core.build_index
 
         def counting(tris):
             builds.append(tris)
-            return edge_triangles(tris)
+            return real(tris)
 
-        monkeypatch.setattr(core, "edge_triangles", counting)
+        monkeypatch.setattr(core, "build_index", counting)
         t = parse_triangulation_text(RP2_SIX)
         assert core.classify(t).name == "RP2"
         assert len(builds) == 1

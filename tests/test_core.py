@@ -19,27 +19,31 @@ from surfenum.core import (
     _euler,
     _validate,
     boundary_cycles,
+    build_index,
     classify,
     closed_cycles,
-    edge_triangles,
     link_after,
     link_ends,
     link_with,
     surface_class,
-    valences,
     validate,
 )
-from surfenum.listing import SearchConfig, enumerate_all
+from surfenum.listing import GenusSurface, SearchConfig, enumerate_all
 from surfenum.moves import compute_root, t_move
 from surfenum.oracle import brute_force_enumerate
 
 
 def euler_characteristic(t: Triangulation) -> int:
-    return _euler(t.triangles, edge_triangles(t.triangles))
+    return _euler(t.triangles, build_index(t.triangles)[0])
 
 
 def orientable_triangles(tris) -> bool:
-    return _validate(tris, edge_triangles(tris)).orientable
+    return _validate(tris, *build_index(tris)).orientable
+
+
+def star_sizes(tris) -> dict:
+    """Vertex -> the number of its ``core.build_index`` star entries."""
+    return {v: len(star) for v, star in build_index(tris)[1].items()}
 
 
 class TestTriangulation:
@@ -226,9 +230,13 @@ class TestValidate:
                 set(a) | {tuple(sorted(image[v] for v in t)) for t in b})))
         kinds = set()
         for tris in complexes:
-            report = _validate(tris, edge_triangles(tris))
+            report = _validate(tris, *build_index(tris))
             assert report == reference_report(tris), tris
             kinds.add((report.kind, bool(report.offending_vertices)))
+            # the oracle validates a closed leaf in the order it was glued,
+            # on its carried index: any order gives the same report
+            shuffled = rng.sample(tris, len(tris))
+            assert _validate(shuffled, *build_index(shuffled)) == report, shuffled
         assert kinds == {(SurfaceKind.CLOSED_SURFACE, False),
                          (SurfaceKind.SURFACE_WITH_BOUNDARY, False),
                          (SurfaceKind.NOT_A_SURFACE, False),
@@ -240,9 +248,9 @@ class TestValidate:
         calls = []
         real = core._validate
 
-        def counting(tris, by_edge):
+        def counting(tris, by_edge, by_vertex):
             calls.append(tris)
-            return real(tris, by_edge)
+            return real(tris, by_edge, by_vertex)
 
         monkeypatch.setattr(core, "_validate", counting)
         report = validate(rp2_six)
@@ -290,7 +298,7 @@ class TestClassification:
             for code in cs:
                 for tris in (code, relabel(Triangulation(code), rng)[0].triangles):
                     for k in range(1, len(tris) + 1):
-                        report = _validate(tris[:k], edge_triangles(tris[:k]))
+                        report = _validate(tris[:k], *build_index(tris[:k]))
                         assert report == reference_report(tris[:k]), tris[:k]
                         verdicts.add(report.orientable)
                         disconnected += (not report.is_surface
@@ -357,10 +365,15 @@ class TestBoundary:
         assert surface_class(tris, 1) == cone_and_classify(tris) == SPHERE
 
     def test_surface_class_refuses_a_non_surface(self):
-        # an edge in three triangles, a pinch, and two components
+        # an edge in three triangles, a pinch, and two components; a
+        # genus-surface is refused too, the first two for a vertex on more
+        # than two boundary edges
         for text in ("123 124 125", "123 145", "123 456"):
+            tris = parse_triangulation_text(text).triangles
             with pytest.raises(ValueError, match="needs a surface"):
-                surface_class(parse_triangulation_text(text).triangles)
+                surface_class(tris)
+            with pytest.raises(ValueError):
+                GenusSurface.from_triangles(tris)
 
     def test_closed_surface_has_no_boundary(self, octa):
         assert boundary_cycles(octa.triangles) == []
@@ -369,14 +382,14 @@ class TestBoundary:
 class TestVertexStats:
     def test_octahedron(self, octa):
         tris = octa.triangles
-        assert max(valences(tris).values()) == 4
+        assert max(star_sizes(tris).values()) == 4
         # every vertex has valence 4 and is interior
-        assert set(valences(tris).values()) == {4}
+        assert set(star_sizes(tris).values()) == {4}
         assert boundary_cycles(tris) == []
 
     def test_mobius(self, mobius):
         tris = mobius.triangles
-        assert max(valences(tris).values()) == 3
+        assert max(star_sizes(tris).values()) == 3
         # no vertex is interior
         assert ({v for c in boundary_cycles(tris) for v in c}
                 == set(range(1, mobius.vertex_count + 1)))
@@ -390,17 +403,17 @@ class TestVertexStats:
         ]:
             t = parse_triangulation_text(text)
             v = t.vertex_count
-            assert len(edge_triangles(t.triangles)) == 3 * v - 3 * chi
+            assert len(build_index(t.triangles)[0]) == 3 * v - 3 * chi
             assert len(t.triangles) == 2 * v - 2 * chi
 
 
 class TestAdjacency:
     def test_valences_and_degrees_on_octahedron(self, octa):
-        assert valences(octa.triangles) == {v: 4 for v in range(1, 7)}
+        assert star_sizes(octa.triangles) == {v: 4 for v in range(1, 7)}
 
     def test_valences_and_degrees_differ_on_a_fan(self):
         fan = [(1, 2, 3), (1, 2, 4), (1, 3, 5)]
-        assert valences(fan) == {1: 3, 2: 2, 3: 2, 4: 1, 5: 1}
+        assert star_sizes(fan) == {1: 3, 2: 2, 3: 2, 4: 1, 5: 1}
 
     def test_cycles_walked_from_smallest_vertex(self):
         edges = {(5, 7), (3, 7), (3, 5), (4, 9), (2, 9), (1, 4), (1, 2)}

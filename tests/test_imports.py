@@ -62,13 +62,16 @@ def _called(node) -> set:
 def test_only_link_ends_builds_a_link_graph():
     # validation walks each vertex star over the edge index; both growth
     # searches test a link with core.link_after on the graph core.link_ends
-    # builds, so no other code builds a link graph
+    # builds for their start state, with no helper, so no other code builds
+    # a link graph
     callers = set()
     for path in PACKAGE_DIR.glob("*.py"):
-        for top in ast.parse(path.read_text()).body:
-            if "link_graph" in _called(top):
-                callers.add((path.stem, getattr(top, "name", None)))
-    assert callers == {("core", "link_ends")}
+        for name, function in _functions(path).items():
+            if "link_ends" in _called(function):
+                callers.add((path.stem, name))
+    assert callers == {("listing", "_GenusSurfaceSearch.run"),
+                       ("oracle", "_enumerate_with_max_valence")}
+    assert "link_graph" not in _functions(PACKAGE_DIR / "core.py")
 
 
 def test_oracle_growth_uses_nothing_from_listing():
@@ -107,7 +110,7 @@ def test_growth_children_build_no_link_and_no_ranks():
         assert not called & {"link_ends", "_vertex_ranks"}, name
 
 
-INDEX_BUILDERS = ("build_index", "edge_triangles", "vertex_triangles")
+INDEX_BUILDERS = ("build_index", "vertex_triangles")
 
 
 def _index_builds(functions) -> list:
@@ -140,32 +143,43 @@ def test_search_builds_its_indices_once():
 def test_oracle_builds_its_growth_indices_once_per_task():
     # an oracle growth state carries its parent's index, updated round the
     # new triangle: _children builds none, and each valence task builds one,
-    # for its m-fan, outside its loop; in the loop, only the validation of
-    # a new closed leaf builds its edge index
+    # for its m-fan, outside its loop; a new closed leaf is validated on its
+    # carried index, so the loop builds none
     tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
     growth = [n for n in tree.body if isinstance(n, ast.FunctionDef)
               and n.name in ("_children", "_enumerate_with_max_valence")]
     assert len(growth) == 2
     assert _index_builds(growth) == [
-        ("_enumerate_with_max_valence", "build_index", False),
-        ("_enumerate_with_max_valence", "edge_triangles", True)]
+        ("_enumerate_with_max_valence", "build_index", False)]
 
 
 def test_one_index_builder_for_labeling_and_growth():
-    # core.build_index is the one layout that the canonical labeling and
-    # both growth searches read: the public keys build it from their input,
-    # the searches once per start state and genus_surface_admissible for its
-    # boundary tests.  Isomorphs.add hands an arriving state's carried index
-    # to the certificate and builds none; the kernels build none either
+    # core.build_index is the package's one edge index, which validation,
+    # the surface classes, the decomposition pieces, the canonical labeling
+    # and both growth searches read: validate, surface_class and
+    # boundary_cycles build it from their input, as do the public keys, the
+    # discs and the gluing bases; the searches once per start state and
+    # genus_surface_admissible for its valence and boundary tests.
+    # Isomorphs.add hands an arriving state's carried index to the
+    # certificate and builds none; the kernels build none either
     callers = set()
+    defined = set()
     for path in PACKAGE_DIR.glob("*.py"):
         for name, function in _functions(path).items():
+            defined.add(name)
             if "build_index" in _called(function):
                 callers.add((path.stem, name))
-    assert callers == {("canon", "minimal_code"), ("canon", "flag_key"),
+    assert callers == {("core", "validate"), ("core", "surface_class"),
+                       ("core", "boundary_cycles"),
+                       ("canon", "minimal_code"), ("canon", "flag_key"),
+                       ("listing", "Disc.from_triangles"),
+                       ("listing", "_disc_children"),
                        ("listing", "genus_surface_admissible"),
+                       ("listing", "_roots_from_genus_surface"),
                        ("listing", "_GenusSurfaceSearch.run"),
                        ("oracle", "_enumerate_with_max_valence")}
+    # no second edge index, valence map or link-graph helper
+    assert not defined & {"edge_triangles", "valences", "link_graph"}
     canon = _functions(PACKAGE_DIR / "canon.py")
     assert "carried" in _called(canon["Isomorphs.add"])
     for name in ("Isomorphs.add", "_minimal_code", "_flag_key", "_search",

@@ -5,10 +5,10 @@ from collections import Counter
 
 import pytest
 
-from conftest import (Decomposition, cone_and_classify, link_shape,
-                      rebuilt_links, reference_chords, reference_nonroots,
+from conftest import (Decomposition, cone_and_classify, edge_triangles,
+                      link_shape, rebuilt_links, reference_chords, reference_nonroots,
                       reference_roots, relabel, sorted_links, star_triangles,
-                      state_key, validate_decomposition)
+                      state_key, valences, validate_decomposition)
 from surfenum.canon import (Code, Isomorphs, _flag_key, _vertex_ranks, flag_key,
                             minimal_code)
 from surfenum.cli import parse_triangulation_text
@@ -20,8 +20,6 @@ from surfenum.core import (
     boundary_cycles,
     build_index,
     classify,
-    edge_triangles,
-    valences,
     validate,
     vertex_triangles,
 )
@@ -170,7 +168,6 @@ def brute_force_discs(max_vertices: int) -> set:
                 continue
             cycles = boundary_cycles(t.triangles)
             verts = {v for tri in t.triangles for v in tri}
-            from surfenum.core import edge_triangles
             chi = len(verts) - len(edge_triangles(t.triangles)) + len(t.triangles)
             if chi != 1 or len(cycles) != 1:
                 continue

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from conftest import (RP2_SIX, edge_expand_4valent, is_isomorphic, relabel,
-                      torus_grid)
+from conftest import (RP2_SIX, edge_expand_4valent, edge_triangles,
+                      is_isomorphic, relabel, torus_grid, valences)
 from surfenum.canon import canonical_form, minimal_code
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (SPHERE, SurfaceKind, Triangulation, classify,
-                           edge_triangles, valences, validate)
+                           validate)
 from surfenum.moves import (
     LinkBoundsTriangleError,
     MoveError,

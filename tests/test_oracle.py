@@ -4,12 +4,12 @@ from collections import Counter
 
 import pytest
 
-from conftest import (link_shape, oracle_start, rebuilt_links, relabel,
-                      sorted_links, star_triangles)
+from conftest import (edge_triangles, link_shape, oracle_start, rebuilt_links,
+                      relabel, sorted_links, star_triangles, valences)
 from surfenum import canon, oracle
 from surfenum.canon import Isomorphs, _vertex_ranks, minimal_code
 from surfenum.core import (SurfaceKind, Triangulation, build_index, classify,
-                           edge_triangles, valences, validate, vertex_triangles)
+                           validate, vertex_triangles)
 from surfenum.listing import SearchConfig
 from surfenum.oracle import brute_force_enumerate, cross_validate
 
@@ -269,18 +269,19 @@ class TestGrowth:
                 return real(*args)
             return wrapper
 
-        for name in ("build_index", "edge_triangles", "vertex_triangles",
+        for name in ("build_index", "vertex_triangles", "_validate",
                      "link_ends", "link_after"):
             monkeypatch.setattr(oracle, name, counting(name))
         result = brute_force_enumerate(8)
         codes = sum(map(len, result.codes.values()))
-        # one growth index per valence task m = 3..7; an edge index for the
-        # validation of each new closed leaf, and a vertex index per code in
-        # _code_is_root.  5 edge and 5 + 57 vertex indices when the states
-        # carried the validation's layout, 819 of each when every popped
-        # state built its own
+        # one growth index per valence task m = 3..7, which also validates
+        # each new closed leaf, and a vertex index per code in _code_is_root.
+        # 57 more edge indices, one per leaf validation, before the leaves
+        # were validated on their carried index; 5 edge and 5 + 57 vertex
+        # indices when the states carried the validation's layout, 819 of
+        # each when every popped state built its own
         assert calls["build_index"] == 5
-        assert calls["edge_triangles"] == codes == 57
+        assert calls["_validate"] == codes == 57
         assert calls["vertex_triangles"] == codes
         # 2,777 link tests when every labelled vertex was tried as the third
         # vertex; 2,543 link graphs, one per test, before a and b got theirs
