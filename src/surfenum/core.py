@@ -5,9 +5,10 @@ vertex triples with labels 1..V.  Validation, the surface classes, the
 canonical labeling and the growth searches read one edge and vertex index,
 by triangle position (:func:`build_index`): a growth state carries its
 triangles as a tuple in the order they were glued, with that index and its
-boundary vertices' links (:func:`link_ends`), and a child gets its parent's
-through :func:`with_triangle`, its new triangle at the next position.  The
-moves read vertex stars as triangle lists (:func:`vertex_triangles`).
+boundary vertices' links as path ends (:func:`link_ends`), and a child
+gets its parent's through :func:`with_triangle`, its new triangle at the
+next position.  The moves read vertex stars as triangle lists
+(:func:`vertex_triangles`).
 The operations are pure except that a :class:`Triangulation` keeps the
 answers that depend on its triangles alone once they are computed: its
 validation report (written here) and its canonical code (written by
@@ -157,71 +158,56 @@ def build_index(tris: Sequence[Triangle]) -> tuple[dict, dict]:
     return by_edge, by_vertex
 
 
-def link_ends(star: Iterable[tuple[int, int, int]]
-              ) -> tuple[dict[int, list[int]], dict[int, int]]:
-    """The link of a vertex in a growth state, given its star entries from
-    :func:`build_index`, as :func:`link_after` reads it: link vertex ->
-    neighbours, one link edge (p, q) per entry (position, p, q), and path
-    end -> the other end of its path."""
-    adj: dict[int, list[int]] = {}
-    for _i, p, q in star:
-        adj.setdefault(p, []).append(q)
-        adj.setdefault(q, []).append(p)
+def link_ends(star: Iterable[tuple[int, int, int]]) -> dict[int, int]:
+    """The link of a vertex in a growth state (empty, a circle or disjoint
+    paths), given its star entries (position, p, q) from :func:`build_index`,
+    one link edge (p, q) each, as :func:`link_after` reads it: path end ->
+    the other end of its path, empty for a circle.  Added in any order, each
+    edge meets at most path ends, so :func:`link_with` takes it."""
     partner: dict[int, int] = {}
-    for end, nbrs in adj.items():
-        if len(nbrs) == 1 and end not in partner:
-            prev, cur = end, nbrs[0]
-            while len(adj[cur]) == 2:
-                x, y = adj[cur]
-                prev, cur = cur, (y if x == prev else x)
-            partner[end] = cur
-            partner[cur] = end
-    return adj, partner
+    for _i, p, q in star:
+        partner = link_with(partner, p, q)
+    return partner
 
 
-def link_after(link, p: int, q: int) -> str:
-    """The shape of the link ``link`` (from :func:`link_ends`) once the new
-    link edge (p, q), not in it yet, is added: 'circle', 'interval',
-    'paths' (two or more disjoint simple paths, a pinch for a finished
-    surface but acceptable while growing) or 'bad'.
+def link_after(partner: dict[int, int], p: int, q: int) -> str:
+    """The shape of a vertex v's link, given by its path ends ``partner``
+    (from :func:`link_ends`), once the new link edge (p, q), not in it yet,
+    is added: 'circle', 'interval', 'paths' (two or more disjoint simple
+    paths, a pinch for a finished surface but acceptable while growing) or
+    'bad'.
 
     This is the link test of both growth searches, the genus-surface search
     and the oracle.  Each adds one triangle at a time and keeps a state only
     when no link it changes turns 'bad', so every link of a state is empty
-    (a fresh vertex), a circle or disjoint paths, as this test assumes.  A
-    vertex on no boundary edge has each link vertex on two link edges, so
-    its link is a circle, and it takes no further triangle: the new link
-    edge either meets the circle, giving a link vertex three link edges, or
-    lies apart from it, and either link is 'bad'.  So a search tries only
-    the boundary vertices and one fresh vertex as a new triangle's third
-    vertex, and a state carries the links of its boundary vertices alone,
-    each child's updated from its parent's (:func:`with_triangle`).
+    (a fresh vertex), a circle or disjoint paths.  A link vertex p on two
+    link edges (the edge (v, p) in two triangles) takes no third, so a
+    circle takes no new edge that meets it, nor one apart from it.  Both
+    searches skip these first, which is this test's contract: v is a
+    boundary vertex or the fresh one, and neither (v, p) nor (v, q) lies in
+    two triangles, so each of p, q is a path end or new to the link.  A
+    state carries the links of its boundary vertices alone, each child's
+    updated from its parent's (:func:`with_triangle`).
     """
-    adj, partner = link
-    # a circle link, or a link vertex already on two link edges, is closed off
-    if (adj and not partner) or len(adj.get(p, ())) == 2 or len(adj.get(q, ())) == 2:
-        return "bad"
     if partner.get(p) == q:
         # the edge closes its path: a circle only if no other path remains
         return "circle" if len(partner) == 2 else "bad"
     # each of p, q already in the link is a path end, which the edge joins
-    paths = len(partner) // 2 + 1 - (p in adj) - (q in adj)
+    paths = len(partner) // 2 + 1 - (p in partner) - (q in partner)
     return "interval" if paths == 1 else "paths"
 
 
-def link_with(link, p: int, q: int):
-    """The link ``link`` (from :func:`link_ends`) once the new link edge
-    (p, q), which :func:`link_after` does not call 'bad', is added: a new
-    pair of dicts, with new lists at p and q."""
-    adj, partner = link
-    adj = {**adj, p: adj.get(p, []) + [q], q: adj.get(q, []) + [p]}
+def link_with(partner: dict[int, int], p: int, q: int) -> dict[int, int]:
+    """The path ends ``partner`` (from :func:`link_ends`) once the new link
+    edge (p, q), which :func:`link_after` does not call 'bad', is added, as
+    a new dict: empty when the edge closes its path into a circle."""
     if partner.get(p) == q:
-        return adj, {}  # the edge closes its path into a circle
+        return {}
     # it joins the paths ending in p and q (a new link vertex is one) at p, q
     partner = {**partner}
     far_p, far_q = partner.pop(p, p), partner.pop(q, q)
     partner[far_p], partner[far_q] = far_q, far_p
-    return adj, partner
+    return partner
 
 
 def with_triangle(tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
@@ -238,8 +224,8 @@ def with_triangle(tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
         sides[f] = sides.get(f, []) + [(i, apex)]
     for v, p, q in ((a, b, c), (b, a, c), (c, a, b)):
         star[v] = star.get(v, []) + [(i, p, q)]
-        links[v] = link_with(links.get(v, ({}, {})), p, q)
-        if not links[v][1]:
+        links[v] = link_with(links.get(v, {}), p, q)
+        if not links[v]:
             del links[v]  # a circle
     return tris + (tri,), sides, star, links
 
@@ -406,13 +392,13 @@ def _surface_class(chi: int, orientable: bool) -> SurfaceClass:
     return SurfaceClass(False, 2 - chi)
 
 
-def surface_class(tris: tuple[Triangle, ...], holes: int = 0) -> SurfaceClass:
+def surface_class(tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
+                  holes: int = 0) -> SurfaceClass:
     """Class of the closed surface obtained by capping each of the ``holes``
-    boundary cycles of the connected surface ``tris`` with a disc, with
-    orientability read off its validation report; ``ValueError`` when
-    ``tris`` is not a surface.  Capping keeps orientability and adds 1 to
-    chi per hole."""
-    by_edge, by_vertex = build_index(tris)
+    boundary cycles of the connected surface ``tris`` with a disc, given its
+    :func:`build_index`, with orientability read off its validation report;
+    ``ValueError`` when ``tris`` is not a surface.  Capping keeps
+    orientability and adds 1 to chi per hole."""
     report = _validate(tris, by_edge, by_vertex)
     if not report.is_surface:
         raise ValueError("surface_class needs a surface, got NotASurface")
@@ -429,8 +415,8 @@ def classify(t: Triangulation) -> SurfaceClass:
     return _surface_class(t.vertex_count - len(t.triangles) // 2, report.orientable)
 
 
-def boundary_cycles(tris: Iterable[Triangle]) -> list[list[int]] | None:
-    """Boundary cycles of a raw triangle collection (no validity check);
-    None when some vertex has more than two boundary edges."""
-    return closed_cycles(e for e, ts in build_index(tris)[0].items()
-                         if len(ts) == 1)
+def boundary_cycles(by_edge: dict) -> list[list[int]] | None:
+    """Boundary cycles of a raw triangle collection, given its edge index
+    ``by_edge`` (no validity check); None when some vertex has more than two
+    boundary edges."""
+    return closed_cycles(e for e, ts in by_edge.items() if len(ts) == 1)

@@ -113,7 +113,7 @@ class Disc:
     def from_triangles(cls, triangles: Iterable[Triangle]) -> "Disc":
         tris = normalize_triangles(triangles)
         by_edge, by_vertex = build_index(tris)
-        cycles = closed_cycles(e for e, ts in by_edge.items() if len(ts) == 1)
+        cycles = boundary_cycles(by_edge)
         if cycles is None or len(cycles) != 1:
             raise ValueError("a disc has exactly one boundary component")
         rim = set(cycles[0])
@@ -150,11 +150,12 @@ class GenusSurface:
     @classmethod
     def from_triangles(cls, triangles: Iterable[Triangle]) -> "GenusSurface":
         code, witnesses = minimal_code(triangles, with_witnesses=True)
-        cycles = boundary_cycles(code)
+        by_edge, by_vertex = build_index(code)
+        cycles = boundary_cycles(by_edge)
         if cycles is None:
             raise ValueError("not a surface: a vertex on more than two "
                              "boundary edges")
-        capped = surface_class(code, len(cycles))
+        capped = surface_class(code, by_edge, by_vertex, len(cycles))
         return cls(triangles=code, boundary=tuple(map(tuple, cycles)),
                    capped_class=capped,
                    automorphisms=tuple(automorphisms(witnesses)))
@@ -372,16 +373,15 @@ class _GenusSurfaceSearch:
     length 5 or more (at least 10), so never below a budget of 10 vertices.
 
     A state carries, updated from its parent's, its triangles as a tuple in
-    the order they were glued with their ``core.build_index`` (edge and
-    vertex index by position; a triangle is read off the tuple by its
-    position), each vertex's frozen ends (far ends of its frozen edges), the
-    vertices opposite frozen edges, the closed cycles of frozen edges, its
-    boundary edges, its vertex ranks (in the base of the vertex budget) and
-    the links of its boundary vertices, keyed by them (a vertex is interior
-    exactly when its link is a circle).  A cover child appends its triangle
+    the order they were glued, its frozen edges, the triangles'
+    ``core.build_index`` (edge and vertex index by position), the links of
+    its boundary vertices as path ends, keyed by them (a vertex is interior
+    exactly when its link is a circle), each vertex's frozen ends (far ends
+    of its frozen edges), the closed cycles of frozen edges and its vertex
+    ranks (in the base of the vertex budget).  Its open edges are the
+    one-triangle edges not frozen.  A cover child appends its triangle
     through ``core.with_triangle``; a freeze child shares all of it but for
-    the ranks of its edge's ends.  No stacked
-    state has a pair R3 rejects (induction: a cover child adds no frozen
+    the ranks of its edge's ends.  No stacked state has a pair R3 rejects (induction: a cover child adds no frozen
     edge).  A freeze child whose edge closes no cycle keeps its parent's
     cycles, which passed R4, and only its edge's triangle touches a new
     frozen edge (no cycle vertex takes a third): R3 tests that one's pairs.
@@ -424,10 +424,10 @@ class _GenusSurfaceSearch:
         seen = Isomorphs(flag_key, _flag_key)
         by_edge, by_vertex = build_index(start)
         # each state with the fields it carries (class docstring); every
-        # edge of one triangle is a boundary edge
+        # vertex of one triangle is a boundary vertex
         stack = [(start, frozenset(), by_edge, by_vertex,
                   {v: link_ends(star) for v, star in by_vertex.items()},
-                  {}, frozenset(), [], frozenset(by_edge),
+                  {}, [],
                   _vertex_ranks(by_edge, by_vertex, (), self.cfg.max_vertices))]
         while stack:
             state = stack.pop()
@@ -443,10 +443,10 @@ class _GenusSurfaceSearch:
         return self
 
     def children(self, tris: tuple, frozen: frozenset, by_edge: dict,
-                 by_vertex: dict, links: dict, frozen_ends: dict,
-                 opposite: frozenset, cycles: list, bedges: frozenset,
+                 by_vertex: dict, links: dict, frozen_ends: dict, cycles: list,
                  rank: dict):
-        open_edges = bedges - frozen
+        open_edges = [f for f, ts in by_edge.items()
+                      if len(ts) == 1 and f not in frozen]
         if not open_edges:
             return None
         # fail first: the open edge at the most advanced vertex (docstring)
@@ -464,7 +464,7 @@ class _GenusSurfaceSearch:
             changes = []
             for v, w, ends in ((a, b, ends_a), (b, a, ends_b)):
                 # freezing e makes w a frozen end of v; the link is unchanged
-                partner = links[v][1]
+                partner = links[v]
                 changes.append((v, len(by_vertex[v]),
                                 "interval" if len(partner) == 2 else "paths",
                                 len(ends) == 1 and partner.get(ends[0]) == w))
@@ -479,11 +479,12 @@ class _GenusSurfaceSearch:
             else:  # the parent's cycles stand: R3 round e only (docstring)
                 new_cycles = []
                 split = _splits_boundary(cycles, child, tris, by_edge, (e,))
-            if self._dead_end(changes, opposite, new_cycles, split) is None:
+            if self._dead_end(changes, frozen, by_vertex, new_cycles,
+                              split) is None:
                 child_ends = {**frozen_ends, a: ends_a + (b,), b: ends_b + (a,)}
                 # a marked edge counts 1 in a rank (``canon._vertex_ranks``)
                 out.append((tris, child, by_edge, by_vertex, links, child_ends,
-                            opposite | {apex}, new_cycles or cycles, bedges,
+                            new_cycles or cycles,
                             {**rank, a: rank[a] + 1, b: rank[b] + 1}))
         n_v = len(by_vertex)
         # an interior vertex takes no triangle (``core.link_after``): the
@@ -495,21 +496,22 @@ class _GenusSurfaceSearch:
         for x in cands:
             new_tri = tuple(sorted((a, b, x)))
             ea, eb = tuple(sorted((a, x))), tuple(sorted((b, x)))
-            if ea in frozen or eb in frozen:
+            # an edge in two triangles takes no third (``core.link_after``)
+            if (ea in frozen or eb in frozen or len(by_edge.get(ea, ())) > 1
+                    or len(by_edge.get(eb, ())) > 1):
                 continue
             changes = []
             # the new triangle adds the link edge (p, q) at v
             for v, p, q in ((a, b, x), (b, a, x), (x, a, b)):
                 k = len(by_vertex.get(v, ())) + 1
                 ends = frozen_ends.get(v, ())
-                link = links.get(v, ({}, {}))
-                shape = link_after(link, p, q)
+                partner = links.get(v, {})
+                shape = link_after(partner, p, q)
                 # a finished interior vertex needs valence >= 4
                 if shape == "bad" or (shape == "circle" and k < 4):
                     break
                 # the frozen ends are never p or q (the triangle's edges at v
                 # are not frozen); the new edge joins the paths ending in p, q
-                partner = link[1]
                 closed = len(ends) == 2 and (
                     partner.get(ends[0]) == ends[1]
                     or {partner.get(p, p), partner.get(q, q)} == set(ends))
@@ -528,29 +530,33 @@ class _GenusSurfaceSearch:
                 continue
             # the new triangle has no frozen edge and closes no cycle of
             # them, so it splits no boundary
-            if self._dead_end(changes, opposite, [], False) is None:
+            if self._dead_end(changes, frozen, by_vertex, [], False) is None:
                 child_tris, *fields = with_triangle(tris, by_edge, by_vertex,
                                                    links, new_tri)
-                out.append((child_tris, frozen, *fields, frozen_ends, opposite,
-                            cycles, bedges ^ {e, ea, eb},
+                out.append((child_tris, frozen, *fields, frozen_ends, cycles,
                             _ranks_with(rank, self.cfg.max_vertices, by_edge,
                                         new_tri)))
         return out
 
-    def _dead_end(self, changes, opposite, cycles, split: bool) -> str | None:
+    def _dead_end(self, changes, frozen, by_vertex, cycles,
+                  split: bool) -> str | None:
         """The rule by which no leaf below a child passes
         :func:`genus_surface_admissible` (the one-triangle candidate aside, which
         ``run`` emits directly), or None.  ``changes`` holds, for each
         vertex v the child changes, (v, valence, link shape, closed) after
         the change, where closed means that one link path joins the far ends
-        of v's two frozen edges; ``opposite`` holds the vertices opposite a
-        frozen edge, ``cycles`` the closed cycles of a freeze child whose
-        edge closes one (else none: the parent's passed R4), and ``split``
-        is :func:`_splits_boundary` of the child."""
+        of v's two frozen edges; ``frozen`` and ``by_vertex`` are the
+        parent's frozen edges and vertex index, ``cycles`` the closed cycles
+        of a freeze child whose edge closes one (else none: the parent's
+        passed R4), and ``split`` is :func:`_splits_boundary` of the child."""
         for v, k, shape, closed in changes:
             # R1: a frozen edge keeps its one triangle and a finished vertex
-            # stays interior, so that boundary edge's link stays off the boundary
-            if shape == "circle" and v in opposite:
+            # stays interior, so that boundary edge's link stays off the
+            # boundary.  v is opposite a frozen edge when its star has one as
+            # a link edge; only a cover child finishes v, and the link edges
+            # of its new triangle are not frozen, so the parent's star does
+            if shape == "circle" and any((p, q) in frozen
+                                         for _i, p, q in by_vertex[v]):
                 return "R1"
             # R2: a frozen end stays a link end, so a path joining both is
             # v's final link: no other link path can ever join it (the

@@ -28,11 +28,13 @@ vertex ranks and its boundary vertices' links.  Each valence task builds
 them once, for its m-fan; a child gets its parent's through
 ``core.with_triangle``, which appends the new triangle, and
 ``canon._ranks_with``, so a parent's tuple, dicts and lists never change.
-The link test is ``core.link_after`` on the carried links.  Its docstring
-argues that an interior vertex takes no further triangle, so the third
-vertex x of a new triangle on the edge (a, b) is tried only among the
-boundary vertices (those with a link) and the one fresh vertex.  A fresh
-x has valence 1 and the one link edge (a, b), so only a and b are tested.
+The link test is ``core.link_after`` on the carried links' path ends.  Its
+docstring argues that an interior vertex takes no further triangle and an
+edge in two triangles no third, so the third vertex x of a new triangle on
+the edge (a, b) is tried only among the boundary vertices (those with a
+link) and the one fresh vertex, and skipped when (a, x) or (b, x) is in two
+triangles.  A fresh x has valence 1 and the one link edge (a, b), so only a
+and b are tested.
 
 Open states are deduplicated by :class:`canon.Isomorphs`, the filter the
 genus-surface search uses too, with the minimal code as the certificate:
@@ -73,9 +75,9 @@ from .listing import CountsTable, SearchConfig, _map_maybe_parallel, enumerate_a
 
 # a growth state: its triangles in the order they were glued, with their
 # ``core.build_index`` (edge and vertex index by position), its boundary
-# vertices' links and its vertex ranks
+# vertices' links (path ends) and its vertex ranks
 State = tuple[tuple[Triangle, ...], dict[Edge, list[tuple[int, int]]],
-              dict[int, list[tuple[int, int, int]]], dict[int, tuple],
+              dict[int, list[tuple[int, int, int]]], dict[int, dict[int, int]],
               dict[int, int]]
 
 
@@ -87,7 +89,7 @@ def _m_fan(m: int) -> tuple[Triangle, ...]:
 
 
 def _children(tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
-              links: dict[int, tuple], rank: dict[int, int], m: int,
+              links: dict[int, dict], rank: dict[int, int], m: int,
               max_vertices: int) -> list[State]:
     open_edges = [e for e, ts in by_edge.items() if len(ts) == 1]
     if not open_edges:
@@ -108,6 +110,7 @@ def _children(tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
     for x in cands:
         new_tri = tuple(sorted((a, b, x)))
         ea, eb = tuple(sorted((a, x))), tuple(sorted((b, x)))
+        # an edge in two triangles takes no third (``core.link_after``)
         if len(by_edge.get(ea, ())) > 1 or len(by_edge.get(eb, ())) > 1:
             continue
         # the new triangle adds the link edge (p, q) at v; a fresh x has the

@@ -145,22 +145,34 @@ def link_shape(tris_at_v: Iterable[Triangle], v: int) -> str:
     return "bad"
 
 
-def sorted_links(links: dict) -> dict:
-    """Vertex -> ``core.link_ends`` link with each neighbour list sorted, so
-    that links compare up to neighbour order."""
-    return {v: ({x: sorted(nbrs) for x, nbrs in adj.items()}, partner)
-            for v, (adj, partner) in links.items()}
+def path_ends(tris_at_v: Iterable[Triangle], v: int) -> dict[int, int]:
+    """Path end -> the other end of its path in the link of ``v``, walked on
+    the link graph of its triangles, a circle or disjoint paths: the
+    reference that ``core.link_ends`` is compared with."""
+    adj: dict[int, list[int]] = {}
+    for t in tris_at_v:
+        p, q = (x for x in t if x != v)
+        adj.setdefault(p, []).append(q)
+        adj.setdefault(q, []).append(p)
+    ends = {}
+    for end, nbrs in adj.items():
+        if len(nbrs) == 1 and end not in ends:
+            prev, cur = end, nbrs[0]
+            while len(adj[cur]) == 2:
+                x, y = adj[cur]
+                prev, cur = cur, (y if x == prev else x)
+            ends[end], ends[cur] = cur, end
+    return ends
 
 
 def rebuilt_links(tris) -> dict:
-    """The links a growth state carries, rebuilt from its triangles in the
-    form of :func:`sorted_links`: boundary vertex -> ``core.link_ends`` of
-    its star; no interior vertex has one."""
+    """The links a growth state carries, rebuilt from its triangles:
+    boundary vertex -> :func:`path_ends` of its star; no interior vertex
+    has one."""
     boundary = {v for e, ts in edge_triangles(tris).items() if len(ts) == 1
                 for v in e}
-    return sorted_links({v: link_ends(star)
-                         for v, star in build_index(tris)[1].items()
-                         if v in boundary})
+    return {v: path_ends(ts, v) for v, ts in vertex_triangles(tris).items()
+            if v in boundary}
 
 
 def star_entries(tris_at_v: Iterable[Triangle], v: int) -> list:
@@ -291,7 +303,7 @@ def cone_and_classify(tris) -> SurfaceClass:
     assert validate(t).kind is SurfaceKind.SURFACE_WITH_BOUNDARY
     capped = list(t.triangles)
     apex = t.vertex_count
-    for cycle in boundary_cycles(t.triangles):
+    for cycle in boundary_cycles(edge_triangles(t.triangles)):
         apex += 1
         capped += [(cycle[i - 1], cycle[i], apex) for i in range(len(cycle))]
     return classify(Triangulation(capped))
@@ -376,7 +388,8 @@ def _is_disc(tris: tuple[Triangle, ...]) -> bool:
     if validate(t).kind is not SurfaceKind.SURFACE_WITH_BOUNDARY:
         return False
     tris = t.triangles
-    return _euler(tris, edge_triangles(tris)) == 1 and len(boundary_cycles(tris)) == 1
+    by_edge = edge_triangles(tris)
+    return _euler(tris, by_edge) == 1 and len(boundary_cycles(by_edge)) == 1
 
 
 def _relabel_contiguous(tris: Iterable[Triangle]) -> list[Triangle]:
@@ -428,7 +441,7 @@ def validate_decomposition(t: Triangulation, dec: Decomposition) -> Decompositio
     mv = max(vals.values())
     main = pieces[1]
     interior = {v for tri in main for v in tri} - {
-        v for c in boundary_cycles(main) for v in c
+        v for c in boundary_cycles(edge_triangles(main)) for v in c
     }
     if not any(vals[v] == mv for v in interior):
         return DecompositionCheck(

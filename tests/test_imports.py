@@ -61,9 +61,9 @@ def _called(node) -> set:
 
 def test_only_link_ends_builds_a_link_graph():
     # validation walks each vertex star over the edge index; both growth
-    # searches test a link with core.link_after on the graph core.link_ends
-    # builds for their start state, with no helper, so no other code builds
-    # a link graph
+    # searches test a link with core.link_after on the path ends that
+    # core.link_ends gives for their start state and core.link_with updates,
+    # so no other code builds a link
     callers = set()
     for path in PACKAGE_DIR.glob("*.py"):
         for name, function in _functions(path).items():
@@ -156,10 +156,11 @@ def test_oracle_builds_its_growth_indices_once_per_task():
 def test_one_index_builder_for_labeling_and_growth():
     # core.build_index is the package's one edge index, which validation,
     # the surface classes, the decomposition pieces, the canonical labeling
-    # and both growth searches read: validate, surface_class and
-    # boundary_cycles build it from their input, as do the public keys, the
-    # discs and the gluing bases; the searches once per start state and
-    # genus_surface_admissible for its valence and boundary tests.
+    # and both growth searches read: validate builds it from its input, as
+    # do the public keys, the discs, the genus-surfaces (once for their
+    # boundary cycles and capped class) and the gluing bases; the searches
+    # once per start state and genus_surface_admissible for its valence and
+    # boundary tests.  surface_class and boundary_cycles take it.
     # Isomorphs.add hands an arriving state's carried index to the
     # certificate and builds none; the kernels build none either
     callers = set()
@@ -169,10 +170,10 @@ def test_one_index_builder_for_labeling_and_growth():
             defined.add(name)
             if "build_index" in _called(function):
                 callers.add((path.stem, name))
-    assert callers == {("core", "validate"), ("core", "surface_class"),
-                       ("core", "boundary_cycles"),
+    assert callers == {("core", "validate"),
                        ("canon", "minimal_code"), ("canon", "flag_key"),
                        ("listing", "Disc.from_triangles"),
+                       ("listing", "GenusSurface.from_triangles"),
                        ("listing", "_disc_children"),
                        ("listing", "genus_surface_admissible"),
                        ("listing", "_roots_from_genus_surface"),

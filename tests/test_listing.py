@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (Decomposition, cone_and_classify, edge_triangles,
                       link_shape, rebuilt_links, reference_chords, reference_nonroots,
-                      reference_roots, relabel, sorted_links, star_triangles,
+                      reference_roots, relabel, star_triangles,
                       state_key, valences, validate_decomposition)
 from surfenum.canon import (Code, Isomorphs, _flag_key, _vertex_ranks, flag_key,
                             minimal_code)
@@ -166,7 +166,7 @@ def brute_force_discs(max_vertices: int) -> set:
             t = Triangulation(tris)
             if validate(t).kind is not SurfaceKind.SURFACE_WITH_BOUNDARY:
                 continue
-            cycles = boundary_cycles(t.triangles)
+            cycles = boundary_cycles(build_index(t.triangles)[0])
             verts = {v for tri in t.triangles for v in tri}
             chi = len(verts) - len(edge_triangles(t.triangles)) + len(t.triangles)
             if chi != 1 or len(cycles) != 1:
@@ -539,12 +539,14 @@ def _check_gluings(monkeypatch, cfg: SearchConfig, candidates: list) -> int:
 
     def checking(base, cycle, disc, *rest):
         nonlocal closed
-        others = {frozenset(c) for c in boundary_cycles(base)} - {frozenset(cycle)}
+        others = ({frozenset(c) for c in boundary_cycles(build_index(base)[0])}
+                  - {frozenset(cycle)})
         for glued in _gluings(base, cycle, disc, *rest):
             t = Triangulation(glued)
             if others:
                 assert validate(t).kind is SurfaceKind.SURFACE_WITH_BOUNDARY
-                assert {frozenset(c) for c in boundary_cycles(glued)} == others
+                assert {frozenset(c) for c in
+                        boundary_cycles(build_index(glued)[0])} == others
             else:
                 assert validate(t).kind is SurfaceKind.CLOSED_SURFACE
                 assert classify(t) == g.capped_class
@@ -893,7 +895,7 @@ class TestGenusSearchShortcuts:
             if id(link) in links_of:
                 _link, star, v = links_of[id(link)]
             else:
-                assert link == ({}, {})
+                assert link == {}
                 star, v = [], fresh[0]
             new_tri = tuple(sorted((v, p, q)))
             assert verdict == link_shape(star + [new_tri], v), (star, new_tri)
@@ -914,9 +916,9 @@ class TestGenusSearchShortcuts:
             if out is None:
                 return None
             states += 1
-            # the boundary vertex set behind the finished, opposite-vertex
-            # and all-interior-triangle tests of this state, as children
-            # reads it off the carried links
+            # the boundary vertex set behind the finished and
+            # all-interior-triangle tests of this state, as children reads
+            # it off the carried links
             bverts = {v for e, ts in edge_map.items() if len(ts) == 1 for v in e}
             n = search.cfg.max_vertices
             for v, star in vertex_triangles(tris).items():
@@ -935,6 +937,25 @@ class TestGenusSearchShortcuts:
         # emitted directly, so 24 of the 25 candidates are leaves
         assert states == 829 - 24
         assert set(verdicts) == {"bad", "circle", "interval", "paths"}
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_cover_child_skips_an_edge_in_two_triangles(self, specialized):
+        # the fan (1, 2, 3), (1, 3, 4), (1, 4, 5): 1's link is the path
+        # 2-3-4-5, and its inner vertex 4 is a boundary vertex.  The open
+        # edge (1, 2) is decided first, and (1, 2, 4) would put (1, 4) in
+        # three triangles.  link_after reads path ends alone and passes it
+        # at 1, 2 and 4, so the edge test in children is what skips it
+        tris = ((1, 2, 3), (1, 3, 4), (1, 4, 5))
+        by_edge, by_vertex = build_index(tris)
+        assert link_shape(list(tris) + [(1, 2, 4)], 1) == "bad"
+        search = _GenusSurfaceSearch(SearchConfig(8, specialized=specialized))
+        state = (tris, frozenset(), by_edge, by_vertex, rebuilt_links(tris),
+                 {}, [], _vertex_ranks(by_edge, by_vertex, (), 8))
+        children = search.children(*state)
+        assert all((1, 2, 4) not in child[0] for child in children)
+        # the freeze child of (1, 2) and the covers by 5 and the fresh 6
+        assert sorted(child[0][3:] for child in children) == [
+            (), ((1, 2, 5),), ((1, 2, 6),)]
 
     @pytest.mark.parametrize("specialized", [True, False])
     def test_search_makes_no_validate_call(self, monkeypatch, specialized):
@@ -1027,8 +1048,9 @@ class TestGenusSearchPruning:
         verdicts = []
         pruned = []
 
-        def recording(search, changes, opposite, cycles, split):
-            verdicts.append(real_dead_end(search, changes, opposite, cycles, split))
+        def recording(search, changes, frozen, by_vertex, cycles, split):
+            verdicts.append(real_dead_end(search, changes, frozen, by_vertex,
+                                          cycles, split))
             return None  # the rules patched out: every child is listed
 
         def pruning(search, *state):
@@ -1061,7 +1083,7 @@ class TestGenusSearchPruning:
             out = real_children(search, *state)
             if out is not None:
                 stack.extend(out)
-            elif (boundary_cycles(tris)
+            elif (boundary_cycles(build_index(tris)[0])
                   and genus_surface_admissible(
                       GenusSurface.from_triangles(tris), cfg)):
                 admissible.add(minimal_code(tris))
@@ -1082,7 +1104,8 @@ class TestGenusSearchPruning:
         cycles = [[next(labels) for _ in range(n)] for n in lengths]
         search = _GenusSurfaceSearch(SearchConfig(v, specialized=specialized))
         pruned = specialized and not hosted
-        assert search._dead_end([], set(), cycles, False) == ("R4" if pruned else None)
+        assert (search._dead_end([], frozenset(), {}, cycles, False)
+                == ("R4" if pruned else None))
 
     @pytest.mark.parametrize("specialized", [True, False])
     def test_one_closed_cycles_walk_per_freeze_child(self, monkeypatch,
@@ -1124,16 +1147,12 @@ class TestGenusSearchPruning:
             for x, y in frozen:
                 ends.setdefault(x, []).append(y)
                 ends.setdefault(y, []).append(x)
-            opposite = {by_edge[f][0][1] for f in frozen}
-            bedges = {e for e, ts in by_edge.items() if len(ts) == 1}
             return (by_edge, by_vertex, rebuilt_links(tris), as_sets(ends),
-                    opposite, closed_cycles(frozen), bedges,
+                    closed_cycles(frozen),
                     _vertex_ranks(by_edge, by_vertex, frozen, v))
 
-        def carried(by_edge, by_vertex, links, ends, opposite, cycles, bedges,
-                    rank):
-            return (by_edge, by_vertex, sorted_links(links), as_sets(ends),
-                    set(opposite), cycles, set(bedges), rank)
+        def carried(by_edge, by_vertex, links, ends, cycles, rank):
+            return by_edge, by_vertex, links, as_sets(ends), cycles, rank
 
         states = 0
         real_children = listing._GenusSurfaceSearch.children
@@ -1141,8 +1160,9 @@ class TestGenusSearchPruning:
         def checking(search, tris, frozen, *fields):
             nonlocal states
             states += 1
-            # a state carries its triangles as a tuple in glue order
-            assert type(tris) is tuple
+            # a state carries its triangles as a tuple in glue order, its
+            # frozen edges and the six fields that carried reads
+            assert type(tris) is tuple and len(fields) == 6
             reference = rebuilt(tris, frozen)
             assert carried(*fields) == reference
             out = real_children(search, tris, frozen, *fields)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import (edge_triangles, link_shape, oracle_start, rebuilt_links,
-                      relabel, sorted_links, star_triangles, valences)
+                      relabel, star_triangles, valences)
 from surfenum import canon, oracle
 from surfenum.canon import Isomorphs, _vertex_ranks, minimal_code
 from surfenum.core import (SurfaceKind, Triangulation, build_index, classify,
@@ -218,7 +218,7 @@ class TestGrowth:
                     _vertex_ranks(by_edge, by_vertex, (), v))
 
         def carried(by_edge, by_vertex, links, rank):
-            return by_edge, by_vertex, sorted_links(links), rank
+            return by_edge, by_vertex, links, rank
 
         def recording_after(link, p, q):
             verdict = real_after(link, p, q)
