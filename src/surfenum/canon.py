@@ -76,8 +76,9 @@ minimal code but is not mixed-lex minimal, so it is never stored or
 returned as a canonical form.
 
 Both growth searches, the genus-surface search and the brute-force oracle,
-drop isomorphs through :class:`Isomorphs`: it buckets states by the vertex
-ranks that :func:`flag_key` starts from, and calls the caller's certificate
+drop isomorphs through :class:`Isomorphs`: it buckets states by an
+order-free hash of their triangles' rank multisets, the vertex ranks that
+:func:`flag_key` starts from, and calls the caller's certificate
 (``flag_key``, ``minimal_code``) only where two states share a bucket.  A
 state carries its ranks in base V, its vertex budget (a link has at most
 V - 1 vertices, so no entry reaches V), each child's updated from its
@@ -568,10 +569,15 @@ class Isomorphs:
 
     @staticmethod
     def bucket(tris: Collection[Triangle], rank: dict[int, int]) -> int:
-        """The hash of a state's sorted triangles, each the sorted triple of
-        its vertices' ranks ``rank``."""
-        return hash(tuple(sorted(
-            tuple(sorted((rank[a], rank[b], rank[c]))) for a, b, c in tris)))
+        """A hash of the multiset of a state's triangles, each the multiset
+        of its vertices' ranks ``rank``: a sum over the triangles, so their
+        order does not count, of the hash of the ranks' elementary symmetric
+        polynomials, which fix the ranks up to order.  Nothing is sorted."""
+        total = 0
+        for a, b, c in tris:
+            x, y, z = rank[a], rank[b], rank[c]
+            total += hash((x + y + z, x * y + x * z + y * z, x * y * z))
+        return total
 
     def add(self, tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
             rank: dict[int, int], marked: Collection[Edge] = ()) -> bool:

@@ -17,18 +17,20 @@ each finished candidate is checked in full.
 Gluing the discs back recovers every root: an extra disc goes on each
 boundary cycle but the host one, then a main disc on the host cycle, in
 every rotation and direction that adds no triangle or edge already there,
-each distinct gluing once (rotations that a rim symmetry of the disc maps
-onto each other give one); the root's vertex count is the glued base's plus
-the main disc's interior count; a main disc's rotation is built only when
-the valences it gives the host cycle are in range.  Repeated vertex-adding
-moves recover the non-roots.  A main disc glued straight onto a
-genus-surface g is glued once per orbit of Aut(g), and a vertex is added
-once per orbit of triangles: an automorphism of the parent, fixing the new
-vertices, maps one child of an orbit onto the others (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26 (1998)).  Each piece carries what
-the gluing reads (a Disc its valences, chords and largest interior valence,
-m for a main disc; a GenusSurface its automorphisms), so the stages pass
-plain lists.  Discs and closed surfaces are keyed by their minimal code.
+one per class of rotations that a rim symmetry of the disc maps onto each
+other (they glue one complex up to its fresh labels); the root's vertex
+count is the glued base's plus the main disc's interior count; a main
+disc's rotation is built only when the valences it gives the host cycle
+are in range.  Repeated vertex-adding moves recover the non-roots.  A
+main disc glued straight onto a genus-surface g is glued once per orbit
+of Aut(g), and a vertex is added once per orbit of triangles: an
+automorphism of the parent, fixing the new vertices, maps one child of an
+orbit onto the others (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26 (1998)).  Each piece carries what the gluing reads (a Disc
+its valences, chords, largest interior valence, m for a main disc, and
+one rotation per rim-symmetry class; a GenusSurface its automorphisms),
+so the stages pass plain lists.  Discs and closed surfaces are keyed by
+their minimal code.
 The genus-surface search drops isomorphic states, frozen edges marked,
 through canon.Isomorphs with canon.flag_key as the certificate, read off
 each state's carried index and ranks.
@@ -50,7 +52,6 @@ from .core import (
     Triangle,
     boundary_cycles,
     build_index,
-    closed_cycles,
     link_after,
     link_ends,
     normalize_triangles,
@@ -99,29 +100,55 @@ def _host_splits(comps: Sequence[Sequence[int]], cfg: SearchConfig) -> list:
 class Disc:
     """A triangulated disc: one boundary cycle (the rim), Euler
     characteristic 1.  It carries what a gluing reads: its vertex valences,
-    its chords (inner edges with both ends on the rim) and its largest
-    interior valence, 0 with none; growth from an m-star keeps that m (see
-    :func:`_disc_children`).  Equality is that of (triangles, boundary)."""
+    its chords (inner edges with both ends on the rim), its largest
+    interior valence, 0 with none (growth from an m-star keeps that m, see
+    :func:`_disc_children`), and its rotations, the first rim map (reflect,
+    offset) of each coset r o G in the order (False, 0 .. L-1), (True, 0 ..
+    L-1), G the rim maps of its automorphisms ``autos`` (maps v -> image;
+    from :func:`canon.minimal_code`'s witnesses when not given); see
+    :func:`_gluings`.  Equality is that of (triangles, boundary)."""
 
     triangles: Code
     boundary: tuple[int, ...]
     valences: dict[int, int] = field(compare=False)
     max_interior_valence: int = field(compare=False)
     chords: tuple[Edge, ...] = field(compare=False)
+    rotations: tuple[tuple[bool, int], ...] = field(compare=False)
 
     @classmethod
-    def from_triangles(cls, triangles: Iterable[Triangle]) -> "Disc":
+    def from_triangles(cls, triangles: Iterable[Triangle],
+                       autos: Sequence[Sequence[int]] | None = None) -> "Disc":
         tris = normalize_triangles(triangles)
+        if autos is None:
+            # w0^-1 o w for each witness w, in the labels of tris
+            witnesses = minimal_code(tris, with_witnesses=True)[1]
+            back = {x: v for v, x in witnesses[0].items()}
+            autos = [{v: back[x] for v, x in w.items()} for w in witnesses]
         by_edge, by_vertex = build_index(tris)
         cycles = boundary_cycles(by_edge)
         if cycles is None or len(cycles) != 1:
             raise ValueError("a disc has exactly one boundary component")
-        rim = set(cycles[0])
+        rim = tuple(cycles[0])
+        L = len(rim)
+        at = {v: i for i, v in enumerate(rim)}
+        # the rim map (eps, s) of each automorphism: rim vertex i goes to
+        # s - i when it reflects (eps), else to s + i
+        group = {(at[p[rim[1]]] != (at[p[rim[0]]] + 1) % L, at[p[rim[0]]])
+                 for p in autos}
+        # r o (eps, s) = (reflect xor eps, offset - s or offset + s as r
+        # reflects or not); r is kept when it is the first of these
+        rotations = tuple(
+            (reflect, offset)
+            for reflect, offset in itertools.product((False, True), range(L))
+            if (reflect, offset) == min(
+                (reflect != eps, (offset - s if reflect else offset + s) % L)
+                for eps, s in group))
         vals = {v: len(star) for v, star in by_vertex.items()}
-        return cls(tris, tuple(cycles[0]), vals,
-                   max((k for v, k in vals.items() if v not in rim), default=0),
+        return cls(tris, rim, vals,
+                   max((k for v, k in vals.items() if v not in at), default=0),
                    tuple(e for e, ts in by_edge.items()
-                         if len(ts) == 2 and rim.issuperset(e)))
+                         if len(ts) == 2 and e[0] in at and e[1] in at),
+                   rotations)
 
     @property
     def vertex_count(self) -> int:
@@ -236,10 +263,10 @@ def _grow_discs(tris: frozenset, bnd: tuple[int, ...], m: float,
     stack = [(tris, bnd)]
     while stack:
         tris, bnd = stack.pop()
-        code = minimal_code(tris)
+        code, witnesses = minimal_code(tris, with_witnesses=True)
         if code in found:
             continue
-        found[code] = Disc.from_triangles(code)
+        found[code] = Disc.from_triangles(code, automorphisms(witnesses))
         stack.extend(_disc_children(tris, bnd, m, max_vertices))
     return list(found.values())
 
@@ -382,7 +409,11 @@ class _GenusSurfaceSearch:
     one-triangle edges not frozen.  A cover child appends its triangle
     through ``core.with_triangle``; a freeze child shares all of it but for
     the ranks of its edge's ends.  No stacked state has a pair R3 rejects (induction: a cover child adds no frozen
-    edge).  A freeze child whose edge closes no cycle keeps its parent's
+    edge).  A freeze child walks the frozen path from one end of its edge;
+    when the walk ends at the other, it is the new cycle, and R3 starts
+    from its edges only: they sat on an open path in the parent (None
+    against None passes), so every other pair compares as there.  A
+    freeze child whose edge closes no cycle keeps its parent's
     cycles, which passed R4, and only its edge's triangle touches a new
     frozen edge (no cycle vertex takes a third): R3 tests that one's pairs.
 
@@ -470,12 +501,15 @@ class _GenusSurfaceSearch:
                                 len(ends) == 1 and partner.get(ends[0]) == w))
             child = frozen | {e}
             # e closes a cycle exactly when the frozen path from a ends at b
-            prev, end = None, a
-            while nxt := [w for w in frozen_ends.get(end, ()) if w != prev]:
-                prev, end = end, nxt[0]
-            if end == b:  # not None: no vertex is on three frozen edges
-                new_cycles = closed_cycles(child)
-                split = _splits_boundary(new_cycles, child, tris, by_edge)
+            prev, walk = None, [a]
+            while nxt := [w for w in frozen_ends.get(walk[-1], ()) if w != prev]:
+                prev = walk[-1]
+                walk.append(nxt[0])
+            if walk[-1] == b:  # the walk is the new cycle: R3 round it
+                new_cycles = cycles + [walk]
+                split = _splits_boundary(
+                    new_cycles, child, tris, by_edge,
+                    [e] + [tuple(sorted(f)) for f in zip(walk, walk[1:])])
             else:  # the parent's cycles stand: R3 round e only (docstring)
                 new_cycles = []
                 split = _splits_boundary(cycles, child, tris, by_edge, (e,))
@@ -600,12 +634,12 @@ def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
              base_edges: Collection[Edge], room: dict[int, range] | None = None,
              autos: Sequence[tuple[int, ...]] = ()) -> Iterator[frozenset]:
     """``base`` with ``disc`` glued onto its boundary cycle ``cycle``, for
-    each rotation and direction of the rim that adds no triangle or edge
-    ``base`` already has (``base_edges``) and, when ``room`` is given, lands
-    each rim vertex of disc valence k on a cycle vertex c with k in
-    ``room[c]``.  Each distinct gluing is yielded once, so a rim symmetry
-    of the disc (all 2m rotations of a bare m-star) gives one, and so does
-    each orbit of the automorphisms ``autos`` of ``base`` (tuples as from
+    each of the disc's rotations (``Disc.rotations``) that adds no triangle
+    or edge ``base`` already has (``base_edges``) and, when ``room`` is
+    given, lands each rim vertex of disc valence k on a cycle vertex c with
+    k in ``room[c]``, tested before the rotation's mapping is built.  One
+    gluing is yielded per rotation class (one for a bare m-star) and per
+    orbit of the automorphisms ``autos`` of ``base`` (tuples as from
     :func:`canon.automorphisms`).
     The disc's interior vertices get fresh labels after ``base``'s, so
     only its triangles and chords with every vertex on the rim can land on
@@ -614,11 +648,16 @@ def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
     ``base`` only when ``base`` is that one triangle.  So ``disc`` must not
     be the lone triangle when ``base`` is one; no caller glues it so.
 
-    The orbit pruning is exact: an automorphism s of ``base``, extended to
-    fix the fresh labels, maps ``base`` with the disc image I glued onto
-    ``base`` with s(I) glued, so both have one minimal code.  The orbit of
-    each image is added to the seen images when the image is yielded, so a
-    later rotation that lands in it is skipped.  ``room`` is the valence
+    Both prunings are McKay's orbit argument and exact.  A rotation r =
+    (rho, o) sends rim vertex i to cycle position o + rho * i, and a rim
+    symmetry sigma = (phi, s) of the disc sends it to s + phi * i, so r o
+    sigma = (rho * phi, o + rho * s).  It passes ``room`` and the chord test
+    exactly when r does (sigma keeps valences and chords), and glues r's
+    complex relabeled on the fresh interior labels only.  An automorphism
+    s of ``base``, extended to fix the fresh labels, maps ``base`` with the
+    disc image I glued onto ``base`` with s(I) glued; the orbit of each
+    image yielded is added to the seen images, and a later rotation that
+    lands in it is skipped.  ``room`` is the valence
     precheck: a cycle vertex ends up with its valence in ``base`` plus its
     rim vertex's valence in the disc, and no other vertex's valence
     depends on the rotation, so the caller checks those once.
@@ -636,35 +675,35 @@ def _gluings(base: frozenset, cycle: Sequence[int], disc: Disc,
     genus-surface with every cycle capped is a closed surface of its capped
     class."""
     L = len(cycle)
-    if len(disc.boundary) != L:
-        raise ValueError(f"cycle length {L} vs disc boundary length {len(disc.boundary)}")
-    on_rim = set(disc.boundary)
+    rim = disc.boundary
+    if len(rim) != L:
+        raise ValueError(f"cycle length {L} vs disc boundary length {len(rim)}")
     fresh = max(v for t in base for v in t)
     inner: dict[int, int] = {}
     for v in disc.valences:
-        if v not in on_rim:
+        if v not in rim:
             fresh += 1
             inner[v] = fresh
     # the automorphisms extended to fix the fresh labels
     autos = [p + tuple(range(len(p), fresh + 1)) for p in autos]
     images = set()  # the disc's mapped triangles yielded, with their orbits
-    for reflect in (False, True):
-        for offset in range(L):
-            mapping = {v: cycle[(offset - i if reflect else offset + i) % L]
-                       for i, v in enumerate(disc.boundary)}
-            if room is not None and any(disc.valences[v] not in room[c]
-                                        for v, c in mapping.items()):
-                continue
-            if any(tuple(sorted((mapping[a], mapping[b]))) in base_edges
-                   for a, b in disc.chords):
-                continue
-            mapping.update(inner)
-            image = frozenset(tuple(sorted(mapping[v] for v in t)) for t in disc.triangles)
-            if image not in images:
-                images.add(image)
-                images.update(frozenset(tuple(sorted((p[a], p[b], p[c])))
-                                        for a, b, c in image) for p in autos)
-                yield base | image
+    for reflect, offset in disc.rotations:
+        step = -1 if reflect else 1
+        if room is not None and any(
+                disc.valences[v] not in room[cycle[(offset + step * i) % L]]
+                for i, v in enumerate(rim)):
+            continue
+        mapping = {v: cycle[(offset + step * i) % L] for i, v in enumerate(rim)}
+        if any(tuple(sorted((mapping[a], mapping[b]))) in base_edges
+               for a, b in disc.chords):
+            continue
+        mapping.update(inner)
+        image = frozenset(tuple(sorted(mapping[v] for v in t)) for t in disc.triangles)
+        if image not in images:
+            images.add(image)
+            images.update(frozenset(tuple(sorted((p[a], p[b], p[c])))
+                                    for a, b, c in image) for p in autos)
+            yield base | image
 
 
 def _index_discs(cfg: SearchConfig) -> tuple[dict[int, list[Disc]],

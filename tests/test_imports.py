@@ -110,6 +110,18 @@ def test_growth_children_build_no_link_and_no_ranks():
         assert not called & {"link_ends", "_vertex_ranks"}, name
 
 
+def test_only_boundary_cycles_walks_closed_cycles():
+    # a genus-search freeze child whose edge closes a cycle takes it from
+    # its own walk of the frozen path, so the walk of closed_cycles is left
+    # to the boundary of a finished complex
+    callers = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for name, function in _functions(path).items():
+            if "closed_cycles" in _called(function):
+                callers.add((path.stem, name))
+    assert callers == {("core", "boundary_cycles")}
+
+
 INDEX_BUILDERS = ("build_index", "vertex_triangles")
 
 

@@ -6,11 +6,12 @@ from collections import Counter
 import pytest
 
 from conftest import (Decomposition, cone_and_classify, edge_triangles,
-                      link_shape, rebuilt_links, reference_chords, reference_nonroots,
+                      link_shape, rebuilt_links, reference_chords,
+                      reference_gluings, reference_nonroots,
                       reference_roots, relabel, star_triangles,
                       state_key, valences, validate_decomposition)
-from surfenum.canon import (Code, Isomorphs, _flag_key, _vertex_ranks, flag_key,
-                            minimal_code)
+from surfenum.canon import (Code, Isomorphs, _flag_key, _flag_walk,
+                            _vertex_ranks, flag_key, minimal_code)
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     PROJECTIVE_PLANE,
@@ -255,6 +256,30 @@ class TestPieceRecords:
         [square] = extra[4]
         assert square.chords == ((1, 3),)
 
+    def test_disc_rotations_are_one_per_rim_symmetry_class(self):
+        # every main disc at V <= 9 and both extra discs
+        cfg = SearchConfig(max_vertices=9)
+        discs = [d for index in _index_discs(cfg) for ds in index.values()
+                 for d in ds]
+        assert len(discs) == 157
+        for disc in discs:
+            L = len(disc.boundary)
+            group = _brute_force_rim_group(disc)
+            assert len(disc.rotations) * len(group) == 2 * L
+            # the rotations meet every coset r o G once: the maps
+            # i -> r(g(i)) cover the dihedral group
+            maps = {tuple(_rim_map(r, L)[g_i] for g_i in _rim_map(g, L))
+                    for r in disc.rotations for g in group}
+            assert maps == {tuple(_rim_map(m, L)) for m in _all_rim_maps(L)}
+            # every rim map glued onto a base with no symmetry gives the
+            # complexes that the rotations give, one each
+            base, cycle = _asymmetric_base(L)
+            every = {minimal_code(g) for g in reference_gluings(base, cycle, disc)}
+            ours = [minimal_code(g) for g in
+                    _gluings(base, cycle, disc, edge_triangles(base))]
+            assert set(ours) == every
+            assert len(ours) == len(every) == len(disc.rotations)
+
     def test_genus_surfaces_carry_their_automorphisms(self):
         rng = random.Random(1998)
         gs = enumerate_genus_surfaces(SearchConfig(max_vertices=8))
@@ -279,10 +304,56 @@ class TestPieceRecords:
             assert back.valences == disc.valences
             assert back.max_interior_valence == disc.max_interior_valence == 5
             assert back.chords == disc.chords
+            assert back.rotations == disc.rotations
         for g in enumerate_genus_surfaces(SearchConfig(max_vertices=7)):
             back = pickle.loads(pickle.dumps(g))
             assert back == g
             assert back.automorphisms == g.automorphisms
+
+
+def _all_rim_maps(L: int) -> list:
+    return [(reflect, offset) for reflect in (False, True) for offset in range(L)]
+
+
+def _rim_map(rotation, L: int) -> list:
+    """The rim position each rim position i goes to under ``rotation``."""
+    reflect, offset = rotation
+    return [(offset - i if reflect else offset + i) % L for i in range(L)]
+
+
+def _brute_force_rim_group(disc) -> list:
+    """The rim maps of ``disc`` that an automorphism realizes: those under
+    which the flag walk from the rim flag (b0, b1, apex) and from its image
+    give one walk code."""
+    by_edge = build_index(disc.triangles)[0]
+    rim = disc.boundary
+
+    def walk_code(x, y):
+        [(i, apex)] = by_edge[(x, y) if x < y else (y, x)]
+        return _flag_walk(by_edge, len(disc.triangles), (x, y, apex), i, None)[0]
+
+    code = walk_code(rim[0], rim[1])
+    return [m for m in _all_rim_maps(len(rim))
+            if walk_code(*(rim[j] for j in _rim_map(m, len(rim))[:2])) == code]
+
+
+def _asymmetric_base(L: int) -> tuple[frozenset, tuple]:
+    """A collar on the cycle 1 .. L, with no symmetry: outside cycle edge
+    (i, i+1) the triangle (i, i+1, q) and round cycle vertex i a fan of
+    i + 1 triangles from the q of edge (i-1, i) to that of (i, i+1), so
+    that no two rim maps glue isomorphic complexes unless a disc symmetry
+    relates them."""
+    fans = []  # the outer path of each cycle vertex's fan, less its end
+    fresh = L + 1
+    for i in range(1, L + 1):
+        fans.append(list(range(fresh, fresh + i + 1)))
+        fresh += i + 1
+    base = set()
+    for i in range(L):
+        path = fans[i] + [fans[(i + 1) % L][0]]
+        base.update(tuple(sorted((i + 1, p, q))) for p, q in zip(path, path[1:]))
+        base.add(tuple(sorted((i + 1, (i + 1) % L + 1, path[-1]))))
+    return frozenset(base), tuple(range(1, L + 1))
 
 
 def icosahedron() -> Code:
@@ -1108,8 +1179,8 @@ class TestGenusSearchPruning:
                 == ("R4" if pruned else None))
 
     @pytest.mark.parametrize("specialized", [True, False])
-    def test_one_closed_cycles_walk_per_freeze_child(self, monkeypatch,
-                                                     specialized):
+    def test_closed_cycles_walks_only_emitted_boundaries(self, monkeypatch,
+                                                         specialized):
         from surfenum.core import closed_cycles
 
         calls = [0]
@@ -1120,14 +1191,17 @@ class TestGenusSearchPruning:
 
         for mod in _package_modules_holding(closed_cycles):
             monkeypatch.setattr(mod, "closed_cycles", counting)
-        _GenusSurfaceSearch(SearchConfig(max_vertices=8,
-                                         specialized=specialized)).run()
-        # one per freeze child whose edge closes a cycle (156) and one per
-        # emitted candidate's boundary (25); 616 when every freeze child
-        # walked its frozen edges, 1,256 and 665 when the specialized host
-        # rule and the split rule each walked the frozen cycles, and emit
-        # built two candidates
-        assert calls[0] <= 181
+        search = _GenusSurfaceSearch(SearchConfig(max_vertices=8,
+                                                  specialized=specialized))
+        search.run()
+        # one per emitted candidate's boundary: a freeze child whose edge
+        # closes a cycle takes it from its walk of the frozen path.  181
+        # when each such child walked its frozen edges again (156), 616
+        # when every freeze child did, 1,256 and 665 when the specialized
+        # host rule and the split rule each walked the frozen cycles, and
+        # emit built two candidates
+        assert len(search.emitted) == 25
+        assert calls[0] == 25
 
     @pytest.mark.parametrize("v", [6, 7, 8])
     @pytest.mark.parametrize("specialized", [True, False])
@@ -1148,11 +1222,18 @@ class TestGenusSearchPruning:
                 ends.setdefault(x, []).append(y)
                 ends.setdefault(y, []).append(x)
             return (by_edge, by_vertex, rebuilt_links(tris), as_sets(ends),
-                    closed_cycles(frozen),
+                    cycle_edges(closed_cycles(frozen)),
                     _vertex_ranks(by_edge, by_vertex, frozen, v))
 
+        def cycle_edges(cycles):
+            # the cycles as a set of edge sets: a cycle taken from a freeze
+            # child's walk starts and turns where the walk did
+            return {frozenset(tuple(sorted((c[i - 1], c[i])))
+                              for i in range(len(c))) for c in cycles}
+
         def carried(by_edge, by_vertex, links, ends, cycles, rank):
-            return by_edge, by_vertex, links, as_sets(ends), cycles, rank
+            return (by_edge, by_vertex, links, as_sets(ends),
+                    cycle_edges(cycles), rank)
 
         states = 0
         real_children = listing._GenusSurfaceSearch.children
@@ -1176,9 +1257,10 @@ class TestGenusSearchPruning:
         def checking_splits(cycles, bedges, tris, by_edge, starts=None):
             verdict = real_splits(cycles, bedges, tris, by_edge, starts)
             if starts is not None:
-                # a freeze child whose edge closes no cycle: R3 round it
-                # alone agrees with R3 over every frozen edge
-                local[verdict] += 1
+                # a freeze child: R3 round its edge alone, or round the
+                # cycle its edge closes, agrees with R3 over every frozen
+                # edge
+                local[len(starts) > 1, verdict] += 1
                 assert verdict == real_splits(closed_cycles(bedges), bedges,
                                               tris, by_edge)
             return verdict
@@ -1190,7 +1272,10 @@ class TestGenusSearchPruning:
         assert states == search.expanded == {6: 15, 7: 78, 8: 829}[v]
         assert sum(local.values()) > 0
         if v == 8:
-            assert set(local) == {True, False}
+            # both verdicts, on freeze children that close a cycle and on
+            # those that do not
+            assert set(local) == {(closes, verdict) for closes in (True, False)
+                                  for verdict in (True, False)}
 
 
 class TestWorkerPools:
