@@ -221,18 +221,8 @@ def _search(
                     continue
             for i in candidates:
                 missing = [x for x in tris[i] if x not in label]
-                if len(missing) <= 1:
-                    orders = [tuple(missing)]
-                elif len(missing) == 2:
-                    orders = [(missing[0], missing[1]), (missing[1], missing[0])]
-                else:
-                    a, b, c = missing
-                    orders = [
-                        (a, b, c), (a, c, b), (b, a, c),
-                        (b, c, a), (c, a, b), (c, b, a),
-                    ]
                 used[i] = True
-                for order in orders:
+                for order in itertools.permutations(missing):
                     for k, x in enumerate(order):
                         label[x] = next_label + k
                         vertex_of[next_label + k] = x

@@ -54,7 +54,6 @@ from .core import (
     build_index,
     link_after,
     link_ends,
-    normalize_triangles,
     surface_class,
     with_triangle,
 )
@@ -104,8 +103,8 @@ class Disc:
     interior valence, 0 with none (growth from an m-star keeps that m, see
     :func:`_disc_children`), and its rotations, the first rim map (reflect,
     offset) of each coset r o G in the order (False, 0 .. L-1), (True, 0 ..
-    L-1), G the rim maps of its automorphisms ``autos`` (maps v -> image;
-    from :func:`canon.minimal_code`'s witnesses when not given); see
+    L-1), G the rim maps of the automorphisms ``autos`` of its minimal
+    code ``code`` (maps v -> image, from :func:`canon.automorphisms`); see
     :func:`_gluings`.  Equality is that of (triangles, boundary)."""
 
     triangles: Code
@@ -116,15 +115,9 @@ class Disc:
     rotations: tuple[tuple[bool, int], ...] = field(compare=False)
 
     @classmethod
-    def from_triangles(cls, triangles: Iterable[Triangle],
-                       autos: Sequence[Sequence[int]] | None = None) -> "Disc":
-        tris = normalize_triangles(triangles)
-        if autos is None:
-            # w0^-1 o w for each witness w, in the labels of tris
-            witnesses = minimal_code(tris, with_witnesses=True)[1]
-            back = {x: v for v, x in witnesses[0].items()}
-            autos = [{v: back[x] for v, x in w.items()} for w in witnesses]
-        by_edge, by_vertex = build_index(tris)
+    def from_triangles(cls, code: Code,
+                       autos: Sequence[Sequence[int]]) -> "Disc":
+        by_edge, by_vertex = build_index(code)
         cycles = boundary_cycles(by_edge)
         if cycles is None or len(cycles) != 1:
             raise ValueError("a disc has exactly one boundary component")
@@ -144,7 +137,7 @@ class Disc:
                 (reflect != eps, (offset - s if reflect else offset + s) % L)
                 for eps, s in group))
         vals = {v: len(star) for v, star in by_vertex.items()}
-        return cls(tris, rim, vals,
+        return cls(code, rim, vals,
                    max((k for v, k in vals.items() if v not in at), default=0),
                    tuple(e for e, ts in by_edge.items()
                          if len(ts) == 2 and e[0] in at and e[1] in at),
@@ -710,12 +703,8 @@ def _index_discs(cfg: SearchConfig) -> tuple[dict[int, list[Disc]],
                                              dict[int, list[Disc]]]:
     """The main discs, of hub valence m = 4 .. V-1, and the extra discs,
     both keyed by boundary length.  Up to 11 vertices the extra discs are
-    the triangle and the square."""
-    if cfg.specialized:
-        extras = [Disc.from_triangles([(1, 2, 3)]),
-                  Disc.from_triangles([(1, 2, 3), (1, 3, 4)])]
-    else:
-        extras = enumerate_discs(cfg)
+    those with at most four vertices: the triangle and the square."""
+    extras = enumerate_discs(SearchConfig(4) if cfg.specialized else cfg)
     mains = (disc for m in range(4, cfg.max_vertices)
              for disc in enumerate_main_discs(m, cfg.max_vertices))
     main: dict[int, list[Disc]] = {}

@@ -72,17 +72,9 @@ def inverse_t_move(t: Triangulation, v: int) -> Triangulation:
         raise LinkBoundsTriangleError(
             f"link of vertex {v} already bounds a triangle"
         )
-    return Triangulation(_remove_vertex(t.triangles, v))
-
-
-def _remove_vertex(tris: Sequence[Triangle], v: int) -> list[Triangle]:
-    """:func:`inverse_t_move` on a list of sorted triangles without its
-    checks: ``v`` must be a removable vertex of ``tris``.  The move keeps a
-    closed surface closed, and every triangle stays sorted."""
-    out = [u for u in tris if v not in u]
-    out.append(tuple(sorted({x for u in tris if v in u for x in u if x != v})))
+    out = [u for u in t.triangles if v not in u] + [neighbours]
     compact = lambda x: x - 1 if x > v else x
-    return [tuple(compact(x) for x in tri) for tri in out]
+    return Triangulation([tuple(compact(x) for x in tri) for tri in out])
 
 
 def _removable_vertices(tris: Sequence[Triangle]) -> list[int]:

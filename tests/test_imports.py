@@ -200,9 +200,25 @@ def test_one_index_builder_for_labeling_and_growth():
         assert not _called(canon[name]) & {*INDEX_BUILDERS, "_vertex_ranks"}, name
 
 
+def test_only_the_disc_grower_builds_discs():
+    # every Disc, the extra discs too, is a grown disc's minimal code with
+    # the automorphisms of its witnesses; GenusSurface.from_triangles is
+    # another method of the same name
+    callers = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for name, function in _functions(path).items():
+            if any(isinstance(n, ast.Call)
+                   and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "from_triangles"
+                   and getattr(n.func.value, "id", None) == "Disc"
+                   for n in ast.walk(function)):
+                callers.add((path.stem, name))
+    assert callers == {("listing", "_grow_discs")}
+
+
 # module-level names that only tests use, each with the test that uses it:
-# the two checked moves on a Triangulation; the pipeline runs the unchecked
-# kernels behind them on triangle lists
+# the two checked moves on a Triangulation; the pipeline cones with the
+# unchecked kernel behind t_move, and compute_root removes vertices itself
 TEST_ONLY_NAMES = {
     "inverse_t_move": "test_moves.py::TestTMove::test_round_trip",
     "t_move": "test_moves.py::TestTMove::test_five_vertex_sphere",

@@ -26,7 +26,6 @@ from surfenum.core import (
 )
 from surfenum.listing import (
     CountsTable,
-    Disc,
     GenusSurface,
     SearchConfig,
     _disc_children,
@@ -254,7 +253,7 @@ class TestPieceRecords:
                 assert disc.interior_count == 0
         # the square's diagonal is its one chord
         [square] = extra[4]
-        assert square.chords == ((1, 3),)
+        assert square.chords == ((1, 2),)
 
     def test_disc_rotations_are_one_per_rim_symmetry_class(self):
         # every main disc at V <= 9 and both extra discs
@@ -369,7 +368,7 @@ def icosahedron() -> Code:
 class TestGluing:
     def test_mobius_plus_star_gives_projective_plane(self, mobius, rp2_six):
         g = GenusSurface.from_triangles(mobius.triangles)
-        star = Disc.from_triangles(closed_star(5))
+        [star] = enumerate_main_discs(5, 6)
         results = {minimal_code(glued)
                    for glued in _gluings(frozenset(g.triangles), g.boundary[0], star,
                                          edge_triangles(g.triangles))
@@ -382,13 +381,13 @@ class TestGluing:
         base = frozenset(mobius.triangles)
         cycle = GenusSurface.from_triangles(mobius.triangles).boundary[0]
         cone = {tuple(sorted((6, cycle[i - 1], cycle[i]))) for i in range(5)}
-        star = Disc.from_triangles(closed_star(5))
+        [star] = enumerate_main_discs(5, 6)
         assert list(_gluings(base, cycle, star,
                              edge_triangles(base))) == [base | cone]
 
     def test_boundary_length_mismatch(self, mobius):
         g = GenusSurface.from_triangles(mobius.triangles)
-        star4 = Disc.from_triangles(closed_star(4))
+        [star4] = enumerate_main_discs(4, 5)
         with pytest.raises(ValueError, match="cycle length 5 vs disc boundary length 4"):
             next(_gluings(frozenset(g.triangles), g.boundary[0], star4,
                           edge_triangles(g.triangles)))
@@ -403,7 +402,7 @@ class TestGluing:
         g = GenusSurface.from_triangles(
             minimal_code([t for t in ico if 1 not in t and 12 not in t]))
         assert [len(c) for c in g.boundary] == [5, 5]
-        star = Disc.from_triangles(closed_star(5))
+        [star] = enumerate_main_discs(5, 6)
         discs = ({5: [star]}, {5: [star]})
         # g's automorphisms do not act once an extra disc is glued
         assert _roots_from_genus_surface(
