@@ -22,15 +22,17 @@ other (they glue one complex up to its fresh labels); the root's vertex
 count is the glued base's plus the main disc's interior count; a main
 disc's rotation is built only when the valences it gives the host cycle
 are in range.  Repeated vertex-adding moves recover the non-roots.  A
-main disc glued straight onto a genus-surface g is glued once per orbit
-of Aut(g), and a vertex is added once per orbit of triangles: an
-automorphism of the parent, fixing the new vertices, maps one child of an
-orbit onto the others (McKay, "Isomorph-free exhaustive generation", J.
-Algorithms 26 (1998)).  Each piece carries what the gluing reads (a Disc
-its valences, chords, largest interior valence, m for a main disc, and
-one rotation per rim-symmetry class; a GenusSurface its automorphisms),
-so the stages pass plain lists.  Discs and closed surfaces are keyed by
-their minimal code.
+disc grows one triangle once per orbit of that triangle, a main disc
+glued straight onto a genus-surface g is glued once per orbit of Aut(g),
+and a vertex is added once per orbit of triangles: an automorphism of the
+parent, fixing the new vertices, maps one child of an orbit onto the
+others (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26
+(1998)).  For a disc, an automorphism p of its code maps the child code +
+t onto code + p(t), and p keeps the valences and chords that growth
+tests.  Each piece carries what the gluing reads (a Disc its valences,
+chords, largest interior valence, m for a main disc, and one rotation per
+rim-symmetry class; a GenusSurface its automorphisms), so the stages pass
+plain lists.  Discs and closed surfaces are keyed by their minimal code.
 The genus-surface search drops isomorphic states, frozen edges marked,
 through canon.Isomorphs with canon.flag_key as the certificate, read off
 each state's carried index and ranks.
@@ -129,19 +131,20 @@ class Disc:
         group = {(at[p[rim[1]]] != (at[p[rim[0]]] + 1) % L, at[p[rim[0]]])
                  for p in autos}
         # r o (eps, s) = (reflect xor eps, offset - s or offset + s as r
-        # reflects or not); r is kept when it is the first of these
-        rotations = tuple(
-            (reflect, offset)
-            for reflect, offset in itertools.product((False, True), range(L))
-            if (reflect, offset) == min(
-                (reflect != eps, (offset - s if reflect else offset + s) % L)
-                for eps, s in group))
+        # reflects or not); r is kept when no earlier r marked its coset
+        rotations, marked = [], set()
+        for reflect, offset in itertools.product((False, True), range(L)):
+            if (reflect, offset) not in marked:
+                rotations.append((reflect, offset))
+                marked.update(
+                    (reflect != eps, (offset - s if reflect else offset + s) % L)
+                    for eps, s in group)
         vals = {v: len(star) for v, star in by_vertex.items()}
         return cls(code, rim, vals,
                    max((k for v, k in vals.items() if v not in at), default=0),
                    tuple(e for e, ts in by_edge.items()
                          if len(ts) == 2 and e[0] in at and e[1] in at),
-                   rotations)
+                   tuple(rotations))
 
     @property
     def vertex_count(self) -> int:
@@ -219,48 +222,56 @@ class CountsTable:
 # Step 1: triangulated discs
 # --------------------------------------------------------------------------
 
-def _disc_children(tris: frozenset, bnd: tuple[int, ...], m: float,
-                   max_vertices: int) -> list[tuple[frozenset, tuple[int, ...]]]:
-    """One-triangle extensions of the disc ``tris`` with boundary cycle
-    ``bnd`` that keep boundary valences at most m-1 and make no interior
-    vertex of valence outside [4, m]: a fresh vertex on a boundary edge, or
-    a closed corner that becomes interior with a new far edge."""
-    by_edge, by_vertex = build_index(tris)
-    n_v = len(by_vertex)  # labels are 1..n_v
-    n = len(bnd)
+def _disc_children(disc: Disc, m: float, max_vertices: int) -> list[Triangle]:
+    """The new triangle of each one-triangle extension of ``disc``, in its
+    labels, that keeps boundary valences at most m-1 and makes no interior
+    vertex of valence outside [4, m]: a fresh vertex on a rim edge, or a
+    closed corner that becomes interior with a new far edge.  It reads the
+    disc's valences, rim and chords, and builds no index."""
+    vals, rim = disc.valences, disc.boundary
+    fresh = len(vals) + 1  # labels are 1..n_v
+    n = len(rim)
     out = []
     for i in range(n):
-        a, b, c = bnd[i], bnd[(i + 1) % n], bnd[(i + 2) % n]
+        a, b, c = rim[i], rim[(i + 1) % n], rim[(i + 2) % n]
         # the valences of a, b and c with one more triangle
-        ka, kb, kc = (len(by_vertex[v]) + 1 for v in (a, b, c))
+        ka, kb, kc = vals[a] + 1, vals[b] + 1, vals[c] + 1
         # a fresh vertex on the edge (a, b): both endpoints stay on the boundary
-        if n_v < max_vertices and ka <= m - 1 and kb <= m - 1:
-            w = n_v + 1
-            out.append((tris | {tuple(sorted((a, b, w)))},
-                        bnd[:i + 1] + (w,) + bnd[i + 1:]))
+        if fresh <= max_vertices and ka <= m - 1 and kb <= m - 1:
+            out.append(tuple(sorted((a, b, fresh))))
         # close the corner at b with the triangle (a, b, c): b becomes
-        # interior and (a, c) a boundary edge, which must be new (on a
-        # 3-cycle boundary it is already one)
-        if (4 <= kb <= m and ka <= m - 1 and kc <= m - 1
-                and tuple(sorted((a, c))) not in by_edge):
-            j = (i + 1) % n
-            out.append((tris | {tuple(sorted((a, b, c)))}, bnd[:j] + bnd[j + 1:]))
+        # interior and (a, c) a boundary edge, which must be new.  On a
+        # 3-cycle rim it is a rim edge; on a longer one, with a and c two
+        # apart, it is an edge only as a chord
+        if (4 <= kb <= m and ka <= m - 1 and kc <= m - 1 and n > 3
+                and tuple(sorted((a, c))) not in disc.chords):
+            out.append(tuple(sorted((a, b, c))))
     return out
 
 
-def _grow_discs(tris: frozenset, bnd: tuple[int, ...], m: float,
+def _grow_discs(tris: Iterable[Triangle], m: float,
                 max_vertices: int) -> list[Disc]:
-    """Every disc grown from the disc ``tris`` with boundary ``bnd``, one
-    canonical copy per isomorphism class, in discovery order."""
+    """Every disc grown from the disc ``tris`` by :func:`_disc_children`,
+    one canonical copy per isomorphism class, in discovery order.  Each
+    disc popped is coded; a new one is grown from its minimal code, one
+    child per orbit of the new triangle under the code's automorphisms
+    extended to fix the fresh vertex (module docstring)."""
     found: dict[Code, Disc] = {}
-    stack = [(tris, bnd)]
+    stack = [tris]
     while stack:
-        tris, bnd = stack.pop()
-        code, witnesses = minimal_code(tris, with_witnesses=True)
+        code, witnesses = minimal_code(stack.pop(), with_witnesses=True)
         if code in found:
             continue
-        found[code] = Disc.from_triangles(code, automorphisms(witnesses))
-        stack.extend(_disc_children(tris, bnd, m, max_vertices))
+        autos = automorphisms(witnesses)
+        disc = found[code] = Disc.from_triangles(code, autos)
+        # p[0] = 0, so the fresh vertex is len(p)
+        autos = [p + (len(p),) for p in autos]
+        grown = set()
+        for t in _disc_children(disc, m, max_vertices):
+            if t not in grown:
+                a, b, c = t
+                grown.update(tuple(sorted((p[a], p[b], p[c]))) for p in autos)
+                stack.append(code + (t,))
     return list(found.values())
 
 
@@ -273,14 +284,13 @@ def enumerate_main_discs(max_interior_valence: int,
     # the closed star of the hub 1 with rim 2 .. m+1
     rim = tuple(range(2, m + 2))
     star = frozenset(tuple(sorted((1, rim[i - 1], rim[i]))) for i in range(m))
-    return _grow_discs(star, rim, m, max_vertices)
+    return _grow_discs(star, m, max_vertices)
 
 
 def enumerate_discs(cfg: SearchConfig) -> set[Disc]:
     """All triangulated discs with at most the configured number of
     vertices and no 3-valent interior vertex, up to isomorphism."""
-    return set(_grow_discs(frozenset({(1, 2, 3)}), (1, 2, 3), math.inf,
-                           cfg.max_vertices))
+    return set(_grow_discs(((1, 2, 3),), math.inf, cfg.max_vertices))
 
 
 # --------------------------------------------------------------------------
@@ -469,15 +479,21 @@ class _GenusSurfaceSearch:
     def children(self, tris: tuple, frozen: frozenset, by_edge: dict,
                  by_vertex: dict, links: dict, frozen_ends: dict, cycles: list,
                  rank: dict):
-        open_edges = [f for f, ts in by_edge.items()
-                      if len(ts) == 1 and f not in frozen]
-        if not open_edges:
+        # fail first: the open edge at the most advanced vertex (docstring),
+        # in one pass: 5 x the larger valence + the frozen ends at both ends,
+        # at most 4, orders as the valence and then the ends; ties go to the
+        # least edge
+        e, best = None, -1
+        for f, ts in by_edge.items():
+            if len(ts) == 1 and f not in frozen:
+                p, q = f
+                kp, kq = len(by_vertex[p]), len(by_vertex[q])
+                score = (5 * (kp if kp > kq else kq) + len(frozen_ends.get(p, ()))
+                         + len(frozen_ends.get(q, ())))
+                if score > best or score == best and f < e:
+                    e, best = f, score
+        if e is None:
             return None
-        # fail first: the open edge at the most advanced vertex (docstring)
-        e = min(open_edges, key=lambda e: (
-            -max(len(by_vertex[e[0]]), len(by_vertex[e[1]])),
-            -len(frozen_ends.get(e[0], ())) - len(frozen_ends.get(e[1], ())),
-            e))
         a, b = e
         out = []
         # freezing e leaves a vertex on at most two frozen edges, and the
@@ -545,15 +561,16 @@ class _GenusSurfaceSearch:
                 changes.append((v, k, shape, closed))
             if len(changes) < 3:
                 continue  # the loop stopped at a failing vertex
-            finished = {v: shape == "circle" for v, _k, shape, _c in changes}
             # no triangle may end up with all three vertices interior; such a
             # triangle meets a, b or x, so one of them has just been finished
-            if any(all(finished[u] if u in finished else u not in links
-                       for u in t)
-                   for v in (a, b, x) if finished[v]
-                   for t in itertools.chain(
-                       (tris[i] for i, _p, _q in by_vertex.get(v, ())),
-                       (new_tri,))):
+            # (a fresh x finishes none of them: it is on no link)
+            finished = [v for v, _k, shape, _c in changes if shape == "circle"]
+            if finished and any(
+                    all(u in finished or u not in links for u in t)
+                    for v in finished
+                    for t in itertools.chain(
+                        (tris[i] for i, _p, _q in by_vertex.get(v, ())),
+                        (new_tri,))):
                 continue
             # the new triangle has no frozen edge and closes no cycle of
             # them, so it splits no boundary

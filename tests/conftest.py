@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -6,7 +7,7 @@ from typing import Iterable, Sequence
 import pytest
 
 from surfenum.canon import (Code, Isomorphs, _minimal_code, _vertex_ranks,
-                            minimal_code)
+                            automorphisms, minimal_code)
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (KLEIN_BOTTLE, SPHERE, Edge, SurfaceClass,
                            SurfaceKind, Triangle, Triangulation,
@@ -468,6 +469,57 @@ def reference_nonroots(root: Triangulation, max_vertices: int) -> set[Code]:
                     nxt.append(moved)
         frontier = nxt
     return found
+
+
+def reference_rotations(rim: Sequence[int], autos) -> tuple[tuple[bool, int], ...]:
+    """The rotations of a disc with rim ``rim`` and automorphisms ``autos``
+    (as from :func:`canon.automorphisms`): each rim map (reflect, offset),
+    rim vertex i to cycle position offset -/+ i, that is the least of its
+    class r o p over the rim permutations p of the automorphisms,
+    composed as position lists."""
+    L = len(rim)
+    at = {v: i for i, v in enumerate(rim)}
+    perms = [[at[p[v]] for v in rim] for p in autos]
+    rotations = []
+    for reflect, offset in itertools.product((False, True), range(L)):
+        r = [(offset - i if reflect else offset + i) % L for i in range(L)]
+        composed = ([r[j] for j in perm] for perm in perms)
+        if (reflect, offset) == min((pos[1] != (pos[0] + 1) % L, pos[0])
+                                    for pos in composed):
+            rotations.append((reflect, offset))
+    return tuple(rotations)
+
+
+def reference_discs(tris: Iterable[Triangle], m: float,
+                    max_vertices: int) -> set[tuple]:
+    """(triangles, boundary, rotations) of every disc grown from the disc
+    ``tris``, one per isomorphism class: the un-pruned reference for
+    ``listing._grow_discs``.  It codes every disc it pops and pushes every
+    one-triangle extension that keeps boundary valences at most m-1 and
+    makes no interior vertex of valence outside [4, m]: a fresh vertex on a
+    boundary edge, or a closed corner whose far edge is new."""
+    found: dict[Code, tuple] = {}
+    stack = [frozenset(tris)]
+    while stack:
+        tris = stack.pop()
+        code, witnesses = minimal_code(tris, with_witnesses=True)
+        if code in found:
+            continue
+        [rim] = boundary_cycles(build_index(code)[0])
+        found[code] = (code, tuple(rim),
+                       reference_rotations(rim, automorphisms(witnesses)))
+        by_edge, by_vertex = build_index(tris)
+        [bnd] = boundary_cycles(by_edge)
+        n_v, n = len(by_vertex), len(bnd)
+        for i in range(n):
+            a, b, c = bnd[i], bnd[(i + 1) % n], bnd[(i + 2) % n]
+            ka, kb, kc = (len(by_vertex[v]) + 1 for v in (a, b, c))
+            if n_v < max_vertices and ka <= m - 1 and kb <= m - 1:
+                stack.append(tris | {tuple(sorted((a, b, n_v + 1)))})
+            if (4 <= kb <= m and ka <= m - 1 and kc <= m - 1
+                    and tuple(sorted((a, c))) not in by_edge):
+                stack.append(tris | {tuple(sorted((a, b, c)))})
+    return set(found.values())
 
 
 def reference_chords(disc) -> list[Edge]:

@@ -169,7 +169,8 @@ def test_one_index_builder_for_labeling_and_growth():
     # core.build_index is the package's one edge index, which validation,
     # the surface classes, the decomposition pieces, the canonical labeling
     # and both growth searches read: validate builds it from its input, as
-    # do the public keys, the discs, the genus-surfaces (once for their
+    # do the public keys, the discs (whose growth reads the Disc's own
+    # valences, rim and chords), the genus-surfaces (once for their
     # boundary cycles and capped class) and the gluing bases; the searches
     # once per start state and genus_surface_admissible for its valence and
     # boundary tests.  surface_class and boundary_cycles take it.
@@ -186,7 +187,6 @@ def test_one_index_builder_for_labeling_and_growth():
                        ("canon", "minimal_code"), ("canon", "flag_key"),
                        ("listing", "Disc.from_triangles"),
                        ("listing", "GenusSurface.from_triangles"),
-                       ("listing", "_disc_children"),
                        ("listing", "genus_surface_admissible"),
                        ("listing", "_roots_from_genus_surface"),
                        ("listing", "_GenusSurfaceSearch.run"),

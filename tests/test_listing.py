@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -7,11 +8,12 @@ import pytest
 
 from conftest import (Decomposition, cone_and_classify, edge_triangles,
                       link_shape, rebuilt_links, reference_chords,
-                      reference_gluings, reference_nonroots,
+                      reference_discs, reference_gluings, reference_nonroots,
                       reference_roots, relabel, star_triangles,
                       state_key, valences, validate_decomposition)
 from surfenum.canon import (Code, Isomorphs, _flag_key, _flag_walk,
-                            _vertex_ranks, flag_key, minimal_code)
+                            _vertex_ranks, automorphisms, flag_key,
+                            minimal_code)
 from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     PROJECTIVE_PLANE,
@@ -26,6 +28,7 @@ from surfenum.core import (
 )
 from surfenum.listing import (
     CountsTable,
+    Disc,
     GenusSurface,
     SearchConfig,
     _disc_children,
@@ -80,6 +83,21 @@ def closed_star(k: int) -> frozenset:
     return frozenset(tuple(sorted((1, rim[i - 1], rim[i]))) for i in range(k))
 
 
+def coded_disc(tris) -> tuple[Disc, dict[int, int]]:
+    """The Disc of ``tris`` in its code labels, as the grower builds it,
+    with a map from the labels of ``tris`` to them."""
+    code, witnesses = minimal_code(tris, with_witnesses=True)
+    return Disc.from_triangles(code, automorphisms(witnesses)), witnesses[0]
+
+
+def rim_edges(tris) -> set[tuple[int, int]]:
+    return {e for e, ts in build_index(tris)[0].items() if len(ts) == 1}
+
+
+def cycle_edges(cycle) -> set[tuple[int, int]]:
+    return {tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(len(cycle))}
+
+
 class TestMainDiscGrowth:
     def test_closed_star(self):
         # no room for a fresh vertex, and no corner of the bare star closes
@@ -89,24 +107,38 @@ class TestMainDiscGrowth:
         assert d.interior_count == 1
 
     def test_one_edge_gluing_adds_boundary_vertex(self):
-        children = _disc_children(closed_star(5), (2, 3, 4, 5, 6), 8, 9)
-        assert (closed_star(5) | {(2, 3, 7)}, (2, 7, 3, 4, 5, 6)) in children
+        # children come in the disc's code labels, the fresh vertex 7
+        star, w = coded_disc(closed_star(5))
+        t = tuple(sorted((w[2], w[3], 7)))
+        assert t in _disc_children(star, 8, 9)
+        assert rim_edges(star.triangles + (t,)) == cycle_edges(
+            [w[2], 7, w[3], w[4], w[5], w[6]])
 
     def test_two_edge_gluing_closes_a_corner(self):
-        # fresh vertices 7 on (2, 3) and 8 on (3, 4), then close the corner at 3
-        tris, bnd = closed_star(5), (2, 3, 4, 5, 6)
-        for grown in ({(2, 3, 7)}, {(3, 4, 8)}):
-            [(tris, bnd)] = [c for c in _disc_children(tris, bnd, 8, 9)
-                             if c[0] == tris | grown]
-        assert bnd == (2, 7, 3, 8, 4, 5, 6)
-        assert (tris | {(3, 7, 8)}, (2, 7, 8, 4, 5, 6)) in _disc_children(tris, bnd, 8, 9)
+        # fresh vertices 7 on (2, 3) and 8 on (3, 4), then close the corner
+        # at 3; each step is a child of the disc before it, in its code
+        # labels
+        tris = closed_star(5)
+        for t in ((2, 3, 7), (3, 4, 8)):
+            disc, w = coded_disc(tris)
+            w[t[2]] = t[2]  # the fresh vertex
+            assert tuple(sorted(w[v] for v in t)) in _disc_children(disc, 8, 9)
+            tris = tris | {t}
+        disc, w = coded_disc(tris)
+        assert rim_edges(disc.triangles) == cycle_edges(
+            [w[v] for v in (2, 7, 3, 8, 4, 5, 6)])
+        t = tuple(sorted(w[v] for v in (3, 7, 8)))
+        assert t in _disc_children(disc, 8, 9)
+        assert rim_edges(disc.triangles + (t,)) == cycle_edges(
+            [w[v] for v in (2, 7, 8, 4, 5, 6)])
 
     def test_corner_close_on_fresh_star_is_rejected(self):
         # the very first step can never close a corner: the corner would
         # become a 3-valent interior vertex
-        children = _disc_children(closed_star(5), (2, 3, 4, 5, 6), 8, 9)
+        star, _w = coded_disc(closed_star(5))
+        children = _disc_children(star, 8, 9)
         assert len(children) == 5
-        assert all(len(bnd) == 6 and 7 in bnd for _tris, bnd in children)
+        assert all(7 in t for t in children)
 
     def test_main_discs_have_no_small_interior_valence(self):
         for disc in enumerate_main_discs(5, 8):
@@ -712,9 +744,29 @@ class TestRootsAndNonRoots:
             enumerate_nonroots(code, SearchConfig(max_vertices=7))
 
 
+def disc_rows(discs) -> set[tuple]:
+    return {(d.triangles, d.boundary, d.rotations) for d in discs}
+
+
+def assert_discs_match_the_reference(v: int) -> None:
+    # every main disc the pipeline grows at budget v, and the discs at both
+    # budgets the modes take the extra discs from
+    for m in range(4, v):
+        assert (disc_rows(enumerate_main_discs(m, v))
+                == reference_discs(closed_star(m), m, v)), m
+    for budget in (4, v):
+        assert (disc_rows(enumerate_discs(SearchConfig(budget)))
+                == reference_discs(((1, 2, 3),), math.inf, budget)), budget
+
+
 class TestOrbitPruning:
-    """The gluing and the non-roots prune by automorphisms; the references
-    in conftest glue and cone everything."""
+    """The disc grower, the gluing and the non-roots prune by
+    automorphisms; the references in conftest grow, glue and cone
+    everything."""
+
+    @pytest.mark.parametrize("v", [5, 6, 7, 8])
+    def test_discs_match_the_reference(self, v):
+        assert_discs_match_the_reference(v)
 
     def test_nonroots_match_the_reference(self):
         rng = random.Random(1998)
@@ -733,6 +785,10 @@ class TestOrbitPruning:
     def test_roots_match_the_reference(self, v, specialized):
         cfg = SearchConfig(max_vertices=v, specialized=specialized)
         assert enumerate_roots(cfg) == reference_roots(cfg)
+
+    @pytest.mark.nightly
+    def test_nine_vertex_discs_match_the_reference_nightly(self):
+        assert_discs_match_the_reference(9)
 
     @pytest.mark.nightly
     def test_nine_vertices_match_the_references_nightly(self):
@@ -831,6 +887,53 @@ class TestMainDiscsOnce:
         monkeypatch.setattr(listing, "enumerate_main_discs", counting)
         listing.enumerate_all(SearchConfig(max_vertices=7))
         assert calls == {4: 1, 5: 1, 6: 1}
+
+
+class TestDiscCodingCounts:
+    """Each disc is grown once per orbit of its new triangle (see
+    ``_grow_discs``), from its Disc, which carries what growth reads."""
+
+    @pytest.mark.parametrize("v, discs, codings", [(8, 40, 60), (9, 155, 309)])
+    def test_main_disc_codings(self, monkeypatch, v, discs, codings):
+        from surfenum import listing
+
+        calls = _count_calls_below(monkeypatch, minimal_code,
+                                   below="enumerate_main_discs")
+        assert sum(len(listing.enumerate_main_discs(m, v))
+                   for m in range(4, v)) == discs
+        # one code per disc popped, duplicates included; 103 and 447 when
+        # every child of a disc was pushed
+        assert calls[0] == codings
+
+    def test_minimal_code_calls_of_a_pass(self, monkeypatch):
+        calls = _count_listing_calls(monkeypatch, "minimal_code")
+        enumerate_all(SearchConfig(max_vertices=8))
+        # 211 when the disc grower pushed every child
+        assert calls[0] == 166
+
+    def test_index_discs_builds_one_index_per_disc(self, monkeypatch):
+        calls = _count_listing_calls(monkeypatch, "build_index")
+        main, extra = _index_discs(SearchConfig(max_vertices=8))
+        discs = sum(map(len, main.values())) + sum(map(len, extra.values()))
+        # one in Disc.from_triangles; 84 when each disc's children came
+        # from a second index
+        assert discs == calls[0] == 42
+
+
+def _count_listing_calls(monkeypatch, name: str) -> list[int]:
+    """Rebind ``listing.<name>`` to a wrapper that counts its calls; the
+    count is the one item of the returned list."""
+    from surfenum import listing
+
+    calls = [0]
+    real = getattr(listing, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(listing, name, counting)
+    return calls
 
 
 def search_states(monkeypatch, v: int) -> list:
@@ -1007,6 +1110,47 @@ class TestGenusSearchShortcuts:
         # emitted directly, so 24 of the 25 candidates are leaves
         assert states == 829 - 24
         assert set(verdicts) == {"bad", "circle", "interval", "paths"}
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_fail_first_edge_matches_the_reference_key(self, monkeypatch,
+                                                       specialized):
+        from surfenum import listing
+
+        class LookupRecording(dict):
+            # children looks up the decided edge first, for its apex
+            def __getitem__(self, key):
+                looked_up.append(key)
+                return super().__getitem__(key)
+
+        looked_up = []
+        decided = 0
+        real_children = listing._GenusSurfaceSearch.children
+
+        def checking(search, tris, frozen, by_edge, by_vertex, links,
+                     frozen_ends, *carried):
+            nonlocal decided
+            looked_up.clear()
+            out = real_children(search, tris, frozen, LookupRecording(by_edge),
+                                by_vertex, links, frozen_ends, *carried)
+            open_edges = [e for e, ts in by_edge.items()
+                          if len(ts) == 1 and e not in frozen]
+            if out is None:
+                assert not open_edges and not looked_up
+                return None
+            decided += 1
+            # the larger valence of its ends, then the frozen edges at both
+            # ends, both descending, then the least edge
+            assert looked_up[0] == min(open_edges, key=lambda e: (
+                -max(len(by_vertex[e[0]]), len(by_vertex[e[1]])),
+                -len(frozen_ends.get(e[0], ())) - len(frozen_ends.get(e[1], ())),
+                e))
+            return out
+
+        monkeypatch.setattr(listing._GenusSurfaceSearch, "children", checking)
+        search = _GenusSurfaceSearch(
+            SearchConfig(max_vertices=8, specialized=specialized)).run()
+        # every state expanded but the 24 leaves
+        assert search.expanded == 829 and decided == 829 - 24
 
     @pytest.mark.parametrize("specialized", [True, False])
     def test_cover_child_skips_an_edge_in_two_triangles(self, specialized):
