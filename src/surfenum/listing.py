@@ -12,8 +12,10 @@ pruned by the necessary conditions for minimal decompositions: a partial
 candidate is dropped as soon as it breaks one that no later triangle or
 frozen boundary edge can repair (the opposite vertex of a boundary edge on
 the boundary, one boundary path per boundary vertex, adjacent triangles on
-one boundary component, a boundary cycle that can take the main disc), and
-each finished candidate is checked in full.
+one boundary component, a boundary cycle that can take the main disc).
+These rules imply the conditions on a finished candidate but two, which
+are checked on it: the requested surface class, and that the one planar
+genus-surface is the triangle.
 Gluing the discs back recovers every root: an extra disc goes on each
 boundary cycle but the host one, then a main disc on the host cycle, in
 every rotation and direction that adds no triangle or edge already there,
@@ -297,55 +299,13 @@ def enumerate_discs(cfg: SearchConfig) -> set[Disc]:
 # Step 2: genus-surfaces
 # --------------------------------------------------------------------------
 
-def genus_surface_admissible(g: GenusSurface, cfg: SearchConfig) -> bool:
-    """Necessary conditions for a candidate to be the genus-surface of a
-    minimal decomposition of a root within the configured vertex budget,
-    and of the configured surface if there is one."""
-    if not g.boundary:
-        return False
-    if cfg.surface is not None and g.capped_class != cfg.surface:
-        return False
-    if g.capped_class == SPHERE:
-        # the only planar genus-surface of a minimal decomposition
-        return len(g.triangles) == 1
-    tris, comps = g.triangles, g.boundary
-    bverts = {v for c in comps for v in c}
-    # vertex budget (the root needs at least one more vertex)
-    if g.vertex_count > cfg.max_vertices - 1:
-        return False
-    # valence floors, and at least one boundary vertex of valence >= 3; the
-    # vertex budget bounds every valence from above
-    by_edge, by_vertex = build_index(tris)
-    if any(len(star) < (2 if v in bverts else 4) for v, star in by_vertex.items()):
-        return False
-    if not any(len(by_vertex[v]) >= 3 for v in bverts):
-        return False
-    # the link of every boundary edge lies on the boundary
-    bedges = set()
-    for e, ts in by_edge.items():
-        if len(ts) == 1:
-            bedges.add(e)
-            if ts[0][1] not in bverts:
-                return False
-    # every triangle meets the boundary
-    for t in tris:
-        if not any(v in bverts for v in t):
-            return False
-    # no edge-adjacent triangle pair touching two different boundary comps
-    if _splits_boundary(comps, bedges, tris, by_edge):
-        return False
-    # some boundary cycle can take the main disc
-    return bool(_host_splits(comps, cfg))
-
-
-def _splits_boundary(cycles, bedges, tris, by_edge, starts=None) -> bool:
+def _splits_boundary(cycles, bedges, tris, by_edge, starts) -> bool:
     """Whether two edge-adjacent triangles of ``tris`` (with its
     ``core.build_index`` edge index ``by_edge``) touch boundary edges
     ``bedges`` of different boundary components, ``cycles`` the closed
-    cycles of ``bedges``, one on an edge of ``starts`` (default
-    ``bedges``).  In a growth state ``bedges`` are the frozen edges: a
-    closed cycle of them is a whole final component, so no frozen edge off
-    it can join it."""
+    cycles of ``bedges``, one on an edge of ``starts``.  In a growth state
+    ``bedges`` are the frozen edges: a closed cycle of them is a whole
+    final component, so no frozen edge off it can join it."""
     if not cycles:
         return False
     # boundary edge -> its closed cycle, or None while its path is open
@@ -358,7 +318,7 @@ def _splits_boundary(cycles, bedges, tris, by_edge, starts=None) -> bool:
         a, b, c = t
         return {comp.get(f) for f in ((a, b), (a, c), (b, c)) if f in bedges}
 
-    for f in bedges if starts is None else starts:
+    for f in starts:
         i = by_edge[f][0][0]
         t = tris[i]
         mine = touched(t)
@@ -388,10 +348,33 @@ class _GenusSurfaceSearch:
     of triangles.  ``children`` gives a finished vertex valence >= 4 and a
     triangle a vertex off the interior, allows a vertex at most two frozen
     edges and keeps the opposite vertex of a frozen edge on the boundary.
-    ``_dead_end`` rejects a child that breaks a leaf condition of
-    :func:`genus_surface_admissible` for good (rules R1-R4).  The leaves
-    get the rest in ``emit``: the valence floors and the capped surface
-    class.
+    ``_dead_end`` rejects a child that breaks for good a necessary
+    condition for the genus-surface of a minimal decomposition (rules
+    R1-R4).
+
+    These rules give every leaf the conditions a genus-surface needs.  A
+    boundary, met by every triangle: ``children`` never lets all three
+    vertices of a triangle become interior, and a leaf with no frozen edge
+    would have only such triangles.  The vertex budget: the ``max_v`` cap.
+    Interior valences >= 4: the ``circle and k < 4`` test.  Boundary
+    valences >= 2: R2's ``k < 2`` test.  The opposite vertex of each
+    boundary edge on the boundary: the freeze test ``apex in links``, then
+    R1.  A boundary vertex of valence >= 3: a boundary vertex v of valence
+    2 with link p-x-q has x on the boundary (the apex of (p, v)), and if x
+    has valence 2 too, p has valence 1.  No adjacent triangles on two
+    boundary components, and a cycle that can host the main disc: the R3
+    and R4 invariants below.
+
+    ``emit`` checks the rest: the requested surface class, and the planar
+    rule, that a capped sphere is the one triangle.  The rules imply the
+    planar rule for one hole: a disc of more than one triangle has a chord
+    (an inner edge on two rim vertices) by the apex condition, and the side
+    of an innermost chord is a triangle whose middle vertex has valence 1.
+    They imply it for two: no chord cuts off a disc, so each rim triangle
+    has its apex on the other cycle; cutting along those rungs leaves only
+    rim triangles, and R3 puts two across a rung on one cycle, which leaves
+    the other cycle no edge.  R4 leaves at most two holes in the
+    specialized mode, but no argument is known for three or more.
 
     R4 is the at-most-11 host rule of :func:`_host_splits`, read off the
     closed cycles of frozen edges that a freeze child has: each is a final
@@ -584,9 +567,9 @@ class _GenusSurfaceSearch:
 
     def _dead_end(self, changes, frozen, by_vertex, cycles,
                   split: bool) -> str | None:
-        """The rule by which no leaf below a child passes
-        :func:`genus_surface_admissible` (the one-triangle candidate aside, which
-        ``run`` emits directly), or None.  ``changes`` holds, for each
+        """The rule by which no leaf below a child is a genus-surface
+        (class docstring; the one-triangle candidate aside, which ``run``
+        emits directly), or None.  ``changes`` holds, for each
         vertex v the child changes, (v, valence, link shape, closed) after
         the change, where closed means that one link path joins the far ends
         of v's two frozen edges; ``frozen`` and ``by_vertex`` are the
@@ -619,20 +602,25 @@ class _GenusSurfaceSearch:
         return None
 
     def emit(self, tris: tuple[Triangle, ...]) -> None:
-        # a state is edge-connected with circle or path links, and no leaf
-        # has a vertex on three frozen edges, so a leaf with boundary edges
-        # is a surface with boundary.  No two leaves are isomorphic: a
-        # leaf's frozen edges are exactly its boundary edges, so isomorphic
-        # leaves are isomorphic as marked states, and run drops the second
+        # a state is edge-connected with circle or path links, no leaf has a
+        # vertex on three frozen edges, and every leaf has a frozen edge
+        # (class docstring), so a leaf is a surface with boundary.  No two leaves
+        # are isomorphic: a leaf's frozen edges are exactly its boundary
+        # edges, so isomorphic leaves are isomorphic as marked states, and
+        # run drops the second.  The rules imply every leaf condition but
+        # these two (class docstring)
         g = GenusSurface.from_triangles(tris)
-        if genus_surface_admissible(g, self.cfg):
+        if (self.cfg.surface in (None, g.capped_class)
+                and (g.capped_class != SPHERE or len(tris) == 1)):
             self.emitted.append(g)
 
 
 def enumerate_genus_surfaces(cfg: SearchConfig) -> list[GenusSurface]:
-    """All isomorphism classes of admissible genus-surface candidates with
-    at most max_vertices - 1 vertices (a superset of the minimal
-    genus-surfaces of all roots within the budget), once each."""
+    """All isomorphism classes of genus-surface candidates that meet the
+    search's necessary conditions (:class:`_GenusSurfaceSearch`), with at
+    most max_vertices - 1 vertices and of the configured surface if there
+    is one (a superset of the minimal genus-surfaces of all roots within
+    the budget), once each."""
     return _GenusSurfaceSearch(cfg).run().emitted
 
 

@@ -15,7 +15,8 @@ from surfenum.core import (KLEIN_BOTTLE, SPHERE, Edge, SurfaceClass,
                            ValidationReport, build_index, link_ends,
                            normalize_triangles, validate, vertex_triangles)
 from surfenum import listing, oracle
-from surfenum.listing import (SearchConfig, _host_splits, _index_discs,
+from surfenum.listing import (GenusSurface, SearchConfig, _host_splits,
+                              _index_discs, _splits_boundary,
                               enumerate_genus_surfaces)
 from surfenum.moves import MoveError, _cone, _require_closed
 
@@ -448,6 +449,48 @@ def validate_decomposition(t: Triangulation, dec: Decomposition) -> Decompositio
         return DecompositionCheck(
             False, "main disc has no maximal-valence interior vertex")
     return DecompositionCheck(True)
+
+
+def reference_admissible(g: GenusSurface, cfg: SearchConfig) -> bool:
+    """Necessary conditions for a candidate to be the genus-surface of a
+    minimal decomposition of a root within the configured vertex budget,
+    and of the configured surface if there is one: the leaf conditions that
+    the genus-surface search's partial rules imply, checked in full."""
+    if not g.boundary:
+        return False
+    if cfg.surface is not None and g.capped_class != cfg.surface:
+        return False
+    if g.capped_class == SPHERE:
+        # the only planar genus-surface of a minimal decomposition
+        return len(g.triangles) == 1
+    tris, comps = g.triangles, g.boundary
+    bverts = {v for c in comps for v in c}
+    # vertex budget (the root needs at least one more vertex)
+    if g.vertex_count > cfg.max_vertices - 1:
+        return False
+    # valence floors, and at least one boundary vertex of valence >= 3; the
+    # vertex budget bounds every valence from above
+    by_edge, by_vertex = build_index(tris)
+    if any(len(star) < (2 if v in bverts else 4) for v, star in by_vertex.items()):
+        return False
+    if not any(len(by_vertex[v]) >= 3 for v in bverts):
+        return False
+    # the link of every boundary edge lies on the boundary
+    bedges = set()
+    for e, ts in by_edge.items():
+        if len(ts) == 1:
+            bedges.add(e)
+            if ts[0][1] not in bverts:
+                return False
+    # every triangle meets the boundary
+    for t in tris:
+        if not any(v in bverts for v in t):
+            return False
+    # no edge-adjacent triangle pair touching two different boundary comps
+    if _splits_boundary(comps, bedges, tris, by_edge, bedges):
+        return False
+    # some boundary cycle can take the main disc
+    return bool(_host_splits(comps, cfg))
 
 
 def reference_nonroots(root: Triangulation, max_vertices: int) -> set[Code]:

@@ -22,11 +22,10 @@ from conftest import (Decomposition, _relabel_contiguous, canonical_witness,
 from surfenum.canon import flag_key, minimal_code
 from surfenum.core import SPHERE, SurfaceClass, Triangulation, classify
 from surfenum.listing import (
-    GenusSurface,
     SearchConfig,
     _GenusSurfaceSearch,
     enumerate_all,
-    genus_surface_admissible,
+    enumerate_genus_surfaces,
 )
 from surfenum.moves import _removable_vertices, inverse_t_move, t_move
 from surfenum.oracle import brute_force_enumerate, cross_validate
@@ -300,8 +299,8 @@ def test_criterion_08_heawood_first_rows(pipeline9):
 
 
 def test_criterion_09_table2_genus_surface_counts(pipeline9):
-    # the admissibility filter of an 11-vertex budget on the candidates of
-    # at most 7 vertices
+    # the search's filter at an 11-vertex budget on the candidates of at
+    # most 7 vertices
     search = _GenusSurfaceSearch(SearchConfig(max_vertices=11))
     search.max_v = 7
     got = Counter((g.vertex_count, g.capped_class.name)
@@ -385,21 +384,23 @@ def minimal_decomposition_genus_surfaces(t: Triangulation):
 
 
 def test_criterion_10_admissibility_keeps_a_minimal_decomposition():
+    # the search emits some minimal genus-surface of each root; every
+    # emitted candidate passes the reference filter (test_listing), so this
+    # implies that the filter keeps one
     start = time.monotonic()
     corpus = [Triangulation(code)
               for codes in brute_force_enumerate(7).codes.values()
               for code in codes]
     assert len(corpus) == 14
+    emitted = {v: {g.triangles for g in enumerate_genus_surfaces(
+                   SearchConfig(max_vertices=v))}
+               for v in {t.vertex_count for t in corpus}}
     for t in corpus:
-        cfg = SearchConfig(max_vertices=t.vertex_count)
         minimal = minimal_decomposition_genus_surfaces(t)
         assert minimal, f"no decomposition found for {t}"
-        assert any(
-            genus_surface_admissible(
-                GenusSurface.from_triangles(_relabel_contiguous(g)), cfg)
-            for g in minimal
-        ), f"every minimal genus-surface filtered out for {t}"
+        assert any(minimal_code(_relabel_contiguous(g)) in emitted[t.vertex_count]
+                   for g in minimal), f"no minimal genus-surface emitted for {t}"
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
-    print(f"criterion 10: PASS — all 14 triangulations V<=7 keep an "
-          f"admissible minimal genus-surface ({elapsed:.0f}s < 300s)")
+    print(f"criterion 10: PASS — all 14 triangulations V<=7 have a "
+          f"minimal genus-surface the search emits ({elapsed:.0f}s < 300s)")

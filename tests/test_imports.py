@@ -172,8 +172,9 @@ def test_one_index_builder_for_labeling_and_growth():
     # do the public keys, the discs (whose growth reads the Disc's own
     # valences, rim and chords), the genus-surfaces (once for their
     # boundary cycles and capped class) and the gluing bases; the searches
-    # once per start state and genus_surface_admissible for its valence and
-    # boundary tests.  surface_class and boundary_cycles take it.
+    # once per start state, and an emitted genus-surface reads what
+    # GenusSurface.from_triangles built.  surface_class and boundary_cycles
+    # take it.
     # Isomorphs.add hands an arriving state's carried index to the
     # certificate and builds none; the kernels build none either
     callers = set()
@@ -187,7 +188,6 @@ def test_one_index_builder_for_labeling_and_growth():
                        ("canon", "minimal_code"), ("canon", "flag_key"),
                        ("listing", "Disc.from_triangles"),
                        ("listing", "GenusSurface.from_triangles"),
-                       ("listing", "genus_surface_admissible"),
                        ("listing", "_roots_from_genus_surface"),
                        ("listing", "_GenusSurfaceSearch.run"),
                        ("oracle", "_enumerate_with_max_valence")}

@@ -7,10 +7,11 @@ from collections import Counter
 import pytest
 
 from conftest import (Decomposition, cone_and_classify, edge_triangles,
-                      link_shape, rebuilt_links, reference_chords,
-                      reference_discs, reference_gluings, reference_nonroots,
-                      reference_roots, relabel, star_triangles,
-                      state_key, valences, validate_decomposition)
+                      link_shape, rebuilt_links, reference_admissible,
+                      reference_chords, reference_discs, reference_gluings,
+                      reference_nonroots, reference_roots, relabel,
+                      star_triangles, state_key, valences,
+                      validate_decomposition)
 from surfenum.canon import (Code, Isomorphs, _flag_key, _flag_walk,
                             _vertex_ranks, automorphisms, flag_key,
                             minimal_code)
@@ -18,6 +19,7 @@ from surfenum.cli import parse_triangulation_text
 from surfenum.core import (
     PROJECTIVE_PLANE,
     SPHERE,
+    SurfaceClass,
     SurfaceKind,
     Triangulation,
     boundary_cycles,
@@ -43,7 +45,6 @@ from surfenum.listing import (
     enumerate_main_discs,
     enumerate_nonroots,
     enumerate_roots,
-    genus_surface_admissible,
 )
 from surfenum.moves import is_root
 from surfenum.oracle import brute_force_enumerate
@@ -226,25 +227,25 @@ class TestDiscEnumeration:
 class TestAdmissibility:
     def test_mobius_strip_is_admissible(self, mobius):
         g = GenusSurface.from_triangles(mobius.triangles)
-        assert genus_surface_admissible(g, SearchConfig(max_vertices=6))
+        assert reference_admissible(g, SearchConfig(max_vertices=6))
 
     def test_annulus_is_not_admissible(self, annulus):
         # planar, and not the single triangle
         g = GenusSurface.from_triangles(annulus.triangles)
-        assert not genus_surface_admissible(g, SearchConfig(max_vertices=11))
+        assert not reference_admissible(g, SearchConfig(max_vertices=11))
 
     def test_single_triangle_is_admissible(self):
         g = GenusSurface.from_triangles([(1, 2, 3)])
-        assert genus_surface_admissible(g, SearchConfig(max_vertices=7))
+        assert reference_admissible(g, SearchConfig(max_vertices=7))
 
     def test_two_triangle_square_is_not(self):
         g = GenusSurface.from_triangles([(1, 2, 3), (1, 3, 4)])
-        assert not genus_surface_admissible(g, SearchConfig(max_vertices=7))
+        assert not reference_admissible(g, SearchConfig(max_vertices=7))
 
     def test_mobius_needs_enough_budget(self, mobius):
         # the vertex budget: a root on the five-vertex strip needs a sixth
         g = GenusSurface.from_triangles(mobius.triangles)
-        assert not genus_surface_admissible(g, SearchConfig(max_vertices=5))
+        assert not reference_admissible(g, SearchConfig(max_vertices=5))
 
 
 class TestGenusSurfaces:
@@ -261,6 +262,19 @@ class TestGenusSurfaces:
         assert len(five) == 1
         assert five[0].triangles == minimal_code(mobius.triangles)
         assert five[0].capped_class == PROJECTIVE_PLANE
+
+    @pytest.mark.parametrize("name", ["S2", "RP2", "T2", "K2"])
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_surface_keeps_the_candidates_of_its_class(self, name,
+                                                       specialized):
+        # the requested class is one of the two leaf conditions emit checks
+        cls = SurfaceClass.from_name(name)
+        every = enumerate_genus_surfaces(
+            SearchConfig(8, specialized=specialized))
+        kept = [g for g in every if g.capped_class == cls]
+        assert kept
+        assert enumerate_genus_surfaces(
+            SearchConfig(8, specialized=specialized, surface=cls)) == kept
 
 
 class TestPieceRecords:
@@ -479,7 +493,7 @@ class TestGluing:
                 parse_triangulation_text(text).triangles)
             assert sorted(len(c) for c in g.boundary) == sorted(lengths)
             assert g.capped_class.name == name
-            assert genus_surface_admissible(g, cfg)
+            assert reference_admissible(g, cfg)
             yields[0] = 0
             assert _roots_from_genus_surface(g, cfg, discs) == set()
             assert yields[0] == glued
@@ -1238,6 +1252,10 @@ class TestGenusSearchPruning:
         search = _GenusSurfaceSearch(
             SearchConfig(max_vertices=v, specialized=specialized)).run()
         assert emitted_digest(search.emitted) == EMITTED_SHA256[v]
+        # emit checks only the surface class and the planar rule: the
+        # partial rules imply the other leaf conditions (class docstring)
+        assert all(reference_admissible(g, search.cfg)
+                   for g in search.emitted)
 
     @pytest.mark.nightly
     @pytest.mark.parametrize("specialized", [True, False])
@@ -1246,6 +1264,8 @@ class TestGenusSearchPruning:
             SearchConfig(max_vertices=9, specialized=specialized)).run()
         assert len(search.emitted) == 611
         assert emitted_digest(search.emitted) == EMITTED_SHA256[9]
+        assert all(reference_admissible(g, search.cfg)
+                   for g in search.emitted)
         # 138,690 states without the pruning, 55,215 without its rule R3,
         # 48,068 when the open edge decided next was the least by label
         assert search.expanded <= 26456
@@ -1298,7 +1318,7 @@ class TestGenusSearchPruning:
             if out is not None:
                 stack.extend(out)
             elif (boundary_cycles(build_index(tris)[0])
-                  and genus_surface_admissible(
+                  and reference_admissible(
                       GenusSurface.from_triangles(tris), cfg)):
                 admissible.add(minimal_code(tris))
         # the one-triangle candidate, which the search emits directly, is
@@ -1345,6 +1365,19 @@ class TestGenusSearchPruning:
         # emit built two candidates
         assert len(search.emitted) == 25
         assert calls[0] == 25
+
+    @pytest.mark.parametrize("specialized", [True, False])
+    def test_search_builds_one_index_per_emitted_candidate(self, monkeypatch,
+                                                           specialized):
+        calls = _count_listing_calls(monkeypatch, "build_index")
+        search = _GenusSurfaceSearch(SearchConfig(max_vertices=8,
+                                                  specialized=specialized))
+        search.run()
+        # the start state's, and GenusSurface.from_triangles's for each
+        # emitted candidate; 50 when emit re-checked each leaf on an index
+        # of its own
+        assert len(search.emitted) == 25
+        assert calls[0] == 26
 
     @pytest.mark.parametrize("v", [6, 7, 8])
     @pytest.mark.parametrize("specialized", [True, False])
@@ -1397,15 +1430,13 @@ class TestGenusSearchPruning:
         local = Counter()
         real_splits = listing._splits_boundary
 
-        def checking_splits(cycles, bedges, tris, by_edge, starts=None):
+        def checking_splits(cycles, bedges, tris, by_edge, starts):
             verdict = real_splits(cycles, bedges, tris, by_edge, starts)
-            if starts is not None:
-                # a freeze child: R3 round its edge alone, or round the
-                # cycle its edge closes, agrees with R3 over every frozen
-                # edge
-                local[len(starts) > 1, verdict] += 1
-                assert verdict == real_splits(closed_cycles(bedges), bedges,
-                                              tris, by_edge)
+            # a freeze child: R3 round its edge alone, or round the cycle
+            # its edge closes, agrees with R3 over every frozen edge
+            local[len(starts) > 1, verdict] += 1
+            assert verdict == real_splits(closed_cycles(bedges), bedges,
+                                          tris, by_edge, bedges)
             return verdict
 
         monkeypatch.setattr(listing._GenusSurfaceSearch, "children", checking)
