@@ -26,30 +26,42 @@ corpus branches after its first vertex's star, and a torus grid of 1,250
 triangles labels within the default recursion limit.
 
 A seed whose link is one cycle (every vertex of a closed surface, every
-interior vertex) skips the first d steps, d its valence.  Its star is
-emitted first, and each start flag fixes it: a star triangle, in index
-order, with its two other vertices as labels 2, 3, then as 3, 2.  Each
-further link vertex takes the next label at the arc end with the smaller
-label, so the star's d triples are (1,2,3), (1,2,4), (1,3,5), (1,4,6), ...,
-(1,d,d+1) for every flag and every such seed.  This prefix is compared with
-the best list once per seed; each flag then labels its link in one walk and
-the search goes on from triangle d.  Other seeds (boundary vertices,
-pinches, non-manifold or disconnected inputs) search from label 1.  The
+interior vertex) or one path (a boundary vertex) skips the first d steps,
+d its valence.  Its star is emitted first, and a start flag fixes it: a
+star triangle, in index order, with its two other vertices as labels 2, 3,
+then as 3, 2.  Each further link vertex takes the next label at the arc
+end with the smaller label that has a star triangle left.  On a cycle that
+is the smaller end, so the star's d triples are (1,2,3), (1,2,4), (1,3,5),
+(1,4,6), ..., (1,d,d+1) for every flag.  On a path each step adds a fresh
+label: after (1,2,3) and (1,k,k+2) for k = 2..t the arc ends are t+1 and
+t+2, so the next triple is (1,t+1,t+3) if t+1 is no path end and larger
+if it is.  The least star prefix, (1,2,3), (1,2,4), ..., (1,d,d+2), is
+reached exactly by the flags that never stall, where 4, 6, ... run from
+label 2 to one end as 3, 5, ... run to the other: label 2 at the path's
+centre, floor(d/2) edges from one end and label 3 towards the other, or
+the mirror image.  So a cycle seed beats a path seed of its valence.  The
+prefix is compared with the best list once per seed; each kept flag then
+labels the link in one walk and the search goes on from triangle d.  The
+two path flags are kept in the order the search from label 1 meets them:
+by star position, then with the smaller vertex as label 2.  Other seeds
+(pinches, non-manifold or disconnected inputs) search from label 1.  The
 link is walked along the seed's spokes: ``core.build_index`` indexes each
 edge's triangles with their third vertices, and the apexes of the spoke
 from the seed to a link vertex are that vertex's link neighbours.
 
-Most of a cycle-link seed's 2d flags cannot win.  If the edge between
-labels 2 and 3 lies in a triangle other than the seed's, label 2 has an
-unused triangle and only such triangles contain label 3, so triple d
-(counting from 0) is (2, 3, x), x the smallest label the flag gives their
-apexes: a link label on the ring, the fresh d+2 off it.  The apexes are
-read from the edge index, once per link edge for both of its flags.  A
-flag whose edge has no other triangle emits a larger triple d.  So only
+Most of a cycle-link seed's 2d flags cannot win either.  If the edge
+between labels 2 and 3 lies in a triangle other than the seed's, label 2
+has an unused triangle and only such triangles contain label 3, so triple
+d (counting from 0) is (2, 3, x), x the smallest label the flag gives
+their apexes: a link label on the ring, the fresh d+2 off it.  The apexes
+are read from the edge index, once per link edge for both of its flags.
+A flag whose edge has no other triangle emits a larger triple d.  So only
 the flags with the smallest x are labeled and searched, and none when the
-best list has the same prefix and a smaller triple d; a dropped flag can
-neither tie nor beat the minimum, so codes, witnesses and their order stay
-those of the full search.
+best list has the same prefix and a smaller triple d.  A dropped flag, of
+either kind of seed, emits a larger triple than a kept flag or the best
+list, so it can neither tie nor beat the minimum; the kept flags run in
+the full search's order, so codes, witnesses and their order stay those
+of the full search.
 
 When only the code is wanted, a seed stops at its first tie: suppose a
 full labeling lambda_w from seed w equals the best code, which an earlier
@@ -237,89 +249,105 @@ def _search(
             del label[x]
         del emitted[start:]
 
-    # every seed has valence d, so a cycle-link seed's star prefix and the
-    # label its flags give each ring offset depend on d alone
+    # every seed has valence d, so a link of m = d (one cycle) or d + 1
+    # vertices (one path) fixes the star prefix and the flags' link labels
     d = len(star[seeds[0]])
-    prefix = (((1, 2, 3),) + tuple((1, k, k + 2) for k in range(2, d))
-              + ((1, d, d + 1),))
-    # the label a flag gives the ring vertex at offset j from label 2 in its
-    # direction step: the arc grows at its smaller end
+    path_prefix = ((1, 2, 3),) + tuple((1, k, k + 2) for k in range(2, d + 1))
+    # a cycle has d >= 3 vertices, and its last star triangle closes the arc
+    prefix = {d: path_prefix[:-1] + ((1, d, d + 1),), d + 1: path_prefix}
+    # the label a cycle flag gives the ring vertex at offset j from label 2
+    # in its direction step: the arc grows at its smaller end
     rank = [2 * j + 2 if 2 * j < d else 2 * (d - j) + 1 for j in range(d)]
-    offsets = sorted(range(d), key=rank.__getitem__)
+    # so labels 2, 3, 4, 5, ... go to offsets 0, -1, 1, -2, ..., round a
+    # cycle or a path read as closed from its last vertex to its first
+    offsets = [j // 2 if j % 2 == 0 else -1 - j // 2 for j in range(d + 1)]
     for seed in seeds:
         used = [False] * n
         vertex_of[1] = seed
         # an earlier seed's code; only a strictly smaller one replaces it
         earlier = best[0]
         links = star[seed]
-        # walk the link once along the spokes: the apexes of spoke (seed, v)
-        # are v's link neighbours, so the link is one cycle when every spoke
-        # on the walk has two distinct apexes and the walk closes after d
-        ring = []
-        at = {}  # link vertex -> ring position
+        # walk the link along the spokes, whose apexes are link neighbours:
+        # one cycle if each has two and it closes after d; at a path end (one)
+        # it starts again, for one path if it ends after d + 1 vertices
+        ring, at = [], {}  # link vertex -> ring position, read on a cycle
+        path = False  # whether the walk started again from a path end
         prev, cur = links[0][2], links[0][1]
-        for j in range(d):
+        while True:
             spoke = apexes[(seed, cur) if seed < cur else (cur, seed)]
             if len(spoke) != 2 or spoke[0][1] == spoke[1][1]:
+                if len(spoke) == 1 and not path:
+                    path, ring, prev, cur = True, [cur], cur, spoke[0][1]
+                    continue
+                ring.append(cur)  # the path's other end, or neither shape
                 break
+            at[cur] = len(ring)
             ring.append(cur)
-            at[cur] = j
             u = spoke[0][1]
             prev, cur = cur, (spoke[1][1] if u == prev else u)
             if cur == ring[0]:
                 break
+        m = len(ring)
         try:
-            if len(ring) != d or cur != ring[0]:
+            if not (m == d + 1 if path else m == d and cur == ring[0]):
                 recurse({seed: 1}, 2, 1, [])
                 continue
-            # one cycle link: every flag emits the same star prefix, so it is
-            # compared with best once and each flag labels the link in one walk
-            ref = prefix if best[0] is None else best[0][:d]
-            if prefix < ref:
+            # every kept flag emits this star prefix (module docstring)
+            ref = prefix[m] if best[0] is None else best[0][:d]
+            if prefix[m] < ref:
                 best[0] = None
                 if witnesses is not None:
                     witnesses.clear()
-            elif prefix > ref:
+            elif prefix[m] > ref:
                 continue
-            flags = []  # (x of triple d (2, 3, x) or None, p, step)
-            for i, x, y in links:
-                # the flags (x, y) and (y, x): label 2 at ring position px or
-                # py, and the direction that puts label 3 next to it
-                px = at[x]
-                step = -1 if ring[(px + 1) % d] == y else 1
-                # an apex of edge xy at ring position q is at offset off from
-                # px in direction step and d-1-off from py in -step; an apex
-                # off the ring takes the fresh label d + 2
-                fx = fy = None  # x of triple d for the flags (x, y), (y, x)
-                for k, w in apexes[x, y]:
-                    if k != i:
-                        q = at.get(w)
-                        if q is None:
-                            ax = ay = d + 2
-                        else:
-                            off = (q - px) * step % d
-                            ax, ay = rank[off], rank[d - 1 - off]
-                        if fx is None or ax < fx:
-                            fx = ax
-                        if fy is None or ay < fy:
-                            fy = ay
-                flags.append((fx, px, step))
-                flags.append((fy, (px - step) % d, -step))
-            low = min((f[0] for f in flags if f[0] is not None), default=None)
-            if low is not None:
-                flags = [f for f in flags if f[0] == low]
-                if best[0] is not None and best[0][d] < (2, 3, low):
-                    continue
+            if path:
+                # label 2 at the centre, label 3 beside it, in the order the
+                # search from label 1 meets them (module docstring)
+                c = d // 2
+                kept = {(ring[c], ring[c + 1]): (c, -1),
+                        (ring[d - c], ring[d - c - 1]): (d - c, 1)}
+                flags = [(None, *kept[f]) for _i, x, y in links
+                         for f in ((x, y), (y, x)) if f in kept]
+            else:
+                flags = []  # (x of triple d (2, 3, x) or None, p, step)
+                for i, x, y in links:
+                    # the flags (x, y) and (y, x): label 2 at ring position px
+                    # or py, and the direction that puts label 3 next to it
+                    px = at[x]
+                    step = -1 if ring[(px + 1) % d] == y else 1
+                    # an apex of edge xy at ring position q is at offset off
+                    # from px in direction step and d-1-off from py in -step;
+                    # an apex off the ring takes the fresh label d + 2
+                    fx = fy = None  # x of triple d for the flags (x, y), (y, x)
+                    for k, w in apexes[x, y]:
+                        if k != i:
+                            q = at.get(w)
+                            if q is None:
+                                ax = ay = d + 2
+                            else:
+                                off = (q - px) * step % d
+                                ax, ay = rank[off], rank[d - 1 - off]
+                            if fx is None or ax < fx:
+                                fx = ax
+                            if fy is None or ay < fy:
+                                fy = ay
+                    flags.append((fx, px, step))
+                    flags.append((fy, (px - step) % d, -step))
+                low = min((f[0] for f in flags if f[0] is not None), default=None)
+                if low is not None:
+                    flags = [f for f in flags if f[0] == low]
+                    if best[0] is not None and best[0][d] < (2, 3, low):
+                        continue
             for i, _x, _y in links:
                 used[i] = True
-            emitted = list(prefix)
+            emitted = list(prefix[m])
             for _w, p, step in flags:
                 label = {seed: 1}
-                for k, j in enumerate(offsets, 2):
-                    v = ring[(p + step * j) % d]
+                for k, j in zip(range(2, m + 2), offsets):
+                    v = ring[(p + step * j) % m]
                     label[v] = k
                     vertex_of[k] = v
-                recurse(label, d + 2, 2, emitted)
+                recurse(label, m + 2, 2, emitted)
         except _Tie:
             pass
     # recurse holds itself through its closure; dropping the name frees the

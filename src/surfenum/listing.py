@@ -312,7 +312,8 @@ def _splits_boundary(cycles, bedges, tris, by_edge, starts) -> bool:
     comp = {}
     for i, c in enumerate(cycles):
         for j in range(len(c)):
-            comp[tuple(sorted((c[j - 1], c[j])))] = i
+            p, q = c[j - 1], c[j]
+            comp[(p, q) if p < q else (q, p)] = i
 
     def touched(t: Triangle) -> set:
         a, b, c = t
@@ -501,7 +502,8 @@ class _GenusSurfaceSearch:
                 new_cycles = cycles + [walk]
                 split = _splits_boundary(
                     new_cycles, child, tris, by_edge,
-                    [e] + [tuple(sorted(f)) for f in zip(walk, walk[1:])])
+                    [e] + [(p, q) if p < q else (q, p)
+                           for p, q in zip(walk, walk[1:])])
             else:  # the parent's cycles stand: R3 round e only (docstring)
                 new_cycles = []
                 split = _splits_boundary(cycles, child, tris, by_edge, (e,))
@@ -520,10 +522,12 @@ class _GenusSurfaceSearch:
         if n_v < self.max_v:
             cands.append(n_v + 1)
         for x in cands:
-            new_tri = tuple(sorted((a, b, x)))
-            ea, eb = tuple(sorted((a, x))), tuple(sorted((b, x)))
+            # a < b, so no key needs a sort; (a, x) is frozen iff x ends a's
+            new_tri = (x, a, b) if x < a else (a, x, b) if x < b else (a, b, x)
+            ea = (a, x) if a < x else (x, a)
+            eb = (b, x) if b < x else (x, b)
             # an edge in two triangles takes no third (``core.link_after``)
-            if (ea in frozen or eb in frozen or len(by_edge.get(ea, ())) > 1
+            if (x in ends_a or x in ends_b or len(by_edge.get(ea, ())) > 1
                     or len(by_edge.get(eb, ())) > 1):
                 continue
             changes = []

@@ -91,13 +91,19 @@ def _m_fan(m: int) -> tuple[Triangle, ...]:
 def _children(tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
               links: dict[int, dict], rank: dict[int, int], m: int,
               max_vertices: int) -> list[State]:
-    open_edges = [e for e, ts in by_edge.items() if len(ts) == 1]
-    if not open_edges:
+    # fail first (module docstring) in one pass: m x the larger star + both
+    # stars, each at most m, orders as the larger and then the smaller star;
+    # ties go to the least edge
+    e, best = None, -1
+    for f, ts in by_edge.items():
+        if len(ts) == 1:
+            kp, kq = len(by_vertex[f[0]]), len(by_vertex[f[1]])
+            score = m * (kp if kp > kq else kq) + kp + kq
+            if score > best or score == best and f < e:
+                e, best = f, score
+    if e is None:
         return []  # closed: a leaf
-    # fail first: the edge whose ends have the most triangles (module docstring)
-    a, b = min(open_edges, key=lambda e: (
-        -max(len(by_vertex[e[0]]), len(by_vertex[e[1]])),
-        -min(len(by_vertex[e[0]]), len(by_vertex[e[1]])), e))
+    a, b = e
     # (a, b, taken) is the one triangle already on (a, b)
     taken = by_edge[(a, b)][0][1]
     # an interior vertex takes no triangle (``core.link_after``): the third
@@ -108,8 +114,10 @@ def _children(tris: tuple[Triangle, ...], by_edge: dict, by_vertex: dict,
         cands.append(n_v + 1)
     out = []
     for x in cands:
-        new_tri = tuple(sorted((a, b, x)))
-        ea, eb = tuple(sorted((a, x))), tuple(sorted((b, x)))
+        # a < b, so the keys need no sort
+        new_tri = (x, a, b) if x < a else (a, x, b) if x < b else (a, b, x)
+        ea = (a, x) if a < x else (x, a)
+        eb = (b, x) if b < x else (x, b)
         # an edge in two triangles takes no third (``core.link_after``)
         if len(by_edge.get(ea, ())) > 1 or len(by_edge.get(eb, ())) > 1:
             continue

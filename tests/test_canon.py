@@ -316,6 +316,104 @@ class TestWitness:
                 assert image == minimal_code(shuffled.triangles)
 
 
+def _path_star_prefix(d: int, two: int, three: int) -> tuple:
+    """The star triples that the search from label 1 emits for the flag
+    that labels path vertices ``two``, ``three`` (adjacent, of 0..d) as 2,
+    3, by its rule alone: the next triple is the least (1, end, fresh) over
+    the arc ends with an unlabeled path neighbour."""
+    label = {two: 2, three: 3}
+    triples = [(1, 2, 3)]
+    while len(triples) < d:
+        end, nxt = min((label[e], f) for e in label for f in (e - 1, e + 1)
+                       if 0 <= f <= d and f not in label)
+        label[nxt] = len(label) + 2
+        triples.append((1, end, label[nxt]))
+    return tuple(triples)
+
+
+def _path_link_inputs() -> list:
+    """Bounded complexes, many of whose seeds have path links: every disc
+    with at most 7 vertices and every genus-surface candidate with at most 7
+    vertices that the search emits at V = 8 in either mode, each with three
+    relabelings."""
+    from surfenum.listing import (SearchConfig, _GenusSurfaceSearch,
+                                  enumerate_discs)
+
+    codes = {disc.triangles
+             for disc in enumerate_discs(SearchConfig(7, specialized=False))}
+    assert len(codes) == 27
+    for specialized in (True, False):
+        search = _GenusSurfaceSearch(SearchConfig(8, specialized=specialized))
+        codes.update(g.triangles for g in search.run().emitted)
+    assert len(codes) == 27 + 25 - 1  # the one triangle is both
+    rng = random.Random(1981)
+    return [(code, [Triangulation(code)]
+             + [relabel(Triangulation(code), rng)[0] for _ in range(3)])
+            for code in sorted(codes)]
+
+
+class TestPathLinkSeeds:
+    """A seed whose link is one path labels only the two flags at the
+    path's centre (the ``canon`` module docstring)."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_prefix_and_its_two_flags(self, d):
+        prefixes = {(two, three): _path_star_prefix(d, two, three)
+                    for two in range(d + 1) for three in (two - 1, two + 1)
+                    if 0 <= three <= d}
+        assert len(prefixes) == 2 * d
+        least = min(prefixes.values())
+        assert least == ((1, 2, 3),) + tuple((1, k, k + 2) for k in range(2, d + 1))
+        c = d // 2
+        assert {f for f, p in prefixes.items() if p == least} == {
+            (c, c + 1), (d - c, d - c - 1)}
+        if d >= 3:
+            # the fan of path 2..d+2 round vertex 1, its one seed: the two
+            # flags in the order of their star triangles, then of label 2
+            fan = [(1, k, k + 1) for k in range(2, d + 2)]
+            code, wits = minimal_code(fan, with_witnesses=True)
+            assert code == least
+            flags = sorted([(c, c + 1), (d - c, d - c - 1)],
+                           key=lambda f: (min(f), f[0]))
+            vertex = [{k: v for v, k in w.items()} for w in wits]
+            assert [(at[1], at[2] - 2, at[3] - 2) for at in vertex] == [
+                (1, two, three) for two, three in flags]
+
+    def test_a_cycle_seed_beats_path_seeds_of_its_valence(self):
+        # the d-wheel round vertex c = 2d - 1 with rim 1..d; rim vertex 1
+        # takes a fan over d + 1..2d - 2 that gives it valence d and a path
+        # link, and comes first among the seeds (for d = 3 rim vertex 2 is
+        # a path seed too)
+        for d in (3, 4, 5, 6):
+            c = 2 * d - 1
+            rim = [1] + list(range(2, d + 1))
+            wheel = [(c, rim[i - 1], rim[i]) for i in range(d)]
+            fan = [(1, rim[1], d + 1)] + [(1, d + k, d + k + 1)
+                                          for k in range(1, d - 2)]
+            tris = wheel + fan
+            assert sorted({v for t in tris for v in t}) == list(range(1, c + 1))
+            code, wits = minimal_code(tris, with_witnesses=True)
+            assert code[:d] == ((1, 2, 3),) + tuple(
+                (1, k, k + 2) for k in range(2, d)) + ((1, d, d + 1),)
+            assert {w[c] for w in wits} == {1}
+            assert minimal_code(tris) == code
+            if d <= 4:
+                t = Triangulation(tris)
+                assert code == brute_minimal_code(t)
+
+    def test_codes_and_witnesses_against_all_permutations(self):
+        for code, copies in _path_link_inputs():
+            reference = brute_minimal_code(copies[0])
+            assert reference == code
+            for t in copies:
+                got, wits = minimal_code(t.triangles, with_witnesses=True)
+                assert got == reference
+                realizing, automorphisms = brute_witnesses(t, got)
+                found = [tuple(sorted(w.items())) for w in wits]
+                assert set(found) == realizing
+                assert len(found) == automorphisms
+
+
 class TestIndexedKernels:
     """The certificates of the isomorph filter read a growth state's
     carried index and ranks; they equal the public keys (the exactness

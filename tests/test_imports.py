@@ -110,6 +110,20 @@ def test_growth_children_build_no_link_and_no_ranks():
         assert not called & {"link_ends", "_vertex_ranks"}, name
 
 
+def test_growth_keys_are_built_without_sorting():
+    # both growth searches build the key of a new triangle and of its edges,
+    # and the genus search the keys of a cycle's edges, by comparison: no
+    # ``sorted`` of a tuple display and no ``tuple(sorted(...))``
+    for module, name in GROWTH_CHILDREN + (("listing", "_splits_boundary"),):
+        for node in ast.walk(_functions(PACKAGE_DIR / f"{module}.py")[name]):
+            if isinstance(node, ast.Call) and node.args:
+                called = getattr(node.func, "id", None)
+                arg = node.args[0]
+                assert not (called == "sorted" and isinstance(arg, ast.Tuple)), name
+                assert not (called == "tuple" and isinstance(arg, ast.Call)
+                            and getattr(arg.func, "id", None) == "sorted"), name
+
+
 def test_only_boundary_cycles_walks_closed_cycles():
     # a genus-search freeze child whose edge closes a cycle takes it from
     # its own walk of the frozen path, so the walk of closed_cycles is left
